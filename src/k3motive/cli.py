@@ -25,20 +25,24 @@ from .builders import (
 from .fibers import (
     InvalidFiberError,
     NonKulikovError,
+    WeakNeronData,
+    _inclusion_exclusion,
+    _kulikov_type,
+    clemens_polytope,
     open_component_classes,
+    strata_classes,
     validate,
 )
 from .integrals import (
     GeometricRealizabilityWarning,
     RamifiedParams,
+    _quiet_closed_form,
     integral_from_neron,
     closed_form_integral,
     verify_fiber,
 )
 from .intlinalg import smith_normal_form
 from .deltaset import euler_characteristic, recognize
-from .fibers import WeakNeronData, clemens_polytope, degeneration_type, \
-    smooth_locus_class, strata_classes
 from .motives import EllipticCurveAtom
 from .serialize import (
     delta_from_json,
@@ -85,8 +89,18 @@ def _parse_profile(text: str | None):
         raise InputError("bad --a-profile %r" % (text,)) from exc
 
 
-def _motive_str(cls) -> str:
-    return repr(cls)
+def _load_fiber(path: str):
+    """Read a fiber document, bare or wrapped as ``{"fiber": ...}``; returns
+    the outer document and the decoded fiber."""
+    doc = _load_json(path)
+    fiber_doc = doc.get("fiber", doc) if isinstance(doc, dict) else doc
+    if not isinstance(fiber_doc, dict):
+        raise InputError("bad fiber document %s: expected a JSON object, "
+                         "got %s" % (path, type(fiber_doc).__name__))
+    try:
+        return doc, fiber_from_json(fiber_doc)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise InputError("bad fiber document: %s" % exc) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +135,7 @@ def _cmd_build(args) -> int:
             raise InputError("unknown triangulation %r" % (name,))
         fiber = build_type3(tri, profile)
         r2 = len(fiber.triple_points)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", GeometricRealizabilityWarning)
-            closed = closed_form_integral(RamifiedParams(e=1, s=3, r=r2))
+        closed = _quiet_closed_form(RamifiedParams(e=1, s=3, r=r2))
         expectations = {"family": "type3", "s": 3, "r": r2,
                         "closed_form": motive_to_json(closed)}
         neron = WeakNeronData.of(
@@ -168,13 +180,7 @@ def _cmd_build(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_analyze(args) -> int:
-    doc = _load_json(args.input)
-    fiber_doc = doc["fiber"] if isinstance(doc, dict) and "fiber" in doc \
-        else doc
-    try:
-        fiber = fiber_from_json(fiber_doc)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError("bad fiber document: %s" % exc) from exc
+    _, fiber = _load_fiber(args.input)
     violations = validate(fiber)
     report = {"label": fiber.label, "valid": not violations,
               "violations": violations}
@@ -184,10 +190,12 @@ def _cmd_analyze(args) -> int:
         _write_json(args.report, report)
         return 1
     cl = clemens_polytope(fiber)
-    y0, y1, y2 = strata_classes(fiber)
-    smooth = smooth_locus_class(fiber)
+    shape = recognize(cl)
+    euler = euler_characteristic(cl)
+    strata = strata_classes(fiber)
+    smooth = _inclusion_exclusion(strata)
     try:
-        type_s = degeneration_type(fiber)
+        type_s = _kulikov_type(fiber, shape)
         type_error = None
     except NonKulikovError as exc:
         type_s = None
@@ -196,21 +204,20 @@ def _cmd_analyze(args) -> int:
         "counts": {"components": len(fiber.components),
                    "double_curves": len(fiber.double_curves),
                    "triple_points": len(fiber.triple_points)},
-        "polytope": {"shape": recognize(cl).value,
-                     "counts": list(cl.counts),
-                     "euler": euler_characteristic(cl)},
+        "polytope": {"shape": shape.value, "counts": list(cl.counts),
+                     "euler": euler},
         "type_s": type_s,
         "type_error": type_error,
-        "strata": [motive_to_json(y) for y in (y0, y1, y2)],
+        "strata": [motive_to_json(y) for y in strata],
         "smooth_locus": motive_to_json(smooth),
         "chi": smooth.euler_characteristic(),
     })
     print("label: %s" % fiber.label)
     print("polytope: %s %r, chi = %d" %
-          (recognize(cl).value, tuple(cl.counts), euler_characteristic(cl)))
+          (shape.value, tuple(cl.counts), euler))
     print("type: %s" % (type_s if type_s is not None
                         else "non-Kulikov (%s)" % type_error))
-    print("smooth locus class: %s" % _motive_str(smooth))
+    print("smooth locus class: %s" % smooth)
     print("chi: %d" % report["chi"])
     _write_json(args.report, report)
     return 0
@@ -221,15 +228,9 @@ def _cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _verify_one(path: str, e: int):
-    doc = _load_json(path)
-    fiber_doc = doc["fiber"] if isinstance(doc, dict) and "fiber" in doc \
-        else doc
-    expectations = doc.get("expectations") if isinstance(doc, dict) else None
-    neron_doc = doc.get("neron") if isinstance(doc, dict) else None
-    try:
-        fiber = fiber_from_json(fiber_doc)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError("bad fiber document: %s" % exc) from exc
+    doc, fiber = _load_fiber(path)
+    expectations = doc.get("expectations")
+    neron_doc = doc.get("neron")
     violations = validate(fiber)
     if violations:
         return ({"fiber_label": fiber.label, "violations": violations,
@@ -296,10 +297,8 @@ def _verify_one(path: str, e: int):
     if e != 1 and report.get("s") in (2, 3) and report.get("r"):
         atom = EllipticCurveAtom(fiber.double_curves[0].curve) \
             if report["s"] == 2 else None
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", GeometricRealizabilityWarning)
-            scaled = closed_form_integral(RamifiedParams(
-                e=e, s=report["s"], r=report["r"], elliptic_atom=atom))
+        scaled = _quiet_closed_form(RamifiedParams(
+            e=e, s=report["s"], r=report["r"], elliptic_atom=atom))
         report["closed_form_at_e"] = motive_to_json(scaled)
 
     return (report, exit_code)

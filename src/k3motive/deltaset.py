@@ -26,9 +26,7 @@ from typing import Sequence
 
 from .intlinalg import (
     IntMatrix,
-    invariant_factors,
     kernel_basis,
-    rank,
     rank_and_invariants,
     smith_normal_form,
 )
@@ -154,9 +152,6 @@ class CycleVector:
     dimension: int
     coefficients: tuple[int, ...]
 
-    def support(self) -> list[int]:
-        return [i for i, c in enumerate(self.coefficients) if c]
-
 
 class Shape(enum.Enum):
     POINT = "point"
@@ -188,14 +183,11 @@ def homology(ds: DeltaSet, q: int) -> tuple[int, tuple[int, ...]]:
 
 
 def cohomology(ds: DeltaSet, q: int) -> tuple[int, tuple[int, ...]]:
-    """H^q via the transposed boundaries; torsion shifts up one degree."""
+    """H^q by the universal coefficient theorem: the Betti number of H_q
+    and the torsion of H_{q-1}."""
     if q < 0 or q > ds.dim:
         return (0, ())
-    up = ds.boundary_matrix(q + 1).transpose()
-    down = ds.boundary_matrix(q).transpose()
-    betti = ds.n(q) - rank(up) - rank(down)
-    torsion = tuple(d for d in invariant_factors(down) if d > 1)
-    return (betti, torsion)
+    return (homology(ds, q)[0], homology(ds, q - 1)[1])
 
 
 def euler_characteristic(ds: DeltaSet) -> int:
@@ -528,16 +520,6 @@ class Involution:
 
 def quotient_by_involution(ds: DeltaSet, sigma: Involution) -> DeltaSet:
     """The orbit Delta-set; see the module docstring for the ground rules."""
-    return _quotient(ds, sigma)[0]
-
-
-def quotient_with_maps(ds: DeltaSet, sigma: Involution
-                       ) -> tuple[DeltaSet, tuple[tuple[int, ...], ...]]:
-    """Quotient plus, per dimension, the map old simplex id -> orbit id."""
-    return _quotient(ds, sigma)
-
-
-def _quotient(ds, sigma):
     if sigma.ds is not ds and sigma.ds != ds:
         raise ValueError("involution was built for a different Delta-set")
     if ds.dim > 2:
@@ -554,7 +536,7 @@ def _quotient(ds, sigma):
                          for s in ds.simplices(q)])
 
     if ds.dim == 0:
-        return DeltaSet(len(reps[0])), tuple(tuple(o) for o in orbit_of)
+        return DeltaSet(len(reps[0]))
 
     # quotient endpoints of each edge orbit, in the representative's order
     vorb = orbit_of[0]
@@ -664,5 +646,4 @@ def _quotient(ds, sigma):
             new_tris.append((e_orbs[tau[0]], e_orbs[tau[1]], e_orbs[tau[2]]))
 
     levels = [new_edges] + ([new_tris] if ds.dim == 2 else [])
-    out = DeltaSet(len(reps[0]), levels)
-    return out, tuple(tuple(o) for o in orbit_of)
+    return DeltaSet(len(reps[0]), levels)

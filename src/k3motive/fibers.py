@@ -298,7 +298,11 @@ def strata_classes(f: DegenerationFiber
 
 def smooth_locus_class(f: DegenerationFiber) -> MotiveClass:
     """Inclusion-exclusion class of the smooth locus of the fiber."""
-    y0, y1, y2 = strata_classes(f)
+    return _inclusion_exclusion(strata_classes(f))
+
+
+def _inclusion_exclusion(strata) -> MotiveClass:
+    y0, y1, y2 = strata
     return y0 - 2 * y1 + 3 * y2
 
 
@@ -331,9 +335,12 @@ def open_component_classes(f: DegenerationFiber) -> list[MotiveClass]:
 
 def degeneration_type(f: DegenerationFiber) -> int:
     """Kulikov type: 1 (smooth), 2 (chain), 3 (sphere); raises otherwise."""
-    _require_valid(f)
-    cl = clemens_polytope(f)
-    shape = recognize(cl)
+    return _kulikov_type(f, recognize(clemens_polytope(f)))
+
+
+def _kulikov_type(f: DegenerationFiber, shape: Shape) -> int:
+    """The Kulikov type of a valid fiber whose Clemens polytope has the
+    given shape."""
     if shape == Shape.POINT:
         return 1
     if shape == Shape.INTERVAL:

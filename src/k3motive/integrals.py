@@ -84,15 +84,23 @@ def closed_form_integral(p: RamifiedParams) -> MotiveClass:
             + (half + 2) * _L(2))
 
 
+def _quiet_closed_form(p: RamifiedParams | None) -> MotiveClass | None:
+    """``closed_form_integral`` with the realizability warning silenced;
+    None for a smooth fiber, which has no closed form."""
+    if p is None:
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GeometricRealizabilityWarning)
+        return closed_form_integral(p)
+
+
 def maximally_degenerate_closed_form(e: int, r2: int) -> MotiveClass:
     """The conjectural formula for maximally degenerate K3 surfaces over an
     arbitrary complete discrete valuation field; shape-identical to the
-    type 3 closed form and kept separate as a regression pin."""
+    type 3 closed form, to which it delegates."""
     if e < 1 or r2 < 1 or (e * e * r2) % 2:
         raise ValueError("need e >= 1 and e^2 r2 even positive")
-    e2r = e * e * r2
-    return ((e2r // 2 + 2) * MotiveClass.one() + _L(1, 20 - e2r)
-            + (e2r // 2 + 2) * _L(2))
+    return _quiet_closed_form(RamifiedParams(e=e, s=3, r=r2))
 
 
 def integral_from_neron(data: WeakNeronData) -> MotiveClass:
@@ -131,15 +139,9 @@ def lim_class(f: DegenerationFiber) -> MotiveClass:
     return out
 
 
-def fiber_params(f: DegenerationFiber) -> RamifiedParams | None:
-    """Read the closed-form parameters off a Kulikov fiber (None for a
-    smooth fiber).
-
-    For a chain, r1 = m^2 comes from the cokernel of the monodromy
-    composition on the explicit H^1 row; for a sphere, r2 is the triple
-    point count, confirmed against the monodromy Gram determinant.
-    """
-    s = degeneration_type(f)
+def _params_for_type(f: DegenerationFiber, s: int
+                     ) -> RamifiedParams | None:
+    """The closed-form parameters of a fiber of Kulikov type ``s``."""
     if s == 1:
         return None
     if s == 2:
@@ -156,14 +158,40 @@ def fiber_params(f: DegenerationFiber) -> RamifiedParams | None:
     return RamifiedParams(e=1, s=3, r=r2)
 
 
-def acampo_chi(f: DegenerationFiber) -> int:
-    """Euler characteristic of the integral; 24 exactly for honest K3
-    fibers.  The limit-class route must agree, and is asserted."""
-    chi = integral_kulikov(f).euler_characteristic()
-    if chi != lim_class(f).euler_characteristic():
+def _checked_chi(integral: MotiveClass, lim: MotiveClass) -> int:
+    """Euler characteristic of the integral, asserted against the limit
+    class."""
+    chi = integral.euler_characteristic()
+    if chi != lim.euler_characteristic():
         raise ArithmeticError("strata routes disagree on the Euler "
                               "characteristic")
     return chi
+
+
+def _serre_ok(reduced: UnivariateLaurent, lim: MotiveClass,
+              closed: MotiveClass | None) -> bool:
+    """Compare the Serre reduction of the integral with that of the limit
+    class and, unless the fiber is smooth, with that of the closed form."""
+    if reduced != lim.serre_reduce():
+        return False
+    return closed is None or reduced == closed.serre_reduce()
+
+
+def fiber_params(f: DegenerationFiber) -> RamifiedParams | None:
+    """Read the closed-form parameters off a Kulikov fiber (None for a
+    smooth fiber).
+
+    For a chain, r1 = m^2 comes from the cokernel of the monodromy
+    composition on the explicit H^1 row; for a sphere, r2 is the triple
+    point count, confirmed against the monodromy Gram determinant.
+    """
+    return _params_for_type(f, degeneration_type(f))
+
+
+def acampo_chi(f: DegenerationFiber) -> int:
+    """Euler characteristic of the integral; 24 exactly for honest K3
+    fibers.  The limit-class route must agree, and is asserted."""
+    return _checked_chi(integral_kulikov(f), lim_class(f))
 
 
 def serre_hodge_check(f: DegenerationFiber) -> bool:
@@ -174,17 +202,9 @@ def serre_hodge_check(f: DegenerationFiber) -> bool:
     form for the fiber's type; a corrupted surface profile fails the second
     comparison.
     """
-    integral = integral_kulikov(f)
-    reduced = integral.serre_reduce()
-    if reduced != lim_class(f).serre_reduce():
-        return False
-    params = fiber_params(f)
-    if params is None:
-        return True
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GeometricRealizabilityWarning)
-        expected = closed_form_integral(params).serre_reduce()
-    return reduced == expected
+    closed = _quiet_closed_form(fiber_params(f))
+    return _serre_ok(smooth_locus_class(f).serre_reduce(), lim_class(f),
+                     closed)
 
 
 def scaling_check(p: RamifiedParams, e_further: int) -> bool:
@@ -196,9 +216,7 @@ def scaling_check(p: RamifiedParams, e_further: int) -> bool:
                             elliptic_atom=p.elliptic_atom)
     total = RamifiedParams(e=p.e * e_further, s=p.s, r=p.r,
                            elliptic_atom=p.elliptic_atom)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GeometricRealizabilityWarning)
-        return closed_form_integral(total) == closed_form_integral(scaled)
+    return _quiet_closed_form(total) == _quiet_closed_form(scaled)
 
 
 @dataclass(frozen=True)
@@ -223,20 +241,15 @@ def verify_fiber(f: DegenerationFiber) -> IntegralReport:
     ``match`` is exact structural equality of classes; no realization-level
     comparison is accepted as a proxy.
     """
-    integral = integral_kulikov(f)
-    params = fiber_params(f)
-    if params is None:
-        closed = None
-        match = True
-        s, r = 1, None
-    else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", GeometricRealizabilityWarning)
-            closed = closed_form_integral(params)
-        match = integral == closed
-        s, r = params.s, params.r
+    s = degeneration_type(f)
+    integral = smooth_locus_class(f)
+    params = _params_for_type(f, s)
+    closed = _quiet_closed_form(params)
+    lim = lim_class(f)
+    reduced = integral.serre_reduce()
     return IntegralReport(
-        label=f.label, type_s=s, r=r, integral=integral, closed_form=closed,
-        match=match, e_poly=integral.e_polynomial(),
-        chi=acampo_chi(f), serre_residue=integral.serre_reduce(),
-        serre_ok=serre_hodge_check(f))
+        label=f.label, type_s=s, r=params.r if params else None,
+        integral=integral, closed_form=closed,
+        match=closed is None or integral == closed,
+        e_poly=integral.e_polynomial(), chi=_checked_chi(integral, lim),
+        serre_residue=reduced, serre_ok=_serre_ok(reduced, lim, closed))

@@ -169,9 +169,6 @@ class UnivariateLaurent:
     def at_one(self) -> int:
         return sum(self._terms.values())
 
-    def is_constant(self) -> bool:
-        return all(p == 0 for p in self._terms)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, UnivariateLaurent) and self._terms == other._terms
 
@@ -414,24 +411,3 @@ class MotiveClass:
                 base = repr(atom) + ("(%d)" % -power if power else "")
             bits.append("%+d*%s" % (coeff, base))
         return " ".join(bits)
-
-
-def tate_twist(a: MotiveClass, n: int) -> MotiveClass:
-    return a.twist(n)
-
-
-def e_polynomial(a: MotiveClass) -> EPolynomial:
-    return a.e_polynomial()
-
-
-def euler_characteristic(a: MotiveClass) -> int:
-    return a.euler_characteristic()
-
-
-def serre_reduce(a: MotiveClass) -> UnivariateLaurent:
-    return a.serre_reduce()
-
-
-def point_count(a: MotiveClass, atom_counts: Mapping[str, int] | None = None
-                ) -> UnivariateLaurent:
-    return a.point_count(atom_counts)

@@ -13,15 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .deltaset import CycleVector, cycle_pairing, top_cycle_generator
+from .deltaset import CycleVector, cycle_pairing
 from .fibers import DegenerationFiber, clemens_polytope, component_betti
 from .intlinalg import (
     IntMatrix,
     cokernel_structure,
-    gram_determinant,
-    invariant_factors,
+    det,
     kernel_basis,
-    rank,
+    rank_and_invariants,
 )
 
 
@@ -191,17 +190,13 @@ def e2_report(rows: list[SpectralRow]
     """
     out = []
     for row in rows:
-        positions = []
-        k = len(row.modules)
-        for i in range(k):
-            incoming = row.differentials[i - 1] if i > 0 else \
-                IntMatrix.zeros(row.modules[0], 0)
-            outgoing = row.differentials[i] if i < k - 1 else \
-                IntMatrix.zeros(0, row.modules[i])
-            betti = row.modules[i] - rank(incoming) - rank(outgoing)
-            torsion = tuple(d for d in invariant_factors(incoming) if d > 1)
-            positions.append((betti, torsion))
-        out.append(positions)
+        # (rank, invariant factors) of each differential, padded with the
+        # zero maps into the first and out of the last module
+        reduced = [(0, ())] + [rank_and_invariants(d)
+                               for d in row.differentials] + [(0, ())]
+        out.append([(n - reduced[i][0] - reduced[i + 1][0],
+                     tuple(d for d in reduced[i][1] if d > 1))
+                    for i, n in enumerate(row.modules)])
     return out
 
 
@@ -214,29 +209,31 @@ class MonodromyGram:
     r_d: int
 
 
-def monodromy_gram(f: DegenerationFiber, dim: int = 2) -> MonodromyGram:
+def monodromy_gram(f: DegenerationFiber) -> MonodromyGram:
     """Gram matrix of the coefficient pairing on top homology.
 
     The determinant is the discriminant of the homology-side pairing, equal
     to the reciprocal discriminant of the dual cohomology-side monodromy
-    pairing; positivity is asserted.
+    pairing; positivity is asserted.  A Clemens polytope has dimension at
+    most 2, so nothing bounds onto its 2-cycles: the kernel of the top
+    boundary map is H_2 itself.  A single generator gets its sign
+    normalized so the first nonzero coefficient is positive.
     """
     cl = clemens_polytope(f)
-    top = cl.boundary_matrix(dim)
+    top = cl.boundary_matrix(2)
     basis_matrix = kernel_basis(top)
     if basis_matrix.cols == 0:
         raise ValueError("top homology has rank 0: fiber is not maximally "
                          "degenerate")
-    if basis_matrix.cols == 1:
-        gen = top_cycle_generator(cl, dim)
-        vectors = [gen]
-    else:
-        vectors = [CycleVector(dim, basis_matrix.col(j))
-                   for j in range(basis_matrix.cols)]
+    columns = [basis_matrix.col(j) for j in range(basis_matrix.cols)]
+    if len(columns) == 1 and next(c for c in columns[0] if c) < 0:
+        columns = [tuple(-c for c in columns[0])]
+    vectors = [CycleVector(2, c) for c in columns]
+    for v in vectors:
+        assert (top @ IntMatrix.column(v.coefficients)).is_zero()
     gram = IntMatrix([[cycle_pairing(x, y) for y in vectors]
                       for x in vectors], cols=len(vectors))
-    r_d = gram_determinant([v.coefficients for v in vectors],
-                           IntMatrix.identity(cl.n(dim)))
+    r_d = det(gram)
     if r_d <= 0:
         raise ArithmeticError("monodromy Gram determinant is not positive")
     return MonodromyGram(basis=tuple(vectors), gram=gram, r_d=r_d)

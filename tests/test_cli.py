@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from k3motive.cli import main
 from k3motive.serialize import dumps, fiber_to_json, motive_to_json
 from k3motive.builders import build_type3
@@ -183,6 +185,16 @@ class TestVerifyFailures:
         path = tmp_path / "junk.json"
         path.write_text("{not json", encoding="utf-8")
         assert run(["verify", str(path)]) == 2
+
+    @pytest.mark.parametrize("command", ["verify", "analyze"])
+    @pytest.mark.parametrize("doc", [[1, 2], {"fiber": 5}])
+    def test_non_object_document_exit2(self, tmp_path, capsys, command, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad fiber document")
+        assert err.count("\n") == 1
 
     def test_non_kulikov_without_neron_exit2(self, tmp_path):
         path = tmp_path / "pair.json"

@@ -219,6 +219,25 @@ class TestCohomology:
         assert cohomology(ds, 1) == (0, ())
         assert cohomology(ds, 2) == (0, (2,))
 
+    @pytest.mark.filterwarnings(
+        "ignore::k3motive.integrals.GeometricRealizabilityWarning")
+    def test_matches_transposed_boundaries(self):
+        from k3motive.builders import KummerParams, build_kummer, icosahedron
+        from k3motive.intlinalg import invariant_factors, rank
+
+        def transposed_route(ds, q):
+            up = ds.boundary_matrix(q + 1).transpose()
+            down = ds.boundary_matrix(q).transpose()
+            betti = ds.n(q) - rank(up) - rank(down)
+            return (betti, tuple(d for d in invariant_factors(down) if d > 1))
+
+        for ds in (rp2(), torus_3x3(), refine_barycentric(icosahedron()),
+                   build_kummer(KummerParams(4, 6)).nerve):
+            for q in range(-1, ds.dim + 2):
+                expected = transposed_route(ds, q) if 0 <= q <= ds.dim \
+                    else (0, ())
+                assert cohomology(ds, q) == expected, (ds, q)
+
 
 # -- top cycles --------------------------------------------------------------
 

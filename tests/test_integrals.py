@@ -249,3 +249,37 @@ class TestVerifyFiber:
         assert rep.type_s == 1
         assert rep.closed_form is None
         assert rep.match is True
+
+
+class TestOncePerFiber:
+    def test_verify_fiber_call_counts(self, monkeypatch):
+        import sys
+        from k3motive import fibers, intlinalg, weightss
+        from k3motive.builders import build_type3
+        from k3motive.intlinalg import IntMatrix
+
+        fiber = build_type3("icosahedron")
+        counts = {}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, fn in (("kernel_basis", intlinalg.kernel_basis),
+                         ("degeneration_type", fibers.degeneration_type),
+                         ("monodromy_gram", weightss.monodromy_gram)):
+            counts[name] = 0
+            for mod in list(sys.modules.values()):
+                if getattr(mod, "__name__", "").startswith("k3motive") \
+                        and getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, counting(name, fn))
+        counts["identity"] = 0
+        monkeypatch.setattr(IntMatrix, "identity", classmethod(
+            counting("identity", IntMatrix.identity.__func__)))
+
+        report = verify_fiber(fiber)
+        assert report.match and report.serre_ok and report.chi == 24
+        assert counts == {"kernel_basis": 1, "degeneration_type": 1,
+                          "monodromy_gram": 1, "identity": 0}
