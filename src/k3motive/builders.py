@@ -341,7 +341,7 @@ def build_kummer(p: KummerParams) -> KummerReport:
 
     # orbit ids follow sorted representatives
     reps = sorted(v for v in range(ds.n(0)) if sigma.maps[0][v] >= v)
-    orbit = {v: reps.index(min(v, sigma.maps[0][v])) for v in range(ds.n(0))}
+    orbit = {v: i for i, v in enumerate(reps)}
     fixed_orbits = {orbit[v] for v in fixed}
 
     comps = []

@@ -89,6 +89,14 @@ def _parse_profile(text: str | None):
         raise InputError("bad --a-profile %r" % (text,)) from exc
 
 
+def _decode(what: str, decode, doc):
+    """``decode(doc)``, with malformed input turned into an InputError."""
+    try:
+        return decode(doc)
+    except (AttributeError, KeyError, ValueError, TypeError) as exc:
+        raise InputError("bad %s: %s" % (what, exc)) from exc
+
+
 def _load_fiber(path: str):
     """Read a fiber document, bare or wrapped as ``{"fiber": ...}``; returns
     the outer document and the decoded fiber."""
@@ -97,10 +105,7 @@ def _load_fiber(path: str):
     if not isinstance(fiber_doc, dict):
         raise InputError("bad fiber document %s: expected a JSON object, "
                          "got %s" % (path, type(fiber_doc).__name__))
-    try:
-        return doc, fiber_from_json(fiber_doc)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError("bad fiber document: %s" % exc) from exc
+    return doc, _decode("fiber document", fiber_from_json, fiber_doc)
 
 
 # ---------------------------------------------------------------------------
@@ -229,16 +234,22 @@ def _cmd_analyze(args) -> int:
 
 def _verify_one(path: str, e: int):
     doc, fiber = _load_fiber(path)
-    expectations = doc.get("expectations")
     neron_doc = doc.get("neron")
+    neron = None if neron_doc is None else \
+        _decode("neron block", neron_from_json, neron_doc)
+    expectations = doc.get("expectations")
+    if expectations is not None and not isinstance(expectations, dict):
+        raise InputError("bad expectations block: expected a JSON object")
+    expected = None
+    if expectations is not None and "closed_form" in expectations:
+        expected = _decode("expectations block", motive_from_json,
+                           expectations["closed_form"])
     violations = validate(fiber)
     if violations:
         return ({"fiber_label": fiber.label, "violations": violations,
                  "match": False}, 1)
 
-    neron_integral = None
-    if neron_doc is not None:
-        neron_integral = integral_from_neron(neron_from_json(neron_doc))
+    neron_integral = None if neron is None else integral_from_neron(neron)
 
     report = {"fiber_label": fiber.label, "e": e}
     exit_code = 0
@@ -263,10 +274,10 @@ def _verify_one(path: str, e: int):
                 "fiber matches no Kulikov type and the document lacks the "
                 "weak Neron data and expectations needed for the fallback "
                 "route: %s" % exc) from exc
-        if "closed_form" not in expectations:
+        if expected is None:
             raise InputError("expectations block carries no closed form")
         integral = neron_integral
-        closed = motive_from_json(expectations["closed_form"])
+        closed = expected
         match = integral == closed
         chi = integral.euler_characteristic()
         serre_ok = integral.serre_reduce() == closed.serre_reduce()
@@ -288,8 +299,7 @@ def _verify_one(path: str, e: int):
         if not neron_match:
             exit_code = 1
 
-    if expectations is not None and report.get("closed_form") is not None:
-        expected = motive_from_json(expectations["closed_form"])
+    if expected is not None and report.get("closed_form") is not None:
         if expected != motive_from_json(report["closed_form"]):
             report["match"] = False
             exit_code = 1
@@ -343,11 +353,7 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_snf(args) -> int:
-    doc = _load_json(args.input)
-    try:
-        a = matrix_from_json(doc)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError("bad matrix document: %s" % exc) from exc
+    a = _decode("matrix document", matrix_from_json, _load_json(args.input))
     dec = smith_normal_form(a)
     print("diagonal: %s" % (" ".join(str(d) for d in dec.diagonal) or "-"))
     _write_json(args.report, smith_to_json(dec))

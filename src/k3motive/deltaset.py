@@ -6,14 +6,15 @@ d_i d_j = d_{j-1} d_i (i < j) are checked at construction.  Unlike a
 simplicial complex, several simplices may sit on the same vertex set --
 the 2-gon circle and the torus-quotient nerves need exactly that.
 
-Homology is computed from the boundary matrices by exact integer
-elimination.  ``quotient_by_involution`` builds the orbit Delta-set of an
-involution that is free on positive-dimensional simplices (fixed simplices
-are allowed when they are fixed together with all of their faces); the
-orbit cells inherit consistent orderings found by a small backtracking
-search, and the construction fails loudly when no consistent ordering
-exists, in which case a barycentric refinement of the input is the
-documented way out.
+Homology comes from one cached sparse elimination per Delta-set and degree,
+fed straight from the face lists; at the top degree it also yields the
+kernel, which is the top homology.  ``quotient_by_involution`` builds the
+orbit Delta-set of an involution that is free on positive-dimensional
+simplices (fixed simplices are allowed when they are fixed together with
+all of their faces); the orbit cells inherit consistent orderings found by
+a small backtracking search, and the construction fails loudly when no
+consistent ordering exists, in which case a barycentric refinement of the
+input is the documented way out.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from typing import Sequence
 
 from .intlinalg import (
     IntMatrix,
+    _chain_normalize,
+    _sparse_reduce,
     kernel_basis,
-    rank_and_invariants,
     smith_normal_form,
 )
 
@@ -121,18 +123,12 @@ class DeltaSet:
         return tuple(out)
 
     def boundary_matrix(self, q: int) -> IntMatrix:
-        """The boundary map C_q -> C_{q-1}; entry accumulation handles
-        repeated faces (a loop edge has zero boundary)."""
-        if q <= 0 or q > self.dim:
-            return IntMatrix.zeros(self.n(q - 1), self.n(q))
-        rows, cols = self.n(q - 1), self.n(q)
-        data = [[0] * cols for _ in range(rows)]
-        for s in range(cols):
-            sign = 1
-            for f in self._faces[q - 1][s]:
-                data[f][s] += sign
-                sign = -sign
-        return IntMatrix(data, cols=cols)
+        """The boundary map C_q -> C_{q-1} as a dense matrix."""
+        data = [[0] * self.n(q) for _ in range(self.n(q - 1))]
+        for i, row in _boundary_rows(self, q).items():
+            for j, x in row.items():
+                data[i][j] = x
+        return IntMatrix(data, cols=self.n(q))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, DeltaSet) and self._counts == other._counts \
@@ -164,11 +160,39 @@ class Shape(enum.Enum):
 # homology
 # ---------------------------------------------------------------------------
 
+def _boundary_rows(ds: DeltaSet, q: int) -> dict[int, dict[int, int]]:
+    """The nonzero entries of the boundary map C_q -> C_{q-1} as
+    {face: {simplex: sign}}; entries accumulate, so repeated faces cancel
+    (a loop edge has zero boundary)."""
+    rows: dict[int, dict[int, int]] = {}
+    for s, fs in enumerate(ds._faces[q - 1] if 0 < q <= ds.dim else ()):
+        column: dict[int, int] = {}
+        for j, f in enumerate(fs):
+            column[f] = column.get(f, 0) + (-1) ** j
+        for f, x in column.items():
+            if x:
+                rows.setdefault(f, {})[s] = x
+    return rows
+
+
+def _is_cycle(rows: dict[int, dict[int, int]], coeffs: Sequence[int]) -> bool:
+    return all(sum(x * coeffs[s] for s, x in row.items()) == 0
+               for row in rows.values())
+
+
 @lru_cache(maxsize=128)
-def _boundary_reduction(ds: DeltaSet, q: int) -> tuple[int, tuple[int, ...]]:
-    if q <= 0 or q > ds.dim:
-        return (0, ())
-    return rank_and_invariants(ds.boundary_matrix(q))
+def _boundary_reduction(ds: DeltaSet, q: int):
+    """Rank, invariant factors and, at the top degree only (else None), a
+    kernel basis as coefficient tuples, of the boundary map C_q -> C_{q-1}."""
+    top = q == ds.dim
+    if 0 < q <= ds.dim:
+        pivots, kernel = _sparse_reduce(_boundary_rows(ds, q), ds.n(q),
+                                        want_kernel=top)
+    else:  # a zero map: at the top degree its kernel is all of C_q
+        pivots, kernel = [], [{s: 1} for s in ds.simplices(q) if top]
+    cycles = tuple(tuple(col.get(s, 0) for s in ds.simplices(q))
+                   for col in kernel) if top else None
+    return len(pivots), _chain_normalize(pivots), cycles
 
 
 def homology(ds: DeltaSet, q: int) -> tuple[int, tuple[int, ...]]:
@@ -176,7 +200,7 @@ def homology(ds: DeltaSet, q: int) -> tuple[int, tuple[int, ...]]:
     if q < 0 or q > ds.dim:
         return (0, ())
     rank_down = _boundary_reduction(ds, q)[0]
-    rank_up, factors = _boundary_reduction(ds, q + 1)
+    rank_up, factors, _ = _boundary_reduction(ds, q + 1)
     betti = ds.n(q) - rank_down - rank_up
     torsion = tuple(d for d in factors if d > 1)
     return (betti, torsion)
@@ -215,6 +239,19 @@ def _unimodular_inverse(u: IntMatrix) -> IntMatrix:
     return out
 
 
+def _top_cycles(ds: DeltaSet) -> list[CycleVector]:
+    """A Z-basis of the top homology, read off the cached elimination of
+    the top boundary map.  A single generator has its first nonzero
+    coefficient positive; every basis vector is checked to be a cycle."""
+    d = ds.dim
+    columns = list(_boundary_reduction(ds, d)[2])
+    if len(columns) == 1 and next(c for c in columns[0] if c) < 0:
+        columns = [tuple(-c for c in columns[0])]
+    rows = _boundary_rows(ds, d)
+    assert all(_is_cycle(rows, c) for c in columns)
+    return [CycleVector(d, c) for c in columns]
+
+
 def top_cycle_generator(ds: DeltaSet, d: int) -> CycleVector:
     """A generator of H_d modulo torsion, for rank exactly 1.
 
@@ -223,45 +260,36 @@ def top_cycle_generator(ds: DeltaSet, d: int) -> CycleVector:
     betti, _ = homology(ds, d)
     if betti != 1:
         raise ValueError("H_%d has free rank %d, expected 1" % (d, betti))
+    if d == ds.dim:
+        cycles = _top_cycles(ds)
+        if len(cycles) != 1:
+            raise ValueError("kernel rank %d, expected 1" % len(cycles))
+        return cycles[0]
+    # quotient by boundaries: express the image in cycle coordinates,
+    # then lift a generator of the free part of the cokernel
     cycles = kernel_basis(ds.boundary_matrix(d))
-    if ds.n(d + 1) == 0:
-        if cycles.cols != 1:
-            raise ValueError("kernel rank %d, expected 1" % cycles.cols)
-        coeffs = list(cycles.col(0))
-    else:
-        # quotient by boundaries: express the image in cycle coordinates,
-        # then lift a generator of the free part of the cokernel
-        bnd = ds.boundary_matrix(d + 1)
-        dec = smith_normal_form(cycles)
-        uinv = _unimodular_inverse(dec.U)
-        ud = dec.U @ bnd
-        x_rows = []
-        for i in range(cycles.cols):
-            div = dec.S[i, i]
-            row = []
-            for j in range(bnd.cols):
-                num = ud[i, j]
-                if div == 0 or num % div:
-                    raise ValueError("boundary is not a cycle combination")
-                row.append(num // div)
-            x_rows.append(row)
-        x = dec.V @ IntMatrix(x_rows, cols=bnd.cols)
-        xdec = smith_normal_form(x)
-        free = [i for i in range(cycles.cols)
-                if i >= len(xdec.diagonal) or xdec.diagonal[i] == 0]
-        if len(free) != 1:
-            raise ValueError("free part of H_%d has rank %d" % (d, len(free)))
-        xinv = _unimodular_inverse(xdec.U)
-        gen = [xinv[i, free[0]] for i in range(cycles.cols)]
-        coeffs = [sum(cycles[i, k] * gen[k] for k in range(cycles.cols))
-                  for i in range(ds.n(d))]
-    first = next((c for c in coeffs if c), 0)
-    if first < 0:
+    bnd = ds.boundary_matrix(d + 1)
+    dec = smith_normal_form(cycles)
+    ud = dec.U @ bnd
+    divs = [dec.S[i, i] for i in range(cycles.cols)]
+    if any(div == 0 or ud[i, j] % div for i, div in enumerate(divs)
+           for j in range(bnd.cols)):
+        raise ValueError("boundary is not a cycle combination")
+    x = dec.V @ IntMatrix([[ud[i, j] // div for j in range(bnd.cols)]
+                           for i, div in enumerate(divs)], cols=bnd.cols)
+    xdec = smith_normal_form(x)
+    free = [i for i in range(cycles.cols)
+            if i >= len(xdec.diagonal) or xdec.diagonal[i] == 0]
+    if len(free) != 1:
+        raise ValueError("free part of H_%d has rank %d" % (d, len(free)))
+    xinv = _unimodular_inverse(xdec.U)
+    gen = [xinv[i, free[0]] for i in range(cycles.cols)]
+    coeffs = [sum(cycles[i, k] * gen[k] for k in range(cycles.cols))
+              for i in range(ds.n(d))]
+    if next((c for c in coeffs if c), 0) < 0:
         coeffs = [-c for c in coeffs]
-    cv = CycleVector(dimension=d, coefficients=tuple(coeffs))
-    bm = ds.boundary_matrix(d)
-    assert (bm @ IntMatrix.column(cv.coefficients)).is_zero()
-    return cv
+    assert _is_cycle(_boundary_rows(ds, d), coeffs)
+    return CycleVector(dimension=d, coefficients=tuple(coeffs))
 
 
 def cycle_pairing(x: CycleVector, y: CycleVector) -> int:
@@ -550,86 +578,85 @@ def quotient_by_involution(ds: DeltaSet, sigma: Involution) -> DeltaSet:
         if sigma.maps[1][e] == e:
             flips[i] = False
 
-    tri_orders: dict[int, tuple[int, ...]] = {}
+    new_tris = []
     if ds.dim == 2:
+        all_orders = list(permutations(range(3)))
         tris = []
         for t in reps[2]:
             e_orbs = tuple(orbit_of[1][f] for f in ds.faces(2, t))
             w = tuple(vorb[v] for v in ds.vertex_tuple(2, t))
-            tris.append((t, e_orbs, w))
+            taus = [(0, 1, 2)] if sigma.maps[2][t] == t else all_orders
+            tris.append((t, e_orbs, w, taus))
 
         # process triangles in breadth-first order over shared edge orbits,
         # so each one usually meets an already-oriented edge and the
         # backtracking stays local
         by_edge: dict[int, list[int]] = {}
-        for idx, (_, e_orbs, _) in enumerate(tris):
-            for eo in e_orbs:
+        for idx, tri in enumerate(tris):
+            for eo in tri[1]:
                 by_edge.setdefault(eo, []).append(idx)
-        order = []
+        order = []  # doubles as the queue; order[head:] is still to visit
         seen = [False] * len(tris)
+        head = 0
         for start in range(len(tris)):
-            if seen[start]:
-                continue
-            seen[start] = True
-            frontier = [start]
-            while frontier:
-                idx = frontier.pop(0)
-                order.append(idx)
-                for eo in tris[idx][1]:
+            if not seen[start]:
+                seen[start] = True
+                order.append(start)
+            while head < len(order):
+                for eo in tris[order[head]][1]:
                     for nb in by_edge[eo]:
                         if not seen[nb]:
                             seen[nb] = True
-                            frontier.append(nb)
+                            order.append(nb)
+                head += 1
         tris = [tris[i] for i in order]
 
-        def required_flip(eo: int, tail_orb: int, head_orb: int):
-            t0, h0 = e_ends[eo]
-            if t0 == h0:
-                return None  # loop edge: orientation-free
-            if (t0, h0) == (tail_orb, head_orb):
-                return False
-            if (h0, t0) == (tail_orb, head_orb):
-                return True
-            raise AssertionError("edge orbit endpoints disagree")
+        def orient(tri, tau) -> list[int] | None:
+            # fix the edge flips ordering tau needs and return the edge
+            # orbits newly fixed, or fix nothing and return None on a clash
+            _, e_orbs, w, _ = tri
+            assigned = []
+            for i, (a, b) in enumerate(((1, 2), (0, 2), (0, 1))):
+                eo, ends = e_orbs[tau[i]], (w[tau[a]], w[tau[b]])
+                if e_ends[eo][0] == e_ends[eo][1]:
+                    continue  # loop edge: orientation-free
+                if ends not in (e_ends[eo], e_ends[eo][::-1]):
+                    raise AssertionError("edge orbit endpoints disagree")
+                need = ends != e_ends[eo]
+                if flips.get(eo) == need:
+                    continue
+                if eo in flips:
+                    for x in assigned:
+                        del flips[x]
+                    return None
+                flips[eo] = need
+                assigned.append(eo)
+            return assigned
 
-        def solve(idx: int) -> bool:
-            if idx == len(tris):
-                return True
-            t, e_orbs, w = tris[idx]
-            if sigma.maps[2][t] == t:
-                taus = [(0, 1, 2)]
-            else:
-                taus = list(permutations(range(3)))
-            for tau in taus:
-                wanted = [
-                    (e_orbs[tau[0]], w[tau[1]], w[tau[2]]),
-                    (e_orbs[tau[1]], w[tau[0]], w[tau[2]]),
-                    (e_orbs[tau[2]], w[tau[0]], w[tau[1]]),
-                ]
-                assigned = []
-                ok = True
-                for eo, ta, he in wanted:
-                    need = required_flip(eo, ta, he)
-                    if need is None:
-                        continue
-                    if eo in flips:
-                        if flips[eo] != need:
-                            ok = False
-                            break
-                    else:
-                        flips[eo] = need
-                        assigned.append(eo)
-                if ok and solve(idx + 1):
-                    tri_orders[t] = tau
-                    return True
+        # depth-first search; the stack holds (ordering index, edge orbits
+        # newly fixed) per placed triangle, orderings go in permutation order
+        placed: list[tuple[int, list[int]]] = []
+        k = 0
+        while len(placed) < len(tris):
+            tri = tris[len(placed)]
+            for k in range(k, len(tri[3])):
+                assigned = orient(tri, tri[3][k])
+                if assigned is not None:
+                    placed.append((k, assigned))
+                    k = 0
+                    break
+            else:  # no ordering fits: step back to the previous triangle
+                if not placed:
+                    raise QuotientError(
+                        "orbit cells admit no consistent ordering; apply a "
+                        "barycentric refinement before taking the quotient")
+                k, assigned = placed.pop()
                 for eo in assigned:
                     del flips[eo]
-            return False
-
-        if not solve(0):
-            raise QuotientError(
-                "orbit cells admit no consistent ordering; apply a "
-                "barycentric refinement before taking the quotient")
+                k += 1
+        ordered = {t: tuple(e_orbs[i] for i in taus[k])
+                   for (t, e_orbs, _, taus), (k, _) in zip(tris, placed)}
+        new_tris = [ordered[t] for t in reps[2]]
 
     new_edges = []
     for i, e in enumerate(reps[1]):
@@ -637,13 +664,4 @@ def quotient_by_involution(ds: DeltaSet, sigma: Involution) -> DeltaSet:
         if flips.get(i, False):
             tail_orb, head_orb = head_orb, tail_orb
         new_edges.append((head_orb, tail_orb))
-
-    new_tris = []
-    if ds.dim == 2:
-        for t in reps[2]:
-            tau = tri_orders[t]
-            e_orbs = tuple(orbit_of[1][f] for f in ds.faces(2, t))
-            new_tris.append((e_orbs[tau[0]], e_orbs[tau[1]], e_orbs[tau[2]]))
-
-    levels = [new_edges] + ([new_tris] if ds.dim == 2 else [])
-    return DeltaSet(len(reps[0]), levels)
+    return DeltaSet(len(reps[0]), [new_edges, new_tris])

@@ -17,6 +17,7 @@ from math import isqrt
 from .fibers import (
     DegenerationFiber,
     WeakNeronData,
+    _inclusion_exclusion,
     degeneration_type,
     smooth_locus_class,
     strata_classes,
@@ -128,14 +129,14 @@ def integral_kulikov(f: DegenerationFiber) -> MotiveClass:
 def lim_class(f: DegenerationFiber) -> MotiveClass:
     """Alternating sum of strata classes with partial Tate-twist sums:
     sum_j (-1)^j [Y^(j)] (1 + L + ... + L^j)."""
-    y = strata_classes(f)
-    out = MotiveClass.zero()
-    sign = 1
-    partial = MotiveClass.zero()
+    return _limit_sum(strata_classes(f))
+
+
+def _limit_sum(y) -> MotiveClass:
+    out = partial = MotiveClass.zero()
     for j, stratum in enumerate(y):
         partial = partial + _L(j)
-        out = out + sign * (stratum * partial)
-        sign = -sign
+        out = out + (-1) ** j * (stratum * partial)
     return out
 
 
@@ -242,10 +243,11 @@ def verify_fiber(f: DegenerationFiber) -> IntegralReport:
     comparison is accepted as a proxy.
     """
     s = degeneration_type(f)
-    integral = smooth_locus_class(f)
+    strata = strata_classes(f)
+    integral = _inclusion_exclusion(strata)
     params = _params_for_type(f, s)
     closed = _quiet_closed_form(params)
-    lim = lim_class(f)
+    lim = _limit_sum(strata)
     reduced = integral.serre_reduce()
     return IntegralReport(
         label=f.label, type_s=s, r=params.r if params else None,

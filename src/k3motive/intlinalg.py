@@ -11,7 +11,9 @@ reference reduction with the documented pivot rule (smallest nonzero absolute
 value, row-major tie break).  ``rank``, ``invariant_factors`` and
 ``kernel_basis`` run on a sparse gcd elimination that handles the large,
 very sparse boundary matrices of refined sphere triangulations quickly; the
-two engines are cross-checked against each other in the test suite.
+two engines are cross-checked against each other in the test suite.  The
+sparse engine takes sparse rows: boundary maps reach it straight from the
+face lists, and a dense ``IntMatrix`` is converted once, at the public API.
 """
 
 from __future__ import annotations
@@ -81,9 +83,6 @@ class IntMatrix:
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
         return self._data[i][j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self._data[i]
 
     def col(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self._data)
@@ -318,21 +317,25 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 # sparse gcd elimination
 # ---------------------------------------------------------------------------
 
-def _sparse_reduce(a: IntMatrix, want_kernel: bool):
-    """Shared core: returns (pivot values, kernel columns or None).
+def _sparse_rows(a: IntMatrix) -> dict[int, dict[int, int]]:
+    """The nonzero entries of a dense matrix as {row: {col: value}}."""
+    return {i: {j: x for j, x in enumerate(row) if x}
+            for i, row in enumerate(a.iter_rows()) if any(row)}
+
+
+def _sparse_reduce(rows: dict[int, dict[int, int]], ncols: int,
+                   want_kernel: bool):
+    """Shared core on {row: {col: value}} input of nonzero entries, which
+    it consumes: returns (pivot values, kernel columns or None).
 
     Row operations are untracked (they change neither rank, invariant
     factors nor the kernel); column operations are mirrored on a sparse
     copy of the identity whenever the kernel is requested.
     """
-    nrows, ncols = a.rows, a.cols
-    rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
-    for i, row in enumerate(a.iter_rows()):
-        for j, x in enumerate(row):
-            if x:
-                rows.setdefault(i, {})[j] = x
-                cols.setdefault(j, set()).add(i)
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
 
     vcols: dict[int, dict[int, int]] | None = None
     if want_kernel:
@@ -433,10 +436,13 @@ def _sparse_reduce(a: IntMatrix, want_kernel: bool):
     return pivot_values, kernel
 
 
+def _pivots(a: IntMatrix) -> list[int]:
+    return _sparse_reduce(_sparse_rows(a), a.cols, want_kernel=False)[0]
+
+
 def rank(a: IntMatrix) -> int:
     """Rank over the rationals."""
-    pivots, _ = _sparse_reduce(a, want_kernel=False)
-    return len(pivots)
+    return len(_pivots(a))
 
 
 def _chain_normalize(pivots) -> tuple[int, ...]:
@@ -457,13 +463,12 @@ def _chain_normalize(pivots) -> tuple[int, ...]:
 
 def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
     """Invariant factors d1 | d2 | ... (positive, zeros omitted)."""
-    pivots, _ = _sparse_reduce(a, want_kernel=False)
-    return _chain_normalize(pivots)
+    return _chain_normalize(_pivots(a))
 
 
 def rank_and_invariants(a: IntMatrix) -> tuple[int, tuple[int, ...]]:
     """Rank and invariant factors from a single elimination."""
-    pivots, _ = _sparse_reduce(a, want_kernel=False)
+    pivots = _pivots(a)
     return len(pivots), _chain_normalize(pivots)
 
 
@@ -481,7 +486,7 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     unimodular transform), so every invariant factor of the returned
     matrix is 1.
     """
-    _, kernel = _sparse_reduce(a, want_kernel=True)
+    _, kernel = _sparse_reduce(_sparse_rows(a), a.cols, want_kernel=True)
     cols = len(kernel)
     data = [[kernel[k].get(i, 0) for k in range(cols)] for i in range(a.cols)]
     return IntMatrix(data, cols=cols)

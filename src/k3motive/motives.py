@@ -37,13 +37,64 @@ def _prune(terms):
     return {k: c for k, c in terms.items() if c}
 
 
-class EPolynomial:
-    """Bivariate Laurent polynomial in u, v with integer coefficients."""
+class _Laurent:
+    """Integer Laurent polynomial stored as a pruned {exponent: coefficient}
+    dict; a subclass says how exponents add under multiplication."""
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
+    def __init__(self, terms: Mapping | None = None):
         self._terms = _prune(dict(terms or {}))
+
+    def items(self):
+        return sorted(self._terms.items())
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __add__(self, other):
+        out = dict(self._terms)
+        for k, c in other._terms.items():
+            out[k] = out.get(k, 0) + c
+        return type(self)(out)
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self._terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return type(self)({k: c * other for k, c in self._terms.items()})
+        out = {}
+        for k, c in self._terms.items():
+            for k2, c2 in other._terms.items():
+                e = self._add_exponents(k, k2)
+                out[e] = out.get(e, 0) + c * c2
+        return type(self)(out)
+
+    __rmul__ = __mul__
+
+    def at_one(self) -> int:
+        """Value at 1 (for an E-polynomial, the Euler characteristic)."""
+        return sum(self._terms.values())
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash(tuple(sorted(self._terms.items())))
+
+
+class EPolynomial(_Laurent):
+    """Bivariate Laurent polynomial in u, v with integer coefficients."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _add_exponents(a, b):
+        return (a[0] + b[0], a[1] + b[1])
 
     @classmethod
     def monomial(cls, pu: int, pv: int, coeff: int = 1) -> "EPolynomial":
@@ -56,52 +107,12 @@ class EPolynomial:
     def coefficient(self, pu: int, pv: int) -> int:
         return self._terms.get((pu, pv), 0)
 
-    def items(self):
-        return sorted(self._terms.items())
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __add__(self, other: "EPolynomial") -> "EPolynomial":
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, 0) + c
-        return EPolynomial(out)
-
-    def __neg__(self) -> "EPolynomial":
-        return EPolynomial({k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other: "EPolynomial") -> "EPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return EPolynomial({k: c * other for k, c in self._terms.items()})
-        out: dict[tuple[int, int], int] = {}
-        for (a, b), c in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
-                k = (a + a2, b + b2)
-                out[k] = out.get(k, 0) + c * c2
-        return EPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def at_one(self) -> int:
-        """Evaluation at u = v = 1 (the Euler characteristic)."""
-        return sum(self._terms.values())
-
     def serre(self) -> "UnivariateLaurent":
         """Image under uv = 1: substitute v = u^(-1)."""
         out: dict[int, int] = {}
         for (a, b), c in self._terms.items():
             out[a - b] = out.get(a - b, 0) + c
         return UnivariateLaurent(out)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, EPolynomial) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self._terms.items())))
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -114,17 +125,18 @@ class EPolynomial:
         return " ".join(bits)
 
 
-class UnivariateLaurent:
+class UnivariateLaurent(_Laurent):
     """Laurent polynomial in a single variable with integer coefficients.
 
     Used both for the quotient modulo (uv - 1), a Laurent polynomial in u
     alone, and for point counts, a polynomial in q.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[int, int] | None = None):
-        self._terms = _prune(dict(terms or {}))
+    @staticmethod
+    def _add_exponents(a, b):
+        return a + b
 
     @classmethod
     def monomial(cls, power: int, coeff: int = 1) -> "UnivariateLaurent":
@@ -136,44 +148,6 @@ class UnivariateLaurent:
 
     def coefficient(self, power: int) -> int:
         return self._terms.get(power, 0)
-
-    def items(self):
-        return sorted(self._terms.items())
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __add__(self, other: "UnivariateLaurent") -> "UnivariateLaurent":
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, 0) + c
-        return UnivariateLaurent(out)
-
-    def __neg__(self) -> "UnivariateLaurent":
-        return UnivariateLaurent({k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other: "UnivariateLaurent") -> "UnivariateLaurent":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return UnivariateLaurent({k: c * other for k, c in self._terms.items()})
-        out: dict[int, int] = {}
-        for a, c in self._terms.items():
-            for a2, c2 in other._terms.items():
-                out[a + a2] = out.get(a + a2, 0) + c * c2
-        return UnivariateLaurent(out)
-
-    __rmul__ = __mul__
-
-    def at_one(self) -> int:
-        return sum(self._terms.values())
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, UnivariateLaurent) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self._terms.items())))
 
     def __repr__(self) -> str:
         if not self._terms:

@@ -165,6 +165,13 @@ def fiber_to_json(f: DegenerationFiber) -> dict:
             "triple_points": triples}
 
 
+def _id(x):
+    """A component, double-curve or triple-point id: a string or an integer."""
+    if isinstance(x, bool) or not isinstance(x, (str, int)):
+        raise ValueError("id %r is neither a string nor an integer" % (x,))
+    return x
+
+
 def fiber_from_json(doc: dict) -> DegenerationFiber:
     comps = []
     for entry in doc.get("components", []):
@@ -181,14 +188,15 @@ def fiber_from_json(doc: dict) -> DegenerationFiber:
                          betti=tuple(betti) if betti is not None else None)
         else:
             raise ValueError("unknown component kind %r" % (kind_tag,))
-        comps.append(Component(entry["id"], kind))
+        comps.append(Component(_id(entry["id"]), kind))
     curves = []
     for e in doc.get("double_curves", []):
         selfint = e.get("self_intersections")
         curves.append(DoubleCurve(
-            e["id"], tuple(e["on"]), int(e["genus"]), e.get("curve"),
+            _id(e["id"]), tuple(map(_id, e["on"])), int(e["genus"]),
+            e.get("curve"),
             tuple(selfint) if selfint is not None else None))
-    triples = [TriplePoint(e["id"], tuple(e["on"]))
+    triples = [TriplePoint(_id(e["id"]), tuple(map(_id, e["on"])))
                for e in doc.get("triple_points", [])]
     return DegenerationFiber.of(doc.get("label", ""), comps, curves, triples)
 

@@ -13,15 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .deltaset import CycleVector, cycle_pairing
+from .deltaset import CycleVector, _top_cycles, cycle_pairing
 from .fibers import DegenerationFiber, clemens_polytope, component_betti
-from .intlinalg import (
-    IntMatrix,
-    cokernel_structure,
-    det,
-    kernel_basis,
-    rank_and_invariants,
-)
+from .intlinalg import IntMatrix, cokernel_structure, det, rank_and_invariants
 
 
 @dataclass(frozen=True)
@@ -216,21 +210,14 @@ def monodromy_gram(f: DegenerationFiber) -> MonodromyGram:
     to the reciprocal discriminant of the dual cohomology-side monodromy
     pairing; positivity is asserted.  A Clemens polytope has dimension at
     most 2, so nothing bounds onto its 2-cycles: the kernel of the top
-    boundary map is H_2 itself.  A single generator gets its sign
-    normalized so the first nonzero coefficient is positive.
+    boundary map is H_2 itself, read off the elimination homology caches.
+    A single generator has its first nonzero coefficient positive.
     """
     cl = clemens_polytope(f)
-    top = cl.boundary_matrix(2)
-    basis_matrix = kernel_basis(top)
-    if basis_matrix.cols == 0:
+    vectors = _top_cycles(cl) if cl.dim == 2 else []
+    if not vectors:
         raise ValueError("top homology has rank 0: fiber is not maximally "
                          "degenerate")
-    columns = [basis_matrix.col(j) for j in range(basis_matrix.cols)]
-    if len(columns) == 1 and next(c for c in columns[0] if c) < 0:
-        columns = [tuple(-c for c in columns[0])]
-    vectors = [CycleVector(2, c) for c in columns]
-    for v in vectors:
-        assert (top @ IntMatrix.column(v.coefficients)).is_zero()
     gram = IntMatrix([[cycle_pairing(x, y) for y in vectors]
                       for x in vectors], cols=len(vectors))
     r_d = det(gram)

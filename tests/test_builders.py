@@ -215,6 +215,21 @@ class TestKummer:
             assert all(abs(c) == 1 for c in gen.coefficients)
             assert cycle_pairing(gen, gen) == m1 * m2 == rep.r2_kummer
 
+    def test_32x32_at_default_recursion_limit(self):
+        # 1024 orbit triangles: past the default recursion limit, which a
+        # search recursing once per triangle could not get through
+        import sys
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            with pytest.warns(GeometricRealizabilityWarning):
+                rep = build_kummer(KummerParams(32, 32))
+        finally:
+            sys.setrecursionlimit(old)
+        assert recognize(rep.nerve) == Shape.SPHERE2
+        assert rep.nerve.counts == (514, 1536, 1024)
+        assert rep.component_census == Census(generic=510, special=4)
+
     def test_neron_route(self):
         rep = build_kummer(KummerParams(2, 4))
         assert integral_from_neron(rep.neron_data()) == rep.integral

@@ -196,6 +196,35 @@ class TestVerifyFailures:
         assert err.startswith("error: bad fiber document")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["verify", "analyze"])
+    def test_unhashable_id_exit2(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.json"
+        write(path, {"components": [{"id": [1], "kind": "k3"}]})
+        assert run([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad fiber document")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("corrupt, block", [
+        (lambda doc: doc.update(neron=5), "neron"),
+        (lambda doc: doc.update(expectations=5), "expectations"),
+        (lambda doc: doc["expectations"]["closed_form"][0].pop(
+            "lefschetz_power"), "expectations"),
+    ], ids=["neron-not-a-list", "expectations-not-an-object",
+            "closed-form-without-power"])
+    def test_malformed_block_exit2(self, tmp_path, capsys, corrupt, block):
+        path = tmp_path / "f.json"
+        run(["build", "type3", "--triangulation", "tetrahedron",
+             "-o", str(path)])
+        doc = json.loads(path.read_text())
+        corrupt(doc)
+        write(path, doc)
+        capsys.readouterr()
+        assert run(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad %s block" % block)
+        assert err.count("\n") == 1
+
     def test_non_kulikov_without_neron_exit2(self, tmp_path):
         path = tmp_path / "pair.json"
         write(path, {"label": "pair",

@@ -239,6 +239,54 @@ class TestCohomology:
                 assert cohomology(ds, q) == expected, (ds, q)
 
 
+# -- sparse boundaries --------------------------------------------------------
+
+class TestSparseBoundaries:
+    """The cached sparse elimination, fed straight from the face lists,
+    against the public dense route."""
+
+    @staticmethod
+    def complexes():
+        from k3motive.builders import KummerParams, build_kummer, icosahedron
+        return [rp2(), circle(2), torus_3x3(), tetra(),
+                refine_barycentric(icosahedron()), chain(5),
+                build_kummer(KummerParams(4, 6)).nerve]
+
+    @staticmethod
+    def dense_from_faces(ds, q):
+        data = [[0] * ds.n(q) for _ in range(ds.n(q - 1))]
+        for s in ds.simplices(q):
+            for j, f in enumerate(ds.faces(q, s)):
+                data[f][s] += (-1) ** j
+        return IntMatrix(data, cols=ds.n(q))
+
+    @pytest.mark.filterwarnings(
+        "ignore::k3motive.integrals.GeometricRealizabilityWarning")
+    def test_cached_reduction_matches_dense_route(self):
+        from k3motive.deltaset import _boundary_reduction
+        from k3motive.intlinalg import kernel_basis, rank_and_invariants
+
+        _boundary_reduction.cache_clear()
+        for ds in self.complexes():
+            assert ds.boundary_matrix(0) == IntMatrix.zeros(0, ds.n(0))
+            assert ds.boundary_matrix(ds.dim + 1) == \
+                IntMatrix.zeros(ds.n(ds.dim), 0)
+            for q in range(1, ds.dim + 1):
+                dense = self.dense_from_faces(ds, q)
+                assert ds.boundary_matrix(q) == dense, (ds, q)
+                assert _boundary_reduction(ds, q)[:2] == \
+                    rank_and_invariants(dense), (ds, q)
+            for q in (0, ds.dim + 1):
+                assert _boundary_reduction(ds, q)[:2] == (0, ())
+            top = ds.boundary_matrix(ds.dim)
+            kernel = kernel_basis(top)
+            assert _boundary_reduction(ds, ds.dim)[2] == \
+                tuple(kernel.col(k) for k in range(kernel.cols)), ds
+
+    def test_point_top_cycle(self):
+        assert top_cycle_generator(DeltaSet(1), 0) == CycleVector(0, (1,))
+
+
 # -- top cycles --------------------------------------------------------------
 
 class TestTopCycle:

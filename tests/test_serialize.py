@@ -112,6 +112,21 @@ class TestFiberJson:
                              [{"id": 0, "kind": "weird"}],
                              "double_curves": [], "triple_points": []})
 
+    @pytest.mark.parametrize("where", ["component", "curve", "curve_on",
+                                       "triple", "triple_on"])
+    @pytest.mark.parametrize("bad", [[1], 1.5, True, None])
+    def test_ids_must_be_strings_or_integers(self, where, bad):
+        doc = fiber_to_json(build_type3("tetrahedron"))
+        target = {"component": (doc["components"][0], "id"),
+                  "curve": (doc["double_curves"][0], "id"),
+                  "curve_on": (doc["double_curves"][0]["on"], 0),
+                  "triple": (doc["triple_points"][0], "id"),
+                  "triple_on": (doc["triple_points"][0]["on"], 0)}[where]
+        target[0][target[1]] = bad
+        assert not schema_validator("fiber.schema.json").is_valid(doc)
+        with pytest.raises(ValueError):
+            fiber_from_json(doc)
+
     def test_self_intersection_decoration(self):
         from k3motive.fibers import Component, DegenerationFiber, \
             DoubleCurve, Rational, validate
