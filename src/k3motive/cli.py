@@ -4,7 +4,10 @@ Subcommands: ``build`` (emit an example fiber plus its expectations),
 ``analyze`` (validate and summarize a fiber), ``verify`` (compare the
 integral against the closed form) and ``snf`` (Smith normal form of a
 matrix).  Exit codes: 0 on success and, for verify, a full match; 1 on
-validation violations or a mismatch; 2 on malformed input or I/O failure.
+validation violations, a mismatch or a failed internal cross-check (two
+routes to the same invariant disagree); 2 on malformed input, including
+expectations outside the report schema, or I/O failure.  ``verify`` takes
+the weak-Neron fallback route for fibers of no Kulikov type (Kummer).
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from pathlib import Path
 
 from .builders import (
@@ -34,11 +36,10 @@ from .fibers import (
     validate,
 )
 from .integrals import (
-    GeometricRealizabilityWarning,
     RamifiedParams,
     _quiet_closed_form,
+    _quietly,
     integral_from_neron,
-    closed_form_integral,
     verify_fiber,
 )
 from .intlinalg import smith_normal_form
@@ -113,70 +114,57 @@ def _load_fiber(path: str):
 # ---------------------------------------------------------------------------
 
 def _cmd_build(args) -> int:
-    warnings.simplefilter("default", GeometricRealizabilityWarning)
     profile = _parse_profile(args.a_profile)
+    doc, neron = {}, None
     if args.family == "type2":
         if args.m is None:
             raise InputError("build type2 requires --m")
         fiber = build_type2_chain(args.m, profile)
         params = RamifiedParams(e=1, s=2, r=args.m * args.m,
                                 elliptic_atom=EllipticCurveAtom("E"))
-        closed = closed_form_integral(params)
-        expectations = {"family": "type2", "s": 2, "r": args.m * args.m,
-                        "closed_form": motive_to_json(closed)}
-        neron = WeakNeronData.of(
-            (cls, 0) for cls in open_component_classes(fiber))
-        doc = {"fiber": fiber_to_json(fiber), "expectations": expectations,
-               "neron": neron_to_json(neron)}
     elif args.family == "type3":
         if args.triangulation is None:
             raise InputError("build type3 requires --triangulation")
         name = args.triangulation
         if name.startswith("file:"):
-            tri = delta_from_json(_load_json(name[len("file:"):]))
+            tri = _decode("triangulation", delta_from_json,
+                          _load_json(name[len("file:"):]))
         elif name in BUILTIN_SPHERES:
             tri = BUILTIN_SPHERES[name]()
         else:
             raise InputError("unknown triangulation %r" % (name,))
         fiber = build_type3(tri, profile)
-        r2 = len(fiber.triple_points)
-        closed = _quiet_closed_form(RamifiedParams(e=1, s=3, r=r2))
-        expectations = {"family": "type3", "s": 3, "r": r2,
-                        "closed_form": motive_to_json(closed)}
-        neron = WeakNeronData.of(
-            (cls, 0) for cls in open_component_classes(fiber))
-        doc = {"fiber": fiber_to_json(fiber), "expectations": expectations,
-               "neron": neron_to_json(neron)}
+        params = RamifiedParams(e=1, s=3, r=len(fiber.triple_points))
     else:  # kummer
         if args.m1 is None or args.m2 is None:
             raise InputError("build kummer requires --m1 and --m2")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", GeometricRealizabilityWarning)
-            report = build_kummer(KummerParams(args.m1, args.m2))
-            closed = closed_form_integral(
-                RamifiedParams(e=1, s=3, r=report.r2_kummer))
-        expectations = {"family": "kummer", "s": 3, "r": report.r2_kummer,
-                        "closed_form": motive_to_json(closed)}
-        doc = {
-            "fiber": fiber_to_json(report.fiber),
-            "expectations": expectations,
-            "neron": neron_to_json(report.neron_data()),
-            "kummer": {
-                "m1": args.m1, "m2": args.m2,
-                "census": {"generic": report.component_census.generic,
-                           "special": report.component_census.special},
-                "r2_abelian": report.r2_abelian,
-                "r2_kummer": report.r2_kummer,
-                "nerve": delta_to_json(report.nerve),
-                "integral": motive_to_json(report.integral),
-            },
+        report = _quietly(build_kummer, KummerParams(args.m1, args.m2))
+        fiber, neron = report.fiber, report.neron_data()
+        params = RamifiedParams(e=1, s=3, r=report.r2_kummer)
+        doc["kummer"] = {
+            "m1": args.m1, "m2": args.m2,
+            "census": {"generic": report.component_census.generic,
+                       "special": report.component_census.special},
+            "r2_abelian": report.r2_abelian,
+            "r2_kummer": report.r2_kummer,
+            "nerve": delta_to_json(report.nerve),
+            "integral": motive_to_json(report.integral),
         }
+    if neron is None:
+        neron = WeakNeronData.of(
+            (cls, 0) for cls in open_component_classes(fiber))
+    doc.update({
+        "fiber": fiber_to_json(fiber),
+        "expectations": {
+            "family": args.family, "s": params.s, "r": params.r,
+            "closed_form": motive_to_json(_quiet_closed_form(params))},
+        "neron": neron_to_json(neron),
+    })
     if args.out is None:
         raise InputError("build requires --out")
     _write_json(args.out, doc)
     print("wrote %s (%s, %d components)" %
-          (args.out, doc["expectations"]["family"],
-           len(doc["fiber"]["components"])))
+          (args.out, args.family, len(fiber.components)))
     return 0
 
 
@@ -199,11 +187,10 @@ def _cmd_analyze(args) -> int:
     euler = euler_characteristic(cl)
     strata = strata_classes(fiber)
     smooth = _inclusion_exclusion(strata)
+    type_s = type_error = None
     try:
         type_s = _kulikov_type(fiber, shape)
-        type_error = None
     except NonKulikovError as exc:
-        type_s = None
         type_error = str(exc)
     report.update({
         "counts": {"components": len(fiber.components),
@@ -241,7 +228,7 @@ def _verify_one(path: str, e: int):
     if expectations is not None and not isinstance(expectations, dict):
         raise InputError("bad expectations block: expected a JSON object")
     expected = None
-    if expectations is not None and "closed_form" in expectations:
+    if "closed_form" in (expectations or {}):
         expected = _decode("expectations block", motive_from_json,
                            expectations["closed_form"])
     violations = validate(fiber)
@@ -250,25 +237,13 @@ def _verify_one(path: str, e: int):
                  "match": False}, 1)
 
     neron_integral = None if neron is None else integral_from_neron(neron)
-
-    report = {"fiber_label": fiber.label, "e": e}
-    exit_code = 0
     try:
         rep = verify_fiber(fiber)
-        integral = rep.integral
-        report.update({
-            "s": rep.type_s,
-            "r": rep.r,
-            "integral": motive_to_json(integral),
-            "closed_form": motive_to_json(rep.closed_form)
-            if rep.closed_form is not None else None,
-            "match": rep.match,
-            "chi": rep.chi,
-            "serre_ok": rep.serre_ok,
-        })
-        if not (rep.match and rep.serre_ok and rep.chi == 24):
-            exit_code = 1
+        s, r, integral, closed = rep.type_s, rep.r, rep.integral, \
+            rep.closed_form
+        match, chi, serre_ok = rep.match, rep.chi, rep.serre_ok
     except NonKulikovError as exc:
+        # weak-Neron fallback: the defining sum vs. the expected closed form
         if neron_integral is None or expectations is None:
             raise InputError(
                 "fiber matches no Kulikov type and the document lacks the "
@@ -276,56 +251,53 @@ def _verify_one(path: str, e: int):
                 "route: %s" % exc) from exc
         if expected is None:
             raise InputError("expectations block carries no closed form")
-        integral = neron_integral
-        closed = expected
+        s, r = expectations.get("s"), expectations.get("r")
+        # the verify-report schema's ranges; type() also rules out booleans
+        if type(s) is not int or s not in (1, 2, 3) or r is not None and (
+                type(r) is not int or r < 1):
+            raise InputError("bad expectations block: s = %r, r = %r (need s "
+                             "in 1..3, r >= 1 or null)" % (s, r))
+        integral, closed = neron_integral, expected
         match = integral == closed
         chi = integral.euler_characteristic()
         serre_ok = integral.serre_reduce() == closed.serre_reduce()
-        report.update({
-            "s": expectations.get("s"),
-            "r": expectations.get("r"),
-            "integral": motive_to_json(integral),
-            "closed_form": motive_to_json(closed),
-            "match": match,
-            "chi": chi,
-            "serre_ok": serre_ok,
-        })
-        if not (match and chi == 24):
-            exit_code = 1
 
+    # on the fallback route match implies serre_ok, so serre_ok decides
+    # the exit code only on the Kulikov route
+    ok = match and serre_ok and chi == 24
+    if expected is not None and closed is not None and expected != closed:
+        match = ok = False
+    report = {"fiber_label": fiber.label, "e": e, "s": s, "r": r,
+              "integral": motive_to_json(integral),
+              "closed_form": None if closed is None
+              else motive_to_json(closed),
+              "match": match, "chi": chi, "serre_ok": serre_ok}
     if neron_integral is not None:
-        neron_match = neron_integral == motive_from_json(report["integral"])
-        report["neron_match"] = neron_match
-        if not neron_match:
-            exit_code = 1
+        report["neron_match"] = neron_integral == integral
+        ok = ok and report["neron_match"]
 
-    if expected is not None and report.get("closed_form") is not None:
-        if expected != motive_from_json(report["closed_form"]):
-            report["match"] = False
-            exit_code = 1
+    if e != 1 and s in (2, 3) and r:
+        curve = fiber.double_curves[0].curve if fiber.double_curves else None
+        if s == 2 and curve is None:
+            raise InputError("type 2 closed form at e = %d: the first double "
+                             "curve names no elliptic curve" % e)
+        atom = EllipticCurveAtom(curve) if s == 2 else None
+        report["closed_form_at_e"] = motive_to_json(_quiet_closed_form(
+            RamifiedParams(e=e, s=s, r=r, elliptic_atom=atom)))
 
-    if e != 1 and report.get("s") in (2, 3) and report.get("r"):
-        atom = EllipticCurveAtom(fiber.double_curves[0].curve) \
-            if report["s"] == 2 else None
-        scaled = _quiet_closed_form(RamifiedParams(
-            e=e, s=report["s"], r=report["r"], elliptic_atom=atom))
-        report["closed_form_at_e"] = motive_to_json(scaled)
-
-    return (report, exit_code)
+    return (report, 0 if ok else 1)
 
 
 def _cmd_verify(args) -> int:
-    paths = []
     if args.all is not None:
         paths = sorted(str(p) for p in Path(args.all).glob("*.json"))
         if not paths:
             raise InputError("no .json files under %s" % args.all)
+    elif args.input is None:
+        raise InputError("verify requires an input file or --all DIR")
     else:
-        if args.input is None:
-            raise InputError("verify requires an input file or --all DIR")
         paths = [args.input]
-    reports = []
-    worst = 0
+    reports, worst = [], 0
     for path in paths:
         report, code = _verify_one(path, args.e)
         worst = max(worst, code)
@@ -336,15 +308,12 @@ def _cmd_verify(args) -> int:
             for v in report["violations"]:
                 print("  violation: %s" % v, file=sys.stderr)
         else:
-            print("%s: s=%s r=%s match=%s chi=%s serre_ok=%s"
-                  % (path, report.get("s"), report.get("r"),
-                     report.get("match"), report.get("chi"),
-                     report.get("serre_ok")))
-            if not report.get("match"):
+            print("%s: s=%s r=%s match=%s chi=%s serre_ok=%s" % (path, *(
+                report[k] for k in ("s", "r", "match", "chi", "serre_ok"))))
+            if not report["match"]:
                 print("  mismatch: integral differs from the closed form",
                       file=sys.stderr)
-    payload = reports[0] if args.all is None else reports
-    _write_json(args.report, payload)
+    _write_json(args.report, reports[0] if args.all is None else reports)
     return worst
 
 
@@ -409,15 +378,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (InvalidFiberError,) as exc:
+    except InvalidFiberError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except (ArithmeticError, AssertionError) as exc:
+        # two routes disagree: a mismatch, not malformed input
+        print("error: cross-check failed: %s: %s"
+              % (type(exc).__name__, exc), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

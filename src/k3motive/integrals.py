@@ -85,14 +85,17 @@ def closed_form_integral(p: RamifiedParams) -> MotiveClass:
             + (half + 2) * _L(2))
 
 
+def _quietly(fn, *args):
+    """``fn(*args)`` with the realizability warning silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GeometricRealizabilityWarning)
+        return fn(*args)
+
+
 def _quiet_closed_form(p: RamifiedParams | None) -> MotiveClass | None:
     """``closed_form_integral`` with the realizability warning silenced;
     None for a smooth fiber, which has no closed form."""
-    if p is None:
-        return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GeometricRealizabilityWarning)
-        return closed_form_integral(p)
+    return None if p is None else _quietly(closed_form_integral, p)
 
 
 def maximally_degenerate_closed_form(e: int, r2: int) -> MotiveClass:

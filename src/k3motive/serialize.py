@@ -172,6 +172,20 @@ def _id(x):
     return x
 
 
+def _on(entry) -> tuple:
+    """The ``on`` ids of a double curve or triple point: a JSON array."""
+    if not isinstance(entry["on"], list):
+        raise ValueError("on %r is not an array" % (entry["on"],))
+    return tuple(map(_id, entry["on"]))
+
+
+def _curve(name) -> str:
+    """The elliptic-curve name of a component or double curve: a string."""
+    if not isinstance(name, str):
+        raise ValueError("curve name %r is not a string" % (name,))
+    return name
+
+
 def fiber_from_json(doc: dict) -> DegenerationFiber:
     comps = []
     for entry in doc.get("components", []):
@@ -179,7 +193,8 @@ def fiber_from_json(doc: dict) -> DegenerationFiber:
         if kind_tag == "rational":
             kind = Rational(int(entry["a"]))
         elif kind_tag == "ruled_elliptic":
-            kind = RuledElliptic(entry["curve"], int(entry.get("a", 0)))
+            kind = RuledElliptic(_curve(entry["curve"]),
+                                 int(entry.get("a", 0)))
         elif kind_tag == "k3":
             kind = K3Smooth()
         elif kind_tag == "other":
@@ -193,10 +208,10 @@ def fiber_from_json(doc: dict) -> DegenerationFiber:
     for e in doc.get("double_curves", []):
         selfint = e.get("self_intersections")
         curves.append(DoubleCurve(
-            _id(e["id"]), tuple(map(_id, e["on"])), int(e["genus"]),
-            e.get("curve"),
+            _id(e["id"]), _on(e), int(e["genus"]),
+            _curve(e["curve"]) if "curve" in e else None,
             tuple(selfint) if selfint is not None else None))
-    triples = [TriplePoint(_id(e["id"]), tuple(map(_id, e["on"])))
+    triples = [TriplePoint(_id(e["id"]), _on(e))
                for e in doc.get("triple_points", [])]
     return DegenerationFiber.of(doc.get("label", ""), comps, curves, triples)
 

@@ -17,6 +17,12 @@ from .deltaset import CycleVector, _top_cycles, cycle_pairing
 from .fibers import DegenerationFiber, clemens_polytope, component_betti
 from .intlinalg import IntMatrix, cokernel_structure, det, rank_and_invariants
 
+# a surface degeneration: the strata Y^(0), Y^(1), Y^(2) have dimensions 2,
+# 1 and 0, and the dual complex has dimension at most 2
+_DIM = 2
+# rank of H^1 of the elliptic double curves of a chain fiber
+_H1_RANK = 2
+
 
 @dataclass(frozen=True)
 class SpectralRow:
@@ -87,7 +93,7 @@ def _strata_betti(f: DegenerationFiber) -> list[list[int]]:
     return [b0, b1, b2]
 
 
-def e1_page(f: DegenerationFiber, dim: int = 2) -> E1Page:
+def e1_page(f: DegenerationFiber) -> E1Page:
     """First page of the weight spectral sequence from strata Betti data.
 
     The (p, q) entry is the direct sum over i >= max(0, p) of
@@ -95,13 +101,13 @@ def e1_page(f: DegenerationFiber, dim: int = 2) -> E1Page:
     """
     betti = _strata_betti(f)
     entries: dict[tuple[int, int], list[E1Summand]] = {}
-    for p in range(-dim, dim + 1):
-        for q in range(0, 2 * dim + 1):
+    for p in range(-_DIM, _DIM + 1):
+        for q in range(0, 2 * _DIM + 1):
             summands = []
-            for i in range(max(0, p), dim + p + 1):
+            for i in range(max(0, p), _DIM + p + 1):
                 stratum = 2 * i - p
                 degree = q + 2 * p - 2 * i
-                if not 0 <= stratum <= dim:
+                if not 0 <= stratum <= _DIM:
                     continue
                 if not 0 <= degree < len(betti[stratum]):
                     continue
@@ -114,8 +120,7 @@ def e1_page(f: DegenerationFiber, dim: int = 2) -> E1Page:
     return E1Page(entries)
 
 
-def boundary_rows(f: DegenerationFiber, dim: int = 2
-                  ) -> tuple[SpectralRow, SpectralRow]:
+def boundary_rows(f: DegenerationFiber) -> tuple[SpectralRow, SpectralRow]:
     """The stratum-degree-0 cochain row and the degree-2d chain row.
 
     The first is the simplicial cochain complex of the Clemens polytope,
@@ -123,19 +128,18 @@ def boundary_rows(f: DegenerationFiber, dim: int = 2
     H_*(Cl(Y)) respectively.
     """
     cl = clemens_polytope(f)
-    counts = [cl.n(q) for q in range(dim + 1)]
+    counts = [cl.n(q) for q in range(_DIM + 1)]
     coboundaries = tuple(cl.boundary_matrix(q + 1).transpose()
-                         for q in range(dim))
+                         for q in range(_DIM))
     cochain = SpectralRow(q=0, modules=tuple(counts),
                           differentials=coboundaries)
-    boundaries = tuple(cl.boundary_matrix(q) for q in range(dim, 0, -1))
-    chain = SpectralRow(q=2 * dim, modules=tuple(reversed(counts)),
+    boundaries = tuple(cl.boundary_matrix(q) for q in range(_DIM, 0, -1))
+    chain = SpectralRow(q=2 * _DIM, modules=tuple(reversed(counts)),
                         differentials=boundaries)
     return cochain, chain
 
 
-def type2_h1_row(m: int, h_rank: int = 2
-                 ) -> tuple[IntMatrix, IntMatrix, IntMatrix, int]:
+def type2_h1_row(m: int) -> tuple[IntMatrix, IntMatrix, IntMatrix, int]:
     """The explicit H^1 row of a chain fiber with m double curves.
 
     Writing H for the rank-2 curve cohomology, the incoming differential is
@@ -146,7 +150,7 @@ def type2_h1_row(m: int, h_rank: int = 2
     """
     if m < 1:
         raise ValueError("chain length m must be >= 1")
-    h = h_rank
+    h = _H1_RANK
     eye = [[int(a == b) for b in range(h)] for a in range(h)]
 
     d1 = [[0] * ((m - 1) * h) for _ in range(m * h)]
@@ -214,7 +218,7 @@ def monodromy_gram(f: DegenerationFiber) -> MonodromyGram:
     A single generator has its first nonzero coefficient positive.
     """
     cl = clemens_polytope(f)
-    vectors = _top_cycles(cl) if cl.dim == 2 else []
+    vectors = _top_cycles(cl) if cl.dim == _DIM else []
     if not vectors:
         raise ValueError("top homology has rank 0: fiber is not maximally "
                          "degenerate")

@@ -81,6 +81,19 @@ class TestBuildVerifyRoundtrip:
         doc = json.loads(report.read_text())
         assert doc["r"] == 8 and doc["match"] is True
 
+    @pytest.mark.parametrize("tri", [[1, 2], {"dims": [3], "boundary": 5}],
+                             ids=["list", "int-boundary"])
+    def test_malformed_triangulation_file_exit2(self, tmp_path, capsys,
+                                                tri):
+        tri_path = tmp_path / "tri.json"
+        write(tri_path, tri)
+        assert run(["build", "type3", "--triangulation",
+                    "file:" + str(tri_path), "-o",
+                    str(tmp_path / "f.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad triangulation: ")
+        assert err.count("\n") == 1
+
     def test_closed_form_at_e(self, tmp_path):
         out = tmp_path / "f.json"
         report = tmp_path / "r.json"
@@ -171,6 +184,20 @@ class TestVerifyFailures:
         write(out, doc)
         assert run(["verify", str(out)]) == 1
 
+    def test_neron_mismatch_exit1(self, tmp_path):
+        # the Kulikov route matches its closed form; only the weak Neron
+        # sum, one item short, disagrees
+        out = tmp_path / "f.json"
+        report = tmp_path / "r.json"
+        run(["build", "type3", "--triangulation", "octahedron",
+             "-o", str(out)])
+        doc = json.loads(out.read_text())
+        doc["neron"].pop()
+        write(out, doc)
+        assert run(["verify", str(out), "--report", str(report)]) == 1
+        rep = json.loads(report.read_text())
+        assert rep["match"] is True and rep["neron_match"] is False
+
     def test_corrupted_profile_exit1(self, tmp_path):
         f = build_type3("tetrahedron")
         comps = [Component(c.id, Rational(c.kind.a + (1 if c.id == 0 else 0)))
@@ -225,6 +252,30 @@ class TestVerifyFailures:
         assert err.startswith("error: bad %s block" % block)
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["verify", "analyze"])
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda doc: [d.update(curve=5) for d in doc["double_curves"]],
+         "curve name 5 is not a string"),
+        (lambda doc: [c.update(curve=5) for c in doc["components"]
+                      if c["kind"] == "ruled_elliptic"],
+         "curve name 5 is not a string"),
+        (lambda doc: doc["double_curves"][0].update(on="01"),
+         "on '01' is not an array"),
+    ], ids=["double-curve-name", "component-curve-name", "on-string"])
+    def test_fiber_field_types_exit2(self, tmp_path, capsys, command,
+                                     corrupt, message):
+        path = tmp_path / "f.json"
+        run(["build", "type2", "--m", "3", "-o", str(path)])
+        doc = json.loads(path.read_text())
+        corrupt(doc["fiber"])
+        write(path, doc)
+        capsys.readouterr()
+        assert run([command, str(path), "--report",
+                    str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: bad fiber document: %s\n" % message
+        assert not (tmp_path / "r.json").exists()
+
     def test_non_kulikov_without_neron_exit2(self, tmp_path):
         path = tmp_path / "pair.json"
         write(path, {"label": "pair",
@@ -248,3 +299,98 @@ class TestVerifyAll:
         assert len(docs) == 2
         assert [d_["fiber_label"] for d_ in docs] == \
             ["type3_f4", "type2_m2"]
+
+
+class TestCrossCheckFailures:
+    @pytest.mark.parametrize("exc", [
+        ArithmeticError("monodromy Gram determinant 7 disagrees with the "
+                        "triple point count 8"),
+        AssertionError("not a cycle"),
+    ], ids=["arithmetic", "assertion"])
+    def test_exit1_with_one_line(self, tmp_path, capsys, monkeypatch, exc):
+        path = tmp_path / "f.json"
+        run(["build", "type3", "--triangulation", "tetrahedron",
+             "-o", str(path)])
+        capsys.readouterr()
+
+        def fail(fiber):
+            raise exc
+
+        monkeypatch.setattr("k3motive.cli.verify_fiber", fail)
+        assert run(["verify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: cross-check failed: %s: %s\n" % (
+            type(exc).__name__, exc)
+
+
+@pytest.fixture
+def kummer_doc(tmp_path):
+    """A built Kummer 4x6 document, which verify evaluates by the
+    weak-Neron fallback route."""
+    path = tmp_path / "kummer.json"
+    assert run(["build", "kummer", "--m1", "4", "--m2", "6",
+                "-o", str(path)]) == 0
+    return path
+
+
+class TestNeronFallback:
+    def test_wrong_closed_form_exit1(self, tmp_path, kummer_doc):
+        doc = json.loads(kummer_doc.read_text())
+        doc["expectations"]["closed_form"] = motive_to_json(
+            __import__("k3motive").MotiveClass.one())
+        write(kummer_doc, doc)
+        report = tmp_path / "r.json"
+        assert run(["verify", str(kummer_doc), "--report",
+                    str(report)]) == 1
+        out = json.loads(report.read_text())
+        schema_validator("verify_report.schema.json").validate(out)
+        assert out["match"] is False
+
+    def test_missing_neron_item_exit1(self, tmp_path, kummer_doc):
+        doc = json.loads(kummer_doc.read_text())
+        doc["neron"].pop()
+        write(kummer_doc, doc)
+        report = tmp_path / "r.json"
+        assert run(["verify", str(kummer_doc), "--report",
+                    str(report)]) == 1
+        out = json.loads(report.read_text())
+        schema_validator("verify_report.schema.json").validate(out)
+        assert out["match"] is False
+
+    @pytest.mark.parametrize("update", [
+        {"r": "x"}, {"r": 0}, {"r": True}, {"s": True}, {"s": 4},
+        {"s": "3"}, {"s": None},
+    ], ids=["r-string", "r-zero", "r-bool", "s-bool", "s-4", "s-string",
+            "s-null"])
+    def test_expectations_outside_schema_exit2(self, capsys, kummer_doc,
+                                               update):
+        doc = json.loads(kummer_doc.read_text())
+        doc["expectations"].update(update)
+        write(kummer_doc, doc)
+        capsys.readouterr()
+        assert run(["verify", str(kummer_doc), "--e", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad expectations block: s = ")
+        assert err.count("\n") == 1
+
+    def test_null_r_skips_closed_form_at_e(self, tmp_path, kummer_doc):
+        doc = json.loads(kummer_doc.read_text())
+        doc["expectations"]["r"] = None
+        write(kummer_doc, doc)
+        report = tmp_path / "r.json"
+        assert run(["verify", str(kummer_doc), "--e", "2", "--report",
+                    str(report)]) == 0
+        out = json.loads(report.read_text())
+        schema_validator("verify_report.schema.json").validate(out)
+        assert out["r"] is None and "closed_form_at_e" not in out
+
+    def test_type2_at_e_without_elliptic_curve_exit2(self, capsys,
+                                                     kummer_doc):
+        doc = json.loads(kummer_doc.read_text())
+        doc["expectations"].update(s=2, r=16)
+        write(kummer_doc, doc)
+        capsys.readouterr()
+        assert run(["verify", str(kummer_doc), "--e", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: type 2 closed form at e = 2: the first double "
+                       "curve names no elliptic curve\n")

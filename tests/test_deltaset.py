@@ -64,6 +64,15 @@ def rp2():
     return DeltaSet(2, [edges, tris])
 
 
+def circle_plus_rp2():
+    """Disjoint union of a triangle circle and RP^2: H_1 = Z (+) Z/2."""
+    rp = rp2()
+    edges = [(1, 0), (2, 1), (0, 2)]
+    edges += [tuple(v + 3 for v in rp.faces(1, e)) for e in rp.simplices(1)]
+    tris = [tuple(e + 3 for e in rp.faces(2, t)) for t in rp.simplices(2)]
+    return DeltaSet(5, [edges, tris])
+
+
 def torus_3x3():
     """3x3 grid torus with the uniform main-diagonal split."""
     m1 = m2 = 3
@@ -316,8 +325,9 @@ class TestTopCycle:
             top_cycle_generator(torus_3x3(), 1)
 
     def test_generator_with_boundaries_present(self):
-        # H_1 of the refined circle: kernel of d1 is bigger than H_1, so
-        # the boundary-quotient path is exercised
+        # H_1 of the refined circle: a 1-dimensional complex, so d == dim
+        # and the generator comes from the kernel alone (the
+        # boundary-quotient path needs d < dim; see the next test)
         ds = refine_edge_split(circle(3))
         assert homology(ds, 1) == (1, ())
         gen = top_cycle_generator(ds, 1)
@@ -328,13 +338,7 @@ class TestTopCycle:
         # disjoint union of a circle and the projective plane: H_1 is
         # Z (+) Z/2, so the generator of the free part is found in the
         # presence of both boundaries and torsion
-        rp = rp2()
-        edges = [(1, 0), (2, 1), (0, 2)]
-        edges += [tuple(v + 3 for v in rp.faces(1, e))
-                  for e in rp.simplices(1)]
-        tris = [tuple(e + 3 for e in rp.faces(2, t))
-                for t in rp.simplices(2)]
-        ds = DeltaSet(5, [edges, tris])
+        ds = circle_plus_rp2()
         assert homology(ds, 1) == (1, (2,))
         gen = top_cycle_generator(ds, 1)
         assert sorted(abs(c) for c in gen.coefficients[:3]) == [1, 1, 1]
@@ -343,8 +347,10 @@ class TestTopCycle:
 
     def test_generator_is_primitive(self):
         from math import gcd
+        # circle + RP^2 in degree 1 < dim runs the boundary-quotient path
         for ds, d in [(tetra(), 2), (octa(), 2), (circle(4), 1),
-                      (refine_edge_split(circle(3)), 1)]:
+                      (refine_edge_split(circle(3)), 1),
+                      (circle_plus_rp2(), 1)]:
             gen = top_cycle_generator(ds, d)
             g = 0
             for c in gen.coefficients:
