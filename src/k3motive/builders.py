@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .deltaset import (
     DeltaSet,
@@ -299,12 +298,7 @@ def kummer_r2_abelian(p: KummerParams) -> tuple[int, int]:
     value 1/(2 m1 m2), so r2(A) = 2 m1 m2; the degree-two quotient halves
     it for the Kummer surface.
     """
-    gram = Fraction(1, 2 * p.m1 * p.m2)
-    disc = gram  # one basis vector
-    r2_a = Fraction(1, 1) / disc
-    if r2_a.denominator != 1:
-        raise ArithmeticError("abelian discriminant is not an integer")
-    r2_a = int(r2_a)
+    r2_a = 2 * p.m1 * p.m2
     r2_x = r2_a // 2
     if r2_x > 20:
         warnings.warn(

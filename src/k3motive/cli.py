@@ -7,7 +7,9 @@ matrix).  Exit codes: 0 on success and, for verify, a full match; 1 on
 validation violations, a mismatch or a failed internal cross-check (two
 routes to the same invariant disagree); 2 on malformed input, including
 expectations outside the report schema, or I/O failure.  ``verify`` takes
-the weak-Neron fallback route for fibers of no Kulikov type (Kummer).
+the weak-Neron fallback route for fibers of no Kulikov type (Kummer), prints
+one stderr line per failed check, and under ``--all`` reports a malformed
+document on stderr, verifies the rest and then exits 2.
 """
 
 from __future__ import annotations
@@ -299,7 +301,15 @@ def _cmd_verify(args) -> int:
         paths = [args.input]
     reports, worst = [], 0
     for path in paths:
-        report, code = _verify_one(path, args.e)
+        try:
+            report, code = _verify_one(path, args.e)
+        except InputError as exc:
+            if args.all is None:
+                raise
+            # one malformed document does not stop the batch
+            print("error: %s: %s" % (path, exc), file=sys.stderr)
+            worst = 2
+            continue
         worst = max(worst, code)
         reports.append(report)
         if "violations" in report:
@@ -313,6 +323,12 @@ def _cmd_verify(args) -> int:
             if not report["match"]:
                 print("  mismatch: integral differs from the closed form",
                       file=sys.stderr)
+            for check, ok in (("neron_match", report.get("neron_match", True)),
+                              ("chi = %s, not 24" % report["chi"],
+                               report["chi"] == 24),
+                              ("serre_ok", report["serre_ok"])):
+                if not ok:
+                    print("  failed check: %s" % check, file=sys.stderr)
     _write_json(args.report, reports[0] if args.all is None else reports)
     return worst
 

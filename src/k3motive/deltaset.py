@@ -218,27 +218,6 @@ def euler_characteristic(ds: DeltaSet) -> int:
     return sum((-1) ** q * n for q, n in enumerate(ds.counts))
 
 
-def _unimodular_inverse(u: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix."""
-    from fractions import Fraction
-    n = u.rows
-    aug = [[Fraction(u[i, j]) for j in range(n)] + [Fraction(int(i == j))
-           for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    data = [[int(aug[i][n + j]) for j in range(n)] for i in range(n)]
-    out = IntMatrix(data, cols=n)
-    assert (u @ out) == IntMatrix.identity(n)
-    return out
-
-
 def _top_cycles(ds: DeltaSet) -> list[CycleVector]:
     """A Z-basis of the top homology, read off the cached elimination of
     the top boundary map.  A single generator has its first nonzero
@@ -271,7 +250,7 @@ def top_cycle_generator(ds: DeltaSet, d: int) -> CycleVector:
     bnd = ds.boundary_matrix(d + 1)
     dec = smith_normal_form(cycles)
     ud = dec.U @ bnd
-    divs = [dec.S[i, i] for i in range(cycles.cols)]
+    divs = dec.diagonal
     if any(div == 0 or ud[i, j] % div for i, div in enumerate(divs)
            for j in range(bnd.cols)):
         raise ValueError("boundary is not a cycle combination")
@@ -282,7 +261,10 @@ def top_cycle_generator(ds: DeltaSet, d: int) -> CycleVector:
             if i >= len(xdec.diagonal) or xdec.diagonal[i] == 0]
     if len(free) != 1:
         raise ValueError("free part of H_%d has rank %d" % (d, len(free)))
-    xinv = _unimodular_inverse(xdec.U)
+    # U is unimodular, so its Smith form is I: U' U V' = I, U^-1 = V' U'
+    udec = smith_normal_form(xdec.U)
+    xinv = udec.V @ udec.U
+    assert xdec.U @ xinv == IntMatrix.identity(cycles.cols)
     gen = [xinv[i, free[0]] for i in range(cycles.cols)]
     coeffs = [sum(cycles[i, k] * gen[k] for k in range(cycles.cols))
               for i in range(ds.n(d))]

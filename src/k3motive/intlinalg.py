@@ -395,33 +395,27 @@ def _sparse_reduce(rows: dict[int, dict[int, int]], ncols: int,
         pr, pc = best_key[2], best_key[3]
         if rows[pr][pc] < 0:
             negate_row(pr)
-        while True:
+        while True:  # clear the pivot's column, then its row
             piv = rows[pr][pc]
-            moved = False
             for r2 in sorted(cols[pc] - {pr}):
                 q = rows[r2][pc] // piv
                 if q:
                     row_sub(r2, pr, q)
-                if r2 in rows and pc in rows.get(r2, {}):
+                if pc in rows.get(r2, {}):  # a nonzero remainder: pivot there
                     pr = r2
                     if rows[pr][pc] < 0:
                         negate_row(pr)
-                    moved = True
                     break
-            if moved:
-                continue
-            piv = rows[pr][pc]
-            for c2 in sorted(set(rows[pr]) - {pc}):
-                q = rows[pr][c2] // piv
-                if q:
-                    col_sub(c2, pc, q)
-                if c2 in rows.get(pr, {}):
-                    pc = c2
-                    moved = True
+            else:
+                for c2 in sorted(set(rows[pr]) - {pc}):
+                    q = rows[pr][c2] // piv
+                    if q:
+                        col_sub(c2, pc, q)
+                    if c2 in rows[pr]:
+                        pc = c2
+                        break
+                else:
                     break
-            if moved:
-                continue
-            break
         pivot_values.append(rows[pr][pc])
         pivot_cols.add(pc)
         for j in list(rows[pr]):
@@ -446,18 +440,18 @@ def rank(a: IntMatrix) -> int:
 
 
 def _chain_normalize(pivots) -> tuple[int, ...]:
+    """Invariant factors of diag(pivots): one pass of gcd/lcm swaps over the
+    sorted values.  Once position i has met every later position it divides
+    all of them, so neither a second pass nor a re-sort is needed."""
     factors = sorted(abs(p) for p in pivots)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors)):
-            for j in range(i + 1, len(factors)):
-                if factors[j] % factors[i]:
-                    g = gcd(factors[i], factors[j])
-                    factors[i], factors[j] = g, factors[i] * factors[j] // g
-                    changed = True
-        if changed:
-            factors.sort()
+    for i, a in enumerate(factors):
+        if a == 1:
+            continue
+        for j in range(i + 1, len(factors)):
+            if factors[j] % a:
+                g = gcd(a, factors[j])
+                a, factors[j] = g, a * factors[j] // g
+        factors[i] = a
     return tuple(factors)
 
 
@@ -501,15 +495,9 @@ def gram_determinant(vectors: Sequence[Sequence[int]], pairing: IntMatrix) -> in
         raise ValueError("pairing matrix must be square")
     if not pairing.is_symmetric():
         raise ValueError("pairing matrix must be symmetric")
-    vecs = [tuple(int(x) for x in v) for v in vectors]
-    for v in vecs:
+    for v in vectors:
         if len(v) != pairing.rows:
             raise ValueError("vector length %d does not match pairing size %d"
                              % (len(v), pairing.rows))
-    if not vecs:
-        return 1
-    paired = [pairing @ IntMatrix.column(v) for v in vecs]
-    gram = IntMatrix([[sum(x * paired[j][k, 0] for k, x in enumerate(vecs[i]))
-                       for j in range(len(vecs))] for i in range(len(vecs))],
-                     cols=len(vecs))
-    return det(gram)
+    v = IntMatrix(vectors, cols=pairing.rows)
+    return det(v @ (pairing @ v.transpose()))

@@ -172,6 +172,22 @@ def _id(x):
     return x
 
 
+def _int(x, what: str) -> int:
+    """An integer field of a fiber document: a JSON integer, not a boolean."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError("%s %r is not an integer" % (what, x))
+    return x
+
+
+def _ints(doc, what: str) -> tuple[int, ...] | None:
+    """An optional array of integers (``betti``, ``self_intersections``)."""
+    if doc is None:
+        return None
+    if not isinstance(doc, list):
+        raise ValueError("%s %r is not an array" % (what, doc))
+    return tuple(_int(x, what + " entry") for x in doc)
+
+
 def _on(entry) -> tuple:
     """The ``on`` ids of a double curve or triple point: a JSON array."""
     if not isinstance(entry["on"], list):
@@ -191,26 +207,24 @@ def fiber_from_json(doc: dict) -> DegenerationFiber:
     for entry in doc.get("components", []):
         kind_tag = entry["kind"]
         if kind_tag == "rational":
-            kind = Rational(int(entry["a"]))
+            kind = Rational(_int(entry["a"], "a"))
         elif kind_tag == "ruled_elliptic":
             kind = RuledElliptic(_curve(entry["curve"]),
-                                 int(entry.get("a", 0)))
+                                 _int(entry.get("a", 0), "a"))
         elif kind_tag == "k3":
             kind = K3Smooth()
         elif kind_tag == "other":
-            betti = entry.get("betti")
             kind = Other(motive_from_json(entry["class"]),
-                         betti=tuple(betti) if betti is not None else None)
+                         betti=_ints(entry.get("betti"), "betti"))
         else:
             raise ValueError("unknown component kind %r" % (kind_tag,))
         comps.append(Component(_id(entry["id"]), kind))
     curves = []
     for e in doc.get("double_curves", []):
-        selfint = e.get("self_intersections")
         curves.append(DoubleCurve(
-            _id(e["id"]), _on(e), int(e["genus"]),
+            _id(e["id"]), _on(e), _int(e["genus"], "genus"),
             _curve(e["curve"]) if "curve" in e else None,
-            tuple(selfint) if selfint is not None else None))
+            _ints(e.get("self_intersections"), "self_intersections")))
     triples = [TriplePoint(_id(e["id"]), _on(e))
                for e in doc.get("triple_points", [])]
     return DegenerationFiber.of(doc.get("label", ""), comps, curves, triples)

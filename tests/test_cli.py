@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,17 @@ def run(args):
 
 def write(path, doc):
     Path(path).write_text(dumps(doc), encoding="utf-8")
+
+
+def test_cli_loads_no_rational_arithmetic():
+    # the library is integer-only: no Fraction or Decimal module behind it
+    src = str(Path(__import__("k3motive").__file__).parents[1])
+    code = ("import sys, k3motive.cli; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "[]\n"
 
 
 class TestBuildVerifyRoundtrip:
@@ -184,9 +198,9 @@ class TestVerifyFailures:
         write(out, doc)
         assert run(["verify", str(out)]) == 1
 
-    def test_neron_mismatch_exit1(self, tmp_path):
+    def test_neron_mismatch_exit1(self, tmp_path, capsys):
         # the Kulikov route matches its closed form; only the weak Neron
-        # sum, one item short, disagrees
+        # sum, one item short, disagrees, and stderr names that check
         out = tmp_path / "f.json"
         report = tmp_path / "r.json"
         run(["build", "type3", "--triangulation", "octahedron",
@@ -194,9 +208,11 @@ class TestVerifyFailures:
         doc = json.loads(out.read_text())
         doc["neron"].pop()
         write(out, doc)
+        capsys.readouterr()
         assert run(["verify", str(out), "--report", str(report)]) == 1
         rep = json.loads(report.read_text())
         assert rep["match"] is True and rep["neron_match"] is False
+        assert capsys.readouterr().err == "  failed check: neron_match\n"
 
     def test_corrupted_profile_exit1(self, tmp_path):
         f = build_type3("tetrahedron")
@@ -261,7 +277,21 @@ class TestVerifyFailures:
          "curve name 5 is not a string"),
         (lambda doc: doc["double_curves"][0].update(on="01"),
          "on '01' is not an array"),
-    ], ids=["double-curve-name", "component-curve-name", "on-string"])
+        (lambda doc: doc["components"][0].update(a=2.5),
+         "a 2.5 is not an integer"),
+        (lambda doc: doc["components"][0].update(a="3"),
+         "a '3' is not an integer"),
+        (lambda doc: doc["double_curves"][0].update(genus=True),
+         "genus True is not an integer"),
+        (lambda doc: doc["components"][0].update(
+            {"kind": "other", "class": [], "betti": [1, 0, 2.0]}),
+         "betti entry 2.0 is not an integer"),
+        (lambda doc: doc["double_curves"][0].update(
+            self_intersections=[[1], 2]),
+         "self_intersections entry [1] is not an integer"),
+    ], ids=["double-curve-name", "component-curve-name", "on-string",
+            "a-float", "a-string", "genus-bool", "betti-float",
+            "self-intersections-nested"])
     def test_fiber_field_types_exit2(self, tmp_path, capsys, command,
                                      corrupt, message):
         path = tmp_path / "f.json"
@@ -275,6 +305,22 @@ class TestVerifyFailures:
         err = capsys.readouterr().err
         assert err == "error: bad fiber document: %s\n" % message
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("corrupt, violation", [
+        (lambda doc: doc["double_curves"][0].update(genus=2), "genus"),
+        (lambda doc: doc["components"][0].update(a=-1), "negative a"),
+    ], ids=["genus-2", "negative-a"])
+    def test_integer_out_of_range_exit1(self, tmp_path, capsys, corrupt,
+                                        violation):
+        # integers of the right type reach validate, which checks ranges
+        path = tmp_path / "f.json"
+        run(["build", "type2", "--m", "3", "-o", str(path)])
+        doc = json.loads(path.read_text())
+        corrupt(doc["fiber"])
+        write(path, doc)
+        capsys.readouterr()
+        assert run(["verify", str(path)]) == 1
+        assert violation in capsys.readouterr().err
 
     def test_non_kulikov_without_neron_exit2(self, tmp_path):
         path = tmp_path / "pair.json"
@@ -299,6 +345,32 @@ class TestVerifyAll:
         assert len(docs) == 2
         assert [d_["fiber_label"] for d_ in docs] == \
             ["type3_f4", "type2_m2"]
+
+    def test_malformed_document_does_not_stop_the_batch(self, tmp_path,
+                                                         capsys):
+        d = tmp_path / "fibers"
+        d.mkdir()
+        run(["build", "type2", "--m", "2", "-o", str(d / "a_chain.json")])
+        kummer = d / "b_kummer.json"
+        run(["build", "kummer", "--m1", "4", "--m2", "6", "-o", str(kummer)])
+        doc = json.loads(kummer.read_text())
+        del doc["expectations"]["closed_form"]
+        write(kummer, doc)
+        run(["build", "type3", "--triangulation", "octahedron",
+             "-o", str(d / "c_octa.json")])
+        report = tmp_path / "all.json"
+        capsys.readouterr()
+        assert run(["verify", "--all", str(d), "--report",
+                    str(report)]) == 2
+        out, err = capsys.readouterr()
+        assert [line.split(": ")[0] for line in out.splitlines()
+                if " s=" in line] == [str(d / "a_chain.json"),
+                                      str(d / "c_octa.json")]
+        assert err.startswith("error: %s: " % kummer)
+        assert err.count("\n") == 1
+        docs = json.loads(report.read_text())
+        assert [d_["fiber_label"] for d_ in docs] == \
+            ["type2_m2", "type3_f8"]
 
 
 class TestCrossCheckFailures:
@@ -346,16 +418,21 @@ class TestNeronFallback:
         schema_validator("verify_report.schema.json").validate(out)
         assert out["match"] is False
 
-    def test_missing_neron_item_exit1(self, tmp_path, kummer_doc):
+    def test_missing_neron_item_exit1(self, tmp_path, capsys,
+                                      kummer_doc):
         doc = json.loads(kummer_doc.read_text())
         doc["neron"].pop()
         write(kummer_doc, doc)
         report = tmp_path / "r.json"
+        capsys.readouterr()
         assert run(["verify", str(kummer_doc), "--report",
                     str(report)]) == 1
         out = json.loads(report.read_text())
         schema_validator("verify_report.schema.json").validate(out)
         assert out["match"] is False
+        # chi, serre_ok and neron_match hold: only the match line prints
+        assert capsys.readouterr().err == \
+            "  mismatch: integral differs from the closed form\n"
 
     @pytest.mark.parametrize("update", [
         {"r": "x"}, {"r": 0}, {"r": True}, {"s": True}, {"s": 4},

@@ -357,6 +357,19 @@ class TestTopCycle:
                 g = gcd(g, c)
             assert g == 1
 
+    def test_below_top_degree_values(self):
+        # the boundary-quotient path (d < dim), pinned to exact outputs:
+        # the free generator of H_1 of circle + RP^2 is the circle, and H_0
+        # of a connected complex is generated by its last vertex
+        from k3motive.builders import (icosahedron, octahedron, tetrahedron,
+                                       torus_grid)
+        gen = top_cycle_generator(circle_plus_rp2(), 1)
+        assert gen == CycleVector(1, (1, 1, 1, 0, 0, 0))
+        for ds in (tetrahedron(), octahedron(), icosahedron(),
+                   torus_grid(4, 4)):
+            last = (0,) * (ds.n(0) - 1) + (1,)
+            assert top_cycle_generator(ds, 0) == CycleVector(0, last), ds
+
     def test_pairing_with_zero(self):
         gen = top_cycle_generator(tetra(), 2)
         zero = CycleVector(2, (0,) * 4)

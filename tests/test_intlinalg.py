@@ -1,16 +1,22 @@
 import random
 
 import pytest
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import (
+    invariant_factors as sympy_invariant_factors,
+)
 
 from k3motive.intlinalg import (
     CokernelStructure,
     IntMatrix,
+    _chain_normalize,
     cokernel_structure,
     det,
     gram_determinant,
     invariant_factors,
     kernel_basis,
     rank,
+    rank_and_invariants,
     smith_normal_form,
 )
 
@@ -277,3 +283,43 @@ class TestIntMatrix:
         assert a == IntMatrix([[1, 2], [3, 4]])
         with pytest.raises(ValueError):
             IntMatrix.from_flat(2, 2, [1, 2, 3])
+
+
+# -- independent oracle: sympy's invariant factors ---------------------------
+
+def sympy_factors(data, cols):
+    """Test-only oracle sharing no code with the library: the nonzero
+    invariant factors of sympy's Smith form over ZZ."""
+    m = Matrix(len(data), cols, [x for row in data for x in row])
+    return tuple(abs(int(d)) for d in sympy_invariant_factors(m, domain=ZZ)
+                 if d)
+
+
+class TestSympyOracle:
+    def test_sparse_random(self):
+        rng = random.Random(4242)
+        for _ in range(200):
+            m, n = rng.randint(1, 12), rng.randint(1, 12)
+            density = rng.choice([0.1, 0.25, 0.5])
+            data = [[rng.randint(-6, 6) if rng.random() < density else 0
+                     for _ in range(n)] for _ in range(m)]
+            a = IntMatrix(data, cols=n)
+            expected = sympy_factors(data, n)
+            assert invariant_factors(a) == expected, data
+            assert rank_and_invariants(a) == (len(expected), expected), data
+            assert smith_normal_form(a).invariant_factors == expected, data
+
+    def test_chain_normalize(self):
+        # pivot lists with non-unit entries; the oracle is the Smith form
+        # of the diagonal matrix they span
+        rng = random.Random(99)
+        values = [1, 1, 1, 2, 3, 4, 6, 8, 9, 10, 12, 15, 25, 27, 30, 49]
+        for _ in range(100):
+            pivots = [rng.choice(values) * rng.choice([1, -1])
+                      for _ in range(rng.randint(1, 10))]
+            pivots.append(rng.choice(values[3:]))
+            rng.shuffle(pivots)
+            k = len(pivots)
+            diag = [[pivots[i] if i == j else 0 for j in range(k)]
+                    for i in range(k)]
+            assert _chain_normalize(pivots) == sympy_factors(diag, k), pivots
