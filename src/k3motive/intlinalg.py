@@ -14,11 +14,19 @@ very sparse boundary matrices of refined sphere triangulations quickly; the
 two engines are cross-checked against each other in the test suite.  The
 sparse engine takes sparse rows: boundary maps reach it straight from the
 face lists, and a dense ``IntMatrix`` is converted once, at the public API.
+
+The sparse engine pivots on the entry of least key (|x|, Markowitz product,
+row, column).  It does not rescan the matrix for that entry before each
+pivot: the keys sit in a lazily invalidated heap, a fresh key is pushed only
+where an entry's key can fall, and the heap is rebuilt from the live entries
+once it holds more than twice their number plus 64.  The pivot sequence is
+the one a full scan would choose (see ``_sparse_reduce``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush, heappushpop
 from math import gcd
 from typing import Iterator, Sequence
 
@@ -83,9 +91,6 @@ class IntMatrix:
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
         return self._data[i][j]
-
-    def col(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self._data)
 
     def iter_rows(self) -> Iterator[tuple[int, ...]]:
         return iter(self._data)
@@ -328,6 +333,22 @@ def _sparse_reduce(rows: dict[int, dict[int, int]], ncols: int,
     """Shared core on {row: {col: value}} input of nonzero entries, which
     it consumes: returns (pivot values, kernel columns or None).
 
+    Pivot rule: the entry of least key (|x|, Markowitz product
+    (len(row) - 1) * (len(col) - 1), i, j), found in a lazily invalidated
+    heap of keys.  Invariant: outside the pivot row, every entry has at
+    least one heap key <= its current key.  Keys end in (i, j), so they are
+    unique, and the first popped key that equals its entry's current key is
+    the least of all: the pivots are those of a full scan.  A popped key
+    whose entry is gone is dropped; one whose entry's key has risen is
+    pushed again at its current value.
+
+    A fresh key is pushed only where a key can fall: the whole row after a
+    row operation, and the whole column of every entry that vanishes.  The
+    pivot row needs none: at the end of its step it holds the pivot alone
+    and leaves the matrix, or a smaller remainder has replaced it as pivot
+    row and a row operation then pushes it whole.  Once the heap holds more
+    than twice the live entries plus 64 it is rebuilt from them.
+
     Row operations are untracked (they change neither rank, invariant
     factors nor the kernel); column operations are mirrored on a sparse
     copy of the identity whenever the kernel is requested.
@@ -336,45 +357,61 @@ def _sparse_reduce(rows: dict[int, dict[int, int]], ncols: int,
     for i, row in rows.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
+    live = sum(len(row) for row in rows.values())
 
     vcols: dict[int, dict[int, int]] | None = None
     if want_kernel:
         vcols = {j: {j: 1} for j in range(ncols)}
 
+    def key(i, j):
+        row = rows[i]
+        x = row[j]
+        return (-x if x < 0 else x, (len(row) - 1) * (len(cols[j]) - 1), i, j)
+
+    def all_keys():
+        return [key(i, j) for i, row in rows.items() for j in row]
+
+    heap = all_keys()
+    heapify(heap)
+
+    def push_col(j):
+        for i in cols[j]:
+            heappush(heap, key(i, j))
+
     def row_sub(dst: int, src: int, q: int):
         # row_dst -= q * row_src
-        drow = rows.setdefault(dst, {})
+        nonlocal live
+        drow = rows[dst]
+        emptied = []
         for j, x in rows[src].items():
             nv = drow.get(j, 0) - q * x
             if nv:
+                if j not in drow:
+                    cols[j].add(dst)
+                    live += 1
                 drow[j] = nv
-                cols.setdefault(j, set()).add(dst)
             elif j in drow:
                 del drow[j]
                 cols[j].discard(dst)
-        if not drow:
+                emptied.append(j)
+        live -= len(emptied)
+        if drow:
+            for j in drow:
+                heappush(heap, key(dst, j))
+        else:
             del rows[dst]
+        for j in emptied:
+            push_col(j)
 
-    def col_sub(dst: int, src: int, q: int):
-        # col_dst -= q * col_src, mirrored on vcols; per-row updates are
-        # independent, so the iteration order cannot affect the result
-        for i in list(cols.get(src, ())):
-            x = rows[i][src]
-            nv = rows[i].get(dst, 0) - q * x
+    def kernel_sub(dst: int, src: int, q: int):
+        # col_dst -= q * col_src on the identity copy
+        vdst = vcols[dst]
+        for i, x in vcols[src].items():
+            nv = vdst.get(i, 0) - q * x
             if nv:
-                rows[i][dst] = nv
-                cols.setdefault(dst, set()).add(i)
+                vdst[i] = nv
             else:
-                rows[i].pop(dst, None)
-                cols.get(dst, set()).discard(i)
-        if vcols is not None:
-            vdst, vsrc = vcols[dst], vcols[src]
-            for i, x in vsrc.items():
-                nv = vdst.get(i, 0) - q * x
-                if nv:
-                    vdst[i] = nv
-                else:
-                    vdst.pop(i, None)
+                del vdst[i]
 
     def negate_row(i):
         for j in rows[i]:
@@ -384,15 +421,19 @@ def _sparse_reduce(rows: dict[int, dict[int, int]], ncols: int,
     pivot_cols: set[int] = set()
 
     while rows:
-        best_key = None
-        for i, row in rows.items():
-            nr = len(row) - 1
-            for j, x in row.items():
-                ax = -x if x < 0 else x
-                key = (ax, nr * (len(cols[j]) - 1), i, j)
-                if best_key is None or key < best_key:
-                    best_key = key
-        pr, pc = best_key[2], best_key[3]
+        if len(heap) > 2 * live + 64:
+            heap = all_keys()
+            heapify(heap)
+        top = heappop(heap)
+        while True:
+            _, _, pr, pc = top
+            if pc in rows.get(pr, ()):
+                now = key(pr, pc)
+                if now == top:
+                    break
+                top = heappushpop(heap, now)
+            else:
+                top = heappop(heap)
         if rows[pr][pc] < 0:
             negate_row(pr)
         while True:  # clear the pivot's column, then its row
@@ -407,22 +448,28 @@ def _sparse_reduce(rows: dict[int, dict[int, int]], ncols: int,
                         negate_row(pr)
                     break
             else:
-                for c2 in sorted(set(rows[pr]) - {pc}):
-                    q = rows[pr][c2] // piv
-                    if q:
-                        col_sub(c2, pc, q)
-                    if c2 in rows[pr]:
+                # the pivot is alone in its column, so a column operation
+                # changes the pivot row only
+                prow = rows[pr]
+                for c2 in sorted(set(prow) - {pc}):
+                    q, rem = divmod(prow[c2], piv)
+                    if q and vcols is not None:
+                        kernel_sub(c2, pc, q)
+                    if rem:
+                        prow[c2] = rem
                         pc = c2
                         break
+                    del prow[c2]
+                    cols[c2].discard(pr)
+                    live -= 1
+                    push_col(c2)
                 else:
                     break
-        pivot_values.append(rows[pr][pc])
+        # the pivot is alone in its row and its column
+        pivot_values.append(rows.pop(pr)[pc])
         pivot_cols.add(pc)
-        for j in list(rows[pr]):
-            cols[j].discard(pr)
-            if not cols[j]:
-                del cols[j]
-        del rows[pr]
+        del cols[pc]
+        live -= 1
 
     kernel = None
     if want_kernel:

@@ -320,9 +320,6 @@ class MotiveClass:
     def coefficient(self, atom: Atom, power: int) -> int:
         return self._terms.get((atom, power), 0)
 
-    def atoms(self) -> set:
-        return {a for (a, _) in self._terms}
-
     def terms(self) -> list[tuple[Atom, int, int]]:
         """Canonically ordered (atom, power, coeff) triples.
 

@@ -203,8 +203,14 @@ def _curve(name) -> str:
 
 
 def fiber_from_json(doc: dict) -> DegenerationFiber:
+    """Decode a fiber document.  Its four keys are required; other keys (a
+    bare document may carry ``neron`` and ``expectations``) are ignored."""
+    missing = [k for k in ("label", "components", "double_curves",
+                           "triple_points") if k not in doc]
+    if missing:
+        raise ValueError("missing required keys: %s" % ", ".join(missing))
     comps = []
-    for entry in doc.get("components", []):
+    for entry in doc["components"]:
         kind_tag = entry["kind"]
         if kind_tag == "rational":
             kind = Rational(_int(entry["a"], "a"))
@@ -220,14 +226,14 @@ def fiber_from_json(doc: dict) -> DegenerationFiber:
             raise ValueError("unknown component kind %r" % (kind_tag,))
         comps.append(Component(_id(entry["id"]), kind))
     curves = []
-    for e in doc.get("double_curves", []):
+    for e in doc["double_curves"]:
         curves.append(DoubleCurve(
             _id(e["id"]), _on(e), _int(e["genus"], "genus"),
             _curve(e["curve"]) if "curve" in e else None,
             _ints(e.get("self_intersections"), "self_intersections")))
     triples = [TriplePoint(_id(e["id"]), _on(e))
-               for e in doc.get("triple_points", [])]
-    return DegenerationFiber.of(doc.get("label", ""), comps, curves, triples)
+               for e in doc["triple_points"]]
+    return DegenerationFiber.of(doc["label"], comps, curves, triples)
 
 
 def neron_to_json(data: WeakNeronData) -> list:

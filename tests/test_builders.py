@@ -230,6 +230,16 @@ class TestKummer:
         assert rep.nerve.counts == (514, 1536, 1024)
         assert rep.component_census == Census(generic=510, special=4)
 
+    def test_40x40(self):
+        # the checks of the benchmark's kummer-nerve workload
+        with pytest.warns(GeometricRealizabilityWarning):
+            rep = build_kummer(KummerParams(40, 40))
+        assert rep.nerve.n(0) - rep.nerve.n(1) + rep.nerve.n(2) == 2
+        assert rep.nerve.n(2) == 1600
+        assert rep.component_census.total == 1600 // 2 + 2
+        assert (rep.r2_abelian, rep.r2_kummer) == (3200, 1600)
+        assert integral_from_neron(rep.neron_data()) == rep.integral
+
     def test_neron_route(self):
         rep = build_kummer(KummerParams(2, 4))
         assert integral_from_neron(rep.neron_data()) == rep.integral

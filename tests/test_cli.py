@@ -7,7 +7,13 @@ from pathlib import Path
 import pytest
 
 from k3motive.cli import main
-from k3motive.serialize import dumps, fiber_to_json, motive_to_json
+from k3motive.intlinalg import IntMatrix
+from k3motive.serialize import (
+    dumps,
+    fiber_to_json,
+    matrix_to_json,
+    motive_to_json,
+)
 from k3motive.builders import build_type3
 from k3motive.fibers import Component, DegenerationFiber, Rational
 
@@ -242,10 +248,25 @@ class TestVerifyFailures:
     @pytest.mark.parametrize("command", ["verify", "analyze"])
     def test_unhashable_id_exit2(self, tmp_path, capsys, command):
         path = tmp_path / "bad.json"
-        write(path, {"components": [{"id": [1], "kind": "k3"}]})
+        write(path, {"label": "bad", "components": [{"id": [1], "kind": "k3"}],
+                     "double_curves": [], "triple_points": []})
         assert run([command, str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad fiber document")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["verify", "analyze"])
+    def test_matrix_document_exit2(self, tmp_path, capsys, command):
+        # a matrix is no fiber: the four fiber keys are required, not
+        # defaulted to an empty fiber of chi 0
+        path = tmp_path / "matrix.json"
+        write(path, matrix_to_json(IntMatrix.from_flat(
+            7, 9, [(3 * k) % 11 - 5 for k in range(63)])))
+        assert run([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad fiber document: missing required "
+                              "keys: label, components, double_curves, "
+                              "triple_points")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("corrupt, block", [

@@ -290,7 +290,8 @@ class TestSparseBoundaries:
             top = ds.boundary_matrix(ds.dim)
             kernel = kernel_basis(top)
             assert _boundary_reduction(ds, ds.dim)[2] == \
-                tuple(kernel.col(k) for k in range(kernel.cols)), ds
+                tuple(tuple(r[k] for r in kernel.iter_rows())
+                      for k in range(kernel.cols)), ds
 
     def test_point_top_cycle(self):
         assert top_cycle_generator(DeltaSet(1), 0) == CycleVector(0, (1,))

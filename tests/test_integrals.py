@@ -250,6 +250,14 @@ class TestVerifyFiber:
         assert rep.closed_form is None
         assert rep.match is True
 
+    def test_2048_faces(self):
+        from k3motive.builders import build_type3, octahedron, refine_sphere
+        sphere = refine_sphere(octahedron(), 4, "edge_split")
+        rep = verify_fiber(build_type3(sphere))
+        assert rep.match is True
+        assert rep.chi == 24
+        assert rep.r == 2048
+
 
 class TestOncePerFiber:
     def test_verify_fiber_call_counts(self, monkeypatch):

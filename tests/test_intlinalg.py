@@ -6,10 +6,19 @@ from sympy.matrices.normalforms import (
     invariant_factors as sympy_invariant_factors,
 )
 
+from k3motive.builders import (
+    icosahedron,
+    octahedron,
+    refine_sphere,
+    torus_grid,
+    torus_negation,
+)
+from k3motive.deltaset import _boundary_rows, quotient_by_involution
 from k3motive.intlinalg import (
     CokernelStructure,
     IntMatrix,
     _chain_normalize,
+    _sparse_reduce,
     cokernel_structure,
     det,
     gram_determinant,
@@ -197,7 +206,7 @@ class TestKernel:
     def test_row_of_ones(self):
         k = kernel_basis(IntMatrix([[1, 1]]))
         assert k.shape == (2, 1)
-        v = k.col(0)
+        v = tuple(r[0] for r in k.iter_rows())
         assert v in [(1, -1), (-1, 1)]
 
     def test_identity_kernel_empty(self):
@@ -323,3 +332,144 @@ class TestSympyOracle:
             diag = [[pivots[i] if i == j else 0 for j in range(k)]
                     for i in range(k)]
             assert _chain_normalize(pivots) == sympy_factors(diag, k), pivots
+
+
+def scan_reduce(rows, ncols, want_kernel):
+    """Reference for the sparse engine's pivot order: the same gcd
+    elimination, but the pivot is found by rescanning every remaining entry
+    for the least key (|x|, Markowitz product, row, column).  Returns the
+    pivot values in order and the kernel columns (or None)."""
+    rows = {i: dict(row) for i, row in rows.items()}
+    cols = {}
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    vcols = {j: {j: 1} for j in range(ncols)} if want_kernel else None
+
+    def add_to_row(dst, src, q):
+        drow = rows.setdefault(dst, {})
+        for j, x in rows[src].items():
+            v = drow.get(j, 0) - q * x
+            if v:
+                drow[j] = v
+                cols.setdefault(j, set()).add(dst)
+            elif j in drow:
+                del drow[j]
+                cols[j].discard(dst)
+        if not drow:
+            del rows[dst]
+
+    def add_to_col(dst, src, q):
+        for i in list(cols.get(src, ())):
+            v = rows[i].get(dst, 0) - q * rows[i][src]
+            if v:
+                rows[i][dst] = v
+                cols.setdefault(dst, set()).add(i)
+            else:
+                rows[i].pop(dst, None)
+                cols.get(dst, set()).discard(i)
+        if vcols is not None:
+            for i, x in vcols[src].items():
+                v = vcols[dst].get(i, 0) - q * x
+                if v:
+                    vcols[dst][i] = v
+                else:
+                    vcols[dst].pop(i, None)
+
+    def make_positive(i, j):
+        if rows[i][j] < 0:
+            rows[i] = {j: -x for j, x in rows[i].items()}
+
+    pivots, pivot_cols = [], set()
+    while rows:
+        _, _, pr, pc = min((abs(x), (len(row) - 1) * (len(cols[j]) - 1), i, j)
+                           for i, row in rows.items() for j, x in row.items())
+        make_positive(pr, pc)
+        moved = True
+        while moved:
+            moved = False
+            piv = rows[pr][pc]
+            for r in sorted(cols[pc] - {pr}):
+                q = rows[r][pc] // piv
+                if q:
+                    add_to_row(r, pr, q)
+                if pc in rows.get(r, {}):
+                    pr, moved = r, True
+                    make_positive(pr, pc)
+                    break
+            if moved:
+                continue
+            for c in sorted(set(rows[pr]) - {pc}):
+                q = rows[pr][c] // piv
+                if q:
+                    add_to_col(c, pc, q)
+                if c in rows[pr]:
+                    pc, moved = c, True
+                    break
+        pivots.append(rows[pr][pc])
+        pivot_cols.add(pc)
+        for j in rows.pop(pr):
+            cols[j].discard(pr)
+            if not cols[j]:
+                del cols[j]
+    kernel = [vcols[j] for j in range(ncols) if j not in pivot_cols] \
+        if want_kernel else None
+    return pivots, kernel
+
+
+def kummer_nerve(m1, m2):
+    return quotient_by_involution(*torus_negation(m1, m2))
+
+
+class TestPivotOrder:
+    """The heap-driven sparse engine pivots exactly where a full scan
+    would: same pivot values in the same order, same kernel columns."""
+
+    @staticmethod
+    def check(rows, ncols, want_kernel):
+        expected = scan_reduce(rows, ncols, want_kernel)
+        copy = {i: dict(row) for i, row in rows.items()}
+        assert _sparse_reduce(copy, ncols, want_kernel) == expected
+
+    def test_random_sparse(self):
+        rng = random.Random(4242)
+        for _ in range(300):
+            m, n = rng.randint(1, 14), rng.randint(1, 14)
+            density = rng.random()
+            rows = {}
+            for i in range(m):
+                for j in range(n):
+                    x = rng.randint(-9, 9) if rng.random() < density else 0
+                    if x:
+                        rows.setdefault(i, {})[j] = x
+            self.check(rows, n, False)
+            self.check(rows, n, True)
+
+    def test_column_emptied_by_row_operation(self):
+        # clearing the first pivot's column cancels row 4's entry in column
+        # 2; the Markowitz keys of that column's other entries fall, and
+        # the next pivot is among them
+        rows = {0: {0: -1, 1: 3, 2: -1, 3: 3, 5: -3},
+                1: {0: 1, 2: -2, 3: 2, 6: 2},
+                2: {0: -2, 2: 3, 4: 1, 6: 2},
+                3: {0: 3, 1: 2, 2: 1, 4: 3, 5: -3},
+                4: {0: 3, 2: -3, 4: -3, 5: -3}}
+        assert scan_reduce(rows, 7, False)[0] == [1, 1, 1, 3, 2]
+        self.check(rows, 7, False)
+        self.check(rows, 7, True)
+
+    @pytest.mark.parametrize("make", [
+        *(lambda k=k: refine_sphere(octahedron(), k, "edge_split")
+          for k in range(4)),
+        *(lambda k=k: refine_sphere(icosahedron(), k, "barycentric")
+          for k in range(3)),
+        lambda: torus_grid(6, 4),
+        lambda: kummer_nerve(8, 10),
+        lambda: kummer_nerve(20, 20),
+    ], ids=[*("octahedron-split%d" % k for k in range(4)),
+            *("icosahedron-bary%d" % k for k in range(3)),
+            "torus-6x4", "kummer-8x10", "kummer-20x20"])
+    def test_boundary_maps(self, make):
+        ds = make()
+        for q in range(1, ds.dim + 1):
+            self.check(_boundary_rows(ds, q), ds.n(q), True)
