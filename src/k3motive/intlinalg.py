@@ -17,16 +17,18 @@ face lists, and a dense ``IntMatrix`` is converted once, at the public API.
 
 The sparse engine pivots on the entry of least key (|x|, Markowitz product,
 row, column).  It does not rescan the matrix for that entry before each
-pivot: the keys sit in a lazily invalidated heap, a fresh key is pushed only
-where an entry's key can fall, and the heap is rebuilt from the live entries
-once it holds more than twice their number plus 64.  The pivot sequence is
-the one a full scan would choose (see ``_sparse_reduce``).
+pivot: the keys sit in a lazily invalidated heap.  A pivot step only records
+the rows that a row operation changed and the columns that lost an entry;
+one flush before the next pivot pushes the current key of each entry in
+them, once; once the heap holds more than twice the live entries plus 64,
+it is emptied and the flush covers every row.  The pivot sequence is the one
+a full scan would choose (see ``_sparse_reduce``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush, heappushpop
+from heapq import heappop, heappush, heappushpop
 from math import gcd
 from typing import Iterator, Sequence
 
@@ -335,19 +337,23 @@ def _sparse_reduce(rows: dict[int, dict[int, int]], ncols: int,
 
     Pivot rule: the entry of least key (|x|, Markowitz product
     (len(row) - 1) * (len(col) - 1), i, j), found in a lazily invalidated
-    heap of keys.  Invariant: outside the pivot row, every entry has at
+    heap of keys.  Invariant: when a key is popped, every entry has at
     least one heap key <= its current key.  Keys end in (i, j), so they are
     unique, and the first popped key that equals its entry's current key is
     the least of all: the pivots are those of a full scan.  A popped key
     whose entry is gone is dropped; one whose entry's key has risen is
     pushed again at its current value.
 
-    A fresh key is pushed only where a key can fall: the whole row after a
-    row operation, and the whole column of every entry that vanishes.  The
-    pivot row needs none: at the end of its step it holds the pivot alone
-    and leaves the matrix, or a smaller remainder has replaced it as pivot
-    row and a row operation then pushes it whole.  Once the heap holds more
-    than twice the live entries plus 64 it is rebuilt from them.
+    The heap is read only when a pivot is chosen, so within a pivot step
+    nothing is pushed.  A key can fall only in a row that a row operation
+    changed or in a column that lost an entry; the step records those rows
+    and columns, and one flush before the next pop pushes the current key of
+    each entry in them, once.  The pivot row needs no record: at the end of
+    its step it holds the pivot alone and leaves the matrix, or a smaller
+    remainder has replaced it as pivot row and a row operation then marks
+    it.  The first flush, and every one after the heap has grown to more
+    than twice the live entries plus 64, starts from an empty heap with
+    every row marked.
 
     Row operations are untracked (they change neither rank, invariant
     factors nor the kernel); column operations are mirrored on a sparse
@@ -368,21 +374,15 @@ def _sparse_reduce(rows: dict[int, dict[int, int]], ncols: int,
         x = row[j]
         return (-x if x < 0 else x, (len(row) - 1) * (len(cols[j]) - 1), i, j)
 
-    def all_keys():
-        return [key(i, j) for i, row in rows.items() for j in row]
-
-    heap = all_keys()
-    heapify(heap)
-
-    def push_col(j):
-        for i in cols[j]:
-            heappush(heap, key(i, j))
+    heap: list[tuple[int, int, int, int]] = []
+    dirty_rows = set(rows)
+    dirty_cols: set[int] = set()
 
     def row_sub(dst: int, src: int, q: int):
         # row_dst -= q * row_src
         nonlocal live
         drow = rows[dst]
-        emptied = []
+        dirty_rows.add(dst)
         for j, x in rows[src].items():
             nv = drow.get(j, 0) - q * x
             if nv:
@@ -393,15 +393,10 @@ def _sparse_reduce(rows: dict[int, dict[int, int]], ncols: int,
             elif j in drow:
                 del drow[j]
                 cols[j].discard(dst)
-                emptied.append(j)
-        live -= len(emptied)
-        if drow:
-            for j in drow:
-                heappush(heap, key(dst, j))
-        else:
+                dirty_cols.add(j)
+                live -= 1
+        if not drow:
             del rows[dst]
-        for j in emptied:
-            push_col(j)
 
     def kernel_sub(dst: int, src: int, q: int):
         # col_dst -= q * col_src on the identity copy
@@ -422,8 +417,21 @@ def _sparse_reduce(rows: dict[int, dict[int, int]], ncols: int,
 
     while rows:
         if len(heap) > 2 * live + 64:
-            heap = all_keys()
-            heapify(heap)
+            heap = []
+            dirty_rows.update(rows)
+        for i in dirty_rows & rows.keys():
+            m = len(rows[i]) - 1
+            for j, x in rows[i].items():
+                heappush(heap, (-x if x < 0 else x,
+                                m * (len(cols[j]) - 1), i, j))
+        for j in dirty_cols & cols.keys():
+            m = len(cols[j]) - 1
+            for i in cols[j] - dirty_rows:
+                x = rows[i][j]
+                heappush(heap, (-x if x < 0 else x,
+                                (len(rows[i]) - 1) * m, i, j))
+        dirty_rows.clear()
+        dirty_cols.clear()
         top = heappop(heap)
         while True:
             _, _, pr, pc = top
@@ -461,8 +469,8 @@ def _sparse_reduce(rows: dict[int, dict[int, int]], ncols: int,
                         break
                     del prow[c2]
                     cols[c2].discard(pr)
+                    dirty_cols.add(c2)
                     live -= 1
-                    push_col(c2)
                 else:
                     break
         # the pivot is alone in its row and its column

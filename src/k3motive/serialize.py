@@ -10,6 +10,7 @@ classes; ``dumps`` pins the formatting.
 from __future__ import annotations
 
 import json
+import re
 
 from .deltaset import DeltaSet
 from .fibers import (
@@ -42,14 +43,26 @@ def dumps(obj) -> str:
 # matrices
 # ---------------------------------------------------------------------------
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
 def matrix_to_json(a: IntMatrix) -> dict:
     return {"rows": a.rows, "cols": a.cols,
             "entries": [str(x) for x in a.flat()]}
 
 
 def matrix_from_json(doc: dict) -> IntMatrix:
-    rows, cols = int(doc["rows"]), int(doc["cols"])
-    entries = [int(x) for x in doc["entries"]]
+    """A matrix document as ``docs/schemas/matrix.schema.json`` has it: a
+    non-negative integer shape and the entries as decimal strings."""
+    rows, cols = _int(doc["rows"], "rows"), _int(doc["cols"], "cols")
+    if rows < 0 or cols < 0:
+        raise ValueError("shape %d x %d is negative" % (rows, cols))
+    entries = doc["entries"]
+    if not isinstance(entries, list):
+        raise ValueError("entries %r is not an array" % (entries,))
+    for x in entries:
+        if not (isinstance(x, str) and _DECIMAL.fullmatch(x)):
+            raise ValueError("entry %r is not a decimal string" % (x,))
     return IntMatrix.from_flat(rows, cols, entries)
 
 

@@ -269,6 +269,31 @@ class TestVerifyFailures:
                               "triple_points")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("doc, why", [
+        ({"rows": 1, "cols": 1, "entries": [1.5]}, "entry 1.5 is not"),
+        ({"rows": 1, "cols": 1, "entries": [True]}, "entry True is not"),
+        ({"rows": 1, "cols": 1, "entries": [3]}, "entry 3 is not"),
+        ({"rows": 1, "cols": 1, "entries": ["1_000"]}, "entry '1_000'"),
+        ({"rows": 1, "cols": 1, "entries": [" 3"]}, "entry ' 3'"),
+        ({"rows": 1, "cols": 1, "entries": ["3\n"]}, "entry '3\\n'"),
+        ({"rows": 1, "cols": 1, "entries": "7"}, "entries '7' is not"),
+        ({"rows": -1, "cols": 2, "entries": ["1", "2"]}, "shape -1 x 2"),
+        ({"rows": 1.0, "cols": 1, "entries": ["1"]}, "rows 1.0 is not"),
+        ({"rows": True, "cols": 1, "entries": ["1"]}, "rows True is not"),
+        ({"rows": 1, "cols": "1", "entries": ["1"]}, "cols '1' is not"),
+    ], ids=["float-entry", "bool-entry", "int-entry", "underscore-entry",
+            "space-entry", "newline-entry", "entries-a-string",
+            "negative-rows", "float-rows", "bool-rows", "string-cols"])
+    def test_malformed_matrix_fields_exit2(self, tmp_path, capsys, doc, why):
+        # matrix documents follow docs/schemas/matrix.schema.json: nothing
+        # is truncated or coerced by int()
+        path = tmp_path / "m.json"
+        write(path, doc)
+        assert run(["snf", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad matrix document: " + why)
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("corrupt, block", [
         (lambda doc: doc.update(neron=5), "neron"),
         (lambda doc: doc.update(expectations=5), "expectations"),

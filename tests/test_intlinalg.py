@@ -37,32 +37,28 @@ def snf_2x2_bruteforce(a, b, c, d):
     Smith forms are unique, so the first chain form found is the answer.
     """
     bound = 4 * max(abs(x) for x in (a, b, c, d)) + 16
-
-    def moves(state):
-        (a, b), (c, d) = state
-        yield ((c, d), (a, b))            # swap rows
-        yield ((b, a), (d, c))            # swap cols
-        yield ((-a, -b), (c, d))          # negate row
-        yield ((-a, b), (-c, d))          # negate col
-        for q in (1, -1):
-            yield ((a + q * c, b + q * d), (c, d))
-            yield ((a, b), (c + q * a, d + q * b))
-            yield ((a + q * b, b), (c + q * d, d))
-            yield ((a, b + q * a), (c, d + q * c))
-
-    start = ((a, b), (c, d))
+    start = (a, b, c, d)  # the matrix ((a, b), (c, d)), row-major
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
-        for state in frontier:
-            (p, q), (r, s) = state
+        for p, q, r, s in frontier:
             chain = (p != 0 and s % p == 0) or (p == 0 and s == 0)
             if q == 0 and r == 0 and p >= 0 and s >= 0 and chain:
                 return (p, s)
-            for mv in moves(state):
-                flat = [x for row in mv for x in row]
-                if mv not in seen and all(abs(x) <= bound for x in flat):
+            for mv in ((r, s, p, q),                # swap rows
+                       (q, p, s, r),                # swap cols
+                       (-p, -q, r, s),              # negate row
+                       (-p, q, -r, s),              # negate col
+                       # add +-1 times one row/col to the other
+                       (p + r, q + s, r, s), (p, q, r + p, s + q),
+                       (p + q, q, r + s, s), (p, q + p, r, s + r),
+                       (p - r, q - s, r, s), (p, q, r - p, s - q),
+                       (p - q, q, r - s, s), (p, q - p, r, s - r)):
+                w, x, y, z = mv
+                if (-bound <= w <= bound and -bound <= x <= bound
+                        and -bound <= y <= bound and -bound <= z <= bound
+                        and mv not in seen):
                     seen.add(mv)
                     nxt.append(mv)
         frontier = nxt
@@ -457,6 +453,15 @@ class TestPivotOrder:
         assert scan_reduce(rows, 7, False)[0] == [1, 1, 1, 3, 2]
         self.check(rows, 7, False)
         self.check(rows, 7, True)
+
+    def test_column_emptied_by_column_operation(self):
+        # the first pivot is (1, 1); clearing its row removes row 1's entry
+        # from column 0, so (0, 0) falls below (0, 2) and is the next pivot.
+        # Pivoting at (0, 2) instead gives the same values but the kernel
+        # column (1, -5, -1)
+        rows = {0: {0: 2, 2: 2}, 1: {0: -5, 1: -1}}
+        assert scan_reduce(rows, 3, True) == ([1, 2], [{0: -1, 1: 5, 2: 1}])
+        self.check(rows, 3, True)
 
     @pytest.mark.parametrize("make", [
         *(lambda k=k: refine_sphere(octahedron(), k, "edge_split")
