@@ -288,8 +288,13 @@ def cycle_pairing(x: CycleVector, y: CycleVector) -> int:
 # ---------------------------------------------------------------------------
 
 def recognize(ds: DeltaSet) -> Shape:
-    """Point / interval / 2-sphere recognition, combinatorial plus
-    homological; anything else is OTHER."""
+    """Point / interval / 2-sphere recognition; anything else is OTHER.
+
+    Intervals are checked by homology.  A closed 2-pseudomanifold (every
+    edge on two triangle sides) is its normalisation N, a closed surface,
+    with j identifications of vertices.  If N is connected and oriented of
+    genus g, chi = 2 - 2g - j, so chi = 2 holds only for S^2 (Hatcher,
+    Algebraic Topology, 3.3); no elimination runs."""
     if ds.counts == (1,):
         return Shape.POINT
     if ds.dim == 1:
@@ -319,14 +324,35 @@ def recognize(ds: DeltaSet) -> Shape:
                 vertex_used[v] = True
         if not all(vertex_used):
             return Shape.OTHER
-        if homology(ds, 0) != (1, ()):
-            return Shape.OTHER
-        if homology(ds, 1) != (0, ()):
-            return Shape.OTHER
-        if homology(ds, 2) != (1, ()):
+        if not _connected_and_oriented(ds) or euler_characteristic(ds) != 2:
             return Shape.OTHER
         return Shape.SPHERE2
     return Shape.OTHER
+
+
+def _connected_and_oriented(ds: DeltaSet) -> bool:
+    """Does one breadth-first pass from triangle 0 reach every triangle of
+    a closed 2-pseudomanifold and sign it so that the two sides (t, j),
+    (o, k) of each edge cancel, sign[t] (-1)^j + sign[o] (-1)^k = 0?"""
+    sides: list[list[tuple[int, int]]] = [[] for _ in ds.simplices(1)]
+    for t, fs in enumerate(ds._faces[1]):
+        for j, e in enumerate(fs):
+            sides[e].append((t, j))
+    sign = [0] * ds.n(2)
+    sign[0] = 1
+    queue = [0]  # grows while it is read: breadth-first order
+    for t in queue:
+        for j, e in enumerate(ds._faces[1][t]):
+            (o, k), other = sides[e]
+            if (o, k) == (t, j):
+                o, k = other
+            need = sign[t] if (j + k) % 2 else -sign[t]
+            if not sign[o]:
+                sign[o] = need
+                queue.append(o)
+            elif sign[o] != need:
+                return False
+    return len(queue) == ds.n(2)
 
 
 def relabel(ds: DeltaSet, perms: Sequence[Sequence[int]]) -> DeltaSet:

@@ -53,8 +53,12 @@ def matrix_to_json(a: IntMatrix) -> dict:
 
 def matrix_from_json(doc: dict) -> IntMatrix:
     """A matrix document as ``docs/schemas/matrix.schema.json`` has it: a
-    non-negative integer shape and the entries as decimal strings."""
+    non-negative integer shape, the entries as decimal strings, no other
+    key."""
     rows, cols = _int(doc["rows"], "rows"), _int(doc["cols"], "cols")
+    extra = sorted(set(doc) - {"rows", "cols", "entries"})
+    if extra:
+        raise ValueError("unexpected keys: %s" % ", ".join(extra))
     if rows < 0 or cols < 0:
         raise ValueError("shape %d x %d is negative" % (rows, cols))
     entries = doc["entries"]

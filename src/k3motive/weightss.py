@@ -214,7 +214,7 @@ def monodromy_gram(f: DegenerationFiber) -> MonodromyGram:
     to the reciprocal discriminant of the dual cohomology-side monodromy
     pairing; positivity is asserted.  A Clemens polytope has dimension at
     most 2, so nothing bounds onto its 2-cycles: the kernel of the top
-    boundary map is H_2 itself, read off the elimination homology caches.
+    boundary map is H_2 itself, read off one cached elimination of that map.
     A single generator has its first nonzero coefficient positive.
     """
     cl = clemens_polytope(f)

@@ -281,12 +281,18 @@ class TestVerifyFailures:
         ({"rows": 1.0, "cols": 1, "entries": ["1"]}, "rows 1.0 is not"),
         ({"rows": True, "cols": 1, "entries": ["1"]}, "rows True is not"),
         ({"rows": 1, "cols": "1", "entries": ["1"]}, "cols '1' is not"),
+        ({"rows": 1, "cols": 1, "entries": ["4"], "rank": 7},
+         "unexpected keys: rank"),
     ], ids=["float-entry", "bool-entry", "int-entry", "underscore-entry",
             "space-entry", "newline-entry", "entries-a-string",
-            "negative-rows", "float-rows", "bool-rows", "string-cols"])
+            "negative-rows", "float-rows", "bool-rows", "string-cols",
+            "extra-key"])
     def test_malformed_matrix_fields_exit2(self, tmp_path, capsys, doc, why):
         # matrix documents follow docs/schemas/matrix.schema.json: nothing
-        # is truncated or coerced by int()
+        # is truncated or coerced by int().  The schema rejects each of
+        # them but 1.0, which JSON Schema reads as the integer 1
+        assert schema_validator("matrix.schema.json").is_valid(doc) \
+            is isinstance(doc["rows"], float)
         path = tmp_path / "m.json"
         write(path, doc)
         assert run(["snf", str(path)]) == 2

@@ -2,6 +2,12 @@ import random
 
 import pytest
 
+from k3motive.builders import (
+    icosahedron,
+    octahedron,
+    torus_grid,
+    torus_negation,
+)
 from k3motive.deltaset import (
     CycleVector,
     DeltaSet,
@@ -135,6 +141,16 @@ def torus_grid_with_negation(m1, m2):
             tmap[tid[("L", i, j)]] = tid[("U", (-i - 1) % m1, (-j - 1) % m2)]
             tmap[tid[("U", i, j)]] = tid[("L", (-i - 1) % m1, (-j - 1) % m2)]
     return ds, Involution(ds, [vmap, emap, tmap])
+
+
+def shuffled(ds, rng):
+    """ds under a seeded permutation of the simplex ids in each dimension."""
+    perms = []
+    for q in range(ds.dim + 1):
+        p = list(range(ds.n(q)))
+        rng.shuffle(p)
+        perms.append(p)
+    return relabel(ds, perms)
 
 
 # -- construction ------------------------------------------------------------
@@ -421,15 +437,115 @@ class TestRecognize:
         for ds in [tetra(), octa(), chain(3), circle(4), torus_3x3()]:
             shape = recognize(ds)
             for _ in range(3):
-                perms = []
+                other = shuffled(ds, rng)
+                assert recognize(other) == shape
                 for q in range(ds.dim + 1):
-                    p = list(range(ds.n(q)))
-                    rng.shuffle(p)
-                    perms.append(p)
-                shuffled = relabel(ds, perms)
-                assert recognize(shuffled) == shape
-                for q in range(ds.dim + 1):
-                    assert homology(shuffled, q) == homology(ds, q)
+                    assert homology(other, q) == homology(ds, q)
+
+
+def recognize_by_homology(ds):
+    """The 2-sphere rule by elimination: every edge on two triangle sides,
+    every vertex on an edge, and the integral homology of S^2."""
+    edge_use = [0] * ds.n(1)
+    for t in ds.simplices(2):
+        for e in ds.faces(2, t):
+            edge_use[e] += 1
+    used = {v for e in ds.simplices(1) for v in ds.faces(1, e)}
+    if any(u != 2 for u in edge_use) or len(used) != ds.n(0):
+        return Shape.OTHER
+    if [homology(ds, q) for q in range(3)] != [(1, ()), (0, ()), (1, ())]:
+        return Shape.OTHER
+    return Shape.SPHERE2
+
+
+def glue(a, b, shared):
+    """The disjoint union of two 2-dimensional Delta-sets, with vertex v of
+    b identified with vertex shared[v] of a where given."""
+    vid, fresh = [], a.n(0)
+    for v in b.simplices(0):
+        if v in shared:
+            vid.append(shared[v])
+        else:
+            vid.append(fresh)
+            fresh += 1
+    edges = [a.faces(1, e) for e in a.simplices(1)]
+    edges += [tuple(vid[v] for v in b.faces(1, e)) for e in b.simplices(1)]
+    tris = [a.faces(2, t) for t in a.simplices(2)]
+    tris += [tuple(e + a.n(1) for e in b.faces(2, t))
+             for t in b.simplices(2)]
+    return DeltaSet(fresh, [edges, tris])
+
+
+def small_complexes():
+    """Closed and nearly closed 2-dimensional Delta-sets, by name."""
+    t = tetra()
+    return {
+        "rp2": rp2(),
+        # one vertex, three loops, two triangles
+        "klein": DeltaSet(1, [[(0, 0)] * 3, [(1, 0, 2), (0, 2, 1)]]),
+        # the suspension of the 2-gon: equator a -> b twice, apexes c, d
+        "two_gon": DeltaSet(
+            4, [[(1, 0), (1, 0), (2, 0), (2, 1), (3, 0), (3, 1)],
+                [(3, 2, 0), (3, 2, 1), (5, 4, 0), (5, 4, 1)]]),
+        # the tetrahedron with vertex 3 identified with vertex 0
+        "pinched": DeltaSet(3, [[tuple(v % 3 for v in t.faces(1, e))
+                                 for e in t.simplices(1)],
+                                [t.faces(2, s) for s in t.simplices(2)]]),
+        # a triangle on one edge twice (d0 = d1) is a cone; two cones on
+        # a loop make a sphere, a lone one is a disk
+        "cones": DeltaSet(3, [[(1, 0), (2, 0), (0, 0)],
+                              [(0, 0, 2), (1, 1, 2)]]),
+        "disk": DeltaSet(2, [[(1, 0), (0, 0)], [(0, 0, 1)]]),
+        # d0 = d2 on a loop is a Moebius band; two make a Klein bottle
+        "bands": DeltaSet(1, [[(0, 0)] * 3, [(0, 2, 0), (1, 2, 1)]]),
+        "disjoint": glue(tetra(), octa(), {}),
+        "wedge": glue(tetra(), octa(), {0: 0}),
+        "twice_wedged": glue(tetra(), octa(), {0: 0, 1: 1}),
+        "with_torus": glue(tetra(), torus_3x3(), {}),
+    }
+
+
+def recognition_corpus():
+    rng = random.Random(808)
+    spheres = []
+    ds = octahedron()
+    for _ in range(4):
+        spheres.append(ds)
+        ds = refine_edge_split(ds)
+    ds = icosahedron()
+    for _ in range(3):
+        spheres.append(ds)
+        ds = refine_barycentric(ds)
+    corpus = spheres + [shuffled(ds, rng) for ds in spheres]
+    corpus += [torus_grid(a, b) for a in range(1, 7) for b in range(1, 7)]
+    for m1, m2 in ((2, 2), (4, 6), (12, 12)):
+        torus, sigma = torus_negation(m1, m2)
+        corpus += [torus, quotient_by_involution(torus, sigma)]
+    return corpus + list(small_complexes().values())
+
+
+class TestRecognizeOracle:
+    def test_agrees_with_homology(self):
+        corpus = recognition_corpus()
+        shapes = [recognize(ds) for ds in corpus]
+        assert shapes == [recognize_by_homology(ds) for ds in corpus]
+        assert shapes.count(Shape.SPHERE2) == 19
+
+    def test_non_spheres(self):
+        c = small_complexes()
+        assert homology(c["pinched"], 1) == (1, ())
+        assert homology(c["wedge"], 2) == (2, ())
+        assert homology(c["disjoint"], 0) == (2, ())
+        assert homology(c["klein"], 1) == homology(c["bands"], 1) \
+            == (1, (2,))
+        # chi = 2 with the triangles in two pieces
+        assert euler_characteristic(c["twice_wedged"]) == 2
+        assert homology(c["twice_wedged"], 1) == (1, ())
+        assert euler_characteristic(c["with_torus"]) == 2
+        assert homology(c["with_torus"], 0) == (2, ())
+        spheres = {name for name, ds in c.items()
+                   if recognize(ds) == Shape.SPHERE2}
+        assert spheres == {"two_gon", "cones"}
 
 
 # -- refinement --------------------------------------------------------------

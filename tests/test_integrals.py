@@ -259,37 +259,57 @@ class TestVerifyFiber:
         assert rep.r == 2048
 
 
+def counting(counts, name, fn):
+    counts[name] = 0
+
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def count_calls(monkeypatch, counts, name, fn):
+    """Route every k3motive binding of ``fn`` through a counter."""
+    import sys
+    wrapper = counting(counts, name, fn)
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("k3motive") \
+                and getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, wrapper)
+
+
 class TestOncePerFiber:
     def test_verify_fiber_call_counts(self, monkeypatch):
-        import sys
         from k3motive import deltaset, fibers, intlinalg, weightss
         from k3motive.builders import build_type3
         from k3motive.intlinalg import IntMatrix
 
         fiber = build_type3("icosahedron")
-        # one elimination per boundary map: d1 and d2 of the polytope
+        # d2 of the polytope is the only elimination, for the Gram basis;
+        # recognizing the sphere eliminates nothing
         deltaset._boundary_reduction.cache_clear()
         counts = {}
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
         for name, fn in (("_sparse_reduce", intlinalg._sparse_reduce),
                          ("degeneration_type", fibers.degeneration_type),
                          ("monodromy_gram", weightss.monodromy_gram)):
-            counts[name] = 0
-            for mod in list(sys.modules.values()):
-                if getattr(mod, "__name__", "").startswith("k3motive") \
-                        and getattr(mod, name, None) is fn:
-                    monkeypatch.setattr(mod, name, counting(name, fn))
-        counts["identity"] = 0
+            count_calls(monkeypatch, counts, name, fn)
         monkeypatch.setattr(IntMatrix, "identity", classmethod(
-            counting("identity", IntMatrix.identity.__func__)))
+            counting(counts, "identity", IntMatrix.identity.__func__)))
 
         report = verify_fiber(fiber)
         assert report.match and report.serre_ok and report.chi == 24
-        assert counts == {"_sparse_reduce": 2, "degeneration_type": 1,
+        assert counts == {"_sparse_reduce": 1, "degeneration_type": 1,
                           "monodromy_gram": 1, "identity": 0}
+
+    def test_build_kummer_eliminates_nothing(self, monkeypatch):
+        from k3motive import deltaset, intlinalg
+        from k3motive.builders import KummerParams, build_kummer
+
+        deltaset._boundary_reduction.cache_clear()
+        counts = {}
+        count_calls(monkeypatch, counts, "_sparse_reduce",
+                    intlinalg._sparse_reduce)
+        with pytest.warns(GeometricRealizabilityWarning):
+            rep = build_kummer(KummerParams(30, 30))
+        assert rep.nerve.counts == (452, 1350, 900)
+        assert counts == {"_sparse_reduce": 0}
