@@ -32,17 +32,17 @@ from .fibers import (
     WeakNeronData,
     _inclusion_exclusion,
     _kulikov_type,
-    clemens_polytope,
+    _polytope,
+    _strata,
     open_component_classes,
-    strata_classes,
     validate,
 )
 from .integrals import (
     RamifiedParams,
     _quiet_closed_form,
     _quietly,
+    _verify_valid,
     integral_from_neron,
-    verify_fiber,
 )
 from .intlinalg import smith_normal_form
 from .deltaset import euler_characteristic, recognize
@@ -184,10 +184,10 @@ def _cmd_analyze(args) -> int:
             print("violation: %s" % v, file=sys.stderr)
         _write_json(args.report, report)
         return 1
-    cl = clemens_polytope(fiber)
+    cl = _polytope(fiber)
     shape = recognize(cl)
     euler = euler_characteristic(cl)
-    strata = strata_classes(fiber)
+    strata = _strata(fiber)
     smooth = _inclusion_exclusion(strata)
     type_s = type_error = None
     try:
@@ -240,7 +240,7 @@ def _verify_one(path: str, e: int):
 
     neron_integral = None if neron is None else integral_from_neron(neron)
     try:
-        rep = verify_fiber(fiber)
+        rep = _verify_valid(fiber)
         s, r, integral, closed = rep.type_s, rep.r, rep.integral, \
             rep.closed_form
         match, chi, serre_ok = rep.match, rep.chi, rep.serre_ok

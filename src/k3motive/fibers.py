@@ -14,6 +14,7 @@ the multiplicities that the general weak Neron evaluation needs live in
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -258,6 +259,11 @@ def clemens_polytope(f: DegenerationFiber) -> DeltaSet:
     """Dual Delta-set: vertices are components, edges double curves,
     triangles triple points, ordered by the fixed total order on ids."""
     _require_valid(f)
+    return _polytope(f)
+
+
+def _polytope(f: DegenerationFiber) -> DeltaSet:
+    """``clemens_polytope`` of a fiber already known to be valid."""
     comp_order = sorted((c.id for c in f.components), key=_id_key)
     vidx = {cid: i for i, cid in enumerate(comp_order)}
     curves = sorted(f.double_curves, key=lambda d: _id_key(d.id))
@@ -286,14 +292,21 @@ def strata_classes(f: DegenerationFiber
     """Classes of the strata: all components, all double curves, all
     triple points."""
     _require_valid(f)
+    return _strata(f)
+
+
+def _strata(f: DegenerationFiber
+            ) -> tuple[MotiveClass, MotiveClass, MotiveClass]:
+    """``strata_classes`` of a valid fiber, one multiple per component kind
+    and per (genus, curve name), which fixes the class of a curve."""
     y0 = MotiveClass.zero()
-    for c in f.components:
-        y0 = y0 + component_class(c.kind)
+    for kind, n in Counter(c.kind for c in f.components).items():
+        y0 = y0 + n * component_class(kind)
+    rep = {(d.genus, d.curve): d for d in f.double_curves}
     y1 = MotiveClass.zero()
-    for d in f.double_curves:
-        y1 = y1 + curve_class(d)
-    y2 = MotiveClass.one() * len(f.triple_points)
-    return (y0, y1, y2)
+    for key, n in Counter((d.genus, d.curve) for d in f.double_curves).items():
+        y1 = y1 + n * curve_class(rep[key])
+    return (y0, y1, MotiveClass.one() * len(f.triple_points))
 
 
 def smooth_locus_class(f: DegenerationFiber) -> MotiveClass:
@@ -314,23 +327,14 @@ def open_component_classes(f: DegenerationFiber) -> list[MotiveClass]:
     """
     _require_valid(f)
     curve_by_id = {d.id: d for d in f.double_curves}
-    triple_comps = []
+    opened = {c.id: component_class(c.kind) for c in f.components}
+    for d in f.double_curves:
+        for cid in d.on:
+            opened[cid] = opened[cid] - curve_class(d)
     for t in f.triple_points:
-        comps = set()
-        for did in t.on:
-            comps.update(curve_by_id[did].on)
-        triple_comps.append(comps)
-    out = []
-    for c in f.components:
-        cls = component_class(c.kind)
-        for d in f.double_curves:
-            if c.id in d.on:
-                cls = cls - curve_class(d)
-        for comps in triple_comps:
-            if c.id in comps:
-                cls = cls + MotiveClass.one()
-        out.append(cls)
-    return out
+        for cid in set().union(*(curve_by_id[did].on for did in t.on)):
+            opened[cid] = opened[cid] + MotiveClass.one()
+    return [opened[c.id] for c in f.components]
 
 
 def degeneration_type(f: DegenerationFiber) -> int:

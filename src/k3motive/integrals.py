@@ -14,16 +14,19 @@ import warnings
 from dataclasses import dataclass
 from math import isqrt
 
+from .deltaset import DeltaSet, recognize
 from .fibers import (
     DegenerationFiber,
     WeakNeronData,
     _inclusion_exclusion,
-    degeneration_type,
-    smooth_locus_class,
+    _kulikov_type,
+    _polytope,
+    _require_valid,
+    _strata,
     strata_classes,
 )
 from .motives import EllipticCurveAtom, EPolynomial, MotiveClass, UnivariateLaurent
-from .weightss import monodromy_gram, type2_h1_row
+from .weightss import _monodromy_gram, type2_h1_row
 
 
 class GeometricRealizabilityWarning(UserWarning):
@@ -125,8 +128,9 @@ def integral_from_neron(data: WeakNeronData) -> MotiveClass:
 def integral_kulikov(f: DegenerationFiber) -> MotiveClass:
     """The integral of a Kulikov fiber: all multiplicities vanish, so it is
     the class of the smooth locus."""
-    degeneration_type(f)
-    return smooth_locus_class(f)
+    _require_valid(f)
+    _kulikov(f)
+    return _inclusion_exclusion(_strata(f))
 
 
 def lim_class(f: DegenerationFiber) -> MotiveClass:
@@ -143,7 +147,13 @@ def _limit_sum(y) -> MotiveClass:
     return out
 
 
-def _params_for_type(f: DegenerationFiber, s: int
+def _kulikov(f: DegenerationFiber) -> tuple[int, DeltaSet]:
+    """Kulikov type and Clemens polytope of a valid fiber."""
+    cl = _polytope(f)
+    return _kulikov_type(f, recognize(cl)), cl
+
+
+def _params_for_type(f: DegenerationFiber, s: int, cl: DeltaSet
                      ) -> RamifiedParams | None:
     """The closed-form parameters of a fiber of Kulikov type ``s``."""
     if s == 1:
@@ -154,7 +164,7 @@ def _params_for_type(f: DegenerationFiber, s: int
         atom = EllipticCurveAtom(f.double_curves[0].curve)
         return RamifiedParams(e=1, s=2, r=r1, elliptic_atom=atom)
     r2 = len(f.triple_points)
-    mg = monodromy_gram(f)
+    mg = _monodromy_gram(cl)
     if mg.r_d != r2:
         raise ArithmeticError(
             "monodromy Gram determinant %d disagrees with the triple point "
@@ -172,15 +182,6 @@ def _checked_chi(integral: MotiveClass, lim: MotiveClass) -> int:
     return chi
 
 
-def _serre_ok(reduced: UnivariateLaurent, lim: MotiveClass,
-              closed: MotiveClass | None) -> bool:
-    """Compare the Serre reduction of the integral with that of the limit
-    class and, unless the fiber is smooth, with that of the closed form."""
-    if reduced != lim.serre_reduce():
-        return False
-    return closed is None or reduced == closed.serre_reduce()
-
-
 def fiber_params(f: DegenerationFiber) -> RamifiedParams | None:
     """Read the closed-form parameters off a Kulikov fiber (None for a
     smooth fiber).
@@ -189,13 +190,17 @@ def fiber_params(f: DegenerationFiber) -> RamifiedParams | None:
     composition on the explicit H^1 row; for a sphere, r2 is the triple
     point count, confirmed against the monodromy Gram determinant.
     """
-    return _params_for_type(f, degeneration_type(f))
+    _require_valid(f)
+    return _params_for_type(f, *_kulikov(f))
 
 
 def acampo_chi(f: DegenerationFiber) -> int:
     """Euler characteristic of the integral; 24 exactly for honest K3
     fibers.  The limit-class route must agree, and is asserted."""
-    return _checked_chi(integral_kulikov(f), lim_class(f))
+    _require_valid(f)
+    _kulikov(f)
+    strata = _strata(f)
+    return _checked_chi(_inclusion_exclusion(strata), _limit_sum(strata))
 
 
 def serre_hodge_check(f: DegenerationFiber) -> bool:
@@ -206,9 +211,7 @@ def serre_hodge_check(f: DegenerationFiber) -> bool:
     form for the fiber's type; a corrupted surface profile fails the second
     comparison.
     """
-    closed = _quiet_closed_form(fiber_params(f))
-    return _serre_ok(smooth_locus_class(f).serre_reduce(), lim_class(f),
-                     closed)
+    return verify_fiber(f).serre_ok
 
 
 def scaling_check(p: RamifiedParams, e_further: int) -> bool:
@@ -245,16 +248,25 @@ def verify_fiber(f: DegenerationFiber) -> IntegralReport:
     ``match`` is exact structural equality of classes; no realization-level
     comparison is accepted as a proxy.
     """
-    s = degeneration_type(f)
-    strata = strata_classes(f)
+    _require_valid(f)
+    return _verify_valid(f)
+
+
+def _verify_valid(f: DegenerationFiber) -> IntegralReport:
+    """``verify_fiber`` of a fiber already known to be valid."""
+    s, cl = _kulikov(f)
+    strata = _strata(f)
     integral = _inclusion_exclusion(strata)
-    params = _params_for_type(f, s)
+    params = _params_for_type(f, s, cl)
     closed = _quiet_closed_form(params)
     lim = _limit_sum(strata)
     reduced = integral.serre_reduce()
+    # serre_ok compares the reduction with the limit class's and, unless the
+    # fiber is smooth, with the closed form's
     return IntegralReport(
         label=f.label, type_s=s, r=params.r if params else None,
         integral=integral, closed_form=closed,
         match=closed is None or integral == closed,
         e_poly=integral.e_polynomial(), chi=_checked_chi(integral, lim),
-        serre_residue=reduced, serre_ok=_serre_ok(reduced, lim, closed))
+        serre_residue=reduced, serre_ok=reduced == lim.serre_reduce() and (
+            closed is None or reduced == closed.serre_reduce()))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .deltaset import CycleVector, _top_cycles, cycle_pairing
+from .deltaset import CycleVector, DeltaSet, _top_cycles, cycle_pairing
 from .fibers import DegenerationFiber, clemens_polytope, component_betti
 from .intlinalg import IntMatrix, cokernel_structure, det, rank_and_invariants
 
@@ -217,7 +217,11 @@ def monodromy_gram(f: DegenerationFiber) -> MonodromyGram:
     boundary map is H_2 itself, read off one cached elimination of that map.
     A single generator has its first nonzero coefficient positive.
     """
-    cl = clemens_polytope(f)
+    return _monodromy_gram(clemens_polytope(f))
+
+
+def _monodromy_gram(cl: DeltaSet) -> MonodromyGram:
+    """``monodromy_gram`` of a fiber with Clemens polytope ``cl``."""
     vectors = _top_cycles(cl) if cl.dim == _DIM else []
     if not vectors:
         raise ValueError("top homology has rank 0: fiber is not maximally "

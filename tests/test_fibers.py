@@ -23,7 +23,13 @@ from k3motive.fibers import (
     strata_classes,
     validate,
 )
-from k3motive.motives import EllipticCurveAtom, MotiveClass, POINT
+from k3motive.motives import (
+    EPolynomial,
+    EllipticCurveAtom,
+    MotiveClass,
+    OpaqueAtom,
+    POINT,
+)
 
 L = MotiveClass.lefschetz
 E = EllipticCurveAtom("E")
@@ -172,6 +178,131 @@ class TestStrata:
     def test_no_triples(self):
         _, _, y2 = strata_classes(chain_fiber(3))
         assert y2.is_zero()
+
+
+# -- an independent strata oracle: every item's class written out here and
+# summed one item at a time, sharing nothing with the library but the ring
+
+OPAQUE = MotiveClass.of_atom(OpaqueAtom("S"))
+
+
+def oracle_component(kind):
+    one = MotiveClass.one()
+    if isinstance(kind, Rational):
+        return one + L(1, kind.a) + L(2)
+    if isinstance(kind, RuledElliptic):
+        e = MotiveClass.of_atom(EllipticCurveAtom(kind.curve))
+        return e + e.twist(-1) + L(1, kind.a)
+    if isinstance(kind, K3Smooth):
+        return MotiveClass.of_atom(OpaqueAtom("K3", e_poly=EPolynomial(
+            {(0, 0): 1, (2, 0): 1, (1, 1): 20, (0, 2): 1, (2, 2): 1})))
+    return kind.klass
+
+
+def oracle_curve(d):
+    if d.genus == 0:
+        return MotiveClass.one() + L(1)
+    return MotiveClass.of_atom(EllipticCurveAtom(d.curve))
+
+
+def oracle_strata(f):
+    y0 = y1 = MotiveClass.zero()
+    for c in f.components:
+        y0 = y0 + oracle_component(c.kind)
+    for d in f.double_curves:
+        y1 = y1 + oracle_curve(d)
+    y2 = MotiveClass.zero()
+    for _ in f.triple_points:
+        y2 = y2 + MotiveClass.one()
+    return (y0, y1, y2)
+
+
+def oracle_open(f, c):
+    """The open stratum of component ``c``: its class, minus each double
+    curve on it, plus each triple point on it."""
+    curves = {d.id: d for d in f.double_curves}
+    cls = oracle_component(c.kind)
+    for d in f.double_curves:
+        if c.id in d.on:
+            cls = cls - oracle_curve(d)
+    for t in f.triple_points:
+        if any(c.id in curves[did].on for did in t.on):
+            cls = cls + MotiveClass.one()
+    return cls
+
+
+KIND_POOL = (Rational(0), Rational(3), RuledElliptic("E"),
+             RuledElliptic("F", 2), K3Smooth(), Other(OPAQUE),
+             Other(MotiveClass.one() + L(1, 2) + L(2), betti=(1, 0, 2)))
+
+
+def random_fiber(rng, n):
+    """A valid fiber on n components of every kind, with mixed int and str
+    ids; double curves of both genera (genus 0 named or not, genus 1 over
+    E or F) and triple points on some of the triangles they close."""
+    ids = [rng.choice((i, "v%d" % i)) for i in rng.sample(range(100), n)]
+    comps = [Component(i, rng.choice(KIND_POOL)) for i in ids]
+    curve_of, curves = {}, []
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < 0.6:
+                genus = rng.choice((0, 0, 1))
+                name = rng.choice(("E", "F") if genus else (None, "E", "G"))
+                on = (ids[a], ids[b]) if rng.random() < 0.5 \
+                    else (ids[b], ids[a])
+                curve_of[a, b] = rng.choice((len(curves), "d%d" % len(curves)))
+                curves.append(DoubleCurve(curve_of[a, b], on, genus, name))
+    triples = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(b + 1, n):
+                pairs = [(a, b), (a, c), (b, c)]
+                if all(p in curve_of for p in pairs) and rng.random() < 0.7:
+                    on = [curve_of[p] for p in pairs]
+                    rng.shuffle(on)
+                    triples.append(TriplePoint("t%d" % len(triples),
+                                               tuple(on)))
+    return DegenerationFiber.of("random", comps, curves, triples)
+
+
+def relabelled(f, rng):
+    """The same fiber with fresh component, curve and triple-point ids."""
+    comp = {c.id: "c%d" % rng.randrange(10 ** 6) for c in f.components}
+    curve = {d.id: rng.randrange(10 ** 6) for d in f.double_curves}
+    return DegenerationFiber.of(
+        f.label, [Component(comp[c.id], c.kind) for c in f.components],
+        [DoubleCurve(curve[d.id], tuple(comp[x] for x in d.on), d.genus,
+                     d.curve) for d in f.double_curves],
+        [TriplePoint(("t", i), tuple(curve[x] for x in t.on))
+         for i, t in enumerate(f.triple_points)])
+
+
+def strata_corpus():
+    rng = random.Random(2011)
+    fibers = [tetra_fiber(), tetra_fiber((10, 10, 8, 0)), chain_fiber(1),
+              chain_fiber(4, middles=(0, 3, 1)),
+              DegenerationFiber.of("smooth", [Component(0, K3Smooth())])]
+    fibers += [random_fiber(rng, rng.randint(1, 7)) for _ in range(40)]
+    return fibers + [relabelled(f, rng) for f in fibers]
+
+
+class TestStrataOracle:
+    def test_corpus_covers_every_kind(self):
+        corpus = strata_corpus()
+        kinds = {c.kind for f in corpus for c in f.components}
+        curves = {(d.genus, d.curve) for f in corpus for d in f.double_curves}
+        assert set(KIND_POOL) <= kinds
+        assert {(0, None), (0, "E"), (1, "E"), (1, "F")} <= curves
+        assert all(validate(f) == [] for f in corpus)
+
+    def test_strata_classes_equal_per_item_sums(self):
+        for f in strata_corpus():
+            assert strata_classes(f) == oracle_strata(f)
+
+    def test_open_component_classes_equal_per_item_sums(self):
+        for f in strata_corpus():
+            assert open_component_classes(f) == [oracle_open(f, c)
+                                                 for c in f.components]
 
 
 class TestSmoothLocus:

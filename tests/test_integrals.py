@@ -17,6 +17,7 @@ from k3motive.integrals import (
     GeometricRealizabilityWarning,
     RamifiedParams,
     acampo_chi,
+    fiber_params,
     maximally_degenerate_closed_form,
     integral_from_neron,
     integral_kulikov,
@@ -278,28 +279,75 @@ def count_calls(monkeypatch, counts, name, fn):
             monkeypatch.setattr(mod, name, wrapper)
 
 
+def route_counts(monkeypatch):
+    """Count the calls of each step of the one-analysis route (and of the
+    sparse engine and dense identities) from here on."""
+    from k3motive import deltaset, fibers, intlinalg, weightss
+    from k3motive.intlinalg import IntMatrix
+
+    deltaset._boundary_reduction.cache_clear()
+    counts = {}
+    for name, fn in (("_sparse_reduce", intlinalg._sparse_reduce),
+                     ("validate", fibers.validate),
+                     ("_polytope", fibers._polytope),
+                     ("_kulikov_type", fibers._kulikov_type),
+                     ("_strata", fibers._strata),
+                     ("_monodromy_gram", weightss._monodromy_gram)):
+        count_calls(monkeypatch, counts, name, fn)
+    monkeypatch.setattr(IntMatrix, "identity", classmethod(
+        counting(counts, "identity", IntMatrix.identity.__func__)))
+    return counts
+
+
+# one validation, one polytope, one strata sum per call; d2 of the polytope
+# is the only elimination, for the Gram basis, and recognizing the sphere
+# eliminates nothing
+ONCE = {"_sparse_reduce": 1, "validate": 1, "_polytope": 1,
+        "_kulikov_type": 1, "_strata": 1, "_monodromy_gram": 1,
+        "identity": 0}
+
+
 class TestOncePerFiber:
     def test_verify_fiber_call_counts(self, monkeypatch):
-        from k3motive import deltaset, fibers, intlinalg, weightss
         from k3motive.builders import build_type3
-        from k3motive.intlinalg import IntMatrix
 
         fiber = build_type3("icosahedron")
-        # d2 of the polytope is the only elimination, for the Gram basis;
-        # recognizing the sphere eliminates nothing
-        deltaset._boundary_reduction.cache_clear()
-        counts = {}
-        for name, fn in (("_sparse_reduce", intlinalg._sparse_reduce),
-                         ("degeneration_type", fibers.degeneration_type),
-                         ("monodromy_gram", weightss.monodromy_gram)):
-            count_calls(monkeypatch, counts, name, fn)
-        monkeypatch.setattr(IntMatrix, "identity", classmethod(
-            counting(counts, "identity", IntMatrix.identity.__func__)))
-
+        counts = route_counts(monkeypatch)
         report = verify_fiber(fiber)
         assert report.match and report.serre_ok and report.chi == 24
-        assert counts == {"_sparse_reduce": 1, "degeneration_type": 1,
-                          "monodromy_gram": 1, "identity": 0}
+        assert counts == ONCE
+
+    @pytest.mark.parametrize("helper, skipped", [
+        (serre_hodge_check, ()),
+        (fiber_params, ("_strata",)),
+        (acampo_chi, ("_sparse_reduce", "_monodromy_gram")),
+        (integral_kulikov, ("_sparse_reduce", "_monodromy_gram")),
+    ], ids=["serre_hodge_check", "fiber_params", "acampo_chi",
+            "integral_kulikov"])
+    def test_public_helper_call_counts(self, monkeypatch, helper, skipped):
+        from k3motive.builders import build_type3
+
+        fiber = build_type3("icosahedron")
+        counts = route_counts(monkeypatch)
+        helper(fiber)
+        assert counts == {k: 0 if k in skipped else n
+                          for k, n in ONCE.items()}
+
+    @pytest.mark.parametrize("command, skipped", [
+        ("verify", ()),
+        ("analyze", ("_sparse_reduce", "_monodromy_gram")),
+    ], ids=["verify", "analyze"])
+    def test_cli_call_counts(self, monkeypatch, tmp_path, capsys, command,
+                             skipped):
+        from k3motive.cli import main
+
+        path = tmp_path / "f.json"
+        assert main(["build", "type3", "--triangulation", "icosahedron",
+                     "-o", str(path)]) == 0
+        counts = route_counts(monkeypatch)
+        assert main([command, str(path)]) == 0
+        assert counts == {k: 0 if k in skipped else n
+                          for k, n in ONCE.items()}
 
     def test_build_kummer_eliminates_nothing(self, monkeypatch):
         from k3motive import deltaset, intlinalg
