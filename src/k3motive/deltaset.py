@@ -7,8 +7,10 @@ simplicial complex, several simplices may sit on the same vertex set --
 the 2-gon circle and the torus-quotient nerves need exactly that.
 
 Homology comes from one cached sparse elimination per Delta-set and degree,
-fed straight from the face lists; at the top degree it also yields the
-kernel, which is the top homology.  ``quotient_by_involution`` builds the
+fed straight from the face lists.  Recognition eliminates nothing; the
+top homology is one orientation pass on a closed, connected, oriented
+2-pseudomanifold and the top-degree kernel of that elimination elsewhere.
+``quotient_by_involution`` builds the
 orbit Delta-set of an involution that is free on positive-dimensional
 simplices (fixed simplices are allowed when they are fixed together with
 all of their faces); the orbit cells inherit consistent orderings found by
@@ -183,7 +185,8 @@ def _is_cycle(rows: dict[int, dict[int, int]], coeffs: Sequence[int]) -> bool:
 @lru_cache(maxsize=128)
 def _boundary_reduction(ds: DeltaSet, q: int):
     """Rank, invariant factors and, at the top degree only (else None), a
-    kernel basis as coefficient tuples, of the boundary map C_q -> C_{q-1}."""
+    kernel basis as coefficient tuples, of the boundary map C_q -> C_{q-1};
+    ``_top_cycles`` reads the kernel only where no orientation exists."""
     top = q == ds.dim
     if 0 < q <= ds.dim:
         pivots, kernel = _sparse_reduce(_boundary_rows(ds, q), ds.n(q),
@@ -219,11 +222,14 @@ def euler_characteristic(ds: DeltaSet) -> int:
 
 
 def _top_cycles(ds: DeltaSet) -> list[CycleVector]:
-    """A Z-basis of the top homology, read off the cached elimination of
-    the top boundary map.  A single generator has its first nonzero
-    coefficient positive; every basis vector is checked to be a cycle."""
+    """A Z-basis of the top homology, each vector checked to be a cycle; a
+    single generator has its first nonzero coefficient positive.  Across
+    each edge of a closed 2-pseudomanifold a cycle's coefficient on one
+    side fixes the other's, so ker d2 = Z sign for the ``_orientation``
+    signs; elsewhere the basis comes from the cached elimination."""
     d = ds.dim
-    columns = list(_boundary_reduction(ds, d)[2])
+    sign = _orientation(ds) if d == 2 else None
+    columns = [sign] if sign else list(_boundary_reduction(ds, d)[2])
     if len(columns) == 1 and next(c for c in columns[0] if c) < 0:
         columns = [tuple(-c for c in columns[0])]
     rows = _boundary_rows(ds, d)
@@ -236,14 +242,12 @@ def top_cycle_generator(ds: DeltaSet, d: int) -> CycleVector:
 
     The sign is normalized so the first nonzero coefficient is positive.
     """
-    betti, _ = homology(ds, d)
+    top = _top_cycles(ds) if d == ds.dim else None
+    betti = len(top) if top is not None else homology(ds, d)[0]
     if betti != 1:
         raise ValueError("H_%d has free rank %d, expected 1" % (d, betti))
-    if d == ds.dim:
-        cycles = _top_cycles(ds)
-        if len(cycles) != 1:
-            raise ValueError("kernel rank %d, expected 1" % len(cycles))
-        return cycles[0]
+    if top is not None:
+        return top[0]
     # quotient by boundaries: express the image in cycle coordinates,
     # then lift a generator of the free part of the cokernel
     cycles = kernel_basis(ds.boundary_matrix(d))
@@ -290,56 +294,50 @@ def cycle_pairing(x: CycleVector, y: CycleVector) -> int:
 def recognize(ds: DeltaSet) -> Shape:
     """Point / interval / 2-sphere recognition; anything else is OTHER.
 
-    Intervals are checked by homology.  A closed 2-pseudomanifold (every
-    edge on two triangle sides) is its normalisation N, a closed surface,
-    with j identifications of vertices.  If N is connected and oriented of
-    genus g, chi = 2 - 2g - j, so chi = 2 holds only for S^2 (Hatcher,
-    Algebraic Topology, 3.3); no elimination runs."""
+    A 1-complex is an interval when it is connected, no valence exceeds 2
+    and exactly two vertices have valence 1.  A closed 2-pseudomanifold
+    (every edge on two triangle sides) is its normalisation N, a closed
+    surface, with j identifications of vertices.  If N is connected and
+    oriented of genus g, chi = 2 - 2g - j, so chi = 2 holds only for S^2
+    (Hatcher, Algebraic Topology, 3.3).  No elimination runs."""
     if ds.counts == (1,):
         return Shape.POINT
     if ds.dim == 1:
-        if homology(ds, 0) != (1, ()):
+        adjacent: list[list[int]] = [[] for _ in ds.simplices(0)]
+        for b, a in ds._faces[0]:
+            adjacent[a].append(b)
+            adjacent[b].append(a)
+        valence = [len(near) for near in adjacent]
+        if any(d > 2 for d in valence) or valence.count(1) != 2:
             return Shape.OTHER
-        if homology(ds, 1) != (0, ()):
-            return Shape.OTHER
-        valence = [0] * ds.n(0)
-        for e in ds.simplices(1):
-            for v in ds.faces(1, e):
-                valence[v] += 1
-        if any(d > 2 for d in valence):
-            return Shape.OTHER
-        if sum(1 for d in valence if d == 1) != 2:
-            return Shape.OTHER
-        return Shape.INTERVAL
+        seen = [True] + [False] * (ds.n(0) - 1)
+        queue = [0]  # grows while it is read
+        for v in queue:
+            for w in adjacent[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+        return Shape.INTERVAL if len(queue) == ds.n(0) else Shape.OTHER
     if ds.dim == 2:
-        edge_use = [0] * ds.n(1)
-        for t in ds.simplices(2):
-            for e in ds.faces(2, t):
-                edge_use[e] += 1
-        if any(u != 2 for u in edge_use):
-            return Shape.OTHER
-        vertex_used = [False] * ds.n(0)
-        for e in ds.simplices(1):
-            for v in ds.faces(1, e):
-                vertex_used[v] = True
-        if not all(vertex_used):
-            return Shape.OTHER
-        if not _connected_and_oriented(ds) or euler_characteristic(ds) != 2:
-            return Shape.OTHER
-        return Shape.SPHERE2
+        used = {v for fs in ds._faces[0] for v in fs}
+        if len(used) == ds.n(0) and _orientation(ds) is not None \
+                and euler_characteristic(ds) == 2:
+            return Shape.SPHERE2
     return Shape.OTHER
 
 
-def _connected_and_oriented(ds: DeltaSet) -> bool:
-    """Does one breadth-first pass from triangle 0 reach every triangle of
-    a closed 2-pseudomanifold and sign it so that the two sides (t, j),
-    (o, k) of each edge cancel, sign[t] (-1)^j + sign[o] (-1)^k = 0?"""
+def _orientation(ds: DeltaSet) -> tuple[int, ...] | None:
+    """Signs from one breadth-first pass from triangle 0 of a closed
+    2-pseudomanifold (every edge on exactly two triangle sides) that cancel
+    on the sides (t, j), (o, k) of each edge, sign[t] (-1)^j + sign[o]
+    (-1)^k = 0; None if there are none or the pass misses a triangle."""
     sides: list[list[tuple[int, int]]] = [[] for _ in ds.simplices(1)]
     for t, fs in enumerate(ds._faces[1]):
         for j, e in enumerate(fs):
             sides[e].append((t, j))
-    sign = [0] * ds.n(2)
-    sign[0] = 1
+    if any(len(two) != 2 for two in sides):
+        return None
+    sign = [1] + [0] * (ds.n(2) - 1)
     queue = [0]  # grows while it is read: breadth-first order
     for t in queue:
         for j, e in enumerate(ds._faces[1][t]):
@@ -351,8 +349,8 @@ def _connected_and_oriented(ds: DeltaSet) -> bool:
                 sign[o] = need
                 queue.append(o)
             elif sign[o] != need:
-                return False
-    return len(queue) == ds.n(2)
+                return None
+    return tuple(sign) if len(queue) == ds.n(2) else None
 
 
 def relabel(ds: DeltaSet, perms: Sequence[Sequence[int]]) -> DeltaSet:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .deltaset import CycleVector, DeltaSet, _top_cycles, cycle_pairing
 from .fibers import DegenerationFiber, clemens_polytope, component_betti
-from .intlinalg import IntMatrix, cokernel_structure, det, rank_and_invariants
+from .intlinalg import IntMatrix, det, rank_and_invariants
 
 # a surface degeneration: the strata Y^(0), Y^(1), Y^(2) have dimensions 2,
 # 1 and 0, and the dual complex has dimension at most 2
@@ -146,7 +146,8 @@ def type2_h1_row(m: int) -> tuple[IntMatrix, IntMatrix, IntMatrix, int]:
     (u_1, ..., u_{m-1}) -> (u_1, u_2 - u_1, ..., -u_{m-1}) and the outgoing
     one is (u_0, ..., u_{m-1}) -> (u_1 - u_0, ..., u_{m-1} - u_{m-2}); the
     monodromy composition is the diagonal followed by the summation map,
-    which is m times the identity, with cokernel of order m^2.
+    which is m times the identity.  It is square, so its cokernel has order
+    |det| = m^2, with no elimination.
     """
     if m < 1:
         raise ValueError("chain length m must be >= 1")
@@ -173,10 +174,10 @@ def type2_h1_row(m: int) -> tuple[IntMatrix, IntMatrix, IntMatrix, int]:
     summation = IntMatrix([[int(a == b % h) for b in range(m * h)]
                            for a in range(h)], cols=m * h)
     n = summation @ diagonal
-    coker = cokernel_structure(n)
-    if coker.free_rank:
+    order = abs(det(n))
+    if not order:
         raise ArithmeticError("monodromy composition is singular")
-    return delta1, delta3, n, coker.order
+    return delta1, delta3, n, order
 
 
 def e2_report(rows: list[SpectralRow]
@@ -213,9 +214,10 @@ def monodromy_gram(f: DegenerationFiber) -> MonodromyGram:
     The determinant is the discriminant of the homology-side pairing, equal
     to the reciprocal discriminant of the dual cohomology-side monodromy
     pairing; positivity is asserted.  A Clemens polytope has dimension at
-    most 2, so nothing bounds onto its 2-cycles: the kernel of the top
-    boundary map is H_2 itself, read off one cached elimination of that map.
-    A single generator has its first nonzero coefficient positive.
+    most 2, so nothing bounds onto its 2-cycles: H_2 is the kernel of the
+    top boundary map, for a sphere its orientation class, found by one
+    breadth-first pass with no elimination (``_top_cycles``).  A single
+    generator has its first nonzero coefficient positive.
     """
     return _monodromy_gram(clemens_polytope(f))
 

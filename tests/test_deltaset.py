@@ -25,6 +25,7 @@ from k3motive.deltaset import (
     relabel,
     top_cycle_generator,
 )
+from k3motive import intlinalg
 from k3motive.intlinalg import IntMatrix
 
 
@@ -443,15 +444,31 @@ class TestRecognize:
                     assert homology(other, q) == homology(ds, q)
 
 
-def recognize_by_homology(ds):
-    """The 2-sphere rule by elimination: every edge on two triangle sides,
-    every vertex on an edge, and the integral homology of S^2."""
+def closed(ds):
+    """Is every edge on exactly two triangle sides?"""
     edge_use = [0] * ds.n(1)
     for t in ds.simplices(2):
         for e in ds.faces(2, t):
             edge_use[e] += 1
+    return all(u == 2 for u in edge_use)
+
+
+def recognize_by_homology(ds):
+    """The interval and 2-sphere rules by elimination.  An interval has
+    the integral homology of a point, no valence above 2 and exactly two
+    vertices of valence 1.  A 2-sphere has every edge on two triangle
+    sides, every vertex on an edge, and the integral homology of S^2."""
+    if ds.dim == 1:
+        valence = [0] * ds.n(0)
+        for e in ds.simplices(1):
+            for v in ds.faces(1, e):
+                valence[v] += 1
+        if [homology(ds, q) for q in range(2)] != [(1, ()), (0, ())] \
+                or max(valence) > 2 or valence.count(1) != 2:
+            return Shape.OTHER
+        return Shape.INTERVAL
     used = {v for e in ds.simplices(1) for v in ds.faces(1, e)}
-    if any(u != 2 for u in edge_use) or len(used) != ds.n(0):
+    if not closed(ds) or len(used) != ds.n(0):
         return Shape.OTHER
     if [homology(ds, q) for q in range(3)] != [(1, ()), (0, ()), (1, ())]:
         return Shape.OTHER
@@ -505,6 +522,31 @@ def small_complexes():
     }
 
 
+def one_complexes():
+    """1-dimensional Delta-sets around the interval rule, by name."""
+    return {
+        "edge": chain(1),
+        "path": chain(5),
+        "refined_path": refine_barycentric(refine_edge_split(chain(2))),
+        "loop": circle(1),
+        "two_gon": circle(2),
+        "triangle": circle(3),
+        "hexagon": circle(6),
+        # a loop at an end of a path, and one in its middle (valence 4)
+        "loop_at_end": DeltaSet(3, [[(1, 0), (2, 1), (2, 2)]]),
+        "loop_inside": DeltaSet(3, [[(1, 0), (2, 1), (1, 1)]]),
+        # the 2-gon with a tail: valences 2, 3, 1
+        "two_gon_tail": DeltaSet(3, [[(1, 0), (1, 0), (2, 1)]]),
+        "star": DeltaSet(4, [[(1, 0), (2, 0), (3, 0)]]),
+        "disjoint_paths": DeltaSet(4, [[(1, 0), (3, 2)]]),
+        # valences 1, 1, 2, 2, 2 in two pieces: only connectivity tells
+        "path_and_cycle": DeltaSet(5, [[(1, 0), (3, 2), (4, 3), (2, 4)]]),
+        "path_and_loop": DeltaSet(4, [[(1, 0), (2, 1), (3, 3)]]),
+        "path_and_vertex": DeltaSet(4, [[(1, 0), (2, 1)]]),
+        "edge_and_vertices": DeltaSet(4, [[(2, 1)]]),
+    }
+
+
 def recognition_corpus():
     rng = random.Random(808)
     spheres = []
@@ -531,6 +573,30 @@ class TestRecognizeOracle:
         assert shapes == [recognize_by_homology(ds) for ds in corpus]
         assert shapes.count(Shape.SPHERE2) == 19
 
+    def test_one_complexes_agree_with_homology(self):
+        rng = random.Random(909)
+        base = list(one_complexes().values())
+        corpus = base + [shuffled(ds, rng) for ds in base]
+        shapes = [recognize(ds) for ds in corpus]
+        assert shapes == [recognize_by_homology(ds) for ds in corpus]
+        intervals = {name for name, ds in one_complexes().items()
+                     if recognize(ds) == Shape.INTERVAL}
+        assert intervals == {"edge", "path", "refined_path"}
+
+    def test_random_one_complexes_agree_with_homology(self):
+        # random multigraphs with loops, and random paths under relabeling
+        rng = random.Random(2024)
+        corpus = []
+        for _ in range(300):
+            n0 = rng.randint(1, 7)
+            edges = [(rng.randrange(n0), rng.randrange(n0))
+                     for _ in range(rng.randint(1, 8))]
+            corpus.append(DeltaSet(n0, [edges]))
+            corpus.append(shuffled(chain(rng.randint(1, 9)), rng))
+        shapes = [recognize(ds) for ds in corpus]
+        assert shapes == [recognize_by_homology(ds) for ds in corpus]
+        assert 300 < shapes.count(Shape.INTERVAL) < 600
+
     def test_non_spheres(self):
         c = small_complexes()
         assert homology(c["pinched"], 1) == (1, ())
@@ -546,6 +612,35 @@ class TestRecognizeOracle:
         spheres = {name for name, ds in c.items()
                    if recognize(ds) == Shape.SPHERE2}
         assert spheres == {"two_gon", "cones"}
+
+
+class TestTopCyclesOracle:
+    """The orientation route to the top cycles against the elimination."""
+
+    def test_orientation_matches_elimination(self, monkeypatch):
+        from k3motive import deltaset
+        from k3motive.deltaset import _boundary_reduction, _top_cycles
+
+        calls = []
+        monkeypatch.setattr(deltaset, "_sparse_reduce",
+                            lambda *a, **k: calls.append(1)
+                            or intlinalg._sparse_reduce(*a, **k))
+        oriented = 0
+        for ds in recognition_corpus():
+            _boundary_reduction.cache_clear()
+            del calls[:]
+            got = [c.coefficients for c in _top_cycles(ds)]
+            took_orientation = not calls
+            kernel = list(_boundary_reduction(ds, ds.dim)[2])
+            if len(kernel) == 1 and next(c for c in kernel[0] if c) < 0:
+                kernel = [tuple(-c for c in kernel[0])]
+            assert got == kernel, ds
+            # the pass applies exactly where every edge has two triangle
+            # sides and the kernel is one vector with no zero coefficient
+            assert took_orientation == (
+                closed(ds) and len(kernel) == 1 and 0 not in kernel[0]), ds
+            oriented += took_orientation
+        assert oriented == 59
 
 
 # -- refinement --------------------------------------------------------------

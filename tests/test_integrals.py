@@ -299,29 +299,35 @@ def route_counts(monkeypatch):
     return counts
 
 
-# one validation, one polytope, one strata sum per call; d2 of the polytope
-# is the only elimination, for the Gram basis, and recognizing the sphere
-# eliminates nothing
-ONCE = {"_sparse_reduce": 1, "validate": 1, "_polytope": 1,
+# one validation, one polytope, one strata sum per call; nothing is
+# eliminated: the sphere is recognized and its Gram basis found by one
+# orientation pass, the chain by its valences and one connectivity pass
+ONCE = {"_sparse_reduce": 0, "validate": 1, "_polytope": 1,
         "_kulikov_type": 1, "_strata": 1, "_monodromy_gram": 1,
         "identity": 0}
 
 
 class TestOncePerFiber:
     def test_verify_fiber_call_counts(self, monkeypatch):
-        from k3motive.builders import build_type3
+        from k3motive.builders import build_type2_chain, build_type3
 
-        fiber = build_type3("icosahedron")
+        # a chain has no Gram basis: r1 = m^2 comes from the H^1 row
+        cases = [(build_type3("icosahedron"), ()),
+                 (build_type2_chain(1), ("_monodromy_gram",)),
+                 (build_type2_chain(4), ("_monodromy_gram",))]
         counts = route_counts(monkeypatch)
-        report = verify_fiber(fiber)
-        assert report.match and report.serre_ok and report.chi == 24
-        assert counts == ONCE
+        for fiber, skipped in cases:
+            counts.update(dict.fromkeys(counts, 0))
+            report = verify_fiber(fiber)
+            assert report.match and report.serre_ok and report.chi == 24
+            assert counts == {k: 0 if k in skipped else n
+                              for k, n in ONCE.items()}, fiber.label
 
     @pytest.mark.parametrize("helper, skipped", [
         (serre_hodge_check, ()),
         (fiber_params, ("_strata",)),
-        (acampo_chi, ("_sparse_reduce", "_monodromy_gram")),
-        (integral_kulikov, ("_sparse_reduce", "_monodromy_gram")),
+        (acampo_chi, ("_monodromy_gram",)),
+        (integral_kulikov, ("_monodromy_gram",)),
     ], ids=["serre_hodge_check", "fiber_params", "acampo_chi",
             "integral_kulikov"])
     def test_public_helper_call_counts(self, monkeypatch, helper, skipped):
@@ -333,17 +339,20 @@ class TestOncePerFiber:
         assert counts == {k: 0 if k in skipped else n
                           for k, n in ONCE.items()}
 
-    @pytest.mark.parametrize("command, skipped", [
-        ("verify", ()),
-        ("analyze", ("_sparse_reduce", "_monodromy_gram")),
-    ], ids=["verify", "analyze"])
+    @pytest.mark.parametrize("command, family, skipped", [
+        ("verify", "type3", ()),
+        ("analyze", "type3", ("_monodromy_gram",)),
+        ("verify", "type2", ("_monodromy_gram",)),
+        ("analyze", "type2", ("_monodromy_gram",)),
+    ], ids=["verify", "analyze", "verify-type2", "analyze-type2"])
     def test_cli_call_counts(self, monkeypatch, tmp_path, capsys, command,
-                             skipped):
+                             family, skipped):
         from k3motive.cli import main
 
         path = tmp_path / "f.json"
-        assert main(["build", "type3", "--triangulation", "icosahedron",
-                     "-o", str(path)]) == 0
+        shape = (["--triangulation", "icosahedron"] if family == "type3"
+                 else ["--m", "3"])
+        assert main(["build", family, *shape, "-o", str(path)]) == 0
         counts = route_counts(monkeypatch)
         assert main([command, str(path)]) == 0
         assert counts == {k: 0 if k in skipped else n
