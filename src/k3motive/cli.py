@@ -53,6 +53,7 @@ from .serialize import (
     dumps,
     fiber_from_json,
     fiber_to_json,
+    int_to_decimal,
     matrix_from_json,
     motive_from_json,
     motive_to_json,
@@ -340,7 +341,8 @@ def _cmd_verify(args) -> int:
 def _cmd_snf(args) -> int:
     a = _decode("matrix document", matrix_from_json, _load_json(args.input))
     dec = smith_normal_form(a)
-    print("diagonal: %s" % (" ".join(str(d) for d in dec.diagonal) or "-"))
+    print("diagonal: %s" % (" ".join(map(int_to_decimal, dec.diagonal))
+                            or "-"))
     _write_json(args.report, smith_to_json(dec))
     return 0
 

@@ -8,12 +8,14 @@ torsion answers have to be exact.
 
 Two elimination engines live here.  ``smith_normal_form`` is the dense
 reference reduction with the documented pivot rule (smallest nonzero absolute
-value, row-major tie break).  ``rank``, ``invariant_factors`` and
-``kernel_basis`` run on a sparse gcd elimination that handles the large,
-very sparse boundary matrices of refined sphere triangulations quickly; the
-two engines are cross-checked against each other in the test suite.  The
-sparse engine takes sparse rows: boundary maps reach it straight from the
-face lists, and a dense ``IntMatrix`` is converted once, at the public API.
+value, row-major tie break); its operations update only the entries they
+can change, which leaves every value as whole-row and whole-column updates
+would.  ``rank``, ``invariant_factors`` and ``kernel_basis`` run on a sparse
+gcd elimination that handles the large, very sparse boundary matrices of
+refined sphere triangulations quickly; the two engines are cross-checked
+against each other in the test suite.  The sparse engine takes sparse rows:
+boundary maps reach it straight from the face lists, and a dense
+``IntMatrix`` is converted once, at the public API.
 
 The sparse engine pivots on the entry of least key (|x|, Markowitz product,
 row, column).  It does not rescan the matrix for that entry before each
@@ -208,27 +210,24 @@ def det(a: IntMatrix) -> int:
 # dense Smith normal form
 # ---------------------------------------------------------------------------
 
-def _pivot_position(s, t, m, n):
-    best = None
-    best_abs = None
-    for i in range(t, m):
-        row = s[i]
-        for j in range(t, n):
-            x = row[j]
-            if x:
-                ax = -x if x < 0 else x
-                if best_abs is None or ax < best_abs:
-                    best_abs = ax
-                    best = (i, j)
-    return best
-
-
-def _balanced_div(a, b):
-    # quotient with remainder in (-b/2, b/2]; b > 0
-    q, r = divmod(a, b)
-    if 2 * r > b:
-        q += 1
-    return q
+def _pivot_position(s, t, m):
+    """(i, j) of the least nonzero |s[i][j]| with i, j >= t, first in
+    row-major order, or None if there is none.  Each row's least is taken
+    with builtins; a row whose least is 1 ends the search."""
+    best = 0
+    for r in range(t, m):
+        x = min(map(abs, filter(None, s[r][t:])), default=0)
+        if x and (not best or x < best):
+            best, i = x, r
+            if x == 1:
+                break
+    if not best:
+        return None
+    row = s[i]
+    j = t
+    while row[j] != best and row[j] != -best:
+        j += 1
+    return i, j
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
@@ -237,33 +236,37 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     Pivot rule: smallest nonzero absolute value in the working submatrix,
     ties broken by row-major position, so the output is deterministic for a
     fixed input.  The pivot is re-selected after every reduction sweep and
-    remainders are balanced; without this, gcd cascades square the entry
-    sizes at each stage and 30 x 30 inputs become intractable.  Empty
-    matrices are allowed.
+    remainders are balanced.  This keeps the entries of S small; U and V
+    still grow, past 1400 bits on 30 x 30 inputs with entries in [-9, 9].
+    Empty matrices are allowed.
+
+    An operation updates only the entries it can change, which leaves every
+    value as a whole-row or whole-column update would:
+    - at stage t, the rows of S from t on are zero in the columns below t,
+      so row operations on S run over the columns from t on;
+    - a column operation adds a multiple of pivot column t, which the
+      column sweep does not change, so it runs over the rows where that
+      column is nonzero;
+    - U changes by swapping and negating rows and by adding multiples of
+      the pivot row, or of the row a divisibility fix pulls in, to another
+      row.  So each row is zero outside the unit column it started as and
+      those of the rows that have been pivot or fix rows (``ucols``), and a
+      row operation on U runs over the latter.  V, stored by columns,
+      likewise.
     """
     m, n = a.rows, a.cols
     s = [list(r) for r in a.iter_rows()]
     u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def add_row(dst, src, q):
-        srow, drow = s[src], s[dst]
-        for k in range(n):
-            drow[k] += q * srow[k]
-        srow, drow = u[src], u[dst]
-        for k in range(m):
-            drow[k] += q * srow[k]
-
-    def add_col(dst, src, q):
-        for row in s:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]  # by columns
+    # uown[i]: the unit vector that row i of u started as; ucols: those of
+    # the rows that have been pivot or fix rows.  Likewise for v.
+    uown, vown = list(range(m)), list(range(n))
+    ucols, vcols = [], []
 
     t = 0
     limit = min(m, n)
     while t < limit:
-        pos = _pivot_position(s, t, m, n)
+        pos = _pivot_position(s, t, m)
         if pos is None:
             break
         while True:
@@ -271,53 +274,78 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             if i != t:
                 s[i], s[t] = s[t], s[i]
                 u[i], u[t] = u[t], u[i]
+                uown[i], uown[t] = uown[t], uown[i]
             if j != t:
-                for row in s:
+                for r in range(t, m):
+                    row = s[r]
                     row[j], row[t] = row[t], row[j]
-                for row in v:
-                    row[j], row[t] = row[t], row[j]
-            if s[t][t] < 0:
-                s[t] = [-x for x in s[t]]
-                u[t] = [-x for x in u[t]]
-            piv = s[t][t]
+                v[j], v[t] = v[t], v[j]
+                vown[j], vown[t] = vown[t], vown[j]
+            st, ut, vt = s[t], u[t], v[t]
+            if uown[t] not in ucols:
+                ucols.append(uown[t])
+            if st[t] < 0:
+                st[t:] = [-x for x in st[t:]]
+                for c in ucols:
+                    ut[c] = -ut[c]
+            piv = st[t]
             dirty = False
             for r in range(t + 1, m):
-                if s[r][t]:
-                    q = _balanced_div(s[r][t], piv)
+                sr = s[r]
+                if sr[t]:
+                    q, rem = divmod(sr[t], piv)
+                    if 2 * rem > piv:  # balanced remainder
+                        q += 1
+                        rem -= piv
                     if q:
-                        add_row(r, t, -q)
-                    if s[r][t]:
+                        for c in range(t, n):
+                            sr[c] -= q * st[c]
+                        ur = u[r]
+                        for c in ucols:
+                            ur[c] -= q * ut[c]
+                    if rem:
                         dirty = True
+            col = [(sr, sr[t]) for sr in s[t:] if sr[t]]
+            if vown[t] not in vcols:
+                vcols.append(vown[t])
             for c in range(t + 1, n):
-                if s[t][c]:
-                    q = _balanced_div(s[t][c], piv)
+                if st[c]:
+                    q, rem = divmod(st[c], piv)
+                    if 2 * rem > piv:
+                        q += 1
+                        rem -= piv
                     if q:
-                        add_col(c, t, -q)
-                    if s[t][c]:
+                        for sr, x in col:
+                            sr[c] -= q * x
+                        vc = v[c]
+                        for r in vcols:
+                            vc[r] -= q * vt[r]
+                    if rem:
                         dirty = True
             if not dirty:
                 # cross is clear; pull in any entry the pivot fails to
                 # divide so the invariant-factor chain comes out right
-                d = s[t][t]
-                bad = None
-                for r in range(t + 1, m):
-                    row = s[r]
-                    for c in range(t + 1, n):
-                        if row[c] % d:
-                            bad = r
-                            break
-                    if bad is not None:
-                        break
-                if bad is None:
+                if piv == 1:  # 1 divides every entry
                     break
-                add_row(t, bad, 1)
-            pos = _pivot_position(s, t, m, n)
+                for bad in range(t + 1, m):
+                    if any(x % piv for x in s[bad][t + 1:]):
+                        break
+                else:
+                    break
+                sb, ub = s[bad], u[bad]
+                for c in range(t + 1, n):
+                    st[c] += sb[c]
+                if uown[bad] not in ucols:
+                    ucols.append(uown[bad])
+                for c in ucols:
+                    ut[c] += ub[c]
+            pos = _pivot_position(s, t, m)
         t += 1
 
     diag = tuple(s[k][k] for k in range(limit))
     return SmithDecomposition(
-        U=IntMatrix(u, cols=m), S=IntMatrix(s, cols=n), V=IntMatrix(v, cols=n),
-        diagonal=diag)
+        U=IntMatrix(u, cols=m), S=IntMatrix(s, cols=n),
+        V=IntMatrix(list(zip(*v)), cols=n), diagonal=diag)
 
 
 # ---------------------------------------------------------------------------

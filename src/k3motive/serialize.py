@@ -2,9 +2,10 @@
 
 All potentially large integers (matrix entries, class coefficients) are
 written as decimal strings so nothing is ever squeezed through a 64-bit
-reader.  Motive-class terms are emitted in the canonical order (atom kind,
-then name, then power), which makes the serialization byte-stable for equal
-classes; ``dumps`` pins the formatting.
+reader; matrix entries may have any number of digits.  Motive-class terms
+are emitted in the canonical order (atom kind, then name, then power), which
+makes the serialization byte-stable for equal classes; ``dumps`` pins the
+formatting.
 """
 
 from __future__ import annotations
@@ -46,9 +47,33 @@ def dumps(obj) -> str:
 _DECIMAL = re.compile(r"-?[0-9]+")
 
 
+# Since Python 3.10.7, int() and str() refuse decimals of more digits than
+# sys.get_int_max_str_digits(): 4300 by default, 640 at the least.  These
+# two convert 600 digits at a time.
+
+def int_to_decimal(x: int) -> str:
+    """``str(x)`` at any length."""
+    if x.bit_length() <= 1990:  # under 600 digits
+        return str(x)
+    if x < 0:
+        return "-" + int_to_decimal(-x)
+    k = x.bit_length() * 3 // 20  # at most half the digits
+    hi, lo = divmod(x, 10 ** k)
+    return int_to_decimal(hi) + int_to_decimal(lo).rjust(k, "0")
+
+
+def decimal_to_int(text: str) -> int:
+    """``int(text)`` for a decimal string of any length."""
+    if len(text) <= 600:
+        return int(text)
+    k = len(text) // 2
+    hi, lo = decimal_to_int(text[:-k]), decimal_to_int(text[-k:])
+    return hi * 10 ** k + (-lo if text.startswith("-") else lo)
+
+
 def matrix_to_json(a: IntMatrix) -> dict:
     return {"rows": a.rows, "cols": a.cols,
-            "entries": [str(x) for x in a.flat()]}
+            "entries": [int_to_decimal(x) for x in a.flat()]}
 
 
 def matrix_from_json(doc: dict) -> IntMatrix:
@@ -67,13 +92,14 @@ def matrix_from_json(doc: dict) -> IntMatrix:
     for x in entries:
         if not (isinstance(x, str) and _DECIMAL.fullmatch(x)):
             raise ValueError("entry %r is not a decimal string" % (x,))
-    return IntMatrix.from_flat(rows, cols, entries)
+    return IntMatrix.from_flat(rows, cols, [decimal_to_int(x)
+                                            for x in entries])
 
 
 def smith_to_json(dec: SmithDecomposition) -> dict:
     return {"U": matrix_to_json(dec.U), "S": matrix_to_json(dec.S),
             "V": matrix_to_json(dec.V),
-            "diagonal": [str(d) for d in dec.diagonal]}
+            "diagonal": [int_to_decimal(d) for d in dec.diagonal]}
 
 
 # ---------------------------------------------------------------------------

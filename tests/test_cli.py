@@ -11,6 +11,7 @@ from k3motive.intlinalg import IntMatrix
 from k3motive.serialize import (
     dumps,
     fiber_to_json,
+    matrix_from_json,
     matrix_to_json,
     motive_to_json,
 )
@@ -183,6 +184,22 @@ class TestSnf:
         doc = json.loads(r.read_text())
         assert doc["diagonal"] == ["2"]
         assert set(doc) == {"U", "S", "V", "diagonal"}
+
+    def test_entry_of_5000_digits(self, tmp_path, capsys):
+        # more digits than Python's int() and str() convert by default
+        doc = {"rows": 1, "cols": 1, "entries": ["7" * 5000]}
+        schema_validator("matrix.schema.json").validate(doc)
+        m = tmp_path / "m.json"
+        r = tmp_path / "r.json"
+        write(m, doc)
+        assert run(["snf", str(m), "--report", str(r)]) == 0
+        assert capsys.readouterr().out == "diagonal: %s\n" % ("7" * 5000)
+        report = json.loads(r.read_text())
+        assert report["S"] == doc
+        assert matrix_from_json(report["S"]) == matrix_from_json(doc)
+        assert report["diagonal"] == doc["entries"]
+        assert report["U"] == report["V"] == {"rows": 1, "cols": 1,
+                                              "entries": ["1"]}
 
     def test_malformed_matrix_exit2(self, tmp_path):
         m = tmp_path / "m.json"

@@ -57,6 +57,21 @@ class TestMatrixJson:
         doc = smith_to_json(smith_normal_form(IntMatrix([[2, 0], [0, 3]])))
         assert doc["diagonal"] == ["1", "6"]
 
+    def test_entries_of_any_length(self):
+        # past 4300 digits, Python's own int() and str() refuse decimals
+        for digits in (599, 600, 601, 4299, 4301, 5000, 20000):
+            sevens = 7 * (10 ** digits - 1) // 9
+            a = IntMatrix([[sevens, -sevens], [-10 ** digits, 0]])
+            doc = matrix_to_json(a)
+            assert doc["entries"] == ["7" * digits, "-" + "7" * digits,
+                                      "-1" + "0" * digits, "0"]
+            assert matrix_from_json(doc) == a
+            dec = smith_normal_form(IntMatrix([[sevens]]))
+            assert smith_to_json(dec)["diagonal"] == ["7" * digits]
+        assert matrix_from_json(
+            {"rows": 1, "cols": 1, "entries": ["-000" + "7" * 5000]}
+        ) == IntMatrix([[-7 * (10 ** 5000 - 1) // 9]])
+
 
 class TestMotiveJson:
     def test_canonical_order_and_roundtrip(self):
