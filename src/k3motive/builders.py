@@ -240,54 +240,48 @@ class KummerReport:
         return WeakNeronData.of(items)
 
 
-def _grid_tables(m1, m2):
+def torus_grid(m1: int, m2: int) -> DeltaSet:
+    """m1 x m2 grid torus with the uniform main-diagonal split.
+
+    Ids are arithmetic, indices taken mod (m1, m2): vertex (i, j) is
+    v = i m2 + j.  From it run the edges 3v + 0 (h) to (i+1, j), 3v + 1 (v)
+    to (i, j+1) and 3v + 2 (d) to (i+1, j+1), stored head first, and its
+    square has the triangles 2v + 0 (L, faces: the v edge of (i+1, j), d,
+    h) and 2v + 1 (U, faces: the h edge of (i, j+1), d, v).
+    """
     if m1 < 1 or m2 < 1:
         raise ValueError("grid sides must be positive")
-    vid = lambda i, j: (i % m1) * m2 + (j % m2)
     edges = []
-    eid = {}
-    for i in range(m1):
-        for j in range(m2):
-            for kind, (a, b) in (("h", ((i, j), (i + 1, j))),
-                                 ("v", ((i, j), (i, j + 1))),
-                                 ("d", ((i, j), (i + 1, j + 1)))):
-                eid[(kind, i, j)] = len(edges)
-                edges.append((vid(*b), vid(*a)))
     tris = []
-    tid = {}
     for i in range(m1):
+        row, down = i * m2, (i + 1) % m1 * m2
         for j in range(m2):
-            tid[("L", i, j)] = len(tris)
-            tris.append((eid[("v", (i + 1) % m1, j)], eid[("d", i, j)],
-                         eid[("h", i, j)]))
-            tid[("U", i, j)] = len(tris)
-            tris.append((eid[("h", i, (j + 1) % m2)], eid[("d", i, j)],
-                         eid[("v", i, j)]))
-    return DeltaSet(m1 * m2, [edges, tris]), vid, eid, tid
-
-
-def torus_grid(m1: int, m2: int) -> DeltaSet:
-    """m1 x m2 grid torus with the uniform main-diagonal split."""
-    return _grid_tables(m1, m2)[0]
+            v, right = row + j, (j + 1) % m2
+            edges += ((down + j, v), (row + right, v), (down + right, v))
+            tris += ((3 * (down + j) + 1, 3 * v + 2, 3 * v),
+                     (3 * (row + right), 3 * v + 2, 3 * v + 1))
+    return DeltaSet(m1 * m2, [edges, tris])
 
 
 def torus_negation(m1: int, m2: int) -> tuple[DeltaSet, Involution]:
     """The grid torus together with (i, j) -> (-i, -j).
 
-    The involution is only free on positive simplices for even sides.
+    On the ids of ``torus_grid``: h(i, j) goes to h(-i-1, -j), v(i, j) to
+    v(-i, -j-1), d(i, j) to d(-i-1, -j-1), and L(i, j) and U(i, j) to U and
+    L of (-i-1, -j-1).  The involution is only free on positive simplices
+    for even sides.
     """
-    ds, vid, eid, tid = _grid_tables(m1, m2)
-    vmap = [0] * (m1 * m2)
-    emap = [0] * ds.n(1)
-    tmap = [0] * ds.n(2)
+    ds = torus_grid(m1, m2)
+    vmap, emap, tmap = [], [], []
     for i in range(m1):
+        neg, neg1 = (-i) % m1 * m2, (-i - 1) % m1 * m2
         for j in range(m2):
-            vmap[vid(i, j)] = vid(-i, -j)
-            emap[eid[("h", i, j)]] = eid[("h", (-i - 1) % m1, (-j) % m2)]
-            emap[eid[("v", i, j)]] = eid[("v", (-i) % m1, (-j - 1) % m2)]
-            emap[eid[("d", i, j)]] = eid[("d", (-i - 1) % m1, (-j - 1) % m2)]
-            tmap[tid[("L", i, j)]] = tid[("U", (-i - 1) % m1, (-j - 1) % m2)]
-            tmap[tid[("U", i, j)]] = tid[("L", (-i - 1) % m1, (-j - 1) % m2)]
+            nj, nj1 = (-j) % m2, (-j - 1) % m2
+            vmap.append(neg + nj)
+            emap += (3 * (neg1 + nj), 3 * (neg + nj1) + 1,
+                     3 * (neg1 + nj1) + 2)
+            w = 2 * (neg1 + nj1)
+            tmap += (w + 1, w)
     return ds, Involution(ds, [vmap, emap, tmap])
 
 
@@ -333,8 +327,8 @@ def build_kummer(p: KummerParams) -> KummerReport:
     integral = (census.special * KUMMER_SPECIAL_CLASS
                 + census.generic * KUMMER_GENERIC_CLASS)
 
-    # orbit ids follow sorted representatives
-    reps = sorted(v for v in range(ds.n(0)) if sigma.maps[0][v] >= v)
+    # orbit ids follow the representatives in ascending order
+    reps = [v for v, img in enumerate(sigma.maps[0]) if img >= v]
     orbit = {v: i for i, v in enumerate(reps)}
     fixed_orbits = {orbit[v] for v in fixed}
 

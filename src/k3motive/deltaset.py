@@ -53,12 +53,17 @@ class DeltaSet:
         """
         stored: list[tuple[tuple[int, ...], ...]] = []
         for level in faces:
-            stored.append(tuple(tuple(int(f) for f in s) for s in level))
+            stored.append(tuple([tuple(map(int, s)) for s in level]))
         while stored and not stored[-1]:
             stored.pop()
         counts = [int(num_vertices)]
         for q, level in enumerate(stored, start=1):
             counts.append(len(level))
+            if set(map(len, level)) == {q + 1} \
+                    and min(map(min, level)) >= 0 \
+                    and max(map(max, level)) < counts[q - 1]:
+                continue
+            # an empty level, or some simplex is bad: report the first
             for s, fs in enumerate(level):
                 if len(fs) != q + 1:
                     raise ValueError(
@@ -76,14 +81,13 @@ class DeltaSet:
     def _check_identities(self):
         for q in range(2, self.dim + 1):
             lower = self._faces[q - 2]
-            for s in range(self._counts[q]):
-                fs = self._faces[q - 1][s]
-                for j in range(q + 1):
-                    for i in range(j):
-                        if lower[fs[j]][i] != lower[fs[i]][j - 1]:
-                            raise ValueError(
-                                "simplicial identity fails at %d-simplex %d "
-                                "(i=%d, j=%d)" % (q, s, i, j))
+            pairs = [(i, j) for j in range(q + 1) for i in range(j)]
+            for s, fs in enumerate(self._faces[q - 1]):
+                for i, j in pairs:
+                    if lower[fs[j]][i] != lower[fs[i]][j - 1]:
+                        raise ValueError(
+                            "simplicial identity fails at %d-simplex %d "
+                            "(i=%d, j=%d)" % (q, s, i, j))
 
     # -- queries ------------------------------------------------------
 
@@ -515,7 +519,7 @@ class Involution:
         if len(maps) != ds.dim + 1:
             raise ValueError("need one map per dimension")
         self.ds = ds
-        self.maps = tuple(tuple(int(x) for x in level) for level in maps)
+        self.maps = tuple(tuple(map(int, level)) for level in maps)
         for q, level in enumerate(self.maps):
             if sorted(level) != list(range(ds.n(q))):
                 raise ValueError("map in dimension %d is not a bijection" % q)
@@ -526,27 +530,24 @@ class Involution:
         self._check_compatibility()
 
     def _check_compatibility(self):
-        ds = self.ds
-        for q in range(1, ds.dim + 1):
-            for s in ds.simplices(q):
-                img = self.maps[q][s]
-                mapped = sorted(self.maps[q - 1][f] for f in ds.faces(q, s))
-                target = sorted(ds.faces(q, img))
-                if mapped != target:
+        for q, level in enumerate(self.ds._faces, start=1):
+            below = self.maps[q - 1]
+            target = [sorted(fs) for fs in level]
+            for s, (img, fs) in enumerate(zip(self.maps[q], level)):
+                if sorted(map(below.__getitem__, fs)) != target[img]:
                     raise ValueError(
                         "not an automorphism: faces of %d-simplex %d do not "
                         "match faces of its image" % (q, s))
                 if img == s:
-                    for f in ds.faces(q, s):
-                        if self.maps[q - 1][f] != f:
+                    for f in fs:
+                        if below[f] != f:
                             raise ValueError(
                                 "%d-simplex %d is stabilized but not fixed "
                                 "pointwise; refine first" % (q, s))
 
     def is_free_on_positive(self) -> bool:
-        return all(self.maps[q][s] != s
-                   for q in range(1, self.ds.dim + 1)
-                   for s in self.ds.simplices(q))
+        return all(img != s for level in self.maps[1:]
+                   for s, img in enumerate(level))
 
     def fixed_vertices(self) -> list[int]:
         return [v for v, img in enumerate(self.maps[0]) if img == v]
@@ -559,15 +560,16 @@ def quotient_by_involution(ds: DeltaSet, sigma: Involution) -> DeltaSet:
     if ds.dim > 2:
         raise QuotientError("quotients are supported up to dimension 2")
 
-    # orbits, indexed by their smaller representative
+    # orbits, indexed by their smaller representative in ascending order
     reps: list[list[int]] = []
     orbit_of: list[list[int]] = []
-    for q in range(ds.dim + 1):
-        rep_ids = sorted(s for s in ds.simplices(q) if sigma.maps[q][s] >= s)
-        index = {r: i for i, r in enumerate(rep_ids)}
+    for level in sigma.maps:
+        rep_ids = [s for s, img in enumerate(level) if img >= s]
+        orbit = [0] * len(level)
+        for i, r in enumerate(rep_ids):
+            orbit[r] = orbit[level[r]] = i
         reps.append(rep_ids)
-        orbit_of.append([index[min(s, sigma.maps[q][s])]
-                         for s in ds.simplices(q)])
+        orbit_of.append(orbit)
 
     if ds.dim == 0:
         return DeltaSet(len(reps[0]))
@@ -587,10 +589,13 @@ def quotient_by_involution(ds: DeltaSet, sigma: Involution) -> DeltaSet:
     new_tris = []
     if ds.dim == 2:
         all_orders = list(permutations(range(3)))
+        edges, faces = ds._faces
         tris = []
         for t in reps[2]:
-            e_orbs = tuple(orbit_of[1][f] for f in ds.faces(2, t))
-            w = tuple(vorb[v] for v in ds.vertex_tuple(2, t))
+            fs = faces[t]
+            e_orbs = tuple(map(orbit_of[1].__getitem__, fs))
+            (h2, t2), (h0, _) = edges[fs[2]], edges[fs[0]]
+            w = (vorb[t2], vorb[h2], vorb[h0])  # vorb of vertex_tuple(2, t)
             taus = [(0, 1, 2)] if sigma.maps[2][t] == t else all_orders
             tris.append((t, e_orbs, w, taus))
 

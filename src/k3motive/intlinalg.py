@@ -41,7 +41,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, data: Sequence[Sequence[int]], *, cols: int | None = None):
-        body = tuple(tuple(int(x) for x in row) for row in data)
+        body = tuple(tuple(map(int, row)) for row in data)
         if body:
             width = len(body[0])
             if any(len(r) != width for r in body):

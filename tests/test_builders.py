@@ -1,3 +1,6 @@
+import hashlib
+import warnings
+
 import pytest
 
 from k3motive.builders import (
@@ -19,6 +22,8 @@ from k3motive.builders import (
     KUMMER_SPECIAL_CLASS,
 )
 from k3motive.deltaset import (
+    DeltaSet,
+    Involution,
     Shape,
     cycle_pairing,
     euler_characteristic,
@@ -167,6 +172,120 @@ class TestTorusGrid:
             _, sigma = torus_negation(m1, m2)
             assert sigma.is_free_on_positive()
             assert len(sigma.fixed_vertices()) == 4
+
+
+def _reference_tables(m1, m2):
+    # the dict-keyed grid builder that arithmetic ids replaced, verbatim
+    if m1 < 1 or m2 < 1:
+        raise ValueError("grid sides must be positive")
+    vid = lambda i, j: (i % m1) * m2 + (j % m2)
+    edges = []
+    eid = {}
+    for i in range(m1):
+        for j in range(m2):
+            for kind, (a, b) in (("h", ((i, j), (i + 1, j))),
+                                 ("v", ((i, j), (i, j + 1))),
+                                 ("d", ((i, j), (i + 1, j + 1)))):
+                eid[(kind, i, j)] = len(edges)
+                edges.append((vid(*b), vid(*a)))
+    tris = []
+    tid = {}
+    for i in range(m1):
+        for j in range(m2):
+            tid[("L", i, j)] = len(tris)
+            tris.append((eid[("v", (i + 1) % m1, j)], eid[("d", i, j)],
+                         eid[("h", i, j)]))
+            tid[("U", i, j)] = len(tris)
+            tris.append((eid[("h", i, (j + 1) % m2)], eid[("d", i, j)],
+                         eid[("v", i, j)]))
+    return DeltaSet(m1 * m2, [edges, tris]), vid, eid, tid
+
+
+def grid_reference(m1, m2):
+    """The dict-keyed grid torus and its negation maps, verbatim but for
+    the last line: the raw maps, so that odd sides give maps too."""
+    ds, vid, eid, tid = _reference_tables(m1, m2)
+    vmap = [0] * (m1 * m2)
+    emap = [0] * ds.n(1)
+    tmap = [0] * ds.n(2)
+    for i in range(m1):
+        for j in range(m2):
+            vmap[vid(i, j)] = vid(-i, -j)
+            emap[eid[("h", i, j)]] = eid[("h", (-i - 1) % m1, (-j) % m2)]
+            emap[eid[("v", i, j)]] = eid[("v", (-i) % m1, (-j - 1) % m2)]
+            emap[eid[("d", i, j)]] = eid[("d", (-i - 1) % m1, (-j - 1) % m2)]
+            tmap[tid[("L", i, j)]] = tid[("U", (-i - 1) % m1, (-j - 1) % m2)]
+            tmap[tid[("U", i, j)]] = tid[("L", (-i - 1) % m1, (-j - 1) % m2)]
+    return ds, [vmap, emap, tmap]
+
+
+# the first stabilized edge the dict-keyed builder's negation reported, by
+# grid; every other grid with sides in 1..8 gives an involution
+ODD_SIDE_EDGE = {
+    (1, 3): 4, (1, 5): 7, (1, 7): 10, (2, 3): 4, (2, 5): 7, (2, 7): 10,
+    (3, 1): 3, (3, 2): 6, (3, 3): 4, (3, 4): 12, (3, 5): 7, (3, 6): 18,
+    (3, 7): 10, (3, 8): 24, (4, 3): 4, (4, 5): 7, (4, 7): 10, (5, 1): 6,
+    (5, 2): 12, (5, 3): 4, (5, 4): 24, (5, 5): 7, (5, 6): 36, (5, 7): 10,
+    (5, 8): 48, (6, 3): 4, (6, 5): 7, (6, 7): 10, (7, 1): 9, (7, 2): 18,
+    (7, 3): 4, (7, 4): 36, (7, 5): 7, (7, 6): 54, (7, 7): 10, (7, 8): 72,
+    (8, 3): 4, (8, 5): 7, (8, 7): 10,
+}
+
+# sha256 of repr(nerve._faces) from the dict-keyed builder
+NERVE_DIGESTS = {
+    (4, 6): "db19624ccd950a7f99ec82e880ccb74cf416d4eb5ed157c5785b28e0e89188ca",
+    (18, 18):
+        "b7335280b937ab2e00bd5d181d73849e22a75d18d67689a21f236fee240985b5",
+    (30, 30):
+        "0b9db5b030d95d9dc1a082f515cefbe33c7a3c420d4992d3800cd5ff0590b40b",
+}
+
+
+class TestGridReference:
+    def _same(self, m1, m2):
+        ref, maps = grid_reference(m1, m2)
+        assert torus_grid(m1, m2) == ref
+        try:
+            ds, sigma = torus_negation(m1, m2)
+        except ValueError as exc:
+            return str(exc)
+        assert ds == ref
+        assert sigma.maps == tuple(tuple(level) for level in maps)
+        return None
+
+    def test_small_grids(self):
+        for m1 in range(1, 9):
+            for m2 in range(1, 9):
+                got = self._same(m1, m2)
+                if (m1, m2) in ODD_SIDE_EDGE:
+                    text = ("1-simplex %d is stabilized but not fixed "
+                            "pointwise; refine first" % ODD_SIDE_EDGE[m1, m2])
+                    assert got == text
+                    ref, maps = grid_reference(m1, m2)
+                    with pytest.raises(ValueError) as exc:
+                        Involution(ref, maps)
+                    assert str(exc.value) == text
+                else:
+                    assert got is None
+
+    def test_even_squares(self):
+        for m in range(2, 33, 2):
+            assert self._same(m, m) is None
+
+    def test_bad_sides(self):
+        for m1, m2 in ((0, 2), (2, 0), (-1, 4)):
+            for build in (torus_grid, torus_negation, _reference_tables):
+                with pytest.raises(ValueError,
+                                   match="^grid sides must be positive$"):
+                    build(m1, m2)
+
+    def test_nerve_digests(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GeometricRealizabilityWarning)
+            for (m1, m2), digest in NERVE_DIGESTS.items():
+                nerve = build_kummer(KummerParams(m1, m2)).nerve
+                got = hashlib.sha256(repr(nerve._faces).encode()).hexdigest()
+                assert got == digest
 
 
 class TestKummer:

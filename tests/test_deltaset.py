@@ -184,6 +184,60 @@ class TestConstruction:
         assert ds.boundary_matrix(1).is_zero()
 
 
+class TestValidationOrder:
+    """Each check reports the first failing simplex, with the text of the
+    per-simplex checks."""
+
+    EDGES = [(1, 0), (2, 1), (2, 0)]
+
+    def _raises(self, text, build, *args):
+        with pytest.raises(ValueError) as exc:
+            build(*args)
+        assert str(exc.value) == text
+
+    def test_delta_set(self):
+        cases = [
+            # an out-of-range id before a simplex with a wrong face count
+            ("face id 7 out of range in dimension 1",
+             [[(1, 0), (7, 0), (2, 1), (1,)]]),
+            ("face id -2 out of range in dimension 1",
+             [[(1, 0), (0, -2), (2, 1)]]),
+            ("simplex 1 of dimension 1 has 3 faces, expected 2",
+             [[(1, 0), (1, 0, 2), (9, 0)]]),
+            # an empty middle level leaves no face to point at
+            ("face id 0 out of range in dimension 2", [[], [(0, 0, 0)]]),
+            ("simplex 1 of dimension 2 has 2 faces, expected 3",
+             [self.EDGES, [(0, 1, 2), (0, 1)]]),
+            ("face id 3 out of range in dimension 2",
+             [self.EDGES, [(0, 2, 1), (0, 3, 1)]]),
+            ("simplicial identity fails at 2-simplex 1 (i=0, j=2)",
+             [self.EDGES, [(1, 2, 0), (0, 0, 0)]]),
+            ("simplicial identity fails at 2-simplex 1 (i=1, j=2)",
+             [self.EDGES, [(1, 2, 0), (1, 1, 0)]]),
+        ]
+        for text, faces in cases:
+            self._raises(text, DeltaSet, 3, faces)
+
+    def test_involution(self):
+        square = circle(4)
+        flip = [0, 3, 2, 1]  # the reflection fixing vertices 0 and 2
+        Involution(square, [flip, [3, 2, 1, 0]])  # each case breaks one map
+        cases = [
+            ("map in dimension 1 is not a bijection",
+             square, [flip, [3, 3, 1, 0]]),
+            ("map is not an involution at (1, 1)",
+             square, [flip, [0, 2, 3, 1]]),
+            ("not an automorphism: faces of 1-simplex 1 do not match faces "
+             "of its image", square, [flip, [3, 1, 2, 0]]),
+            # a loop fixed with its vertex, then an edge flipped in place
+            ("1-simplex 1 is stabilized but not fixed pointwise; refine "
+             "first", DeltaSet(3, [[(2, 2), (1, 0), (0, 1)]]),
+             [[1, 0, 2], [0, 1, 2]]),
+        ]
+        for text, ds, maps in cases:
+            self._raises(text, Involution, ds, maps)
+
+
 # -- homology ----------------------------------------------------------------
 
 class TestHomology:
