@@ -41,9 +41,10 @@ class QuotientError(ValueError):
 
 
 class DeltaSet:
-    """Abstract triangulated set; immutable after construction."""
+    """Abstract triangulated set; logically immutable after construction:
+    the ``_sign`` slot only memoizes the orientation pass (``_oriented``)."""
 
-    __slots__ = ("_counts", "_faces")
+    __slots__ = ("_counts", "_faces", "_sign")
 
     def __init__(self, num_vertices: int,
                  faces: Sequence[Sequence[Sequence[int]]] = ()):
@@ -51,9 +52,8 @@ class DeltaSet:
 
         Trailing empty dimensions are dropped.
         """
-        stored: list[tuple[tuple[int, ...], ...]] = []
-        for level in faces:
-            stored.append(tuple([tuple(map(int, s)) for s in level]))
+        stored = [tuple([tuple(map(int, s)) for s in level])
+                  for level in faces]
         while stored and not stored[-1]:
             stored.pop()
         counts = [int(num_vertices)]
@@ -181,9 +181,14 @@ def _boundary_rows(ds: DeltaSet, q: int) -> dict[int, dict[int, int]]:
     return rows
 
 
-def _is_cycle(rows: dict[int, dict[int, int]], coeffs: Sequence[int]) -> bool:
-    return all(sum(x * coeffs[s] for s, x in row.items()) == 0
-               for row in rows.values())
+def _is_cycle(ds: DeltaSet, q: int, coeffs: Sequence[int]) -> bool:
+    """Is this q-chain a cycle?  Face j adds (-1)^j c to the boundary."""
+    boundary = [0] * ds.n(q - 1)
+    for c, fs in zip(coeffs, ds._faces[q - 1] if q else ()):
+        for f in fs:
+            boundary[f] += c
+            c = -c
+    return not any(boundary)
 
 
 @lru_cache(maxsize=128)
@@ -229,15 +234,14 @@ def _top_cycles(ds: DeltaSet) -> list[CycleVector]:
     """A Z-basis of the top homology, each vector checked to be a cycle; a
     single generator has its first nonzero coefficient positive.  Across
     each edge of a closed 2-pseudomanifold a cycle's coefficient on one
-    side fixes the other's, so ker d2 = Z sign for the ``_orientation``
-    signs; elsewhere the basis comes from the cached elimination."""
+    side fixes the other's, so ker d2 = Z sign for the ``_oriented`` signs,
+    shared with ``recognize``; elsewhere the basis is the cached kernel."""
     d = ds.dim
-    sign = _orientation(ds) if d == 2 else None
+    sign = _oriented(ds) if d == 2 else None
     columns = [sign] if sign else list(_boundary_reduction(ds, d)[2])
     if len(columns) == 1 and next(c for c in columns[0] if c) < 0:
         columns = [tuple(-c for c in columns[0])]
-    rows = _boundary_rows(ds, d)
-    assert all(_is_cycle(rows, c) for c in columns)
+    assert all(_is_cycle(ds, d, c) for c in columns)
     return [CycleVector(d, c) for c in columns]
 
 
@@ -278,7 +282,7 @@ def top_cycle_generator(ds: DeltaSet, d: int) -> CycleVector:
               for i in range(ds.n(d))]
     if next((c for c in coeffs if c), 0) < 0:
         coeffs = [-c for c in coeffs]
-    assert _is_cycle(_boundary_rows(ds, d), coeffs)
+    assert _is_cycle(ds, d, coeffs)
     return CycleVector(dimension=d, coefficients=tuple(coeffs))
 
 
@@ -324,10 +328,17 @@ def recognize(ds: DeltaSet) -> Shape:
         return Shape.INTERVAL if len(queue) == ds.n(0) else Shape.OTHER
     if ds.dim == 2:
         used = {v for fs in ds._faces[0] for v in fs}
-        if len(used) == ds.n(0) and _orientation(ds) is not None \
+        if len(used) == ds.n(0) and _oriented(ds) is not None \
                 and euler_characteristic(ds) == 2:
             return Shape.SPHERE2
     return Shape.OTHER
+
+
+def _oriented(ds: DeltaSet) -> tuple[int, ...] | None:
+    """``_orientation(ds)``, run on first use and kept in the ``_sign`` slot."""
+    if not hasattr(ds, "_sign"):
+        ds._sign = _orientation(ds)
+    return ds._sign
 
 
 def _orientation(ds: DeltaSet) -> tuple[int, ...] | None:

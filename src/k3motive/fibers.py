@@ -173,36 +173,33 @@ def _id_key(x):
 # ---------------------------------------------------------------------------
 
 def validate(f: DegenerationFiber) -> list[str]:
-    """All invariant violations, as human-readable strings; [] means valid."""
+    """All invariant violations, as human-readable strings; [] means valid.
+    Triple points are checked against one frozenset of components per
+    double-curve id (of two curves with one id, the later)."""
     out: list[str] = []
-    comp_ids = [c.id for c in f.components]
-    if len(set(comp_ids)) != len(comp_ids):
+    comp_ids = {c.id for c in f.components}
+    if len(comp_ids) != len(f.components):
         out.append("duplicate component ids")
-    comp_by_id = {c.id: c for c in f.components}
 
     for c in f.components:
-        if isinstance(c.kind, Rational) and c.kind.a < 0:
-            out.append("component %r has negative a" % (c.id,))
-        if isinstance(c.kind, RuledElliptic) and c.kind.a < 0:
+        if isinstance(c.kind, (Rational, RuledElliptic)) and c.kind.a < 0:
             out.append("component %r has negative a" % (c.id,))
         if isinstance(c.kind, Other) and c.kind.betti is not None:
             try:
                 e = c.kind.klass.e_polynomial()
             except MissingRealizationError:
-                e = None
-            if e is not None:
-                b0 = e.coefficient(0, 0)
-                b1 = -(e.coefficient(1, 0) + e.coefficient(0, 1))
-                b2 = (e.coefficient(1, 1) + e.coefficient(2, 0)
-                      + e.coefficient(0, 2))
-                if (b0, b1, b2) != tuple(c.kind.betti):
-                    out.append("component %r Betti data disagrees with its "
-                               "class" % (c.id,))
+                continue
+            b0 = e.coefficient(0, 0)
+            b1 = -(e.coefficient(1, 0) + e.coefficient(0, 1))
+            b2 = (e.coefficient(1, 1) + e.coefficient(2, 0)
+                  + e.coefficient(0, 2))
+            if (b0, b1, b2) != tuple(c.kind.betti):
+                out.append("component %r Betti data disagrees with its "
+                           "class" % (c.id,))
 
-    curve_ids = [d.id for d in f.double_curves]
-    if len(set(curve_ids)) != len(curve_ids):
+    on = {d.id: frozenset(d.on) for d in f.double_curves}
+    if len(on) != len(f.double_curves):
         out.append("duplicate double-curve ids")
-    curve_by_id = {d.id: d for d in f.double_curves}
 
     for d in f.double_curves:
         if len(d.on) != 2:
@@ -212,7 +209,7 @@ def validate(f: DegenerationFiber) -> list[str]:
         if d.on[0] == d.on[1]:
             out.append("self-intersecting double curve %r" % (d.id,))
         for cid in d.on:
-            if cid not in comp_by_id:
+            if cid not in comp_ids:
                 out.append("double curve %r references unknown component %r"
                            % (d.id, cid))
         if d.genus not in (0, 1):
@@ -222,8 +219,7 @@ def validate(f: DegenerationFiber) -> list[str]:
             out.append("genus-1 double curve %r names no elliptic atom"
                        % (d.id,))
 
-    triple_ids = [t.id for t in f.triple_points]
-    if len(set(triple_ids)) != len(triple_ids):
+    if len({t.id for t in f.triple_points}) != len(f.triple_points):
         out.append("duplicate triple-point ids")
 
     for t in f.triple_points:
@@ -231,15 +227,13 @@ def validate(f: DegenerationFiber) -> list[str]:
             out.append("triple point %r is not on three distinct curves"
                        % (t.id,))
             continue
-        if any(did not in curve_by_id for did in t.on):
+        if not all(map(on.__contains__, t.on)):
             out.append("triple point %r references an unknown double curve"
                        % (t.id,))
             continue
-        pairs = [set(curve_by_id[did].on) for did in t.on]
-        touched = set().union(*pairs)
-        shared_ok = all(len(pairs[i] & pairs[j]) == 1
-                        for i in range(3) for j in range(i + 1, 3))
-        if len(touched) != 3 or not shared_ok:
+        p, q, r = map(on.__getitem__, t.on)
+        if len(p | q | r) != 3 or len(p & q) != 1 or len(p & r) != 1 \
+                or len(q & r) != 1:
             out.append("triple point %r curves are not pairwise adjacent "
                        "along three components" % (t.id,))
     return out
@@ -263,27 +257,22 @@ def clemens_polytope(f: DegenerationFiber) -> DeltaSet:
 
 
 def _polytope(f: DegenerationFiber) -> DeltaSet:
-    """``clemens_polytope`` of a fiber already known to be valid."""
+    """``clemens_polytope`` of a fiber already known to be valid.  Each curve
+    is kept once, as (minus its vertex-index sum, edge index).  The curves of
+    a triple point on vertices a < b < c sum to b + c, a + c, a + b: half the
+    total less a sum is the vertex a curve misses, and face j misses the j-th
+    least vertex, so the faces are the curves in ascending key order."""
     comp_order = sorted((c.id for c in f.components), key=_id_key)
     vidx = {cid: i for i, cid in enumerate(comp_order)}
-    curves = sorted(f.double_curves, key=lambda d: _id_key(d.id))
-    eidx = {}
-    edge_faces = []
-    for d in curves:
-        a, b = sorted((vidx[d.on[0]], vidx[d.on[1]]))
-        eidx[d.id] = len(edge_faces)
-        edge_faces.append((b, a))
-    curve_by_id = {d.id: d for d in f.double_curves}
+    edge_faces, curve = [], {}
+    for d in sorted(f.double_curves, key=lambda d: _id_key(d.id)):
+        a, b = vidx[d.on[0]], vidx[d.on[1]]
+        curve[d.id] = (-a - b, len(edge_faces))
+        edge_faces.append((a, b) if a > b else (b, a))
     tri_faces = []
     for t in sorted(f.triple_points, key=lambda t: _id_key(t.id)):
-        curve_pair = {}
-        for did in t.on:
-            d = curve_by_id[did]
-            curve_pair[frozenset(vidx[c] for c in d.on)] = did
-        a, b, c = sorted(set().union(*curve_pair))
-        tri_faces.append((eidx[curve_pair[frozenset((b, c))]],
-                          eidx[curve_pair[frozenset((a, c))]],
-                          eidx[curve_pair[frozenset((a, b))]]))
+        (_, e0), (_, e1), (_, e2) = sorted(map(curve.__getitem__, t.on))
+        tri_faces.append((e0, e1, e2))
     return DeltaSet(len(comp_order), [edge_faces, tri_faces])
 
 

@@ -697,6 +697,36 @@ class TestTopCyclesOracle:
         assert oriented == 59
 
 
+class TestCycleCheck:
+    def test_one_pass_boundary_matches_dense(self):
+        # the cycle check against the dense boundary matrix in every degree,
+        # on random chains and on each top cycle, plain and perturbed
+        from k3motive.deltaset import _is_cycle, _top_cycles
+
+        rng = random.Random(4711)
+        corpus = [tetra(), octa(), rp2(), torus_3x3(), circle_plus_rp2()]
+        corpus += list(small_complexes().values())
+        corpus += list(one_complexes().values())
+        verdicts = []
+        for ds in corpus:
+            for q in range(ds.dim + 1):
+                chains = [[rng.randint(-2, 2) for _ in ds.simplices(q)]
+                          for _ in range(10)]
+                if q == ds.dim:
+                    for cycle in _top_cycles(ds):
+                        c = list(cycle.coefficients)
+                        chains.append(c)
+                        c = c[:]
+                        c[rng.randrange(len(c))] += 1
+                        chains.append(c)
+                bnd = ds.boundary_matrix(q)
+                for c in chains:
+                    dense = bnd @ IntMatrix([[x] for x in c], cols=1)
+                    verdicts.append(_is_cycle(ds, q, c))
+                    assert verdicts[-1] == dense.is_zero(), (ds, q, c)
+        assert verdicts.count(True) > 150 and verdicts.count(False) > 250
+
+
 # -- refinement --------------------------------------------------------------
 
 class TestBarycentric:

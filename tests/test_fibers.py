@@ -101,6 +101,216 @@ class TestValidate:
         assert any("Betti" in m for m in validate(f))
 
 
+def validation_cases():
+    """Invalid fibers, one per rule and a few breaking several, by name."""
+    R = Rational
+    comps3 = [Component(i, R(0)) for i in range(3)]
+    tri = [DoubleCurve("ab", (0, 1), 0), DoubleCurve("ac", (0, 2), 0),
+           DoubleCurve("bc", (1, 2), 0)]
+    t = [TriplePoint("t", ("ab", "ac", "bc"))]
+    fiber = DegenerationFiber.of
+    return {
+        "duplicate component ids": fiber(
+            "x", [Component(0, R(0)), Component(0, R(1))]),
+        "negative a, rational": fiber("x", [Component(0, R(-1))]),
+        "negative a, ruled": fiber(
+            "x", [Component("r", RuledElliptic("E", -2))]),
+        "Betti disagrees": fiber("x", [Component(0, Other(
+            MotiveClass.one() + L(1, 2) + L(2), betti=(1, 0, 5)))]),
+        "duplicate curve ids, last wins": fiber(
+            "x", comps3 + [Component(3, R(0))],
+            tri + [DoubleCurve("bc", (1, 3), 0)], t),
+        "duplicate curve ids, last fits": fiber(
+            "x", comps3 + [Component(3, R(0))],
+            [DoubleCurve("bc", (1, 3), 0)] + tri, t),
+        "curve on one component": fiber(
+            "x", comps3, [DoubleCurve("c", (0,), 0)]),
+        "curve on three components": fiber(
+            "x", comps3, [DoubleCurve("c", (0, 1, 2), 0)]),
+        "self-intersecting curve": fiber(
+            "x", comps3, [DoubleCurve("c", (1, 1), 0)]),
+        "unknown components": fiber(
+            "x", comps3, [DoubleCurve("c", (7, "y"), 0)]),
+        "genus 2": fiber("x", comps3, [DoubleCurve("c", (0, 1), 2)]),
+        "genus 1 without atom": fiber(
+            "x", comps3, [DoubleCurve("c", (0, 1), 1)]),
+        "duplicate triple ids": fiber(
+            "x", comps3, tri, t + [TriplePoint("t", ("bc", "ab", "ac"))]),
+        "triple on two curves": fiber(
+            "x", comps3, tri, [TriplePoint("t", ("ab", "ac"))]),
+        "triple on a repeated curve": fiber(
+            "x", comps3, tri, [TriplePoint("t", ("ab", "ab", "bc"))]),
+        "triple on four curves": fiber(
+            "x", comps3, tri, [TriplePoint("t", ("ab", "ac", "bc", "ab"))]),
+        "triple on an unknown curve": fiber(
+            "x", comps3, tri, [TriplePoint("t", ("ab", "ac", "zz"))]),
+        "triple along a path": fiber(
+            "x", comps3 + [Component(3, R(0))],
+            tri[:1] + [DoubleCurve("bc", (1, 2), 0),
+                       DoubleCurve("cd", (2, 3), 0)],
+            [TriplePoint("t", ("ab", "bc", "cd"))]),
+        "triple on a three-component curve": fiber(
+            "x", comps3, tri[:2] + [DoubleCurve("bc", (0, 1, 2), 0)], t),
+        "triple beside a self-intersecting curve": fiber(
+            "x", comps3, [DoubleCurve("ab", (0, 0), 0),
+                          DoubleCurve("ac", (0, 1), 0),
+                          DoubleCurve("bc", (0, 2), 0)], t),
+        "triple with a self-intersecting curve apart": fiber(
+            "x", comps3, tri[:2] + [DoubleCurve("cc", (2, 2), 0)],
+            [TriplePoint("t", ("ab", "ac", "cc"))]),
+        "triple on two components": fiber(
+            "x", comps3, [DoubleCurve("aa", (0, 0), 0),
+                          DoubleCurve("aa2", (0, 0), 0),
+                          DoubleCurve("ab", (0, 1), 0)],
+            [TriplePoint("t", ("aa", "aa2", "ab"))]),
+        "triple on parallel curves": fiber(
+            "x", comps3, tri + [DoubleCurve("ab2", (1, 0), 0)],
+            [TriplePoint("t", ("ab", "ab2", "bc"))]),
+        "several rules": fiber(
+            "x", [Component(0, R(-1)), Component(0, R(0)),
+                  Component(1, RuledElliptic("E", -1))],
+            [DoubleCurve("c", (0, 0), 3), DoubleCurve("c", (1, 5), 1),
+             DoubleCurve("d", (0,), 1)],
+            [TriplePoint(1, ("c", "d")), TriplePoint(1, ("c", "d", "e")),
+             TriplePoint(2, ("c", "c", "d"))]),
+        "every triple rule": fiber(
+            "x", comps3 + [Component(3, R(0))],
+            tri + [DoubleCurve("cd", (2, 3), 0),
+                   DoubleCurve("bd", (1, 3, 0), 0)],
+            [TriplePoint("p", ("ab", "bc", "cd")),
+             TriplePoint("q", ("ab", "ac", "x")),
+             TriplePoint("r", ("ab", "ac", "bd")),
+             TriplePoint("s", ("ab", "ac", "bc")),
+             TriplePoint("p", ("ab",))]),
+    }
+
+
+# violation lists of ``validation_cases``, pinned verbatim from the
+# triple-point rule with three sets and a union per triple point
+PINNED_VIOLATIONS = {
+    "duplicate component ids": [
+        "duplicate component ids",
+    ],
+    "negative a, rational": [
+        "component 0 has negative a",
+    ],
+    "negative a, ruled": [
+        "component 'r' has negative a",
+    ],
+    "Betti disagrees": [
+        "component 0 Betti data disagrees with its class",
+    ],
+    "duplicate curve ids, last wins": [
+        "duplicate double-curve ids",
+        "triple point 't' curves are not pairwise adjacent along three "
+        "components",
+    ],
+    "duplicate curve ids, last fits": [
+        "duplicate double-curve ids",
+    ],
+    "curve on one component": [
+        "double curve 'c' is not on exactly two components",
+    ],
+    "curve on three components": [
+        "double curve 'c' is not on exactly two components",
+    ],
+    "self-intersecting curve": [
+        "self-intersecting double curve 'c'",
+    ],
+    "unknown components": [
+        "double curve 'c' references unknown component 7",
+        "double curve 'c' references unknown component 'y'",
+    ],
+    "genus 2": [
+        "double curve 'c' has genus 2 outside {0, 1}",
+    ],
+    "genus 1 without atom": [
+        "genus-1 double curve 'c' names no elliptic atom",
+    ],
+    "duplicate triple ids": [
+        "duplicate triple-point ids",
+    ],
+    "triple on two curves": [
+        "triple point 't' is not on three distinct curves",
+    ],
+    "triple on a repeated curve": [
+        "triple point 't' is not on three distinct curves",
+    ],
+    "triple on four curves": [
+        "triple point 't' is not on three distinct curves",
+    ],
+    "triple on an unknown curve": [
+        "triple point 't' references an unknown double curve",
+    ],
+    "triple along a path": [
+        "triple point 't' curves are not pairwise adjacent along three "
+        "components",
+    ],
+    "triple on a three-component curve": [
+        "double curve 'bc' is not on exactly two components",
+        "triple point 't' curves are not pairwise adjacent along three "
+        "components",
+    ],
+    "triple beside a self-intersecting curve": [
+        "self-intersecting double curve 'ab'",
+    ],
+    "triple with a self-intersecting curve apart": [
+        "self-intersecting double curve 'cc'",
+        "triple point 't' curves are not pairwise adjacent along three "
+        "components",
+    ],
+    "triple on two components": [
+        "self-intersecting double curve 'aa'",
+        "self-intersecting double curve 'aa2'",
+        "triple point 't' curves are not pairwise adjacent along three "
+        "components",
+    ],
+    "triple on parallel curves": [
+        "triple point 't' curves are not pairwise adjacent along three "
+        "components",
+    ],
+    "several rules": [
+        "duplicate component ids",
+        "component 0 has negative a",
+        "component 1 has negative a",
+        "duplicate double-curve ids",
+        "self-intersecting double curve 'c'",
+        "double curve 'c' has genus 3 outside {0, 1}",
+        "double curve 'c' references unknown component 5",
+        "genus-1 double curve 'c' names no elliptic atom",
+        "double curve 'd' is not on exactly two components",
+        "duplicate triple-point ids",
+        "triple point 1 is not on three distinct curves",
+        "triple point 1 references an unknown double curve",
+        "triple point 2 is not on three distinct curves",
+    ],
+    "every triple rule": [
+        "double curve 'bd' is not on exactly two components",
+        "duplicate triple-point ids",
+        "triple point 'p' curves are not pairwise adjacent along three "
+        "components",
+        "triple point 'q' references an unknown double curve",
+        "triple point 'r' curves are not pairwise adjacent along three "
+        "components",
+        "triple point 'p' is not on three distinct curves",
+    ],
+}
+
+
+class TestValidationMessages:
+    def test_pinned_violation_lists(self):
+        cases = validation_cases()
+        assert list(cases) == list(PINNED_VIOLATIONS)
+        for name, f in cases.items():
+            assert validate(f) == PINNED_VIOLATIONS[name], name
+
+    def test_invalid_fibers_have_no_polytope(self):
+        for name, f in validation_cases().items():
+            with pytest.raises(InvalidFiberError) as err:
+                clemens_polytope(f)
+            assert err.value.violations == PINNED_VIOLATIONS[name], name
+
+
 class TestComponentClasses:
     def test_rational(self):
         assert component_class(Rational(7)) == \
@@ -419,3 +629,101 @@ class TestEulerCount:
         assert v - e + faces == 2
         assert 3 * faces == 2 * e
         assert v == faces // 2 + 2
+
+
+# -- the Clemens polytope against its frozenset-keyed reference -------------
+
+def polytope_reference(f):
+    """The Clemens polytope of a valid fiber as built with a frozenset of
+    vertex indices per curve of each triple point, kept verbatim."""
+    from k3motive.deltaset import DeltaSet
+    from k3motive.fibers import _id_key
+
+    comp_order = sorted((c.id for c in f.components), key=_id_key)
+    vidx = {cid: i for i, cid in enumerate(comp_order)}
+    curves = sorted(f.double_curves, key=lambda d: _id_key(d.id))
+    eidx = {}
+    edge_faces = []
+    for d in curves:
+        a, b = sorted((vidx[d.on[0]], vidx[d.on[1]]))
+        eidx[d.id] = len(edge_faces)
+        edge_faces.append((b, a))
+    curve_by_id = {d.id: d for d in f.double_curves}
+    tri_faces = []
+    for t in sorted(f.triple_points, key=lambda t: _id_key(t.id)):
+        curve_pair = {}
+        for did in t.on:
+            d = curve_by_id[did]
+            curve_pair[frozenset(vidx[c] for c in d.on)] = did
+        a, b, c = sorted(set().union(*curve_pair))
+        tri_faces.append((eidx[curve_pair[frozenset((b, c))]],
+                          eidx[curve_pair[frozenset((a, c))]],
+                          eidx[curve_pair[frozenset((a, b))]]))
+    return DeltaSet(len(comp_order), [edge_faces, tri_faces])
+
+
+def renamed(f, name):
+    """The fiber with every id x replaced by name(x), order of items kept."""
+    return DegenerationFiber.of(
+        f.label, [Component(name(c.id), c.kind) for c in f.components],
+        [DoubleCurve(name(d.id), tuple(map(name, d.on)), d.genus, d.curve)
+         for d in f.double_curves],
+        [TriplePoint(name(t.id), tuple(map(name, t.on)))
+         for t in f.triple_points])
+
+
+def polytope_corpus():
+    """Sphere ladders (each also relabelled), string and mixed ids, curves
+    on a shared component pair, chains and two Kummer documents."""
+    import warnings
+
+    from k3motive.builders import (KummerParams, build_kummer,
+                                   build_type2_chain, build_type3,
+                                   icosahedron, octahedron)
+    from k3motive.deltaset import refine_barycentric, refine_edge_split
+    from k3motive.serialize import fiber_from_json, fiber_to_json
+    from test_deltaset import shuffled
+
+    rng = random.Random(1113)
+    corpus = {}
+    for base, refine, steps in ((octahedron, refine_edge_split, 4),
+                                (icosahedron, refine_barycentric, 2)):
+        tri = base()
+        for k in range(steps + 1):
+            name = "%s^%d" % (base.__name__, k)
+            corpus[name] = build_type3(tri)
+            corpus[name + " relabelled"] = build_type3(shuffled(tri, rng))
+            tri = refine(tri)
+    octa = corpus["octahedron^1 relabelled"]
+    corpus["string ids"] = renamed(octa, lambda x: "s%d" % x)
+    corpus["mixed ids"] = renamed(octa, lambda x: "m%d" % x if x % 3 else x)
+    corpus["random mixed ids"] = relabelled(octa, rng)
+    comps = [Component(i, Rational(0)) for i in range(3)]
+    curves = [DoubleCurve("ab", (1, 0), 0), DoubleCurve(0, (2, 0), 0),
+              DoubleCurve("bc", (2, 1), 0), DoubleCurve(1, (0, 1), 0)]
+    corpus["parallel curves"] = DegenerationFiber.of(
+        "pillow", comps, curves, [TriplePoint("t", ("bc", 0, "ab")),
+                                  TriplePoint(5, (0, 1, "bc"))])
+    for m in range(1, 7):
+        corpus["chain %d" % m] = build_type2_chain(m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for m1, m2 in ((4, 6), (18, 18)):
+            fiber = build_kummer(KummerParams(m1, m2)).fiber
+            corpus["kummer %dx%d" % (m1, m2)] = fiber_from_json(
+                fiber_to_json(fiber))
+    return corpus
+
+
+class TestPolytopeReference:
+    def test_faces_equal_reference(self):
+        corpus = polytope_corpus()
+        assert len(corpus) == 28
+        for name, f in corpus.items():
+            assert validate(f) == [], name
+            cl = clemens_polytope(f)
+            ref = polytope_reference(f)
+            assert cl.counts == ref.counts and cl._faces == ref._faces, name
+        assert clemens_polytope(corpus["octahedron^4"]).counts == \
+            (1026, 3072, 2048)
+        assert clemens_polytope(corpus["kummer 18x18"]).n(2) == 324

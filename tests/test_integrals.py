@@ -281,7 +281,7 @@ def count_calls(monkeypatch, counts, name, fn):
 
 def route_counts(monkeypatch):
     """Count the calls of each step of the one-analysis route (and of the
-    sparse engine and dense identities) from here on."""
+    sparse engine, the boundary rows and dense identities) from here on."""
     from k3motive import deltaset, fibers, intlinalg, weightss
     from k3motive.intlinalg import IntMatrix
 
@@ -292,7 +292,9 @@ def route_counts(monkeypatch):
                      ("_polytope", fibers._polytope),
                      ("_kulikov_type", fibers._kulikov_type),
                      ("_strata", fibers._strata),
-                     ("_monodromy_gram", weightss._monodromy_gram)):
+                     ("_monodromy_gram", weightss._monodromy_gram),
+                     ("_orientation", deltaset._orientation),
+                     ("_boundary_rows", deltaset._boundary_rows)):
         count_calls(monkeypatch, counts, name, fn)
     monkeypatch.setattr(IntMatrix, "identity", classmethod(
         counting(counts, "identity", IntMatrix.identity.__func__)))
@@ -300,21 +302,26 @@ def route_counts(monkeypatch):
 
 
 # one validation, one polytope, one strata sum per call; nothing is
-# eliminated: the sphere is recognized and its Gram basis found by one
-# orientation pass, the chain by its valences and one connectivity pass
+# eliminated and no boundary row is built: the sphere is recognized and its
+# Gram basis found by one shared orientation pass, the chain by its
+# valences and one connectivity pass, with no orientation pass
 ONCE = {"_sparse_reduce": 0, "validate": 1, "_polytope": 1,
         "_kulikov_type": 1, "_strata": 1, "_monodromy_gram": 1,
-        "identity": 0}
+        "_orientation": 1, "_boundary_rows": 0, "identity": 0}
+CHAIN = ("_monodromy_gram", "_orientation")
 
 
 class TestOncePerFiber:
     def test_verify_fiber_call_counts(self, monkeypatch):
-        from k3motive.builders import build_type2_chain, build_type3
+        from k3motive.builders import (build_type2_chain, build_type3,
+                                       octahedron, refine_sphere)
 
         # a chain has no Gram basis: r1 = m^2 comes from the H^1 row
         cases = [(build_type3("icosahedron"), ()),
-                 (build_type2_chain(1), ("_monodromy_gram",)),
-                 (build_type2_chain(4), ("_monodromy_gram",))]
+                 (build_type3(refine_sphere(octahedron(), 3, "edge_split")),
+                  ()),
+                 (build_type2_chain(1), CHAIN),
+                 (build_type2_chain(4), CHAIN)]
         counts = route_counts(monkeypatch)
         for fiber, skipped in cases:
             counts.update(dict.fromkeys(counts, 0))
@@ -342,8 +349,8 @@ class TestOncePerFiber:
     @pytest.mark.parametrize("command, family, skipped", [
         ("verify", "type3", ()),
         ("analyze", "type3", ("_monodromy_gram",)),
-        ("verify", "type2", ("_monodromy_gram",)),
-        ("analyze", "type2", ("_monodromy_gram",)),
+        ("verify", "type2", CHAIN),
+        ("analyze", "type2", CHAIN),
     ], ids=["verify", "analyze", "verify-type2", "analyze-type2"])
     def test_cli_call_counts(self, monkeypatch, tmp_path, capsys, command,
                              family, skipped):
