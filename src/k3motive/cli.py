@@ -117,6 +117,8 @@ def _load_fiber(path: str):
 # ---------------------------------------------------------------------------
 
 def _cmd_build(args) -> int:
+    if args.out is None:
+        raise InputError("build requires --out")
     profile = _parse_profile(args.a_profile)
     doc, neron = {}, None
     if args.family == "type2":
@@ -163,8 +165,6 @@ def _cmd_build(args) -> int:
             "closed_form": motive_to_json(_quiet_closed_form(params))},
         "neron": neron_to_json(neron),
     })
-    if args.out is None:
-        raise InputError("build requires --out")
     _write_json(args.out, doc)
     print("wrote %s (%s, %d components)" %
           (args.out, args.family, len(fiber.components)))

@@ -309,20 +309,24 @@ def _inclusion_exclusion(strata) -> MotiveClass:
 
 
 def open_component_classes(f: DegenerationFiber) -> list[MotiveClass]:
-    """Open stratum of each component, enumerated directly per component.
+    """Open stratum of each component, from its count of curve sides per
+    (genus, curve name) and of triple points; one class per distinct kind.
 
     Summing these is an independent route to ``smooth_locus_class`` (each
     double curve lies on two components, each triple point on three).
     """
     _require_valid(f)
-    curve_by_id = {d.id: d for d in f.double_curves}
-    opened = {c.id: component_class(c.kind) for c in f.components}
-    for d in f.double_curves:
-        for cid in d.on:
-            opened[cid] = opened[cid] - curve_class(d)
-    for t in f.triple_points:
-        for cid in set().union(*(curve_by_id[did].on for did in t.on)):
-            opened[cid] = opened[cid] + MotiveClass.one()
+    on = {d.id: d.on for d in f.double_curves}
+    rep = {(d.genus, d.curve): d for d in f.double_curves}
+    cut = {key: curve_class(d) for key, d in rep.items()}
+    whole = {k: component_class(k) for k in {c.kind for c in f.components}}
+    sides = Counter((cid, d.genus, d.curve)
+                    for d in f.double_curves for cid in d.on)
+    points = Counter(cid for t in f.triple_points
+                     for cid in set().union(*(on[i] for i in t.on)))
+    opened = {c.id: whole[c.kind] + _L(0, points[c.id]) for c in f.components}
+    for (cid, genus, curve), n in sides.items():
+        opened[cid] = opened[cid] - n * cut[genus, curve]
     return [opened[c.id] for c in f.components]
 
 

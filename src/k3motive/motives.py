@@ -13,6 +13,14 @@ certify), except that distributing over point-based factors is of course
 fine.  Four realizations are provided: the two-variable E-polynomial, the
 Euler characteristic, the reduction modulo (uv - 1) killing the Tate twist,
 and point counting as a polynomial in q with its residue at q = 1.
+
+``EPolynomial``, ``UnivariateLaurent`` and ``MotiveClass`` share one sparse
+term base, ``_Terms``: a pruned {key: coefficient} dict with its sum,
+negation, integer multiples, distributive product, equality and an
+order-free hash.  A subclass gives only the product of two keys: exponents
+add in the Laurent polynomials; in a class the Lefschetz powers add and a
+point atom takes on the other factor's atom.  Values of two different types
+never compare equal.
 """
 
 from __future__ import annotations
@@ -30,24 +38,17 @@ class MissingRealizationError(KeyError):
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials
+# sparse terms and Laurent polynomials
 # ---------------------------------------------------------------------------
 
-def _prune(terms):
-    return {k: c for k, c in terms.items() if c}
-
-
-class _Laurent:
-    """Integer Laurent polynomial stored as a pruned {exponent: coefficient}
-    dict; a subclass says how exponents add under multiplication."""
+class _Terms:
+    """Finite Z-linear combination of keys, stored as a pruned
+    {key: coefficient} dict; a subclass says how keys multiply."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping | None = None):
-        self._terms = _prune(dict(terms or {}))
-
-    def items(self):
-        return sorted(self._terms.items())
+        self._terms = {k: c for k, c in (terms or {}).items() if c}
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -76,15 +77,24 @@ class _Laurent:
 
     __rmul__ = __mul__
 
-    def at_one(self) -> int:
-        """Value at 1 (for an E-polynomial, the Euler characteristic)."""
-        return sum(self._terms.values())
-
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self._terms.items())))
+        return hash(frozenset(self._terms.items()))
+
+
+class _Laurent(_Terms):
+    """Integer Laurent polynomial: its exponents are ordered."""
+
+    __slots__ = ()
+
+    def items(self):
+        return sorted(self._terms.items())
+
+    def at_one(self) -> int:
+        """Value at 1 (for an E-polynomial, the Euler characteristic)."""
+        return sum(self._terms.values())
 
 
 class EPolynomial(_Laurent):
@@ -230,26 +240,22 @@ class OpaqueAtom:
 Atom = _PointAtom | EllipticCurveAtom | OpaqueAtom
 
 
-def _atom_key(atom: Atom) -> tuple:
-    return (atom.kind_rank, atom.name)
-
-
 # ---------------------------------------------------------------------------
 # motive classes
 # ---------------------------------------------------------------------------
 
-class MotiveClass:
+class MotiveClass(_Terms):
     """Finite Z-linear combination of (atom, Lefschetz power) basis terms.
 
     The term (POINT, n) is L^n = Z(-n); negative powers are allowed since
-    the ring is localized at L.  No zero coefficients are ever stored, so
-    equality of classes is literal dictionary equality.
+    the ring is localized at L.
     """
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[tuple[Atom, int], int] | None = None):
-        self._terms = _prune(dict(terms or {}))
+    __slots__ = ()
+    # the base's functions, bound here too: perfbench/tracer.py wraps them
+    __add__, __neg__, __sub__, __mul__, __rmul__ = (
+        _Terms.__add__, _Terms.__neg__, _Terms.__sub__, _Terms.__mul__,
+        _Terms.__rmul__)
 
     # -- constructors -------------------------------------------------
 
@@ -277,36 +283,16 @@ class MotiveClass:
 
     # -- ring structure -----------------------------------------------
 
-    def __add__(self, other: "MotiveClass") -> "MotiveClass":
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, 0) + c
-        return MotiveClass(out)
-
-    def __neg__(self) -> "MotiveClass":
-        return MotiveClass({k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other: "MotiveClass") -> "MotiveClass":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return MotiveClass({k: c * other for k, c in self._terms.items()})
-        out: dict[tuple[Atom, int], int] = {}
-        for (a1, p1), c1 in self._terms.items():
-            for (a2, p2), c2 in other._terms.items():
-                if a1 is POINT or isinstance(a1, _PointAtom):
-                    key = (a2, p1 + p2)
-                elif a2 is POINT or isinstance(a2, _PointAtom):
-                    key = (a1, p1 + p2)
-                else:
-                    raise UnsupportedProductError(
-                        "product %r * %r is outside the supported fragment"
-                        % (a1, a2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return MotiveClass(out)
-
-    __rmul__ = __mul__
+    @staticmethod
+    def _add_exponents(a, b):
+        """L-powers add; a point atom takes on the other factor's atom."""
+        (a1, p1), (a2, p2) = a, b
+        if isinstance(a1, _PointAtom):
+            return (a2, p1 + p2)
+        if isinstance(a2, _PointAtom):
+            return (a1, p1 + p2)
+        raise UnsupportedProductError(
+            "product %r * %r is outside the supported fragment" % (a1, a2))
 
     def twist(self, n: int) -> "MotiveClass":
         """Tate twist by n: multiply by L^(-n), so stored powers drop by n."""
@@ -327,15 +313,13 @@ class MotiveClass:
         order the JSON serialization uses, so it is byte-stable.
         """
         return sorted(((a, p, c) for (a, p), c in self._terms.items()),
-                      key=lambda t: (_atom_key(t[0]), t[1]))
+                      key=lambda t: (t[0].kind_rank, t[0].name, t[1]))
 
     # -- realizations -------------------------------------------------
 
     def e_polynomial(self) -> EPolynomial:
-        out = EPolynomial()
-        for (a, p), c in self._terms.items():
-            out = out + a.e_polynomial() * EPolynomial.monomial(p, p, c)
-        return out
+        return sum((a.e_polynomial() * EPolynomial.monomial(p, p, c)
+                    for (a, p), c in self._terms.items()), EPolynomial())
 
     def euler_characteristic(self) -> int:
         return self.e_polynomial().at_one()
@@ -343,10 +327,7 @@ class MotiveClass:
     def serre_reduce(self) -> UnivariateLaurent:
         """Image in the quotient by (Z(1) - Z), i.e. the E-polynomial with
         uv = 1, written as a Laurent polynomial in u alone."""
-        out = UnivariateLaurent()
-        for (a, p), c in self._terms.items():
-            out = out + a.e_polynomial().serre() * c
-        return out
+        return self.e_polynomial().serre()
 
     def point_count(self, atom_counts: Mapping[str, int] | None = None
                     ) -> UnivariateLaurent:
@@ -354,21 +335,8 @@ class MotiveClass:
         the classical Serre invariant representative mod (q - 1)."""
         out: dict[int, int] = {}
         for (a, p), c in self._terms.items():
-            n = a.count(atom_counts)
-            out[p] = out.get(p, 0) + c * n
+            out[p] = out.get(p, 0) + c * a.count(atom_counts)
         return UnivariateLaurent(out)
-
-    # -- plumbing -------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MotiveClass) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self._terms.items(),
-                                 key=lambda kv: (_atom_key(kv[0][0]), kv[0][1]))))
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
 
     def __repr__(self) -> str:
         if not self._terms:

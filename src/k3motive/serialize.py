@@ -31,6 +31,7 @@ from .motives import (
     EllipticCurveAtom,
     MotiveClass,
     OpaqueAtom,
+    POINT,
     _PointAtom,
 )
 
@@ -62,6 +63,13 @@ def int_to_decimal(x: int) -> str:
     return int_to_decimal(hi) + int_to_decimal(lo).rjust(k, "0")
 
 
+def _decimal(x, what: str) -> int:
+    """A decimal-string field (a matrix entry, a class coefficient)."""
+    if not (isinstance(x, str) and _DECIMAL.fullmatch(x)):
+        raise ValueError("%s %r is not a decimal string" % (what, x))
+    return decimal_to_int(x)
+
+
 def decimal_to_int(text: str) -> int:
     """``int(text)`` for a decimal string of any length."""
     if len(text) <= 600:
@@ -89,10 +97,7 @@ def matrix_from_json(doc: dict) -> IntMatrix:
     entries = doc["entries"]
     if not isinstance(entries, list):
         raise ValueError("entries %r is not an array" % (entries,))
-    for x in entries:
-        if not (isinstance(x, str) and _DECIMAL.fullmatch(x)):
-            raise ValueError("entry %r is not a decimal string" % (x,))
-    return IntMatrix.from_flat(rows, cols, [decimal_to_int(x)
+    return IntMatrix.from_flat(rows, cols, [_decimal(x, "entry")
                                             for x in entries])
 
 
@@ -111,7 +116,10 @@ def _epoly_to_json(e: EPolynomial) -> list:
 
 
 def _epoly_from_json(doc) -> EPolynomial:
-    return EPolynomial({(int(pu), int(pv)): int(c) for pu, pv, c in doc})
+    if not isinstance(doc, list):
+        raise ValueError("e_polynomial %r is not an array" % (doc,))
+    return EPolynomial({(_int(pu, "u power"), _int(pv, "v power")):
+                        _decimal(c, "e_polynomial coeff") for pu, pv, c in doc})
 
 
 def motive_to_json(cls: MotiveClass) -> list:
@@ -135,26 +143,42 @@ def motive_to_json(cls: MotiveClass) -> list:
     return out
 
 
+_TERM_KEYS = {"atom", "lefschetz_power", "coeff", "e_polynomial",
+              "count_symbol"}
+
+
+def _atom(entry):
+    """The atom of a class term; an opaque one with its realizations."""
+    tag, e_poly, symbol = (entry["atom"], entry.get("e_polynomial"),
+                           entry.get("count_symbol"))
+    kind, _, name = (tag if isinstance(tag, str) else "").partition(":")
+    if symbol is not None and not isinstance(symbol, str):
+        raise ValueError("count_symbol %r is not a string" % (symbol,))
+    e_poly = None if e_poly is None else _epoly_from_json(e_poly)
+    if tag == "point":
+        return POINT
+    if kind == "elliptic" and name:
+        return EllipticCurveAtom(name)
+    if kind == "opaque" and name:
+        return OpaqueAtom(name, e_poly=e_poly, count_symbol=symbol)
+    raise ValueError("unknown atom tag %r" % (tag,))
+
+
 def motive_from_json(doc) -> MotiveClass:
-    from .motives import POINT
-    total = MotiveClass.zero()
+    """A class as ``docs/schemas/motive_class.schema.json`` has it: integer
+    powers, decimal-string coefficients, no term key the schema omits."""
+    if not isinstance(doc, list):
+        raise ValueError("class %r is not an array" % (doc,))
+    terms: dict = {}
     for entry in doc:
-        name = entry["atom"]
-        if name == "point":
-            atom = POINT
-        elif name.startswith("elliptic:"):
-            atom = EllipticCurveAtom(name[len("elliptic:"):])
-        elif name.startswith("opaque:"):
-            e_poly = entry.get("e_polynomial")
-            atom = OpaqueAtom(
-                name[len("opaque:"):],
-                e_poly=_epoly_from_json(e_poly) if e_poly is not None else None,
-                count_symbol=entry.get("count_symbol"))
-        else:
-            raise ValueError("unknown atom tag %r" % (name,))
-        total = total + MotiveClass.of_atom(
-            atom, int(entry["lefschetz_power"]), int(entry["coeff"]))
-    return total
+        if not isinstance(entry, dict):
+            raise ValueError("class term %r is not an object" % (entry,))
+        extra = sorted(set(entry) - _TERM_KEYS)
+        if extra:
+            raise ValueError("unexpected term keys: %s" % ", ".join(extra))
+        key = (_atom(entry), _int(entry["lefschetz_power"], "lefschetz_power"))
+        terms[key] = terms.get(key, 0) + _decimal(entry["coeff"], "coeff")
+    return MotiveClass(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +310,8 @@ def neron_to_json(data: WeakNeronData) -> list:
 
 def neron_from_json(doc) -> WeakNeronData:
     return WeakNeronData.of(
-        (motive_from_json(e["class"]), int(e["multiplicity"])) for e in doc)
+        (motive_from_json(e["class"]), _int(e["multiplicity"], "multiplicity"))
+        for e in doc)
 
 
 # ---------------------------------------------------------------------------

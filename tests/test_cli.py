@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from k3motive.cli import main
@@ -398,6 +399,102 @@ class TestVerifyFailures:
                                     {"id": 1, "kind": "k3"}],
                      "double_curves": [], "triple_points": []})
         assert run(["verify", str(path)]) == 2
+
+
+    @pytest.mark.parametrize("block, path", [
+        ("neron", ("neron", 0, "class")),
+        ("expectations", ("expectations", "closed_form")),
+    ], ids=["neron", "closed-form"])
+    @pytest.mark.parametrize("corrupt, why", [
+        (lambda c: c[0].update(lefschetz_power=1.7),
+         "lefschetz_power 1.7 is not an integer"),
+        (lambda c: c[0].update(lefschetz_power=True),
+         "lefschetz_power True is not an integer"),
+        (lambda c: c[0].update(lefschetz_power="1"),
+         "lefschetz_power '1' is not an integer"),
+        (lambda c: c[0].update(coeff="1_0"),
+         "coeff '1_0' is not a decimal string"),
+        (lambda c: c[0].update(coeff=" 1"),
+         "coeff ' 1' is not a decimal string"),
+        (lambda c: c[0].update(coeff=1), "coeff 1 is not a decimal string"),
+        (lambda c: c[0].update(power=1), "unexpected term keys: power"),
+        (lambda c: c[0].update(atom="elliptic:"),
+         "unknown atom tag 'elliptic:'"),
+        (lambda c: c[0].update(atom=5), "unknown atom tag 5"),
+        (lambda c: c[0].update(atom="opaque:X", e_polynomial=[[0, 0, 1]]),
+         "e_polynomial coeff 1 is not a decimal string"),
+        (lambda c: c[0].update(atom="opaque:X",
+                               e_polynomial=[[0.5, 0, "1"]]),
+         "u power 0.5 is not an integer"),
+        (lambda c: c[0].update(atom="opaque:X", count_symbol=5),
+         "count_symbol 5 is not a string"),
+        (lambda c: c.__setitem__(0, "point"),
+         "class term 'point' is not an object"),
+        (lambda c: {"atom": "point"}, "class {'atom': 'point'} is not an"),
+    ], ids=["float-power", "bool-power", "string-power", "underscore-coeff",
+            "space-coeff", "int-coeff", "extra-key", "empty-curve-name",
+            "int-atom", "int-epoly-coeff", "float-epoly-power",
+            "int-count-symbol", "term-a-string", "class-an-object"])
+    def test_malformed_class_terms_exit2(self, tmp_path, capsys, block, path,
+                                         corrupt, why):
+        # class documents follow docs/schemas/motive_class.schema.json:
+        # nothing is coerced by int(), and a key it does not list is refused
+        file = tmp_path / "f.json"
+        run(["build", "type3", "--triangulation", "tetrahedron",
+             "-o", str(file)])
+        doc = json.loads(file.read_text())
+        *outer, last = path
+        parent = doc
+        for key in outer:
+            parent = parent[key]
+        judge = schema_validator("motive_class.schema.json")
+        assert judge.is_valid(parent[last])
+        parent[last] = corrupt(parent[last]) or parent[last]
+        assert not judge.is_valid(parent[last])
+        write(file, doc)
+        capsys.readouterr()
+        assert run(["verify", str(file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad %s block: %s" % (block, why))
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("multiplicity", [True, 1.5, "1"],
+                             ids=["bool", "float", "string"])
+    def test_malformed_neron_multiplicity_exit2(self, tmp_path, capsys,
+                                                multiplicity):
+        # a multiplicity is a JSON integer, as for any integer field
+        assert not jsonschema.Draft7Validator(
+            {"type": "integer"}).is_valid(multiplicity)
+        file = tmp_path / "f.json"
+        run(["build", "type3", "--triangulation", "tetrahedron",
+             "-o", str(file)])
+        doc = json.loads(file.read_text())
+        doc["neron"][0]["multiplicity"] = multiplicity
+        write(file, doc)
+        capsys.readouterr()
+        assert run(["verify", str(file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad neron block: multiplicity %r is "
+                              "not an integer" % (multiplicity,))
+        assert err.count("\n") == 1
+
+
+class TestBuildArguments:
+    @pytest.mark.parametrize("argv", [
+        ["type2", "--m", "2"], ["type2"],
+        ["type3", "--triangulation", "tetrahedron"], ["type3"],
+        ["kummer", "--m1", "64", "--m2", "64"], ["kummer", "--m1", "64"],
+    ], ids=["type2", "type2-without-m", "type3",
+            "type3-without-triangulation", "kummer", "kummer-without-m2"])
+    def test_build_without_out_exit2_before_building(self, monkeypatch,
+                                                     capsys, argv):
+        # the output path is checked first: nothing is built without one
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a fiber with nowhere to write it")
+        for name in ("build_type2_chain", "build_type3", "build_kummer"):
+            monkeypatch.setattr("k3motive.cli." + name, no_build)
+        assert run(["build", *argv]) == 2
+        assert capsys.readouterr().err == "error: build requires --out\n"
 
 
 class TestVerifyAll:

@@ -201,3 +201,60 @@ class TestCanonicalOrder:
         a = L(1) + L(1, -1) + E_class()
         assert a == E_class()
         assert len(a.terms()) == 1
+
+
+class TestHashAndEquality:
+    """The three term types share one base: equality is type and terms,
+    and the hash does not depend on the order terms were inserted in."""
+
+    F = EllipticCurveAtom("F")
+    K3 = OpaqueAtom("K3", e_poly=EPolynomial.monomial(2, 2))
+
+    @pytest.mark.parametrize("make, terms", [
+        (EPolynomial, {(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1}),
+        (UnivariateLaurent, {-2: 3, 0: 1, 5: -7}),
+        (MotiveClass, {(POINT, 0): 1, (E, 1): 2, (K3, -1): 4, (F, 0): -1}),
+    ], ids=["epolynomial", "univariate", "motive-class"])
+    def test_insertion_order_does_not_matter(self, make, terms):
+        forward = make(terms)
+        backward = make(dict(reversed(list(terms.items()))))
+        summed = make()
+        for k, c in reversed(list(terms.items())):
+            summed = summed + make({k: c})
+        assert forward == backward == summed
+        assert hash(forward) == hash(backward) == hash(summed)
+        assert len({forward, backward, summed}) == 1
+
+    def test_the_three_ones_are_pairwise_unequal(self):
+        ones = [MotiveClass.one(), EPolynomial.one(),
+                UnivariateLaurent.constant(1)]
+        for i, a in enumerate(ones):
+            for b in ones[i + 1:]:
+                assert a != b and b != a
+
+    def test_equal_other_kinds_are_one_counter_key(self):
+        from collections import Counter
+        from k3motive.fibers import Other
+        a = MotiveClass.one() + E_class(1) + MotiveClass.of_atom(self.K3)
+        b = MotiveClass.of_atom(self.K3) + E_class(1) + MotiveClass.one()
+        assert Counter([Other(a), Other(b)]) == Counter({Other(a): 2})
+
+    @pytest.mark.parametrize("left, right", [
+        (E, F), (F, E), (E, E), (K3, E), (E, K3), (K3, K3)],
+        ids=["E*F", "F*E", "E*E", "K3*E", "E*K3", "K3*K3"])
+    def test_products_of_two_non_point_atoms_raise(self, left, right):
+        a = MotiveClass.one() + MotiveClass.of_atom(left)
+        b = L(2) + MotiveClass.of_atom(right, 1)
+        with pytest.raises(UnsupportedProductError,
+                           match="outside the supported fragment"):
+            a * b
+
+    def test_public_methods_hold_on_mixed_atoms(self):
+        # atoms of different kinds cannot be ordered against each other
+        a = MotiveClass.one() + E_class() + MotiveClass.of_atom(self.K3, -1)
+        assert [t[0] for t in a.terms()] == [POINT, E, self.K3]
+        assert repr(a) == "+1*1 +1*[E] +1*[K3](1)"
+        assert a.euler_characteristic() == 2
+        assert a.serre_reduce() == UnivariateLaurent({-1: -1, 0: 4, 1: -1})
+        assert a.twist(1) - a.twist(1) == MotiveClass.zero()
+        assert hash(a) == hash(a.twist(0)) and not a.is_zero()
