@@ -100,9 +100,31 @@ class ProfileError(ValueError):
     """A surface-invariant profile has the wrong length or total."""
 
 
-def _default_profile(count: int, total: int) -> list[int]:
-    base, rem = divmod(total, count)
-    return [base + 1 if i < rem else base for i in range(count)]
+def _checked_profile(a_profile, count: int, total: int) -> list[int]:
+    """``count`` non-negative integers summing to ``total``, else a
+    ``ProfileError``; None spreads ``total`` as evenly as integers allow."""
+    if a_profile is None:
+        base, rem = divmod(total, count)
+        return [base + 1 if i < rem else base for i in range(count)]
+    a_profile = [int(a) for a in a_profile]
+    if len(a_profile) != count:
+        raise ProfileError("profile needs %d entries, got %d"
+                           % (count, len(a_profile)))
+    if sum(a_profile) != total:
+        raise ProfileError("profile must sum to %d, got %d"
+                           % (total, sum(a_profile)))
+    if any(a < 0 for a in a_profile):
+        raise ProfileError("profile entries must be non-negative")
+    return a_profile
+
+
+def _nerve_fiber(label: str, comps, nerve: DeltaSet) -> DegenerationFiber:
+    """The fiber on these components, one per vertex of the nerve, with a
+    rational double curve per edge and a triple point per triangle."""
+    curves = [DoubleCurve(e, nerve.faces(1, e)[::-1], 0)
+              for e in nerve.simplices(1)]
+    triples = [TriplePoint(t, nerve.faces(2, t)) for t in nerve.simplices(2)]
+    return DegenerationFiber.of(label, comps, curves, triples)
 
 
 def build_type1_smooth() -> DegenerationFiber:
@@ -121,14 +143,7 @@ def build_type2_chain(m: int, a_profile=None) -> DegenerationFiber:
         raise ValueError("chain length m must be >= 1")
     if a_profile is None:
         a_profile = [10] + [0] * (m - 1) + [10]
-    a_profile = [int(a) for a in a_profile]
-    if len(a_profile) != m + 1:
-        raise ProfileError("profile needs %d entries, got %d"
-                           % (m + 1, len(a_profile)))
-    if sum(a_profile) != 20:
-        raise ProfileError("profile must sum to 20, got %d" % sum(a_profile))
-    if any(a < 0 for a in a_profile):
-        raise ProfileError("profile entries must be non-negative")
+    a_profile = _checked_profile(a_profile, m + 1, 20)
     comps = [Component(0, Rational(a_profile[0]))]
     comps += [Component(i, RuledElliptic("E", a_profile[i]))
               for i in range(1, m)]
@@ -153,26 +168,10 @@ def build_type3(tri, a_profile=None) -> DegenerationFiber:
             raise ValueError("unknown triangulation %r" % (tri,)) from None
     if recognize(tri) != Shape.SPHERE2:
         raise ValueError("triangulation is not a 2-sphere")
-    nv, ne, nf = tri.n(0), tri.n(1), tri.n(2)
-    total = 20 + 2 * nf
-    if a_profile is None:
-        a_profile = _default_profile(nv, total)
-    a_profile = [int(a) for a in a_profile]
-    if len(a_profile) != nv:
-        raise ProfileError("profile needs %d entries, got %d"
-                           % (nv, len(a_profile)))
-    if sum(a_profile) != total:
-        raise ProfileError("profile must sum to %d, got %d"
-                           % (total, sum(a_profile)))
-    if any(a < 0 for a in a_profile):
-        raise ProfileError("profile entries must be non-negative")
+    nv, nf = tri.n(0), tri.n(2)
+    a_profile = _checked_profile(a_profile, nv, 20 + 2 * nf)
     comps = [Component(v, Rational(a_profile[v])) for v in range(nv)]
-    curves = []
-    for e in range(ne):
-        head, tail = tri.faces(1, e)
-        curves.append(DoubleCurve(e, (tail, head), 0))
-    triples = [TriplePoint(t, tri.faces(2, t)) for t in range(nf)]
-    return DegenerationFiber.of("type3_f%d" % nf, comps, curves, triples)
+    return _nerve_fiber("type3_f%d" % nf, comps, tri)
 
 
 def refine_sphere(tri: DeltaSet, steps: int, style: str = "barycentric"
@@ -339,13 +338,7 @@ def build_kummer(p: KummerParams) -> KummerReport:
         else:
             kind = Other(KUMMER_GENERIC_COMPLETE, betti=(1, 0, 2))
         comps.append(Component(o, kind))
-    curves = []
-    for e in range(nerve.n(1)):
-        head, tail = nerve.faces(1, e)
-        curves.append(DoubleCurve(e, (tail, head), 0))
-    triples = [TriplePoint(t, nerve.faces(2, t)) for t in range(nerve.n(2))]
-    fiber = DegenerationFiber.of("kummer_%dx%d" % (p.m1, p.m2),
-                                 comps, curves, triples)
+    fiber = _nerve_fiber("kummer_%dx%d" % (p.m1, p.m2), comps, nerve)
 
     r2_a, r2_x = kummer_r2_abelian(p)
     return KummerReport(fiber=fiber, nerve=nerve, component_census=census,

@@ -7,16 +7,17 @@ simplicial complex, several simplices may sit on the same vertex set --
 the 2-gon circle and the torus-quotient nerves need exactly that.
 
 Homology comes from one cached sparse elimination per Delta-set and degree,
-fed straight from the face lists.  Recognition eliminates nothing; the
-top homology is one orientation pass on a closed, connected, oriented
-2-pseudomanifold and the top-degree kernel of that elimination elsewhere.
-``quotient_by_involution`` builds the
-orbit Delta-set of an involution that is free on positive-dimensional
-simplices (fixed simplices are allowed when they are fixed together with
-all of their faces); the orbit cells inherit consistent orderings found by
-a small backtracking search, and the construction fails loudly when no
-consistent ordering exists, in which case a barycentric refinement of the
-input is the documented way out.
+fed straight from the face lists.  Recognition eliminates nothing; the top
+homology is one orientation pass on a closed, connected, oriented
+2-pseudomanifold and the top-degree kernel of that elimination elsewhere; a
+free generator below the top degree pairs the sparse kernels of a boundary
+and a coboundary.  Only ``boundary_matrix`` builds a dense matrix.
+``quotient_by_involution`` builds the orbit Delta-set of an involution that
+is free on positive-dimensional simplices (fixed simplices are allowed when
+they are fixed together with all of their faces); the orbit cells inherit
+consistent orderings found by a small backtracking search, and the
+construction fails loudly when no consistent ordering exists, in which case
+a barycentric refinement of the input is the documented way out.
 """
 
 from __future__ import annotations
@@ -24,16 +25,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
+from math import gcd
 from typing import Sequence
 
-from .intlinalg import (
-    IntMatrix,
-    _chain_normalize,
-    _sparse_reduce,
-    kernel_basis,
-    smith_normal_form,
-)
+from .intlinalg import IntMatrix, _chain_normalize, _sparse_reduce
+# unused here; perfbench/selftest.py reads and patches deltaset.kernel_basis
+from .intlinalg import kernel_basis  # noqa: F401
 
 
 class QuotientError(ValueError):
@@ -181,6 +179,20 @@ def _boundary_rows(ds: DeltaSet, q: int) -> dict[int, dict[int, int]]:
     return rows
 
 
+def _coboundary_rows(ds: DeltaSet, q: int) -> dict[int, dict[int, int]]:
+    """The same entries as {simplex: {face: sign}}, the rows of the
+    coboundary C^{q-1} -> C^q; a simplex of zero boundary has no row.
+    Built apart, so that ``_boundary_rows`` keeps its single pass."""
+    rows: dict[int, dict[int, int]] = {}
+    for s, fs in enumerate(ds._faces[q - 1] if 0 < q <= ds.dim else ()):
+        column: dict[int, int] = {}
+        for j, f in enumerate(fs):
+            column[f] = column.get(f, 0) + (-1) ** j
+        if any(column.values()):
+            rows[s] = {f: x for f, x in column.items() if x}
+    return rows
+
+
 def _is_cycle(ds: DeltaSet, q: int, coeffs: Sequence[int]) -> bool:
     """Is this q-chain a cycle?  Face j adds (-1)^j c to the boundary."""
     boundary = [0] * ds.n(q - 1)
@@ -246,40 +258,43 @@ def _top_cycles(ds: DeltaSet) -> list[CycleVector]:
 
 
 def top_cycle_generator(ds: DeltaSet, d: int) -> CycleVector:
-    """A generator of H_d modulo torsion, for rank exactly 1.
-
-    The sign is normalized so the first nonzero coefficient is positive.
-    """
-    top = _top_cycles(ds) if d == ds.dim else None
-    betti = len(top) if top is not None else homology(ds, d)[0]
+    """A generator of H_d modulo torsion, for rank exactly 1: at the top
+    degree the ``_top_cycles`` vector.  Below it, a cocycle phi kills
+    boundaries, so phi(z) = a b(z) for the class b(z) of a cycle z in
+    H_d / torsion = Z; by the universal coefficient theorem some basis
+    cocycle has a != 0.  The first such one and an extended gcd over the
+    cycle basis, last column first, give a z with phi(z) = +-|a|, so
+    b(z) = +-1; H_0 of a connected complex gives its last vertex.  The
+    first nonzero coefficient is made positive."""
+    if d == ds.dim:
+        top = _top_cycles(ds)
+        betti = len(top)
+    else:  # rank-nullity for d_d and d_{d+1}
+        cycles = _sparse_reduce(_boundary_rows(ds, d), ds.n(d),
+                                want_kernel=True)[1][::-1]
+        cocycles = _sparse_reduce(_coboundary_rows(ds, d + 1), ds.n(d),
+                                  want_kernel=True)[1]
+        betti = len(cycles) + len(cocycles) - ds.n(d)
     if betti != 1:
         raise ValueError("H_%d has free rank %d, expected 1" % (d, betti))
-    if top is not None:
+    if d == ds.dim:
         return top[0]
-    # quotient by boundaries: express the image in cycle coordinates,
-    # then lift a generator of the free part of the cokernel
-    cycles = kernel_basis(ds.boundary_matrix(d))
-    bnd = ds.boundary_matrix(d + 1)
-    dec = smith_normal_form(cycles)
-    ud = dec.U @ bnd
-    divs = dec.diagonal
-    if any(div == 0 or ud[i, j] % div for i, div in enumerate(divs)
-           for j in range(bnd.cols)):
-        raise ValueError("boundary is not a cycle combination")
-    x = dec.V @ IntMatrix([[ud[i, j] // div for j in range(bnd.cols)]
-                           for i, div in enumerate(divs)], cols=bnd.cols)
-    xdec = smith_normal_form(x)
-    free = [i for i in range(cycles.cols)
-            if i >= len(xdec.diagonal) or xdec.diagonal[i] == 0]
-    if len(free) != 1:
-        raise ValueError("free part of H_%d has rank %d" % (d, len(free)))
-    # U is unimodular, so its Smith form is I: U' U V' = I, U^-1 = V' U'
-    udec = smith_normal_form(xdec.U)
-    xinv = udec.V @ udec.U
-    assert xdec.U @ xinv == IntMatrix.identity(cycles.cols)
-    gen = [xinv[i, free[0]] for i in range(cycles.cols)]
-    coeffs = [sum(cycles[i, k] * gen[k] for k in range(cycles.cols))
-              for i in range(ds.n(d))]
+    for phi in cocycles:
+        values = [sum(x * phi.get(s, 0) for s, x in z.items())
+                  for z in cycles]
+        if any(values):
+            break
+    gen: dict[int, int] = {}
+    g = 0  # phi(gen)
+    for z, v in zip(cycles, values):
+        if v and (not g or v % g):
+            h = gcd(g, v)
+            t = pow(v // h, -1, abs(g) // h) if g else v // h
+            u = (h - t * v) // g if g else 0  # u g + t v = h
+            gen = {s: u * gen.get(s, 0) + t * z.get(s, 0)
+                   for s in gen.keys() | z.keys()}
+            g = h
+    coeffs = [gen.get(s, 0) for s in ds.simplices(d)]
     if next((c for c in coeffs if c), 0) < 0:
         coeffs = [-c for c in coeffs]
     assert _is_cycle(ds, d, coeffs)
@@ -442,14 +457,11 @@ def refine_barycentric(ds: DeltaSet) -> DeltaSet:
     def strict_flags(q: int, length: int):
         # ascending chains of subsets of [q], ending at the full set
         full = tuple(range(q + 1))
-        if length == 1:
-            yield (full,)
-            return
+
         def chains(top: tuple[int, ...], remaining: int):
             if remaining == 0:
                 yield ()
                 return
-            from itertools import combinations
             for size in range(remaining, len(top)):
                 for sub in combinations(top, size):
                     for rest in chains(sub, remaining - 1):
@@ -477,39 +489,23 @@ def refine_edge_split(ds: DeltaSet) -> DeltaSet:
     n0, n1 = ds.n(0), ds.n(1)
     mid = lambda e: n0 + e
 
-    # halves: edge e = (tail a, head b) -> (a, mid) and (b, mid)
-    edges: list[tuple[int, int]] = []
-    tail_half: list[int] = []
-    head_half: list[int] = []
-    for e in ds.simplices(1):
-        b, a = ds.faces(1, e)  # d0 = head, d1 = tail
-        tail_half.append(len(edges))
-        edges.append((mid(e), a))
-        head_half.append(len(edges))
-        edges.append((mid(e), b))
+    # halves: edge e = (tail a, head b) -> 2e = (a, mid), 2e + 1 = (b, mid)
+    edges = [(mid(e), v) for e in ds.simplices(1)
+             for v in reversed(ds.faces(1, e))]  # d0 = head, d1 = tail
 
     triangles: list[tuple[int, int, int]] = []
     if ds.dim == 2:
-        # center edges are keyed by triangle and slot pair, never by edge
-        # ids: repeated faces and loop edges stay unambiguous this way
-        center: dict[tuple[int, int, int], int] = {}
-        for t in ds.simplices(2):
-            fs = ds.faces(2, t)
-            for j, k in ((0, 1), (0, 2), (1, 2)):
-                center[(t, j, k)] = len(edges)
-                edges.append((mid(fs[k]), mid(fs[j])))
-
-        for t in ds.simplices(2):
-            e0, e1, e2 = ds.faces(2, t)
-            # corner at slot 0: (v0, mid(e1), mid(e2))
-            triangles.append((center[(t, 1, 2)], tail_half[e2], tail_half[e1]))
-            # corner at slot 1: (v1, mid(e0), mid(e2))
-            triangles.append((center[(t, 0, 2)], head_half[e2], tail_half[e0]))
-            # corner at slot 2: (v2, mid(e0), mid(e1))
-            triangles.append((center[(t, 0, 1)], head_half[e1], head_half[e0]))
-            # center: (mid(e0), mid(e1), mid(e2))
-            triangles.append((center[(t, 1, 2)], center[(t, 0, 2)],
-                              center[(t, 0, 1)]))
+        # center edges 2 n1 + 3t + (0, 1, 2) join the midpoints of slots
+        # (0, 1), (0, 2), (1, 2) of triangle t: keyed by triangle and slot
+        # pair, never by edge ids, so repeated faces and loop edges stay
+        # unambiguous
+        for t, (e0, e1, e2) in enumerate(ds._faces[1]):
+            c = len(edges)
+            edges += ((mid(e1), mid(e0)), (mid(e2), mid(e0)),
+                      (mid(e2), mid(e1)))
+            # the corners at slots 0, 1, 2, then the center triangle
+            triangles += ((c + 2, 2 * e2, 2 * e1), (c + 1, 2 * e2 + 1, 2 * e0),
+                          (c, 2 * e1 + 1, 2 * e0 + 1), (c + 2, c + 1, c))
 
     return DeltaSet(n0 + n1, [edges, triangles])
 
@@ -592,10 +588,7 @@ def quotient_by_involution(ds: DeltaSet, sigma: Involution) -> DeltaSet:
         head, tail = ds.faces(1, e)
         e_ends.append((vorb[tail], vorb[head]))
 
-    flips: dict[int, bool] = {}
-    for i, e in enumerate(reps[1]):
-        if sigma.maps[1][e] == e:
-            flips[i] = False
+    flips = {i: False for i, e in enumerate(reps[1]) if sigma.maps[1][e] == e}
 
     new_tris = []
     if ds.dim == 2:
@@ -680,10 +673,7 @@ def quotient_by_involution(ds: DeltaSet, sigma: Involution) -> DeltaSet:
                    for (t, e_orbs, _, taus), (k, _) in zip(tris, placed)}
         new_tris = [ordered[t] for t in reps[2]]
 
-    new_edges = []
-    for i, e in enumerate(reps[1]):
-        tail_orb, head_orb = e_ends[i]
-        if flips.get(i, False):
-            tail_orb, head_orb = head_orb, tail_orb
-        new_edges.append((head_orb, tail_orb))
+    # (head, tail) of each edge orbit: the representative's, or flipped
+    new_edges = [ends if flips.get(i) else ends[::-1]
+                 for i, ends in enumerate(e_ends)]
     return DeltaSet(len(reps[0]), [new_edges, new_tris])

@@ -94,11 +94,8 @@ def matrix_from_json(doc: dict) -> IntMatrix:
         raise ValueError("unexpected keys: %s" % ", ".join(extra))
     if rows < 0 or cols < 0:
         raise ValueError("shape %d x %d is negative" % (rows, cols))
-    entries = doc["entries"]
-    if not isinstance(entries, list):
-        raise ValueError("entries %r is not an array" % (entries,))
-    return IntMatrix.from_flat(rows, cols, [_decimal(x, "entry")
-                                            for x in entries])
+    return IntMatrix.from_flat(rows, cols, [
+        _decimal(x, "entry") for x in _array(doc["entries"], "entries")])
 
 
 def smith_to_json(dec: SmithDecomposition) -> dict:
@@ -116,10 +113,9 @@ def _epoly_to_json(e: EPolynomial) -> list:
 
 
 def _epoly_from_json(doc) -> EPolynomial:
-    if not isinstance(doc, list):
-        raise ValueError("e_polynomial %r is not an array" % (doc,))
     return EPolynomial({(_int(pu, "u power"), _int(pv, "v power")):
-                        _decimal(c, "e_polynomial coeff") for pu, pv, c in doc})
+                        _decimal(c, "e_polynomial coeff")
+                        for pu, pv, c in _array(doc, "e_polynomial")})
 
 
 def motive_to_json(cls: MotiveClass) -> list:
@@ -167,10 +163,8 @@ def _atom(entry):
 def motive_from_json(doc) -> MotiveClass:
     """A class as ``docs/schemas/motive_class.schema.json`` has it: integer
     powers, decimal-string coefficients, no term key the schema omits."""
-    if not isinstance(doc, list):
-        raise ValueError("class %r is not an array" % (doc,))
     terms: dict = {}
-    for entry in doc:
+    for entry in _array(doc, "class"):
         if not isinstance(entry, dict):
             raise ValueError("class term %r is not an object" % (entry,))
         extra = sorted(set(entry) - _TERM_KEYS)
@@ -192,9 +186,19 @@ def delta_to_json(ds: DeltaSet) -> dict:
 
 
 def delta_from_json(doc: dict) -> DeltaSet:
-    dims = [int(x) for x in doc["dims"]]
-    boundary = doc.get("boundary", [])
-    return DeltaSet(dims[0] if dims else 0, boundary)
+    """A Delta-set as ``docs/schemas/delta_set.schema.json`` has it: both
+    keys and no other, integer counts and face ids, and ``dims`` the vertex
+    count followed by the length of each boundary level."""
+    _keys(doc, ("dims", "boundary"))
+    dims = _ints(_array(doc["dims"], "dims"), "dims")
+    levels = [[_ints(_array(fs, "face list"), "face list")
+               for fs in _array(level, "boundary level")]
+              for level in _array(doc["boundary"], "boundary")]
+    if not dims or any(x < 0 for x in dims) \
+            or list(dims[1:]) != [len(level) for level in levels]:
+        raise ValueError("dims %r disagree with the boundary levels, of "
+                         "lengths %r" % (list(dims), list(map(len, levels))))
+    return DeltaSet(dims[0], levels)
 
 
 # ---------------------------------------------------------------------------
@@ -246,20 +250,36 @@ def _int(x, what: str) -> int:
     return x
 
 
+def _array(doc, what: str) -> list:
+    """A required JSON array."""
+    if not isinstance(doc, list):
+        raise ValueError("%s %r is not an array" % (what, doc))
+    return doc
+
+
 def _ints(doc, what: str) -> tuple[int, ...] | None:
     """An optional array of integers (``betti``, ``self_intersections``)."""
     if doc is None:
         return None
-    if not isinstance(doc, list):
-        raise ValueError("%s %r is not an array" % (what, doc))
-    return tuple(_int(x, what + " entry") for x in doc)
+    return tuple(_int(x, what + " entry") for x in _array(doc, what))
+
+
+def _keys(doc, keys: tuple[str, ...], exact: bool = True) -> None:
+    """Refuse a document that is no object or lacks one of ``keys`` and,
+    if ``exact``, one with any other key."""
+    if not isinstance(doc, dict):
+        raise ValueError("document %r is not an object" % (doc,))
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise ValueError("missing required keys: %s" % ", ".join(missing))
+    extra = sorted(set(doc) - set(keys)) if exact else ()
+    if extra:
+        raise ValueError("unexpected keys: %s" % ", ".join(extra))
 
 
 def _on(entry) -> tuple:
     """The ``on`` ids of a double curve or triple point: a JSON array."""
-    if not isinstance(entry["on"], list):
-        raise ValueError("on %r is not an array" % (entry["on"],))
-    return tuple(map(_id, entry["on"]))
+    return tuple(map(_id, _array(entry["on"], "on")))
 
 
 def _curve(name) -> str:
@@ -272,10 +292,8 @@ def _curve(name) -> str:
 def fiber_from_json(doc: dict) -> DegenerationFiber:
     """Decode a fiber document.  Its four keys are required; other keys (a
     bare document may carry ``neron`` and ``expectations``) are ignored."""
-    missing = [k for k in ("label", "components", "double_curves",
-                           "triple_points") if k not in doc]
-    if missing:
-        raise ValueError("missing required keys: %s" % ", ".join(missing))
+    _keys(doc, ("label", "components", "double_curves", "triple_points"),
+          exact=False)
     comps = []
     for entry in doc["components"]:
         kind_tag = entry["kind"]
@@ -324,11 +342,15 @@ def spectral_row_to_json(row) -> dict:
 
 
 def spectral_row_from_json(doc) -> "SpectralRow":
+    """A spectral row: its three keys and no other, an integer ``q`` and
+    integer ``modules``."""
     from .weightss import SpectralRow
+    _keys(doc, ("q", "modules", "differentials"))
     return SpectralRow(
-        q=int(doc["q"]), modules=tuple(int(x) for x in doc["modules"]),
-        differentials=tuple(matrix_from_json(d)
-                            for d in doc["differentials"]))
+        q=_int(doc["q"], "q"),
+        modules=_ints(_array(doc["modules"], "modules"), "modules"),
+        differentials=tuple(map(matrix_from_json, _array(
+            doc["differentials"], "differentials"))))
 
 
 def e2_report_to_json(report) -> list:

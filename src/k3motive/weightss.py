@@ -152,25 +152,15 @@ def type2_h1_row(m: int) -> tuple[IntMatrix, IntMatrix, IntMatrix, int]:
     if m < 1:
         raise ValueError("chain length m must be >= 1")
     h = _H1_RANK
-    eye = [[int(a == b) for b in range(h)] for a in range(h)]
-
-    d1 = [[0] * ((m - 1) * h) for _ in range(m * h)]
-    for blk in range(m):
-        for a in range(h):
-            if blk < m - 1:
-                d1[blk * h + a][blk * h + a] += 1
-            if blk > 0:
-                d1[blk * h + a][(blk - 1) * h + a] -= 1
-    delta1 = IntMatrix(d1, cols=(m - 1) * h)
-
-    d3 = [[0] * (m * h) for _ in range((m - 1) * h)]
-    for blk in range(m - 1):
-        for a in range(h):
-            d3[blk * h + a][(blk + 1) * h + a] += 1
-            d3[blk * h + a][blk * h + a] -= 1
-    delta3 = IntMatrix(d3, cols=m * h)
-
-    diagonal = IntMatrix([eye[a % h] for a in range(m * h)], cols=h)
+    # by entry: delta1 has +1 on the diagonal and -1 one block below it,
+    # delta3 has -1 on the diagonal and +1 one block right of it
+    delta1 = IntMatrix([[int(i == j) - int(i == j + h)
+                         for j in range((m - 1) * h)]
+                        for i in range(m * h)], cols=(m - 1) * h)
+    delta3 = IntMatrix([[int(j == i + h) - int(j == i) for j in range(m * h)]
+                        for i in range((m - 1) * h)], cols=m * h)
+    diagonal = IntMatrix([[int(a % h == b) for b in range(h)]
+                          for a in range(m * h)], cols=h)
     summation = IntMatrix([[int(a == b % h) for b in range(m * h)]
                            for a in range(h)], cols=m * h)
     n = summation @ diagonal

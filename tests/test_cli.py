@@ -22,6 +22,9 @@ from k3motive.fibers import Component, DegenerationFiber, Rational
 from test_serialize import schema_validator
 
 
+MISSING = object()  # a key to delete from a document
+
+
 def run(args):
     return main(args)
 
@@ -115,6 +118,60 @@ class TestBuildVerifyRoundtrip:
         err = capsys.readouterr().err
         assert err.startswith("error: bad triangulation: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("change, why", [
+        ({"dims": [4.9, "6", True]}, "dims entry 4.9 is not an integer"),
+        ({"dims": "4"}, "dims '4' is not an array"),
+        ({"dims": [-4, 6, 4]}, "dims [-4, 6, 4] disagree"),
+        ({"dims": []}, "dims [] disagree"),
+        ({"boundary": [[[1, 0.5]]]}, "face list entry 0.5 is not an integer"),
+        ({"boundary": [None]}, "boundary level None is not an array"),
+        ({"dims": None}, "dims None is not an array"),
+        ({"dims": MISSING}, "missing required keys: dims"),
+        ({"extra": 1}, "unexpected keys: extra"),
+    ], ids=["mixed-dims", "string-dims", "negative-count", "empty-dims",
+            "float-face", "null-level", "null-dims", "missing-dims",
+            "extra-key"])
+    def test_delta_set_follows_schema(self, tmp_path, capsys, change, why):
+        # jsonschema refuses each document too
+        from k3motive.builders import tetrahedron
+        from k3motive.serialize import delta_to_json
+        doc = delta_to_json(tetrahedron())
+        judge = schema_validator("delta_set.schema.json")
+        assert judge.is_valid(doc)
+        for key, value in change.items():
+            if value is MISSING:
+                del doc[key]
+            else:
+                doc[key] = value
+        assert not judge.is_valid(doc)
+        tri_path = tmp_path / "tri.json"
+        write(tri_path, doc)
+        assert run(["build", "type3", "--triangulation",
+                    "file:" + str(tri_path), "-o",
+                    str(tmp_path / "f.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad triangulation: " + why)
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("dims", [[4, 5, 4], [4, 6, 4, 1], [4, 6]],
+                             ids=["short-level", "extra-count",
+                                  "missing-count"])
+    def test_delta_set_dims_match_levels(self, tmp_path, capsys, dims):
+        # the schema cannot tie dims to the level lengths (its description
+        # says so); the decoder refuses the disagreement
+        from k3motive.builders import tetrahedron
+        from k3motive.serialize import delta_to_json
+        doc = dict(delta_to_json(tetrahedron()), dims=dims)
+        assert schema_validator("delta_set.schema.json").is_valid(doc)
+        tri_path = tmp_path / "tri.json"
+        write(tri_path, doc)
+        assert run(["build", "type3", "--triangulation",
+                    "file:" + str(tri_path), "-o",
+                    str(tmp_path / "f.json")]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: bad triangulation: dims %r disagree with the "
+                       "boundary levels, of lengths [6, 4]\n" % (dims,))
 
     def test_closed_form_at_e(self, tmp_path):
         out = tmp_path / "f.json"

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -178,3 +179,24 @@ class TestSpectralRowJson:
         doc = e2_report_to_json(e2_report([cochain]))
         assert doc[0][0] == {"position": 0, "betti": 1, "torsion": []}
         assert doc[0][2] == {"position": 2, "betti": 1, "torsion": []}
+
+    @pytest.mark.parametrize("change, why", [
+        ({"q": 1.0}, "q 1.0 is not an integer"),
+        ({"q": "1"}, "q '1' is not an integer"),
+        ({"modules": [1, True]}, "modules entry True is not an integer"),
+        ({"modules": None}, "modules None is not an array"),
+        ({"q": None}, "q None is not an integer"),
+        ({"extra": 1}, "unexpected keys: extra"),
+    ], ids=["float-q", "string-q", "bool-module", "null-modules", "null-q",
+            "extra-key"])
+    def test_malformed_row_refused(self, change, why):
+        from k3motive.serialize import (spectral_row_from_json,
+                                        spectral_row_to_json)
+        from k3motive.weightss import boundary_rows
+        doc = dict(spectral_row_to_json(
+            boundary_rows(build_type3("tetrahedron"))[0]), **change)
+        with pytest.raises(ValueError, match="^%s$" % re.escape(why)):
+            spectral_row_from_json(doc)
+        del doc["q"]
+        with pytest.raises(ValueError, match="missing required keys: q"):
+            spectral_row_from_json(doc)
