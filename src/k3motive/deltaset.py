@@ -17,7 +17,9 @@ is free on positive-dimensional simplices (fixed simplices are allowed when
 they are fixed together with all of their faces); the orbit cells inherit
 consistent orderings found by a small backtracking search, and the
 construction fails loudly when no consistent ordering exists, in which case
-a barycentric refinement of the input is the documented way out.
+a barycentric refinement of the input is the documented way out.  Both
+refinements, barycentric and edge-split, are written out by formula and
+stop at dimension 2, the largest a Clemens polytope has.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 from math import gcd
 from typing import Sequence
 
@@ -55,6 +57,8 @@ class DeltaSet:
         while stored and not stored[-1]:
             stored.pop()
         counts = [int(num_vertices)]
+        if counts[0] < 0:
+            raise ValueError("vertex count %d is negative" % counts[0])
         for q, level in enumerate(stored, start=1):
             counts.append(len(level))
             if set(map(len, level)) == {q + 1} \
@@ -408,74 +412,34 @@ def relabel(ds: DeltaSet, perms: Sequence[Sequence[int]]) -> DeltaSet:
 # ---------------------------------------------------------------------------
 
 def refine_barycentric(ds: DeltaSet) -> DeltaSet:
-    """Barycentric subdivision; works in any dimension.
+    """Barycentric subdivision for complexes of dimension <= 2.
 
-    Vertices of the subdivision are the simplices of the input; the
-    k-simplices are flags of slot subsets ending at the full slot set of
-    an input simplex.
+    Old vertices keep their ids; the barycenters of edge e and of triangle
+    t follow, at n0 + e and n0 + n1 + t.  Edge 2e + a runs from the
+    barycenter of e to its slot-a vertex, face d_{1-a}.  Each triangle then
+    adds six edges from its barycenter to those of its slot subsets (0),
+    (1), (2), (0, 1), (0, 2), (1, 2), and six triangles, one per flag
+    (a) < pair with the pairs in that order and a ascending; a triangle's
+    faces are the pair edge, the vertex edge and the half of the pair's
+    input edge at a.
     """
-    offsets = [0]
-    for q in range(ds.dim + 1):
-        offsets.append(offsets[-1] + ds.n(q))
+    if ds.dim > 2:
+        raise ValueError("barycentric refinement is limited to dimension <= 2")
+    n0, n1 = ds.n(0), ds.n(1)
+    edges = [(n0 + e, v) for e in ds.simplices(1)
+             for v in reversed(ds.faces(1, e))]  # d1 = slot 0, d0 = slot 1
 
-    def sub_simplex(q: int, s: int, subset: tuple[int, ...]):
-        # iterated face of s spanned by the given slots
-        cur, cur_dim = s, q
-        for j in range(q, -1, -1):
-            if j not in subset:
-                cur = ds.face(cur_dim, cur, j)
-                cur_dim -= 1
-        return (cur_dim, cur)
+    triangles: list[tuple[int, int, int]] = []
+    for t, (e0, e1, e2) in enumerate(ds._faces[1] if ds.dim == 2 else ()):
+        c = len(edges)
+        pairs = (((0, 1), e2), ((0, 2), e1), ((1, 2), e0))  # d_k drops slot k
+        edges += [(n0 + n1 + t, v) for v in ds.vertex_tuple(2, t)]
+        edges += [(n0 + n1 + t, n0 + e) for _, e in pairs]
+        triangles += [(c + 3 + p, c + a, 2 * e + i)
+                      for p, (pair, e) in enumerate(pairs)
+                      for i, a in enumerate(pair)]
 
-    ids: dict[tuple, int] = {}
-    levels: list[list[tuple[int, ...]]] = [[] for _ in range(ds.dim)]
-
-    def flag_id(q: int, s: int, flag: tuple[tuple[int, ...], ...]) -> int:
-        # flag of strict subsets of [q], the last being all of [q]
-        k = len(flag) - 1
-        if k == 0:
-            return offsets[q] + s
-        key = (q, s, flag)
-        if key in ids:
-            return ids[key]
-        faces = []
-        for i in range(k + 1):
-            reduced = flag[:i] + flag[i + 1:]
-            if i < k:
-                faces.append(flag_id(q, s, reduced))
-            else:
-                top = flag[k - 1]
-                q2, s2 = sub_simplex(q, s, top)
-                renum = {slot: pos for pos, slot in enumerate(top)}
-                newflag = tuple(tuple(renum[x] for x in a) for a in flag[:k])
-                faces.append(flag_id(q2, s2, newflag))
-        new_id = len(levels[k - 1])
-        levels[k - 1].append(tuple(faces))
-        ids[key] = new_id
-        return new_id
-
-    def strict_flags(q: int, length: int):
-        # ascending chains of subsets of [q], ending at the full set
-        full = tuple(range(q + 1))
-
-        def chains(top: tuple[int, ...], remaining: int):
-            if remaining == 0:
-                yield ()
-                return
-            for size in range(remaining, len(top)):
-                for sub in combinations(top, size):
-                    for rest in chains(sub, remaining - 1):
-                        yield rest + (sub,)
-        for prefix in chains(full, length - 1):
-            yield prefix + (full,)
-
-    for k in range(1, ds.dim + 1):
-        for q in range(k, ds.dim + 1):
-            for s in ds.simplices(q):
-                for flag in strict_flags(q, k + 1):
-                    flag_id(q, s, flag)
-
-    return DeltaSet(offsets[-1], levels)
+    return DeltaSet(n0 + n1 + ds.n(2), [edges, triangles])
 
 
 def refine_edge_split(ds: DeltaSet) -> DeltaSet:

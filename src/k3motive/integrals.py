@@ -26,7 +26,7 @@ from .fibers import (
     strata_classes,
 )
 from .motives import EllipticCurveAtom, EPolynomial, MotiveClass, UnivariateLaurent
-from .weightss import _monodromy_gram, type2_h1_row
+from .weightss import _monodromy_composition, _monodromy_gram
 
 
 class GeometricRealizabilityWarning(UserWarning):
@@ -160,7 +160,7 @@ def _params_for_type(f: DegenerationFiber, s: int, cl: DeltaSet
         return None
     if s == 2:
         m = len(f.double_curves)
-        _, _, _, r1 = type2_h1_row(m)
+        r1 = _monodromy_composition(m)[1]
         atom = EllipticCurveAtom(f.double_curves[0].curve)
         return RamifiedParams(e=1, s=2, r=r1, elliptic_atom=atom)
     r2 = len(f.triple_points)

@@ -88,10 +88,8 @@ def matrix_from_json(doc: dict) -> IntMatrix:
     """A matrix document as ``docs/schemas/matrix.schema.json`` has it: a
     non-negative integer shape, the entries as decimal strings, no other
     key."""
+    _keys(doc, ("rows", "cols", "entries"))
     rows, cols = _int(doc["rows"], "rows"), _int(doc["cols"], "cols")
-    extra = sorted(set(doc) - {"rows", "cols", "entries"})
-    if extra:
-        raise ValueError("unexpected keys: %s" % ", ".join(extra))
     if rows < 0 or cols < 0:
         raise ValueError("shape %d x %d is negative" % (rows, cols))
     return IntMatrix.from_flat(rows, cols, [
@@ -296,15 +294,19 @@ def fiber_from_json(doc: dict) -> DegenerationFiber:
           exact=False)
     comps = []
     for entry in doc["components"]:
+        _keys(entry, ("id", "kind"), exact=False)
         kind_tag = entry["kind"]
         if kind_tag == "rational":
+            _keys(entry, ("a",), exact=False)
             kind = Rational(_int(entry["a"], "a"))
         elif kind_tag == "ruled_elliptic":
+            _keys(entry, ("curve",), exact=False)
             kind = RuledElliptic(_curve(entry["curve"]),
                                  _int(entry.get("a", 0), "a"))
         elif kind_tag == "k3":
             kind = K3Smooth()
         elif kind_tag == "other":
+            _keys(entry, ("class",), exact=False)
             kind = Other(motive_from_json(entry["class"]),
                          betti=_ints(entry.get("betti"), "betti"))
         else:
@@ -312,12 +314,15 @@ def fiber_from_json(doc: dict) -> DegenerationFiber:
         comps.append(Component(_id(entry["id"]), kind))
     curves = []
     for e in doc["double_curves"]:
+        _keys(e, ("id", "on", "genus"), exact=False)
         curves.append(DoubleCurve(
             _id(e["id"]), _on(e), _int(e["genus"], "genus"),
             _curve(e["curve"]) if "curve" in e else None,
             _ints(e.get("self_intersections"), "self_intersections")))
-    triples = [TriplePoint(_id(e["id"]), _on(e))
-               for e in doc["triple_points"]]
+    triples = []
+    for e in doc["triple_points"]:
+        _keys(e, ("id", "on"), exact=False)
+        triples.append(TriplePoint(_id(e["id"]), _on(e)))
     return DegenerationFiber.of(doc["label"], comps, curves, triples)
 
 
@@ -327,9 +332,12 @@ def neron_to_json(data: WeakNeronData) -> list:
 
 
 def neron_from_json(doc) -> WeakNeronData:
-    return WeakNeronData.of(
-        (motive_from_json(e["class"]), _int(e["multiplicity"], "multiplicity"))
-        for e in doc)
+    items = []
+    for e in doc:
+        _keys(e, ("class", "multiplicity"), exact=False)
+        items.append((motive_from_json(e["class"]),
+                      _int(e["multiplicity"], "multiplicity")))
+    return WeakNeronData.of(items)
 
 
 # ---------------------------------------------------------------------------

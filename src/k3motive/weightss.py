@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .deltaset import CycleVector, DeltaSet, _top_cycles, cycle_pairing
 from .fibers import DegenerationFiber, clemens_polytope, component_betti
-from .intlinalg import IntMatrix, det, rank_and_invariants
+from .intlinalg import IntMatrix, _sparse_rows, det, rank_and_invariants
 
 # a surface degeneration: the strata Y^(0), Y^(1), Y^(2) have dimensions 2,
 # 1 and 0, and the dual complex has dimension at most 2
@@ -45,10 +45,18 @@ class SpectralRow:
                 raise ValueError(
                     "differential %d has shape %r, expected %r"
                     % (i, d.shape, (self.modules[i + 1], self.modules[i])))
-        for i in range(len(self.differentials) - 1):
-            if not (self.differentials[i + 1] @ self.differentials[i]).is_zero():
-                raise ValueError("differentials %d and %d do not compose to "
-                                 "zero" % (i, i + 1))
+        # the composite over nonzero entries: row r of d_{i+1} d_i is the
+        # sum of x times row k of d_i over the entries x at (r, k)
+        rows = [_sparse_rows(d) for d in self.differentials]
+        for i, (first, second) in enumerate(zip(rows, rows[1:])):
+            for row in second.values():
+                product: dict[int, int] = {}
+                for k, x in row.items():
+                    for j, y in first.get(k, {}).items():
+                        product[j] = product.get(j, 0) + x * y
+                if any(product.values()):
+                    raise ValueError("differentials %d and %d do not compose "
+                                     "to zero" % (i, i + 1))
 
 
 @dataclass(frozen=True)
@@ -149,8 +157,7 @@ def type2_h1_row(m: int) -> tuple[IntMatrix, IntMatrix, IntMatrix, int]:
     which is m times the identity.  It is square, so its cokernel has order
     |det| = m^2, with no elimination.
     """
-    if m < 1:
-        raise ValueError("chain length m must be >= 1")
+    n, order = _monodromy_composition(m)
     h = _H1_RANK
     # by entry: delta1 has +1 on the diagonal and -1 one block below it,
     # delta3 has -1 on the diagonal and +1 one block right of it
@@ -159,6 +166,15 @@ def type2_h1_row(m: int) -> tuple[IntMatrix, IntMatrix, IntMatrix, int]:
                         for i in range(m * h)], cols=(m - 1) * h)
     delta3 = IntMatrix([[int(j == i + h) - int(j == i) for j in range(m * h)]
                         for i in range((m - 1) * h)], cols=m * h)
+    return delta1, delta3, n, order
+
+
+def _monodromy_composition(m: int) -> tuple[IntMatrix, int]:
+    """The monodromy composition N and its cokernel order r1, as
+    ``type2_h1_row(m)`` returns them, without building its differentials."""
+    if m < 1:
+        raise ValueError("chain length m must be >= 1")
+    h = _H1_RANK
     diagonal = IntMatrix([[int(a % h == b) for b in range(h)]
                           for a in range(m * h)], cols=h)
     summation = IntMatrix([[int(a == b % h) for b in range(m * h)]
@@ -167,7 +183,7 @@ def type2_h1_row(m: int) -> tuple[IntMatrix, IntMatrix, IntMatrix, int]:
     order = abs(det(n))
     if not order:
         raise ArithmeticError("monodromy composition is singular")
-    return delta1, delta3, n, order
+    return n, order
 
 
 def e2_report(rows: list[SpectralRow]

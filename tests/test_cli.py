@@ -375,6 +375,17 @@ class TestVerifyFailures:
         assert err.startswith("error: bad matrix document: " + why)
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("key", ["rows", "cols", "entries"])
+    def test_matrix_missing_key_exit2(self, tmp_path, capsys, key):
+        # a missing key is named, not shown as a bare KeyError repr
+        doc = {"rows": 1, "cols": 1, "entries": ["1"]}
+        del doc[key]
+        path = tmp_path / "m.json"
+        write(path, doc)
+        assert run(["snf", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad matrix document: missing required keys: %s\n" % key)
+
     @pytest.mark.parametrize("corrupt, block", [
         (lambda doc: doc.update(neron=5), "neron"),
         (lambda doc: doc.update(expectations=5), "expectations"),
@@ -416,9 +427,30 @@ class TestVerifyFailures:
         (lambda doc: doc["double_curves"][0].update(
             self_intersections=[[1], 2]),
          "self_intersections entry [1] is not an integer"),
+        (lambda doc: doc["components"][0].pop("kind"),
+         "missing required keys: kind"),
+        (lambda doc: doc["components"][0].pop("a"),
+         "missing required keys: a"),
+        (lambda doc: doc["components"][1].pop("curve"),
+         "missing required keys: curve"),
+        (lambda doc: doc["components"][0].update(
+            {"kind": "other", "betti": [1, 0, 2]}),
+         "missing required keys: class"),
+        (lambda doc: doc["double_curves"][0].pop("genus"),
+         "missing required keys: genus"),
+        (lambda doc: doc["double_curves"][0].pop("on"),
+         "missing required keys: on"),
+        (lambda doc: doc["triple_points"].append({"id": "t0"}),
+         "missing required keys: on"),
+        (lambda doc: doc["components"].__setitem__(0, 5),
+         "document 5 is not an object"),
     ], ids=["double-curve-name", "component-curve-name", "on-string",
             "a-float", "a-string", "genus-bool", "betti-float",
-            "self-intersections-nested"])
+            "self-intersections-nested", "component-without-kind",
+            "rational-without-a", "ruled-without-curve",
+            "other-without-class", "double-curve-without-genus",
+            "double-curve-without-on", "triple-point-without-on",
+            "component-not-an-object"])
     def test_fiber_field_types_exit2(self, tmp_path, capsys, command,
                                      corrupt, message):
         path = tmp_path / "f.json"
@@ -534,6 +566,19 @@ class TestVerifyFailures:
         assert err.startswith("error: bad neron block: multiplicity %r is "
                               "not an integer" % (multiplicity,))
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["class", "multiplicity"])
+    def test_neron_entry_missing_key_exit2(self, tmp_path, capsys, key):
+        file = tmp_path / "f.json"
+        run(["build", "type3", "--triangulation", "tetrahedron",
+             "-o", str(file)])
+        doc = json.loads(file.read_text())
+        del doc["neron"][0][key]
+        write(file, doc)
+        capsys.readouterr()
+        assert run(["verify", str(file)]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad neron block: missing required keys: %s\n" % key)
 
 
 class TestBuildArguments:

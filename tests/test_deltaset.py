@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from k3motive.deltaset import (
 )
 from k3motive import intlinalg
 from k3motive.intlinalg import IntMatrix, smith_normal_form
+from k3motive.serialize import delta_to_json, dumps
 
 
 # -- fixture complexes -------------------------------------------------------
@@ -176,6 +178,10 @@ class TestConstruction:
     def test_face_range_checked(self):
         with pytest.raises(ValueError):
             DeltaSet(2, [[(0, 5)]])
+
+    def test_negative_vertex_count_refused(self):
+        with pytest.raises(ValueError, match="vertex count -2 is negative"):
+            DeltaSet(-2)
 
     def test_boundary_squared_is_zero(self):
         for ds in [tetra(), octa(), rp2(), torus_3x3(), circle(4)]:
@@ -831,6 +837,79 @@ class TestBarycentric:
 
     def test_interval_refines_to_interval(self):
         assert recognize(refine_barycentric(chain(2))) == Shape.INTERVAL
+
+    # the simplex numbering is fixed: the sha256 of each refinement's
+    # canonical JSON is pinned, loop edges and repeated faces included
+    @pytest.mark.parametrize("build, digest", [
+        pytest.param(
+            tetra,
+            "c145427e420a987e998d6bd3d498398459c27990737e5a994caf4ff04d61ee15",
+            id="tetra"),
+        pytest.param(
+            octa,
+            "425f2561f749028dd9f4305dd8074190111bff142d382b844cadc4122658f5bd",
+            id="octa"),
+        pytest.param(
+            icosahedron,
+            "34562006932356f9a25b137f0ff5026478b5af916ac35a003bee4a34945db63c",
+            id="icosahedron"),
+        pytest.param(
+            lambda: refine_barycentric(icosahedron()),
+            "48fc320b891b6926f82c3329417010b0d24e46841d4a7d22bc335faba8ac995f",
+            id="icosahedron-bary1"),
+        pytest.param(
+            lambda: torus_grid(2, 2),
+            "cd0ae98d93dab35d538d84150071ec58b0e2453f43d8f639a6ac488814dc7732",
+            id="torus-2x2"),
+        pytest.param(
+            lambda: torus_grid(3, 3),
+            "a1e0f38d6be7ce9e5680f2ee00ed0558d7d11800217864c70320ddc29bf31a19",
+            id="torus-3x3"),
+        pytest.param(
+            lambda: quotient_by_involution(*torus_negation(4, 6)),
+            "9545e0882e2d12544cd4d8e79fa5d01e5c30fa5a8253ab195297f1afde0ec924",
+            id="kummer-4x6"),
+        pytest.param(
+            rp2,
+            "87276e80144d4cb6525b8afbcda534c0e1454cb6b8a58048a6bf2af063e1ee86",
+            id="rp2"),
+        pytest.param(
+            lambda: circle(1),
+            "4cdfca103e272d48c37e9ddaeb50c99bb7eeab664855557df30c78e2b3390a81",
+            id="loop"),
+        pytest.param(
+            lambda: circle(2),
+            "a4b2c53f7a410dabd768dd1e18d8a74aa488f0ef9fa22030fd6a25cf84f2eb56",
+            id="2-gon"),
+        pytest.param(
+            lambda: chain(5),
+            "ed46f9c4c44d274d94a1cdb3021048aa9dab3a3cdbb83a21c743ccf7a36189ff",
+            id="chain-5"),
+        pytest.param(
+            lambda: DeltaSet(1),
+            "76dafa1f55618958b8f91376c2de8794677769d6f6dfe99b1bd4c29ce35d5cd8",
+            id="one-point"),
+        pytest.param(
+            lambda: DeltaSet(3),
+            "440741f9c45318b2bfbc7d5fc9ce9057aa1363e837576b8c049642bb10f77bfe",
+            id="three-points"),
+        pytest.param(
+            lambda: refine_edge_split(
+                refine_edge_split(octahedron())),
+            "017fede96d031de4ae781badcb8fea960528108b9b485dd751d3a72f84fa73f6",
+            id="octahedron-split2"),
+    ])
+    def test_numbering_pinned(self, build, digest):
+        text = dumps(delta_to_json(refine_barycentric(build())))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_dimension_three_refused(self):
+        base = tetra()
+        solid = DeltaSet(4, [[base.faces(1, e) for e in base.simplices(1)],
+                             [base.faces(2, t) for t in base.simplices(2)],
+                             [(3, 2, 1, 0)]])
+        with pytest.raises(ValueError, match="limited to dimension <= 2"):
+            refine_barycentric(solid)
 
 
 class TestEdgeSplit:
