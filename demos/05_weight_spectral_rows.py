@@ -4,7 +4,6 @@ Run:  python3 demos/05_weight_spectral_rows.py
 """
 
 from k3motive import (
-    IntMatrix,
     SpectralRow,
     boundary_rows,
     build_type2_chain,
@@ -36,8 +35,9 @@ print("N =", n.tolist(), " r1 =", r1)
 
 # e2_report flags torsion in user-supplied middle rows: a differential
 # [[2]] between rank-1 modules has cohomology Z/2, which would obstruct
-# integral degeneration at the second page.
-row = SpectralRow(q=2, modules=(1, 1), differentials=(IntMatrix([[2]]),))
+# integral degeneration at the second page.  A differential is given by its
+# nonzero entries {row: {col: value}}, the sparse engine's own input.
+row = SpectralRow(q=2, modules=(1, 1), differentials=({0: {0: 2}},))
 print("\nuser row report:", e2_report([row])[0])
 
 # For sphere fibers, the coefficient pairing on top homology is the

@@ -11,7 +11,8 @@ fed straight from the face lists.  Recognition eliminates nothing; the top
 homology is one orientation pass on a closed, connected, oriented
 2-pseudomanifold and the top-degree kernel of that elimination elsewhere; a
 free generator below the top degree pairs the sparse kernels of a boundary
-and a coboundary.  Only ``boundary_matrix`` builds a dense matrix.
+and a coboundary.  Nothing in the library calls ``boundary_matrix``, the one
+dense build: it is the dense oracle of the tests.
 ``quotient_by_involution`` builds the orbit Delta-set of an involution that
 is free on positive-dimensional simplices (fixed simplices are allowed when
 they are fixed together with all of their faces); the orbit cells inherit
@@ -31,7 +32,7 @@ from itertools import permutations
 from math import gcd
 from typing import Sequence
 
-from .intlinalg import IntMatrix, _chain_normalize, _sparse_reduce
+from .intlinalg import IntMatrix, _chain_normalize, _dense, _sparse_reduce
 # unused here; perfbench/selftest.py reads and patches deltaset.kernel_basis
 from .intlinalg import kernel_basis  # noqa: F401
 
@@ -132,11 +133,7 @@ class DeltaSet:
 
     def boundary_matrix(self, q: int) -> IntMatrix:
         """The boundary map C_q -> C_{q-1} as a dense matrix."""
-        data = [[0] * self.n(q) for _ in range(self.n(q - 1))]
-        for i, row in _boundary_rows(self, q).items():
-            for j, x in row.items():
-                data[i][j] = x
-        return IntMatrix(data, cols=self.n(q))
+        return _dense(_boundary_rows(self, q), (self.n(q - 1), self.n(q)))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, DeltaSet) and self._counts == other._counts \
@@ -185,15 +182,12 @@ def _boundary_rows(ds: DeltaSet, q: int) -> dict[int, dict[int, int]]:
 
 def _coboundary_rows(ds: DeltaSet, q: int) -> dict[int, dict[int, int]]:
     """The same entries as {simplex: {face: sign}}, the rows of the
-    coboundary C^{q-1} -> C^q; a simplex of zero boundary has no row.
-    Built apart, so that ``_boundary_rows`` keeps its single pass."""
+    coboundary C^{q-1} -> C^q: the transpose of ``_boundary_rows``, so a
+    simplex of zero boundary has no row."""
     rows: dict[int, dict[int, int]] = {}
-    for s, fs in enumerate(ds._faces[q - 1] if 0 < q <= ds.dim else ()):
-        column: dict[int, int] = {}
-        for j, f in enumerate(fs):
-            column[f] = column.get(f, 0) + (-1) ** j
-        if any(column.values()):
-            rows[s] = {f: x for f, x in column.items() if x}
+    for f, row in _boundary_rows(ds, q).items():
+        for s, x in row.items():
+            rows.setdefault(s, {})[f] = x
     return rows
 
 

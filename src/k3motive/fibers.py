@@ -341,28 +341,19 @@ def _kulikov_type(f: DegenerationFiber, shape: Shape) -> int:
     if shape == Shape.POINT:
         return 1
     if shape == Shape.INTERVAL:
-        comp_order = sorted((c.id for c in f.components), key=_id_key)
-        valence = {cid: 0 for cid in comp_order}
-        for d in f.double_curves:
-            for cid in d.on:
-                valence[cid] += 1
-        by_id = {c.id: c for c in f.components}
-        atoms = set()
-        for d in f.double_curves:
-            if d.genus != 1:
-                raise NonKulikovError(
-                    "interval fiber with a genus-0 double curve")
-            atoms.add(d.curve)
-        for cid, deg in valence.items():
-            kind = by_id[cid].kind
-            if deg == 1 and not isinstance(kind, Rational):
-                raise NonKulikovError("chain end %r is not rational" % (cid,))
-            if deg == 2:
-                if not isinstance(kind, RuledElliptic):
+        if any(d.genus != 1 for d in f.double_curves):
+            raise NonKulikovError("interval fiber with a genus-0 double curve")
+        valence = Counter(cid for d in f.double_curves for cid in d.on)
+        atoms = {d.curve for d in f.double_curves}
+        for c in sorted(f.components, key=lambda c: _id_key(c.id)):
+            if valence[c.id] == 1 and not isinstance(c.kind, Rational):
+                raise NonKulikovError("chain end %r is not rational" % (c.id,))
+            if valence[c.id] == 2:
+                if not isinstance(c.kind, RuledElliptic):
                     raise NonKulikovError(
                         "interior chain component %r is not elliptic-ruled"
-                        % (cid,))
-                atoms.add(kind.curve)
+                        % (c.id,))
+                atoms.add(c.kind.curve)
         if len(atoms) != 1:
             raise NonKulikovError(
                 "type II chain must be ruled by a single elliptic curve")
@@ -372,10 +363,8 @@ def _kulikov_type(f: DegenerationFiber, shape: Shape) -> int:
             if not isinstance(c.kind, Rational):
                 raise NonKulikovError(
                     "sphere fiber with non-rational component %r" % (c.id,))
-        for d in f.double_curves:
-            if d.genus != 0:
-                raise NonKulikovError(
-                    "sphere fiber with a genus-1 double curve")
+        if any(d.genus != 0 for d in f.double_curves):
+            raise NonKulikovError("sphere fiber with a genus-1 double curve")
         return 3
     raise NonKulikovError("Clemens polytope is neither a point, an interval "
                           "nor a 2-sphere")

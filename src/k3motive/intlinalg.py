@@ -358,6 +358,12 @@ def _sparse_rows(a: IntMatrix) -> dict[int, dict[int, int]]:
             for i, row in enumerate(a.iter_rows()) if any(row)}
 
 
+def _dense(rows: dict[int, dict[int, int]], shape) -> IntMatrix:
+    """The inverse of ``_sparse_rows``, given the shape."""
+    return IntMatrix([[rows.get(i, {}).get(j, 0) for j in range(shape[1])]
+                      for i in range(shape[0])], cols=shape[1])
+
+
 def _sparse_reduce(rows: dict[int, dict[int, int]], ncols: int,
                    want_kernel: bool):
     """Shared core on {row: {col: value}} input of nonzero entries, which

@@ -25,7 +25,7 @@ from .fibers import (
     TriplePoint,
     WeakNeronData,
 )
-from .intlinalg import IntMatrix, SmithDecomposition
+from .intlinalg import IntMatrix, SmithDecomposition, _dense, _sparse_rows
 from .motives import (
     EPolynomial,
     EllipticCurveAtom,
@@ -345,20 +345,26 @@ def neron_from_json(doc) -> WeakNeronData:
 # ---------------------------------------------------------------------------
 
 def spectral_row_to_json(row) -> dict:
-    return {"q": row.q, "modules": list(row.modules),
-            "differentials": [matrix_to_json(d) for d in row.differentials]}
+    return {"q": row.q, "modules": list(row.modules), "differentials": [
+        matrix_to_json(_dense(d, (m, n))) for d, m, n
+        in zip(row.differentials, row.modules[1:], row.modules)]}
 
 
 def spectral_row_from_json(doc) -> "SpectralRow":
-    """A spectral row: its three keys and no other, an integer ``q`` and
-    integer ``modules``."""
+    """A spectral row: its three keys and no other, an integer ``q``,
+    integer ``modules`` and matrix documents of the shapes they give."""
     from .weightss import SpectralRow
     _keys(doc, ("q", "modules", "differentials"))
-    return SpectralRow(
-        q=_int(doc["q"], "q"),
-        modules=_ints(_array(doc["modules"], "modules"), "modules"),
-        differentials=tuple(map(matrix_from_json, _array(
-            doc["differentials"], "differentials"))))
+    q = _int(doc["q"], "q")
+    modules = _ints(_array(doc["modules"], "modules"), "modules")
+    matrices = [matrix_from_json(d)
+                for d in _array(doc["differentials"], "differentials")]
+    for i, (a, shape) in enumerate(zip(matrices, zip(modules[1:], modules))):
+        if a.shape != shape:
+            raise ValueError("differential %d has shape %r, expected %r"
+                             % (i, a.shape, shape))
+    return SpectralRow(q=q, modules=modules,
+                       differentials=tuple(map(_sparse_rows, matrices)))
 
 
 def e2_report_to_json(report) -> list:

@@ -6,16 +6,18 @@ the strata; the rows in stratum degree 0 and 2d are literally the simplicial
 written down explicitly together with the monodromy composition N, whose
 cokernel order is the first discriminant invariant.  The middle row of the
 page needs restriction data the combinatorial model does not carry, so it is
-only accepted as user-supplied matrices through ``e2_report``.
+only accepted as user-supplied rows through ``e2_report``.  Differentials
+stay sparse, in the form the elimination engine reads, from start to end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .deltaset import CycleVector, DeltaSet, _top_cycles, cycle_pairing
+from .deltaset import (CycleVector, DeltaSet, _boundary_rows,
+                       _coboundary_rows, _top_cycles, cycle_pairing)
 from .fibers import DegenerationFiber, clemens_polytope, component_betti
-from .intlinalg import IntMatrix, _sparse_rows, det, rank_and_invariants
+from .intlinalg import IntMatrix, _chain_normalize, _sparse_reduce, det
 
 # a surface degeneration: the strata Y^(0), Y^(1), Y^(2) have dimensions 2,
 # 1 and 0, and the dual complex has dimension at most 2
@@ -28,27 +30,32 @@ _H1_RANK = 2
 class SpectralRow:
     """A bounded complex of free Z-modules with explicit differentials.
 
-    ``differentials[i]`` maps the i-th module to the (i+1)-st and has shape
-    (modules[i+1], modules[i]); consecutive differentials compose to zero.
+    ``differentials[i]`` maps the i-th module to the (i+1)-st as the nonzero
+    entries {row: {col: value}} of a map of shape (modules[i+1], modules[i]);
+    module ranks are non-negative and consecutive differentials compose to 0.
     """
 
     q: int
     modules: tuple[int, ...]
-    differentials: tuple[IntMatrix, ...]
+    differentials: tuple[dict[int, dict[int, int]], ...]
 
     def __post_init__(self):
+        if any(n < 0 for n in self.modules):
+            raise ValueError("module rank %d is negative" % min(self.modules))
         if len(self.differentials) != max(len(self.modules) - 1, 0):
             raise ValueError("expected %d differentials, got %d"
                              % (len(self.modules) - 1, len(self.differentials)))
         for i, d in enumerate(self.differentials):
-            if d.shape != (self.modules[i + 1], self.modules[i]):
-                raise ValueError(
-                    "differential %d has shape %r, expected %r"
-                    % (i, d.shape, (self.modules[i + 1], self.modules[i])))
+            m, n = self.modules[i + 1], self.modules[i]
+            if not all(row and 0 <= r < m and all(
+                    x and 0 <= c < n for c, x in row.items())
+                    for r, row in d.items()):
+                raise ValueError("differential %d has an empty row, a zero "
+                                 "entry or one outside shape %r" % (i, (m, n)))
         # the composite over nonzero entries: row r of d_{i+1} d_i is the
         # sum of x times row k of d_i over the entries x at (r, k)
-        rows = [_sparse_rows(d) for d in self.differentials]
-        for i, (first, second) in enumerate(zip(rows, rows[1:])):
+        ds = self.differentials
+        for i, (first, second) in enumerate(zip(ds, ds[1:])):
             for row in second.values():
                 product: dict[int, int] = {}
                 for k, x in row.items():
@@ -136,14 +143,11 @@ def boundary_rows(f: DegenerationFiber) -> tuple[SpectralRow, SpectralRow]:
     H_*(Cl(Y)) respectively.
     """
     cl = clemens_polytope(f)
-    counts = [cl.n(q) for q in range(_DIM + 1)]
-    coboundaries = tuple(cl.boundary_matrix(q + 1).transpose()
-                         for q in range(_DIM))
-    cochain = SpectralRow(q=0, modules=tuple(counts),
-                          differentials=coboundaries)
-    boundaries = tuple(cl.boundary_matrix(q) for q in range(_DIM, 0, -1))
-    chain = SpectralRow(q=2 * _DIM, modules=tuple(reversed(counts)),
-                        differentials=boundaries)
+    counts = tuple(cl.n(q) for q in range(_DIM + 1))
+    cochain = SpectralRow(q=0, modules=counts, differentials=tuple(
+        _coboundary_rows(cl, q + 1) for q in range(_DIM)))
+    chain = SpectralRow(q=2 * _DIM, modules=counts[::-1], differentials=tuple(
+        _boundary_rows(cl, q) for q in range(_DIM, 0, -1)))
     return cochain, chain
 
 
@@ -195,12 +199,13 @@ def e2_report(rows: list[SpectralRow]
     """
     out = []
     for row in rows:
-        # (rank, invariant factors) of each differential, padded with the
-        # zero maps into the first and out of the last module
-        reduced = [(0, ())] + [rank_and_invariants(d)
-                               for d in row.differentials] + [(0, ())]
-        out.append([(n - reduced[i][0] - reduced[i + 1][0],
-                     tuple(d for d in reduced[i][1] if d > 1))
+        # the pivots of each differential, padded with the zero maps into the
+        # first and out of the last module; the engine consumes a copy
+        pivots = [[]] + [_sparse_reduce({i: dict(r) for i, r in d.items()},
+                                        n, False)[0] for d, n in
+                         zip(row.differentials, row.modules)] + [[]]
+        out.append([(n - len(pivots[i]) - len(pivots[i + 1]),
+                     tuple(d for d in _chain_normalize(pivots[i]) if d > 1))
                     for i, n in enumerate(row.modules)])
     return out
 

@@ -597,6 +597,25 @@ class TestDegenerationType:
         with pytest.raises(NonKulikovError):
             degeneration_type(f)
 
+    def test_chain_components_checked_in_id_order(self):
+        # the chain 0 - "m" - 2 with a rational interior and an
+        # elliptic-ruled end: the first error in id order (integers before
+        # strings) is raised, not the first in input order
+        curves = [DoubleCurve("c0", (0, "m"), 1, curve="E"),
+                  DoubleCurve("c1", ("m", 2), 1, curve="E")]
+        comps = [Component("m", Rational(0)), Component(2, Rational(10)),
+                 Component(0, RuledElliptic("E", 10))]
+        f = DegenerationFiber.of("bad", comps, curves)
+        assert validate(f) == []
+        with pytest.raises(NonKulikovError,
+                           match=r"^chain end 0 is not rational$"):
+            degeneration_type(f)
+        comps[2] = Component(0, Rational(10))
+        f = DegenerationFiber.of("bad", comps, curves)
+        with pytest.raises(NonKulikovError, match=r"^interior chain "
+                           r"component 'm' is not elliptic-ruled$"):
+            degeneration_type(f)
+
     def test_mixed_elliptic_atoms_rejected(self):
         comps = [Component(0, Rational(10)), Component(1, Rational(10))]
         curves = [DoubleCurve("c0", (0, 1), 1, curve="E1")]

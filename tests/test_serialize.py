@@ -24,8 +24,14 @@ from k3motive.serialize import (
     neron_from_json,
     neron_to_json,
     smith_to_json,
+    spectral_row_to_json,
 )
 from k3motive.fibers import WeakNeronData
+from k3motive.weightss import boundary_rows
+
+# the tetrahedron's cochain row: differentials of shapes (6, 4) and (4, 6)
+TETRA_COCHAIN = spectral_row_to_json(
+    boundary_rows(build_type3("tetrahedron"))[0])
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -187,8 +193,13 @@ class TestSpectralRowJson:
         ({"modules": None}, "modules None is not an array"),
         ({"q": None}, "q None is not an integer"),
         ({"extra": 1}, "unexpected keys: extra"),
+        ({"q": 0, "modules": [-3], "differentials": []},
+         "module rank -3 is negative"),
+        ({"differentials": [matrix_to_json(IntMatrix.zeros(3, 3)),
+                            TETRA_COCHAIN["differentials"][1]]},
+         "differential 0 has shape (3, 3), expected (6, 4)"),
     ], ids=["float-q", "string-q", "bool-module", "null-modules", "null-q",
-            "extra-key"])
+            "extra-key", "negative-module", "zero-3x3-differential"])
     def test_malformed_row_refused(self, change, why):
         from k3motive.serialize import (spectral_row_from_json,
                                         spectral_row_to_json)

@@ -1,7 +1,17 @@
+import copy
+import hashlib
+import re
+
 import pytest
 
+from k3motive import weightss
+from k3motive.builders import (build_type2_chain, build_type3, icosahedron,
+                               octahedron, refine_sphere)
+from k3motive.deltaset import cohomology, homology
 from k3motive.fibers import Component, DegenerationFiber, K3Smooth
-from k3motive.intlinalg import IntMatrix, smith_normal_form
+from k3motive.intlinalg import IntMatrix, _sparse_rows, smith_normal_form
+from k3motive.serialize import (dumps, e2_report_to_json,
+                                spectral_row_from_json, spectral_row_to_json)
 from k3motive.weightss import (
     SpectralRow,
     boundary_rows,
@@ -11,6 +21,7 @@ from k3motive.weightss import (
     type2_h1_row,
 )
 
+from test_deltaset import recognition_corpus
 from test_fibers import chain_fiber, tetra_fiber
 
 
@@ -101,6 +112,98 @@ class TestBoundaryRows:
                 assert all(torsion == () for _, torsion in positions)
 
 
+ROW_FIBERS = {
+    "tetrahedron": lambda: build_type3("tetrahedron"),
+    "octahedron": lambda: build_type3("octahedron"),
+    "icosahedron": lambda: build_type3("icosahedron"),
+    "icosahedron-bary1": lambda: build_type3(refine_sphere(icosahedron(), 1)),
+    "octahedron-split2": lambda: build_type3(
+        refine_sphere(octahedron(), 2, "edge_split")),
+    "chain-m1": lambda: build_type2_chain(1),
+    "chain-m3": lambda: build_type2_chain(3),
+    "smooth": lambda: DegenerationFiber.of("smooth",
+                                           [Component(0, K3Smooth())]),
+}
+
+# sha256 of the spectral-row JSON of both boundary rows and of their
+# e2_report JSON, as the dense route wrote them
+ROW_DIGESTS = {
+    "tetrahedron": (
+        "d69f180e49e6fa4aa912dbb37edfa7cbdab30766666b8f8a90996a680e8c4736",
+        "4bb3c5b278dfdb29019ac898e19623067ccbe063e6240dda1a789408ed98e22a"),
+    "octahedron": (
+        "5aae9737300fb099b380abe917963b9728e599f944fb38e3aef62ead48fcff6b",
+        "4bb3c5b278dfdb29019ac898e19623067ccbe063e6240dda1a789408ed98e22a"),
+    "icosahedron": (
+        "13cf01ed410b7b253f163f2c6cb849803992de748f2f3f8b6b2c58f9533c20d4",
+        "4bb3c5b278dfdb29019ac898e19623067ccbe063e6240dda1a789408ed98e22a"),
+    "icosahedron-bary1": (
+        "63c39726aac763af6c2cefbb70428390980d78b86f7bc93c21ebe3d58982fdfa",
+        "4bb3c5b278dfdb29019ac898e19623067ccbe063e6240dda1a789408ed98e22a"),
+    "octahedron-split2": (
+        "08c6221e6ae35ff9d0712e494a8cde64abe9f659f2867c4c6fd046f5621fe025",
+        "4bb3c5b278dfdb29019ac898e19623067ccbe063e6240dda1a789408ed98e22a"),
+    "chain-m1": (
+        "6aaca31766c9b4fe03d5cd9e45ae894e483a9e065c9fad85bd683099479bffe6",
+        "32d49a0426a335aebffa038521f070f237cceec329c3185d5d8a3bf834322fc4"),
+    "chain-m3": (
+        "861bfd2c1eaa66277d8384fd8c5635afe9505df1e98ca2042f9345ef9744b13a",
+        "32d49a0426a335aebffa038521f070f237cceec329c3185d5d8a3bf834322fc4"),
+    "smooth": (
+        "6055b2fa616e0c8f72b432bf617d38bfdc8593656b3897f5af371d1367d3dfe7",
+        "32d49a0426a335aebffa038521f070f237cceec329c3185d5d8a3bf834322fc4"),
+}
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestSparseRows:
+    """The rows hold the elimination engine's sparse input, built from the
+    face lists; the dense boundary matrices are the oracle."""
+
+    @pytest.mark.parametrize("name", sorted(ROW_DIGESTS))
+    def test_json_and_report_bytes(self, name):
+        rows = list(boundary_rows(ROW_FIBERS[name]()))
+        assert (_sha(dumps([spectral_row_to_json(r) for r in rows])),
+                _sha(dumps(e2_report_to_json(e2_report(rows))))) \
+            == ROW_DIGESTS[name]
+
+    def test_rows_equal_dense_route(self, monkeypatch):
+        # the corpus holds complexes no fiber has (loop edges, tori, RP^2);
+        # boundary_rows reads only the Clemens polytope, so it is swapped in
+        for ds in recognition_corpus():
+            monkeypatch.setattr(weightss, "clemens_polytope",
+                                lambda f, ds=ds: ds)
+            cochain, chain_row = boundary_rows(None)
+            dense = {q: ds.boundary_matrix(q) for q in (1, 2)}
+            assert cochain.differentials == tuple(
+                _sparse_rows(dense[q].transpose()) for q in (1, 2))
+            assert chain_row.differentials == tuple(
+                _sparse_rows(dense[q]) for q in (2, 1))
+            cochain_h, chain_h = e2_report([cochain, chain_row])
+            assert cochain_h == [cohomology(ds, q) for q in range(3)]
+            assert chain_h == [homology(ds, q) for q in (2, 1, 0)]
+
+    def test_report_leaves_rows_intact(self):
+        rows = list(boundary_rows(ROW_FIBERS["icosahedron-bary1"]()))
+        before = copy.deepcopy(rows)
+        report = e2_report(rows)
+        assert e2_report(rows) == report
+        assert rows == before
+        for row in rows:
+            assert spectral_row_from_json(spectral_row_to_json(row)) == row
+
+    def test_zero_entry_and_empty_row_refused(self):
+        why = ("differential 1 has an empty row, a zero entry or one outside "
+               "shape (1, 1)")
+        for d in ({0: {0: 0}}, {0: {}}, {0: {-1: 1}}, {-1: {0: 1}}):
+            with pytest.raises(ValueError, match="^%s$" % re.escape(why)):
+                SpectralRow(q=0, modules=(1, 1, 1),
+                            differentials=({0: {0: 1}}, d))
+
+
 class TestType2Row:
     def test_m3(self):
         d1, d3, n, r1 = type2_h1_row(3)
@@ -145,9 +248,9 @@ class TestType2Row:
         for m in (2, 3, 4):
             d1, d3, _, _ = type2_h1_row(m)
             row1 = SpectralRow(q=1, modules=(2 * (m - 1), 2 * m),
-                               differentials=(d1,))
+                               differentials=(_sparse_rows(d1),))
             row3 = SpectralRow(q=3, modules=(2 * m, 2 * (m - 1)),
-                               differentials=(d3,))
+                               differentials=(_sparse_rows(d3),))
             rep1, rep3 = e2_report([row1, row3])
             assert rep1 == [(0, ()), (2, ())]
             assert rep3 == [(2, ()), (0, ())]
@@ -160,7 +263,7 @@ class TestType2Row:
 class TestE2Report:
     def test_torsion_flagged(self):
         row = SpectralRow(q=0, modules=(1, 1),
-                          differentials=(IntMatrix([[2]]),))
+                          differentials=({0: {0: 2}},))
         report = e2_report([row])[0]
         assert report[0] == (0, ())
         assert report[1] == (0, (2,))
@@ -168,10 +271,10 @@ class TestE2Report:
     def test_shape_violation(self):
         with pytest.raises(ValueError):
             SpectralRow(q=0, modules=(2, 2),
-                        differentials=(IntMatrix([[1]]),))
+                        differentials=({2: {0: 1}},))
 
     def test_nonzero_composition_rejected(self):
-        d = IntMatrix.identity(1)
+        d = {0: {0: 1}}
         with pytest.raises(ValueError):
             SpectralRow(q=0, modules=(1, 1, 1), differentials=(d, d))
 
