@@ -13,7 +13,6 @@ evaluators reject it.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .deltaset import (
@@ -36,7 +35,7 @@ from .fibers import (
     TriplePoint,
     WeakNeronData,
 )
-from .integrals import GeometricRealizabilityWarning
+from .integrals import _warn_if_virtual
 from .motives import MotiveClass
 
 _L = MotiveClass.lefschetz
@@ -293,10 +292,7 @@ def kummer_r2_abelian(p: KummerParams) -> tuple[int, int]:
     """
     r2_a = 2 * p.m1 * p.m2
     r2_x = r2_a // 2
-    if r2_x > 20:
-        warnings.warn(
-            "r2 = %d exceeds 20: no geometric K3 fiber realizes it" % r2_x,
-            GeometricRealizabilityWarning, stacklevel=2)
+    _warn_if_virtual(r2_x)  # at ramification e = 1
     return r2_a, r2_x
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from .builders import (
@@ -38,9 +39,9 @@ from .fibers import (
     validate,
 )
 from .integrals import (
+    GeometricRealizabilityWarning,
     RamifiedParams,
-    _quiet_closed_form,
-    _quietly,
+    _closed_form,
     _verify_valid,
     integral_from_neron,
 )
@@ -143,7 +144,9 @@ def _cmd_build(args) -> int:
     else:  # kummer
         if args.m1 is None or args.m2 is None:
             raise InputError("build kummer requires --m1 and --m2")
-        report = _quietly(build_kummer, KummerParams(args.m1, args.m2))
+        with warnings.catch_warnings():  # program boundary; r2 is written out
+            warnings.simplefilter("ignore", GeometricRealizabilityWarning)
+            report = build_kummer(KummerParams(args.m1, args.m2))
         fiber, neron = report.fiber, report.neron_data()
         params = RamifiedParams(e=1, s=3, r=report.r2_kummer)
         doc["kummer"] = {
@@ -162,7 +165,7 @@ def _cmd_build(args) -> int:
         "fiber": fiber_to_json(fiber),
         "expectations": {
             "family": args.family, "s": params.s, "r": params.r,
-            "closed_form": motive_to_json(_quiet_closed_form(params))},
+            "closed_form": motive_to_json(_closed_form(params))},
         "neron": neron_to_json(neron),
     })
     _write_json(args.out, doc)
@@ -285,13 +288,15 @@ def _verify_one(path: str, e: int):
             raise InputError("type 2 closed form at e = %d: the first double "
                              "curve names no elliptic curve" % e)
         atom = EllipticCurveAtom(curve) if s == 2 else None
-        report["closed_form_at_e"] = motive_to_json(_quiet_closed_form(
+        report["closed_form_at_e"] = motive_to_json(_closed_form(
             RamifiedParams(e=e, s=s, r=r, elliptic_atom=atom)))
 
     return (report, 0 if ok else 1)
 
 
 def _cmd_verify(args) -> int:
+    if args.e < 1:  # verify_report.schema.json: e >= 1
+        raise InputError("--e must be at least 1, got %d" % args.e)
     if args.all is not None:
         paths = sorted(str(p) for p in Path(args.all).glob("*.json"))
         if not paths:

@@ -6,7 +6,7 @@ d_i d_j = d_{j-1} d_i (i < j) are checked at construction.  Unlike a
 simplicial complex, several simplices may sit on the same vertex set --
 the 2-gon circle and the torus-quotient nerves need exactly that.
 
-Homology comes from one cached sparse elimination per Delta-set and degree,
+Homology comes from one memoized sparse elimination per Delta-set and degree,
 fed straight from the face lists.  Recognition eliminates nothing; the top
 homology is one orientation pass on a closed, connected, oriented
 2-pseudomanifold and the top-degree kernel of that elimination elsewhere; a
@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations
 from math import gcd
 from typing import Sequence
 
-from .intlinalg import IntMatrix, _chain_normalize, _dense, _sparse_reduce
+from .intlinalg import (IntMatrix, _chain_normalize, _dense, _int_rows,
+                        _sparse_reduce)
 # unused here; perfbench/selftest.py reads and patches deltaset.kernel_basis
 from .intlinalg import kernel_basis  # noqa: F401
 
@@ -43,23 +43,23 @@ class QuotientError(ValueError):
 
 class DeltaSet:
     """Abstract triangulated set; logically immutable after construction:
-    the ``_sign`` slot only memoizes the orientation pass (``_oriented``)."""
+    the ``_memo`` dict only keeps the orientation and boundary reductions."""
 
-    __slots__ = ("_counts", "_faces", "_sign")
+    __slots__ = ("_counts", "_faces", "_memo")
 
     def __init__(self, num_vertices: int,
                  faces: Sequence[Sequence[Sequence[int]]] = ()):
         """``faces[q-1][s]`` lists the q+1 faces of the s-th q-simplex.
 
-        Trailing empty dimensions are dropped.
+        Trailing empty dimensions are dropped; a float or boolean is refused.
         """
-        stored = [tuple([tuple(map(int, s)) for s in level])
-                  for level in faces]
+        counts = [num_vertices]
+        _int_rows([counts], "vertex count")
+        if num_vertices < 0:
+            raise ValueError("vertex count %d is negative" % num_vertices)
+        stored = [_int_rows(level, "face id") for level in faces]
         while stored and not stored[-1]:
             stored.pop()
-        counts = [int(num_vertices)]
-        if counts[0] < 0:
-            raise ValueError("vertex count %d is negative" % counts[0])
         for q, level in enumerate(stored, start=1):
             counts.append(len(level))
             if set(map(len, level)) == {q + 1} \
@@ -79,9 +79,7 @@ class DeltaSet:
                             "face id %d out of range in dimension %d" % (f, q))
         self._counts = tuple(counts)
         self._faces = tuple(stored)
-        self._check_identities()
-
-    def _check_identities(self):
+        self._memo = {}
         for q in range(2, self.dim + 1):
             lower = self._faces[q - 2]
             pairs = [(i, j) for j in range(q + 1) for i in range(j)]
@@ -201,11 +199,13 @@ def _is_cycle(ds: DeltaSet, q: int, coeffs: Sequence[int]) -> bool:
     return not any(boundary)
 
 
-@lru_cache(maxsize=128)
 def _boundary_reduction(ds: DeltaSet, q: int):
     """Rank, invariant factors and, at the top degree only (else None), a
-    kernel basis as coefficient tuples, of the boundary map C_q -> C_{q-1};
-    ``_top_cycles`` reads the kernel only where no orientation exists."""
+    kernel basis as coefficient tuples, of the boundary map C_q -> C_{q-1},
+    kept in the memo; ``_top_cycles`` reads the kernel only where no
+    orientation exists."""
+    if q in ds._memo:
+        return ds._memo[q]
     top = q == ds.dim
     if 0 < q <= ds.dim:
         pivots, kernel = _sparse_reduce(_boundary_rows(ds, q), ds.n(q),
@@ -214,7 +214,8 @@ def _boundary_reduction(ds: DeltaSet, q: int):
         pivots, kernel = [], [{s: 1} for s in ds.simplices(q) if top]
     cycles = tuple(tuple(col.get(s, 0) for s in ds.simplices(q))
                    for col in kernel) if top else None
-    return len(pivots), _chain_normalize(pivots), cycles
+    ds._memo[q] = len(pivots), _chain_normalize(pivots), cycles
+    return ds._memo[q]
 
 
 def homology(ds: DeltaSet, q: int) -> tuple[int, tuple[int, ...]]:
@@ -245,7 +246,7 @@ def _top_cycles(ds: DeltaSet) -> list[CycleVector]:
     single generator has its first nonzero coefficient positive.  Across
     each edge of a closed 2-pseudomanifold a cycle's coefficient on one
     side fixes the other's, so ker d2 = Z sign for the ``_oriented`` signs,
-    shared with ``recognize``; elsewhere the basis is the cached kernel."""
+    shared with ``recognize``; elsewhere the basis is the memo's kernel."""
     d = ds.dim
     sign = _oriented(ds) if d == 2 else None
     columns = [sign] if sign else list(_boundary_reduction(ds, d)[2])
@@ -348,10 +349,10 @@ def recognize(ds: DeltaSet) -> Shape:
 
 
 def _oriented(ds: DeltaSet) -> tuple[int, ...] | None:
-    """``_orientation(ds)``, run on first use and kept in the ``_sign`` slot."""
-    if not hasattr(ds, "_sign"):
-        ds._sign = _orientation(ds)
-    return ds._sign
+    """``_orientation(ds)``, run on first use and kept in the memo."""
+    if "sign" not in ds._memo:
+        ds._memo["sign"] = _orientation(ds)
+    return ds._memo["sign"]
 
 
 def _orientation(ds: DeltaSet) -> tuple[int, ...] | None:
@@ -484,7 +485,7 @@ class Involution:
         if len(maps) != ds.dim + 1:
             raise ValueError("need one map per dimension")
         self.ds = ds
-        self.maps = tuple(tuple(map(int, level)) for level in maps)
+        self.maps = _int_rows(maps, "simplex image")
         for q, level in enumerate(self.maps):
             if sorted(level) != list(range(ds.n(q))):
                 raise ValueError("map in dimension %d is not a bijection" % q)
@@ -492,9 +493,6 @@ class Involution:
                 if level[img] != s:
                     raise ValueError("map is not an involution at (%d, %d)"
                                      % (q, s))
-        self._check_compatibility()
-
-    def _check_compatibility(self):
         for q, level in enumerate(self.ds._faces, start=1):
             below = self.maps[q - 1]
             target = [sorted(fs) for fs in level]

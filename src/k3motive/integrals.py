@@ -61,6 +61,14 @@ class RamifiedParams:
             raise ValueError("type 3 requires e^2 r2 even")
 
 
+def _warn_if_virtual(e2r2: int) -> None:
+    """The realizability rule, for the caller of a public function."""
+    if e2r2 > 20:  # the icosahedron saturates the bound
+        warnings.warn("e^2 r2 = %d exceeds 20: the class is virtual, no "
+                      "geometric fiber realizes it" % e2r2,
+                      GeometricRealizabilityWarning, stacklevel=3)
+
+
 def closed_form_integral(p: RamifiedParams) -> MotiveClass:
     """The closed-form integral for a degenerate K3 after a degree-e
     extension.
@@ -69,45 +77,31 @@ def closed_form_integral(p: RamifiedParams) -> MotiveClass:
     Type 3:  (e^2 r2 / 2 + 2)(1 + L^2) + (20 - e^2 r2) L.
 
     Values with e^2 r2 > 20 remain evaluable as virtual classes but cannot
-    come from a geometric fiber (the icosahedron saturates the bound), so
-    they only raise a warning.
+    come from a geometric fiber, so they only raise a warning.
     """
+    if p.s == 3:
+        _warn_if_virtual(p.e * p.e * p.r)
+    return _closed_form(p)
+
+
+def _closed_form(p: RamifiedParams) -> MotiveClass:
+    """``closed_form_integral`` without the realizability warning."""
     if p.s == 2:
         k = p.e * isqrt(p.r)
         e_cls = MotiveClass.of_atom(p.elliptic_atom)
         return (2 * MotiveClass.one() - (k + 1) * e_cls + _L(1, 20)
                 + (k - 1) * e_cls.twist(-1) + 2 * _L(2))
     e2r = p.e * p.e * p.r
-    if e2r > 20:
-        warnings.warn(
-            "e^2 r2 = %d exceeds 20: the class is virtual, no geometric "
-            "fiber realizes it" % e2r, GeometricRealizabilityWarning,
-            stacklevel=2)
     half = e2r // 2
     return ((half + 2) * MotiveClass.one() + _L(1, 20 - e2r)
             + (half + 2) * _L(2))
 
 
-def _quietly(fn, *args):
-    """``fn(*args)`` with the realizability warning silenced."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GeometricRealizabilityWarning)
-        return fn(*args)
-
-
-def _quiet_closed_form(p: RamifiedParams | None) -> MotiveClass | None:
-    """``closed_form_integral`` with the realizability warning silenced;
-    None for a smooth fiber, which has no closed form."""
-    return None if p is None else _quietly(closed_form_integral, p)
-
-
 def maximally_degenerate_closed_form(e: int, r2: int) -> MotiveClass:
     """The conjectural formula for maximally degenerate K3 surfaces over an
     arbitrary complete discrete valuation field; shape-identical to the
-    type 3 closed form, to which it delegates."""
-    if e < 1 or r2 < 1 or (e * e * r2) % 2:
-        raise ValueError("need e >= 1 and e^2 r2 even positive")
-    return _quiet_closed_form(RamifiedParams(e=e, s=3, r=r2))
+    type 3 closed form, whose checks and unwarned evaluator it shares."""
+    return _closed_form(RamifiedParams(e=e, s=3, r=r2))
 
 
 def integral_from_neron(data: WeakNeronData) -> MotiveClass:
@@ -217,13 +211,11 @@ def serre_hodge_check(f: DegenerationFiber) -> bool:
 def scaling_check(p: RamifiedParams, e_further: int) -> bool:
     """Base-change consistency of the closed forms: evaluating at
     ramification e * e' equals evaluating at e' with r scaled by e^2."""
-    if e_further < 1:
-        raise ValueError("ramification index must be positive")
     scaled = RamifiedParams(e=e_further, s=p.s, r=p.e * p.e * p.r,
                             elliptic_atom=p.elliptic_atom)
     total = RamifiedParams(e=p.e * e_further, s=p.s, r=p.r,
                            elliptic_atom=p.elliptic_atom)
-    return _quiet_closed_form(total) == _quiet_closed_form(scaled)
+    return _closed_form(total) == _closed_form(scaled)
 
 
 @dataclass(frozen=True)
@@ -258,7 +250,7 @@ def _verify_valid(f: DegenerationFiber) -> IntegralReport:
     strata = _strata(f)
     integral = _inclusion_exclusion(strata)
     params = _params_for_type(f, s, cl)
-    closed = _quiet_closed_form(params)
+    closed = None if params is None else _closed_form(params)
     lim = _limit_sum(strata)
     reduced = integral.serre_reduce()
     # serre_ok compares the reduction with the limit class's and, unless the

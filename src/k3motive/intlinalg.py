@@ -31,8 +31,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush, heappushpop
+from itertools import chain
 from math import gcd
 from typing import Iterator, Sequence
+
+
+def _int_rows(rows, what: str) -> tuple[tuple[int, ...], ...]:
+    """``rows`` as tuples of ``int``s; a float or a boolean is refused."""
+    body = tuple(map(tuple, rows))
+    if set(map(type, chain.from_iterable(body))) - {int}:
+        bad = next(x for x in chain.from_iterable(body) if type(x) is not int)
+        raise ValueError("%s %r is not an integer" % (what, bad))
+    return body
 
 
 class IntMatrix:
@@ -41,7 +51,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, data: Sequence[Sequence[int]], *, cols: int | None = None):
-        body = tuple(tuple(map(int, row)) for row in data)
+        body = _int_rows(data, "matrix entry")
         if body:
             width = len(body[0])
             if any(len(r) != width for r in body):
@@ -67,7 +77,6 @@ class IntMatrix:
     @classmethod
     def diagonal(cls, entries: Sequence[int], rows: int | None = None,
                  cols: int | None = None) -> "IntMatrix":
-        entries = [int(x) for x in entries]
         r = len(entries) if rows is None else rows
         c = len(entries) if cols is None else cols
         data = [[0] * c for _ in range(r)]
@@ -77,14 +86,13 @@ class IntMatrix:
 
     @classmethod
     def from_flat(cls, rows: int, cols: int, entries: Sequence[int]) -> "IntMatrix":
-        entries = [int(x) for x in entries]
         if len(entries) != rows * cols:
             raise ValueError("expected %d entries, got %d" % (rows * cols, len(entries)))
         return cls([entries[i * cols:(i + 1) * cols] for i in range(rows)], cols=cols)
 
     @classmethod
     def column(cls, entries: Sequence[int]) -> "IntMatrix":
-        return cls([[int(x)] for x in entries], cols=1)
+        return cls([[x] for x in entries], cols=1)
 
     # -- queries ------------------------------------------------------
 

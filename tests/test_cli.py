@@ -17,7 +17,7 @@ from k3motive.serialize import (
     motive_to_json,
 )
 from k3motive.builders import build_type3
-from k3motive.fibers import Component, DegenerationFiber, Rational
+from k3motive.fibers import Component, DegenerationFiber, K3Smooth, Rational
 
 from test_serialize import schema_validator
 
@@ -42,6 +42,24 @@ def test_cli_loads_no_rational_arithmetic():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out == "[]\n"
+
+
+def test_cli_raises_no_warning(tmp_path):
+    # r2 = 64 for the Kummer 8 x 8 document and e^2 r2 = 80 for the
+    # icosahedron at e = 2: virtual classes, which the CLI writes without a
+    # warning even when every warning is an error
+    src = str(Path(__import__("k3motive").__file__).parents[1])
+    kummer, ico = tmp_path / "k.json", tmp_path / "i.json"
+    for argv in (["build", "kummer", "--m1", "8", "--m2", "8", "-o", kummer],
+                 ["verify", "--e", "3", kummer],
+                 ["build", "type3", "--triangulation", "icosahedron",
+                  "-o", ico],
+                 ["verify", "--e", "2", ico]):
+        out = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "k3motive", *map(str, argv)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert (out.returncode, out.stderr) == (0, ""), argv
 
 
 class TestBuildVerifyRoundtrip:
@@ -597,6 +615,25 @@ class TestBuildArguments:
             monkeypatch.setattr("k3motive.cli." + name, no_build)
         assert run(["build", *argv]) == 2
         assert capsys.readouterr().err == "error: build requires --out\n"
+
+
+class TestVerifyE:
+    @pytest.mark.parametrize("batch", [False, True], ids=["file", "all"])
+    @pytest.mark.parametrize("e", ["0", "-3"])
+    def test_e_below_one_exit2(self, tmp_path, capsys, e, batch):
+        # verify_report.schema.json has e >= 1; a smooth fiber, which has no
+        # closed form to evaluate at e, is refused all the same
+        d = tmp_path / "fibers"
+        d.mkdir()
+        write(d / "smooth.json", fiber_to_json(DegenerationFiber.of(
+            "smooth", [Component(0, K3Smooth())])))
+        report = tmp_path / "r.json"
+        target = ["--all", str(d)] if batch else [str(d / "smooth.json")]
+        assert run(["verify", *target, "--e", e, "--report",
+                    str(report)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: --e must be at least 1, got %s\n" % e)
+        assert not report.exists()
 
 
 class TestVerifyAll:

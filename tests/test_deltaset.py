@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -183,6 +184,32 @@ class TestConstruction:
         with pytest.raises(ValueError, match="vertex count -2 is negative"):
             DeltaSet(-2)
 
+    @pytest.mark.parametrize("num_vertices, faces, text", [
+        (2.9, (), "vertex count 2.9 is not an integer"),
+        (True, (), "vertex count True is not an integer"),
+        (2, [[(1.7, 0)]], "face id 1.7 is not an integer"),
+        (2, [[(1, 0), (1, False)]], "face id False is not an integer"),
+        (3, [[(1, 0), (2, 1), (2, 0)], [(0, 2.0, 1)]],
+         "face id 2.0 is not an integer"),
+    ], ids=["float-count", "bool-count", "float-face", "bool-face",
+            "float-triangle-face"])
+    def test_non_int_refused(self, num_vertices, faces, text):
+        # refused, not truncated: DeltaSet(2, [[(1.7, 0)]]) is no edge (1, 0)
+        with pytest.raises(ValueError) as exc:
+            DeltaSet(num_vertices, faces)
+        assert str(exc.value) == text
+
+    @pytest.mark.parametrize("maps, text", [
+        ([[0, 3, 2, 1], [3.0, 2, 1, 0]],
+         "simplex image 3.0 is not an integer"),
+        ([[0, 3, 2, 1], [3, 2, True, 0]],
+         "simplex image True is not an integer"),
+    ], ids=["float", "bool"])
+    def test_non_int_involution_refused(self, maps, text):
+        with pytest.raises(ValueError) as exc:
+            Involution(circle(4), maps)
+        assert str(exc.value) == text
+
     def test_boundary_squared_is_zero(self):
         for ds in [tetra(), octa(), rp2(), torus_3x3(), circle(4)]:
             for q in range(1, ds.dim + 1):
@@ -362,7 +389,6 @@ class TestSparseBoundaries:
         from k3motive.deltaset import _boundary_reduction
         from k3motive.intlinalg import kernel_basis, rank_and_invariants
 
-        _boundary_reduction.cache_clear()
         for ds in self.complexes():
             assert ds.boundary_matrix(0) == IntMatrix.zeros(0, ds.n(0))
             assert ds.boundary_matrix(ds.dim + 1) == \
@@ -743,12 +769,9 @@ class TestGeneratorOracle:
         assert gen == CycleVector(1, (0, 0, 0, 1, 1, 1, 1, 1))
 
     def test_below_top_builds_no_dense_matrix(self, monkeypatch):
-        from k3motive.deltaset import _boundary_reduction
-
         cases = [(circle_plus_rp2(), 1), (rp2_plus_circle(5), 1),
                  (small_complexes()["bands"], 1), (tetra(), 0),
                  (torus_3x3(), 0)]
-        _boundary_reduction.cache_clear()
         counts = {"IntMatrix": 0}
         init = IntMatrix.__init__
 
@@ -759,6 +782,38 @@ class TestGeneratorOracle:
         for ds, d in cases:
             top_cycle_generator(ds, d)
         assert counts == {"IntMatrix": 0}
+
+
+class TestMemo:
+    """Facts about a complex live on the complex: its memo holds the
+    orientation and the reduction of each degree, and nothing outside it
+    keeps a reference to the complex."""
+
+    # sha256 of the homology in every degree and the top cohomology of the
+    # recognition corpus, computed at the commit before the memo moved onto
+    # the complex
+    DIGEST = "9a3f3f3e0434508a4ca64a2d09db2d436d07be59fd9c51574b3b1b067b887f48"
+
+    def test_memo_keeps_no_outside_reference(self, monkeypatch):
+        from k3motive import deltaset
+
+        calls = []
+        monkeypatch.setattr(deltaset, "_sparse_reduce",
+                            lambda *a, **k: calls.append(1)
+                            or intlinalg._sparse_reduce(*a, **k))
+        facts = []
+        for ds in recognition_corpus():
+            refs = sys.getrefcount(ds)
+            found = ([homology(ds, q) for q in range(ds.dim + 1)],
+                     cohomology(ds, ds.dim))
+            assert sys.getrefcount(ds) == refs, ds
+            # asked again, the complex answers from its memo
+            del calls[:]
+            assert ([homology(ds, q) for q in range(ds.dim + 1)],
+                    cohomology(ds, ds.dim)) == found and not calls, ds
+            facts.append(found)
+        assert hashlib.sha256(repr(facts).encode()).hexdigest() == \
+            self.DIGEST
 
 
 class TestTopCyclesOracle:
@@ -774,7 +829,6 @@ class TestTopCyclesOracle:
                             or intlinalg._sparse_reduce(*a, **k))
         oriented = 0
         for ds in recognition_corpus():
-            _boundary_reduction.cache_clear()
             del calls[:]
             got = [c.coefficients for c in _top_cycles(ds)]
             took_orientation = not calls

@@ -251,6 +251,40 @@ class TestVerifyFiber:
         assert rep.closed_form is None
         assert rep.match is True
 
+    def test_internal_paths_leave_the_filters_alone(self, monkeypatch):
+        # the closed forms are evaluated at e^2 r2 = 512, 36 and 432: only
+        # closed_form_integral, kummer_r2_abelian and build_kummer warn, and
+        # no library path swaps the process-wide filters to hide a warning
+        from k3motive.builders import build_type3, octahedron, refine_sphere
+        fiber = build_type3(refine_sphere(octahedron(), 3, "edge_split"))
+
+        def swapped(*args, **kwargs):
+            raise AssertionError("a library path swapped the warning filters")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with monkeypatch.context() as m:
+                m.setattr(warnings, "catch_warnings", swapped)
+                rep = verify_fiber(fiber)
+                md = maximally_degenerate_closed_form(3, 4)
+                assert scaling_check(RamifiedParams(e=2, s=3, r=12), 3)
+        assert rep.match and rep.r == 512
+        assert rep.closed_form == L(1, 20 - 512) + 258 * (L(0) + L(2))
+        assert md == L(1, 20 - 36) + 20 * (L(0) + L(2))
+
+    def test_public_warnings_point_at_the_caller(self):
+        from k3motive.builders import (KummerParams, build_kummer,
+                                       kummer_r2_abelian)
+        for call in (lambda: closed_form_integral(RamifiedParams(e=3, s=3,
+                                                                 r=4)),
+                     lambda: kummer_r2_abelian(KummerParams(8, 8))):
+            with pytest.warns(GeometricRealizabilityWarning) as rec:
+                call()
+            assert [w.filename for w in rec] == [__file__]
+        # build_kummer warns through kummer_r2_abelian, from builders
+        with pytest.warns(GeometricRealizabilityWarning) as rec:
+            build_kummer(KummerParams(8, 8))
+        assert [w.filename.endswith("builders.py") for w in rec] == [True]
+
     def test_2048_faces(self):
         from k3motive.builders import build_type3, octahedron, refine_sphere
         sphere = refine_sphere(octahedron(), 4, "edge_split")
@@ -285,7 +319,6 @@ def route_counts(monkeypatch):
     from k3motive import deltaset, fibers, intlinalg, weightss
     from k3motive.intlinalg import IntMatrix
 
-    deltaset._boundary_reduction.cache_clear()
     counts = {}
     for name, fn in (("_sparse_reduce", intlinalg._sparse_reduce),
                      ("validate", fibers.validate),
@@ -366,10 +399,9 @@ class TestOncePerFiber:
                           for k, n in ONCE.items()}
 
     def test_build_kummer_eliminates_nothing(self, monkeypatch):
-        from k3motive import deltaset, intlinalg
+        from k3motive import intlinalg
         from k3motive.builders import KummerParams, build_kummer
 
-        deltaset._boundary_reduction.cache_clear()
         counts = {}
         count_calls(monkeypatch, counts, "_sparse_reduce",
                     intlinalg._sparse_reduce)

@@ -302,6 +302,20 @@ class TestIntMatrix:
         with pytest.raises(ValueError):
             IntMatrix.from_flat(2, 2, [1, 2, 3])
 
+    @pytest.mark.parametrize("build, bad", [
+        (lambda: IntMatrix([[1.5, True]]), "1.5"),
+        (lambda: IntMatrix([[1, True]]), "True"),
+        (lambda: IntMatrix([[2], [3.0]]), "3.0"),
+        (lambda: IntMatrix.from_flat(1, 2, [1, 2.5]), "2.5"),
+        (lambda: IntMatrix.column([0, False]), "False"),
+        (lambda: IntMatrix.diagonal([1, 1.0]), "1.0"),
+    ], ids=["float", "bool", "float-row", "from-flat", "column", "diagonal"])
+    def test_non_int_entry_refused(self, build, bad):
+        # refused, not truncated: [[1.5, True]] is no [[1, 1]]
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == "matrix entry %s is not an integer" % bad
+
 
 # -- independent oracle: sympy's invariant factors ---------------------------
 
