@@ -16,15 +16,18 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable
 
 from .deltaset import DeltaSet, Shape, recognize
+from .intlinalg import _int_rows
 from .motives import (
     EPolynomial,
     EllipticCurveAtom,
     MissingRealizationError,
     MotiveClass,
     OpaqueAtom,
+    POINT,
 )
 
 
@@ -120,7 +123,9 @@ class WeakNeronData:
 
     @classmethod
     def of(cls, items: Iterable[tuple[MotiveClass, int]]) -> "WeakNeronData":
-        return cls(items=tuple((c, int(m)) for c, m in items))
+        items = tuple(items)
+        _int_rows(((m for _, m in items),), "multiplicity")
+        return cls(items=tuple((c, m) for c, m in items))
 
 
 _K3_EPOLY = EPolynomial({(0, 0): 1, (2, 0): 1, (1, 1): 20, (0, 2): 1, (2, 2): 1})
@@ -131,10 +136,10 @@ _L = MotiveClass.lefschetz
 
 def component_class(kind: ComponentKind) -> MotiveClass:
     if isinstance(kind, Rational):
-        return MotiveClass.one() + _L(1, kind.a) + _L(2)
+        return MotiveClass({(POINT, 0): 1, (POINT, 1): kind.a, (POINT, 2): 1})
     if isinstance(kind, RuledElliptic):
-        e = MotiveClass.of_atom(EllipticCurveAtom(kind.curve))
-        return e + e.twist(-1) + _L(1, kind.a)
+        e = EllipticCurveAtom(kind.curve)
+        return MotiveClass({(e, 0): 1, (e, 1): 1, (POINT, 1): kind.a})
     if isinstance(kind, K3Smooth):
         return MotiveClass.of_atom(K3_ATOM)
     if isinstance(kind, Other):
@@ -160,12 +165,23 @@ def component_betti(kind: ComponentKind) -> tuple[int, int, int, int, int]:
 
 def curve_class(curve: DoubleCurve) -> MotiveClass:
     if curve.genus == 0:
-        return MotiveClass.one() + _L(1)
+        return MotiveClass({(POINT, 0): 1, (POINT, 1): 1})
     return MotiveClass.of_atom(EllipticCurveAtom(curve.curve))
 
 
 def _id_key(x):
     return (isinstance(x, str), x)
+
+
+def _by_id(items) -> list:
+    """``items`` in the id order of ``_id_key``, by a C-level key."""
+    key = attrgetter("id")
+    kinds = set(map(type, map(key, items)))
+    if len(kinds) > 1 and any(issubclass(k, str) for k in kinds):
+        rest = [x for x in items if not isinstance(x.id, str)]
+        strs = [x for x in items if isinstance(x.id, str)]
+        return sorted(rest, key=key) + sorted(strs, key=key)
+    return sorted(items, key=key)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +198,12 @@ def validate(f: DegenerationFiber) -> list[str]:
         out.append("duplicate component ids")
 
     for c in f.components:
-        if isinstance(c.kind, (Rational, RuledElliptic)) and c.kind.a < 0:
-            out.append("component %r has negative a" % (c.id,))
+        if isinstance(c.kind, (Rational, RuledElliptic)):
+            if type(c.kind.a) is not int:
+                out.append("component %r has non-integer a %r"
+                           % (c.id, c.kind.a))
+            elif c.kind.a < 0:
+                out.append("component %r has negative a" % (c.id,))
         if isinstance(c.kind, Other) and c.kind.betti is not None:
             try:
                 e = c.kind.klass.e_polynomial()
@@ -212,7 +232,10 @@ def validate(f: DegenerationFiber) -> list[str]:
             if cid not in comp_ids:
                 out.append("double curve %r references unknown component %r"
                            % (d.id, cid))
-        if d.genus not in (0, 1):
+        if type(d.genus) is not int:
+            out.append("double curve %r has non-integer genus %r"
+                       % (d.id, d.genus))
+        elif d.genus not in (0, 1):
             out.append("double curve %r has genus %r outside {0, 1}"
                        % (d.id, d.genus))
         if d.genus == 1 and not d.curve:
@@ -262,18 +285,17 @@ def _polytope(f: DegenerationFiber) -> DeltaSet:
     a triple point on vertices a < b < c sum to b + c, a + c, a + b: half the
     total less a sum is the vertex a curve misses, and face j misses the j-th
     least vertex, so the faces are the curves in ascending key order."""
-    comp_order = sorted((c.id for c in f.components), key=_id_key)
-    vidx = {cid: i for i, cid in enumerate(comp_order)}
+    vidx = {c.id: i for i, c in enumerate(_by_id(f.components))}
     edge_faces, curve = [], {}
-    for d in sorted(f.double_curves, key=lambda d: _id_key(d.id)):
+    for d in _by_id(f.double_curves):
         a, b = vidx[d.on[0]], vidx[d.on[1]]
         curve[d.id] = (-a - b, len(edge_faces))
         edge_faces.append((a, b) if a > b else (b, a))
     tri_faces = []
-    for t in sorted(f.triple_points, key=lambda t: _id_key(t.id)):
+    for t in _by_id(f.triple_points):
         (_, e0), (_, e1), (_, e2) = sorted(map(curve.__getitem__, t.on))
         tri_faces.append((e0, e1, e2))
-    return DeltaSet(len(comp_order), [edge_faces, tri_faces])
+    return DeltaSet(len(vidx), [edge_faces, tri_faces])
 
 
 def strata_classes(f: DegenerationFiber
@@ -288,14 +310,14 @@ def _strata(f: DegenerationFiber
             ) -> tuple[MotiveClass, MotiveClass, MotiveClass]:
     """``strata_classes`` of a valid fiber, one multiple per component kind
     and per (genus, curve name), which fixes the class of a curve."""
-    y0 = MotiveClass.zero()
-    for kind, n in Counter(c.kind for c in f.components).items():
-        y0 = y0 + n * component_class(kind)
-    rep = {(d.genus, d.curve): d for d in f.double_curves}
-    y1 = MotiveClass.zero()
-    for key, n in Counter((d.genus, d.curve) for d in f.double_curves).items():
-        y1 = y1 + n * curve_class(rep[key])
-    return (y0, y1, MotiveClass.one() * len(f.triple_points))
+    kinds = Counter(map(attrgetter("kind"), f.components))
+    keys = list(map(attrgetter("genus", "curve"), f.double_curves))
+    rep = dict(zip(keys, f.double_curves))
+    return (MotiveClass._combine((n, component_class(kind))
+                                 for kind, n in kinds.items()),
+            MotiveClass._combine((n, curve_class(rep[key]))
+                                 for key, n in Counter(keys).items()),
+            _L(0, len(f.triple_points)))
 
 
 def smooth_locus_class(f: DegenerationFiber) -> MotiveClass:
@@ -304,8 +326,7 @@ def smooth_locus_class(f: DegenerationFiber) -> MotiveClass:
 
 
 def _inclusion_exclusion(strata) -> MotiveClass:
-    y0, y1, y2 = strata
-    return y0 - 2 * y1 + 3 * y2
+    return MotiveClass._combine(zip((1, -2, 3), strata))
 
 
 def open_component_classes(f: DegenerationFiber) -> list[MotiveClass]:

@@ -15,18 +15,25 @@ Euler characteristic, the reduction modulo (uv - 1) killing the Tate twist,
 and point counting as a polynomial in q with its residue at q = 1.
 
 ``EPolynomial``, ``UnivariateLaurent`` and ``MotiveClass`` share one sparse
-term base, ``_Terms``: a pruned {key: coefficient} dict with its sum,
-negation, integer multiples, distributive product, equality and an
-order-free hash.  A subclass gives only the product of two keys: exponents
-add in the Laurent polynomials; in a class the Lefschetz powers add and a
-point atom takes on the other factor's atom.  Values of two different types
-never compare equal.
+term base, ``_Terms``: a pruned {key: coefficient} dict with equality and an
+order-free hash.  One primitive, ``_combine``, sums n * x over (int n, value
+x) pairs in one dict and prunes zeros once; sum, difference, negation and
+integer multiples are its special cases.  A subclass gives the product of
+two keys (exponents add in the Laurent polynomials; in a class the Lefschetz
+powers add and a point atom takes on the other factor's atom) and the powers
+in its keys.  Coefficients and powers are ``int``s, refused otherwise with
+ValueError; arithmetic with another type returns NotImplemented (``*`` also
+takes an ``int``), so Python raises TypeError.  Values of two different
+types never compare equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping
+
+from .intlinalg import _int_rows
 
 
 class UnsupportedProductError(ValueError):
@@ -43,37 +50,60 @@ class MissingRealizationError(KeyError):
 
 class _Terms:
     """Finite Z-linear combination of keys, stored as a pruned
-    {key: coefficient} dict; a subclass says how keys multiply."""
+    {key: coefficient} dict; a subclass says how keys multiply and which
+    parts of a key are powers."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping | None = None):
-        self._terms = {k: c for k, c in (terms or {}).items() if c}
+        terms = terms or {}
+        _int_rows((terms.values(), self._powers(terms)),
+                  "coefficient or power")
+        self._terms = {k: c for k, c in terms.items() if c}
+
+    @classmethod
+    def _pruned(cls, out: dict):
+        """A value from a dict of integer coefficients, without the check."""
+        new = object.__new__(cls)
+        new._terms = {k: c for k, c in out.items() if c}
+        return new
+
+    @classmethod
+    def _combine(cls, pairs):
+        """Sum of n * x over (int n, value x) pairs, in one dict."""
+        out: dict = {}
+        for n, x in pairs:
+            for k, c in x._terms.items():
+                out[k] = out.get(k, 0) + n * c
+        return cls._pruned(out)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
 
     def __add__(self, other):
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, 0) + c
-        return type(self)(out)
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._combine(((1, self), (1, other)))
 
     def __neg__(self):
-        return type(self)({k: -c for k, c in self._terms.items()})
+        return self._combine(((-1, self),))
 
     def __sub__(self, other):
-        return self + (-other)
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._combine(((1, self), (-1, other)))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return type(self)({k: c * other for k, c in self._terms.items()})
+        if type(other) is int:
+            return self._combine(((other, self),))
+        if type(other) is not type(self):
+            return NotImplemented
         out = {}
         for k, c in self._terms.items():
             for k2, c2 in other._terms.items():
                 e = self._add_exponents(k, k2)
                 out[e] = out.get(e, 0) + c * c2
-        return type(self)(out)
+        return self._pruned(out)
 
     __rmul__ = __mul__
 
@@ -102,6 +132,8 @@ class EPolynomial(_Laurent):
 
     __slots__ = ()
 
+    _powers = staticmethod(chain.from_iterable)
+
     @staticmethod
     def _add_exponents(a, b):
         return (a[0] + b[0], a[1] + b[1])
@@ -122,7 +154,7 @@ class EPolynomial(_Laurent):
         out: dict[int, int] = {}
         for (a, b), c in self._terms.items():
             out[a - b] = out.get(a - b, 0) + c
-        return UnivariateLaurent(out)
+        return UnivariateLaurent._pruned(out)
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -143,6 +175,8 @@ class UnivariateLaurent(_Laurent):
     """
 
     __slots__ = ()
+
+    _powers = staticmethod(iter)
 
     @staticmethod
     def _add_exponents(a, b):
@@ -170,16 +204,22 @@ class UnivariateLaurent(_Laurent):
 # atoms
 # ---------------------------------------------------------------------------
 
+_E_POINT = EPolynomial.one()
 _E_CURVE = EPolynomial({(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _PointAtom:
+    """The singleton ``POINT``: equal to itself only, and its own copy."""
+
     kind_rank = 0
     name = ""
 
+    def __reduce__(self) -> str:
+        return "POINT"
+
     def e_polynomial(self) -> EPolynomial:
-        return EPolynomial.one()
+        return _E_POINT
 
     def count(self, atom_counts) -> int:
         return 1
@@ -275,13 +315,15 @@ class MotiveClass(_Terms):
     @classmethod
     def tate(cls, n: int, coeff: int = 1) -> "MotiveClass":
         """coeff * Z(n) = coeff * L^(-n)."""
-        return cls({(POINT, -n): coeff})
+        return cls.lefschetz(0, coeff).twist(n)
 
     @classmethod
     def of_atom(cls, atom: Atom, power: int = 0, coeff: int = 1) -> "MotiveClass":
         return cls({(atom, power): coeff})
 
     # -- ring structure -----------------------------------------------
+
+    _powers = staticmethod(lambda keys: (p for _, p in keys))
 
     @staticmethod
     def _add_exponents(a, b):
@@ -296,7 +338,10 @@ class MotiveClass(_Terms):
 
     def twist(self, n: int) -> "MotiveClass":
         """Tate twist by n: multiply by L^(-n), so stored powers drop by n."""
-        return MotiveClass({(a, p - n): c for (a, p), c in self._terms.items()})
+        if type(n) is not int:
+            raise ValueError("twist %r is not an integer" % (n,))
+        return MotiveClass._pruned({(a, p - n): c
+                                    for (a, p), c in self._terms.items()})
 
     # -- queries ------------------------------------------------------
 
@@ -318,8 +363,11 @@ class MotiveClass(_Terms):
     # -- realizations -------------------------------------------------
 
     def e_polynomial(self) -> EPolynomial:
-        return sum((a.e_polynomial() * EPolynomial.monomial(p, p, c)
-                    for (a, p), c in self._terms.items()), EPolynomial())
+        out: dict = {}
+        for (a, p), c in self._terms.items():
+            for (u, v), d in a.e_polynomial()._terms.items():
+                out[u + p, v + p] = out.get((u + p, v + p), 0) + c * d
+        return EPolynomial._pruned(out)
 
     def euler_characteristic(self) -> int:
         return self.e_polynomial().at_one()
@@ -336,7 +384,7 @@ class MotiveClass(_Terms):
         out: dict[int, int] = {}
         for (a, p), c in self._terms.items():
             out[p] = out.get(p, 0) + c * a.count(atom_counts)
-        return UnivariateLaurent(out)
+        return UnivariateLaurent._pruned(out)
 
     def __repr__(self) -> str:
         if not self._terms:

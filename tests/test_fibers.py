@@ -746,3 +746,83 @@ class TestPolytopeReference:
         assert clemens_polytope(corpus["octahedron^4"]).counts == \
             (1026, 3072, 2048)
         assert clemens_polytope(corpus["kummer 18x18"]).n(2) == 324
+
+
+# -- exact values at the fiber boundary --------------------------------------
+
+class TestExactFibers:
+    def test_non_integer_a_is_a_violation(self):
+        f = tetra_fiber((6.5, 7.5, 7, 7))
+        assert validate(f) == ["component 0 has non-integer a 6.5",
+                               "component 1 has non-integer a 7.5"]
+        from k3motive.integrals import verify_fiber
+        with pytest.raises(InvalidFiberError):
+            verify_fiber(f)
+
+    def test_boolean_and_float_a_on_every_surface_kind(self):
+        f = DegenerationFiber.of(
+            "x", [Component(0, Rational(True)),
+                  Component("r", RuledElliptic("E", 1.0))])
+        assert validate(f) == ["component 0 has non-integer a True",
+                               "component 'r' has non-integer a 1.0"]
+
+    def test_non_integer_genus_is_a_violation(self):
+        comps = [Component(0, Rational(10)), Component(1, Rational(10))]
+        for genus in (1.0, True):
+            f = DegenerationFiber.of(
+                "x", comps, [DoubleCurve("c", (0, 1), genus, curve="E")])
+            assert validate(f) == [
+                "double curve 'c' has non-integer genus %r" % (genus,)]
+
+    def test_valid_fibers_keep_their_empty_list(self):
+        for f in strata_corpus():
+            assert validate(f) == []
+
+    def test_component_class_refuses_non_integer_a(self):
+        with pytest.raises(ValueError, match="6.5 is not an integer"):
+            component_class(Rational(6.5))
+
+    @pytest.mark.parametrize("m", [1.7, True, "2"])
+    def test_neron_multiplicity_must_be_an_int(self, m):
+        from k3motive.fibers import WeakNeronData
+        with pytest.raises(ValueError,
+                           match="multiplicity %r is not an integer" % m):
+            WeakNeronData.of([(MotiveClass.one(), 0), (L(1), m)])
+
+    def test_neron_items_are_kept(self):
+        from k3motive.fibers import WeakNeronData
+        data = WeakNeronData.of(iter([(L(1), 2), (MotiveClass.one(), -1)]))
+        assert data.items == ((L(1), 2), (MotiveClass.one(), -1))
+
+
+# -- the id order without a key call per item --------------------------------
+
+class TestIdOrder:
+    def test_by_id_is_the_id_key_order(self):
+        from k3motive.fibers import _by_id, _id_key
+
+        rng = random.Random(1905)
+        pools = [lambda: rng.randrange(50), lambda: "s%d" % rng.randrange(50),
+                 lambda: rng.choice((rng.randrange(50),
+                                     "s%d" % rng.randrange(50)))]
+        for _ in range(300):
+            draw = rng.choice(pools)
+            ids = list({draw() for _ in range(rng.randint(0, 12))})
+            rng.shuffle(ids)
+            items = [TriplePoint(i, ()) for i in ids]
+            assert _by_id(items) == sorted(items, key=lambda t: _id_key(t.id))
+
+    def test_polytope_calls_no_id_key(self, monkeypatch):
+        from k3motive import fibers
+
+        corpus = polytope_corpus()
+        refs = {name: polytope_reference(f) for name, f in corpus.items()}
+        calls = []
+        key = fibers._id_key
+        monkeypatch.setattr(fibers, "_id_key",
+                            lambda x: calls.append(x) or key(x))
+        for name, f in corpus.items():
+            cl = clemens_polytope(f)
+            assert cl.counts == refs[name].counts, name
+            assert cl._faces == refs[name]._faces, name
+        assert calls == []

@@ -409,3 +409,111 @@ class TestOncePerFiber:
             rep = build_kummer(KummerParams(30, 30))
         assert rep.nerve.counts == (452, 1350, 900)
         assert counts == {"_sparse_reduce": 0}
+
+
+# -- class sums against operator chains --------------------------------------
+
+def class_sum_corpus():
+    """Type III fibers on the spheres of ``recognition_corpus`` that make a
+    valid fiber, chains m = 1..7, and the sphere ladder with seeded surface
+    profiles."""
+    from k3motive.builders import (build_type2_chain, build_type3,
+                                   icosahedron, octahedron, refine_sphere)
+    from k3motive.deltaset import Shape, recognize
+    from k3motive.fibers import validate
+    from test_deltaset import recognition_corpus
+
+    rng = random.Random(1906)
+    fibers = [build_type3(ds) for ds in recognition_corpus()
+              if recognize(ds) == Shape.SPHERE2]
+    fibers = [f for f in fibers if validate(f) == []]
+    fibers += [build_type2_chain(m) for m in range(1, 8)]
+    for base, name, steps in ((octahedron, "edge_split", 3),
+                              (icosahedron, "barycentric", 1)):
+        for k in range(steps + 1):
+            tri = refine_sphere(base(), k, name)
+            total, n = 20 + 2 * tri.n(2), tri.n(0)
+            cuts = sorted(rng.sample(range(total + 1), n - 1))
+            profile = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+            fibers.append(build_type3(tri, profile))
+    return fibers
+
+
+class TestClassSums:
+    """Each one-pass class sum equals the binary-operator formula."""
+
+    def test_strata_inclusion_exclusion_and_limit(self):
+        from k3motive.fibers import _inclusion_exclusion, _strata
+        from k3motive.integrals import _limit_sum
+        from test_fibers import oracle_strata
+
+        corpus = class_sum_corpus()
+        assert len(corpus) == 18 + 7 + 6
+        one = MotiveClass.one()
+        for f in corpus:
+            y0, y1, y2 = oracle_strata(f)
+            strata = _strata(f)
+            assert strata == (y0, y1, y2), f.label
+            assert _inclusion_exclusion(strata) == y0 - 2 * y1 + 3 * y2
+            assert _limit_sum(strata) == (y0 - y1 * (one + L(1))
+                                          + y2 * (one + L(1) + L(2)))
+
+    def test_closed_forms(self):
+        from k3motive.integrals import _closed_form
+
+        one = MotiveClass.one()
+        for e in range(1, 4):
+            for m in range(1, 8):
+                k = e * m
+                chain = (2 * one - (k + 1) * E + 20 * L(1)
+                         + (k - 1) * E * L(1) + 2 * L(2))
+                assert _closed_form(RamifiedParams(
+                    e=e, s=2, r=m * m, elliptic_atom=E_ATOM)) == chain
+            for r in range(2, 40, 2):
+                e2r = e * e * r
+                chain = ((e2r // 2 + 2) * (one + L(2))
+                         + (20 - e2r) * L(1))
+                assert _closed_form(RamifiedParams(e=e, s=3, r=r)) == chain
+
+    def test_integral_from_neron(self):
+        from k3motive.fibers import open_component_classes
+
+        rng = random.Random(1907)
+        for f in class_sum_corpus():
+            items = [(cls, rng.randint(-3, 3))
+                     for cls in open_component_classes(f)]
+            base = min(m for _, m in items)
+            chain = MotiveClass.zero()
+            for cls, m in items:
+                chain = chain + cls * L(base - m)
+            assert integral_from_neron(WeakNeronData.of(items)) == chain
+
+
+class TestRealizationCounts:
+    def test_verify_fiber_realizes_three_classes(self, monkeypatch):
+        from k3motive.builders import (build_type3, octahedron,
+                                       refine_sphere)
+
+        fiber = build_type3(refine_sphere(octahedron(), 2, "edge_split"))
+        calls = []
+        e_polynomial = MotiveClass.e_polynomial
+        monkeypatch.setattr(MotiveClass, "e_polynomial",
+                            lambda self: calls.append(self)
+                            or e_polynomial(self))
+        report = verify_fiber(fiber)
+        assert report.match and report.serre_ok and report.chi == 24
+        # the integral, the limit class and the closed form, once each
+        assert len(calls) == 3
+        assert calls[0] == report.integral
+        assert report.closed_form in calls
+
+    def test_acampo_chi_realizes_two_classes(self, monkeypatch):
+        from k3motive.builders import build_type3
+
+        calls = []
+        e_polynomial = MotiveClass.e_polynomial
+        monkeypatch.setattr(MotiveClass, "e_polynomial",
+                            lambda self: calls.append(self)
+                            or e_polynomial(self))
+        assert acampo_chi(build_type3("icosahedron")) == 24
+        assert len(calls) == 2

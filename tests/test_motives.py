@@ -258,3 +258,162 @@ class TestHashAndEquality:
         assert a.serre_reduce() == UnivariateLaurent({-1: -1, 0: 4, 1: -1})
         assert a.twist(1) - a.twist(1) == MotiveClass.zero()
         assert hash(a) == hash(a.twist(0)) and not a.is_zero()
+
+
+# -- one linear-combination primitive ---------------------------------------
+
+def oracle_sum(pairs):
+    """Sum of n * x over (n, x) pairs, read off the public ``terms`` of each
+    class into a plain dict, zero coefficients dropped."""
+    out = {}
+    for n, x in pairs:
+        for atom, power, coeff in x.terms():
+            out[atom, power] = out.get((atom, power), 0) + n * coeff
+    return {k: c for k, c in out.items() if c}
+
+
+def stored(x):
+    return {(atom, power): coeff for atom, power, coeff in x.terms()}
+
+
+class TestCombine:
+    def test_against_a_plain_dict(self):
+        rng = random.Random(1901)
+        for _ in range(200):
+            pairs = [(rng.randint(-3, 3), random_class(rng))
+                     for _ in range(rng.randint(0, 6))]
+            got = MotiveClass._combine(pairs)
+            assert stored(got) == oracle_sum(pairs)
+            assert all(got.terms()) and 0 not in stored(got).values()
+            again = MotiveClass(oracle_sum(pairs))
+            assert got == again and hash(got) == hash(again)
+
+    def test_operators_against_a_plain_dict(self):
+        rng = random.Random(1902)
+        for _ in range(200):
+            a, b = random_class(rng), random_class(rng)
+            n = rng.randint(-4, 4)
+            routes = {
+                "+": (a + b, [(1, a), (1, b)]),
+                "-": (a - b, [(1, a), (-1, b)]),
+                "neg": (-a, [(-1, a)]),
+                "*n": (a * n, [(n, a)]),
+                "n*": (n * a, [(n, a)]),
+            }
+            for name, (got, pairs) in routes.items():
+                assert stored(got) == oracle_sum(pairs), name
+                assert 0 not in stored(got).values(), name
+                combined = MotiveClass._combine(pairs)
+                assert got == combined and hash(got) == hash(combined), name
+                assert type(got) is MotiveClass, name
+
+    def test_full_cancellation(self):
+        rng = random.Random(1903)
+        for _ in range(50):
+            a = random_class(rng)
+            for zero in (a - a, a + (-a), a * 0, 0 * a,
+                         MotiveClass._combine([(2, a), (-1, a), (-1, a)])):
+                assert zero.is_zero() and zero.terms() == []
+                assert zero == MotiveClass.zero()
+                assert hash(zero) == hash(MotiveClass.zero())
+
+    @pytest.mark.parametrize("make, key", [
+        (EPolynomial, lambda rng: (rng.randint(-2, 2), rng.randint(-2, 2))),
+        (UnivariateLaurent, lambda rng: rng.randint(-3, 3)),
+    ], ids=["epolynomial", "univariate"])
+    def test_laurent_sums_against_a_plain_dict(self, make, key):
+        rng = random.Random(1904)
+        for _ in range(100):
+            xs = [make({key(rng): rng.randint(-3, 3) for _ in range(4)})
+                  for _ in range(3)]
+            ns = [rng.randint(-2, 2) for _ in xs]
+            plain = {}
+            for n, x in zip(ns, xs):
+                for k, c in x.items():
+                    plain[k] = plain.get(k, 0) + n * c
+            plain = {k: c for k, c in plain.items() if c}
+            got = make._combine(zip(ns, xs))
+            assert dict(got.items()) == plain
+            chained = ns[0] * xs[0] + ns[1] * xs[1] - (-ns[2]) * xs[2]
+            assert got == chained == make(plain)
+            assert hash(got) == hash(chained) == hash(make(plain))
+
+
+class TestMixedTypes:
+    """Arithmetic across the term types, or with a float or a boolean, is
+    refused by Python's own TypeError."""
+
+    @pytest.mark.parametrize("op", [
+        lambda: UnivariateLaurent.constant(2) + EPolynomial.one(),
+        lambda: EPolynomial.one() + MotiveClass.one(),
+        lambda: EPolynomial.one() - UnivariateLaurent.constant(1),
+        lambda: MotiveClass.one() + 1,
+        lambda: 1 + MotiveClass.one(),
+        lambda: MotiveClass.one() - 1,
+        lambda: MotiveClass.one() * 2.5,
+        lambda: 2.5 * MotiveClass.one(),
+        lambda: MotiveClass.one() * True,
+        lambda: MotiveClass.one() * EPolynomial.one(),
+        lambda: EPolynomial.one() * UnivariateLaurent.constant(1),
+    ], ids=["laurent+epoly", "epoly+class", "epoly-laurent", "class+1",
+            "1+class", "class-1", "class*2.5", "2.5*class", "class*True",
+            "class*epoly", "epoly*laurent"])
+    def test_refused(self, op):
+        with pytest.raises(TypeError):
+            op()
+
+    def test_int_multiples_still_work(self):
+        assert 3 * MotiveClass.one() == MotiveClass.one() * 3 == L(0, 3)
+        assert 2 * EPolynomial.one() == EPolynomial.monomial(0, 0, 2)
+        assert UnivariateLaurent.constant(2) * -1 == \
+            UnivariateLaurent.constant(-2)
+
+
+class TestExactValues:
+    @pytest.mark.parametrize("make, bad", [
+        (lambda: MotiveClass({(POINT, 0): 1.5}), 1.5),
+        (lambda: MotiveClass.lefschetz(1, 0.5), 0.5),
+        (lambda: MotiveClass.lefschetz(0.5), 0.5),
+        (lambda: MotiveClass.lefschetz(True), True),
+        (lambda: MotiveClass.of_atom(E, 0, True), True),
+        (lambda: MotiveClass.tate(1, 2.0), 2.0),
+        (lambda: EPolynomial({(0, 0.5): 1}), 0.5),
+        (lambda: EPolynomial.monomial(1, 1, 2.0), 2.0),
+        (lambda: UnivariateLaurent.constant(True), True),
+        (lambda: UnivariateLaurent({0.5: 1}), 0.5),
+    ], ids=["class-coeff", "lefschetz-coeff", "lefschetz-power",
+            "lefschetz-bool", "atom-bool", "tate-coeff", "epoly-power",
+            "epoly-coeff", "laurent-bool", "laurent-power"])
+    def test_constructors_refuse_non_int(self, make, bad):
+        with pytest.raises(ValueError, match="coefficient or power %s is "
+                           "not an integer" % bad):
+            make()
+
+    @pytest.mark.parametrize("n", [1.5, True, -0.5])
+    def test_twist_refuses_non_int(self, n):
+        with pytest.raises(ValueError, match="twist %s is not an integer"
+                           % n):
+            (MotiveClass.one() + E_class()).twist(n)
+        with pytest.raises(ValueError, match="not an integer"):
+            MotiveClass.tate(n)
+
+    def test_int_values_are_kept(self):
+        assert MotiveClass({(POINT, 0): 0}).is_zero()
+        assert repr(MotiveClass.lefschetz(1, 2)) == "+2*L"
+        assert MotiveClass.tate(2, 3) == L(-2, 3)
+        assert MotiveClass.one().twist(-1) == L(1)
+
+
+class TestPointSingleton:
+    def test_copies_and_pickles_are_point_itself(self):
+        import copy
+        import pickle
+
+        cls = E_class(1, 2) + L(2, -3)
+        for dup in (copy.copy(cls), copy.deepcopy(cls),
+                    pickle.loads(pickle.dumps(cls))):
+            assert dup == cls and hash(dup) == hash(cls)
+            assert all(a is POINT for a, _, _ in dup.terms()
+                       if a.kind_rank == 0)
+        assert copy.deepcopy(POINT) is POINT
+        assert pickle.loads(pickle.dumps(POINT)) is POINT
