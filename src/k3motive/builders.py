@@ -36,6 +36,7 @@ from .fibers import (
     WeakNeronData,
 )
 from .integrals import _warn_if_virtual
+from .intlinalg import _int_rows
 from .motives import MotiveClass
 
 _L = MotiveClass.lefschetz
@@ -100,12 +101,15 @@ class ProfileError(ValueError):
 
 
 def _checked_profile(a_profile, count: int, total: int) -> list[int]:
-    """``count`` non-negative integers summing to ``total``, else a
+    """``count`` non-negative ``int``s summing to ``total``, else a
     ``ProfileError``; None spreads ``total`` as evenly as integers allow."""
     if a_profile is None:
         base, rem = divmod(total, count)
         return [base + 1 if i < rem else base for i in range(count)]
-    a_profile = [int(a) for a in a_profile]
+    try:
+        a_profile = list(_int_rows([a_profile], "profile entry")[0])
+    except ValueError as exc:
+        raise ProfileError(str(exc)) from None
     if len(a_profile) != count:
         raise ProfileError("profile needs %d entries, got %d"
                            % (count, len(a_profile)))

@@ -31,19 +31,19 @@ from .fibers import (
     InvalidFiberError,
     NonKulikovError,
     WeakNeronData,
-    _inclusion_exclusion,
-    _kulikov_type,
-    _polytope,
-    _strata,
+    clemens_polytope,
+    degeneration_type,
     open_component_classes,
+    smooth_locus_class,
+    strata_classes,
     validate,
 )
 from .integrals import (
     GeometricRealizabilityWarning,
     RamifiedParams,
     _closed_form,
-    _verify_valid,
     integral_from_neron,
+    verify_fiber,
 )
 from .intlinalg import smith_normal_form
 from .deltaset import euler_characteristic, recognize
@@ -188,14 +188,14 @@ def _cmd_analyze(args) -> int:
             print("violation: %s" % v, file=sys.stderr)
         _write_json(args.report, report)
         return 1
-    cl = _polytope(fiber)
+    cl = clemens_polytope(fiber)
     shape = recognize(cl)
     euler = euler_characteristic(cl)
-    strata = _strata(fiber)
-    smooth = _inclusion_exclusion(strata)
+    strata = strata_classes(fiber)
+    smooth = smooth_locus_class(fiber)
     type_s = type_error = None
     try:
-        type_s = _kulikov_type(fiber, shape)
+        type_s = degeneration_type(fiber)
     except NonKulikovError as exc:
         type_error = str(exc)
     report.update({
@@ -244,7 +244,7 @@ def _verify_one(path: str, e: int):
 
     neron_integral = None if neron is None else integral_from_neron(neron)
     try:
-        rep = _verify_valid(fiber)
+        rep = verify_fiber(fiber)
         s, r, integral, closed = rep.type_s, rep.r, rep.integral, \
             rep.closed_form
         match, chi, serre_ok = rep.match, rep.chi, rep.serre_ok

@@ -43,7 +43,8 @@ class QuotientError(ValueError):
 
 class DeltaSet:
     """Abstract triangulated set; logically immutable after construction:
-    the ``_memo`` dict only keeps the orientation and boundary reductions."""
+    the ``_memo`` dict only keeps the shape, the orientation and the
+    boundary reductions."""
 
     __slots__ = ("_counts", "_faces", "_memo")
 
@@ -321,31 +322,36 @@ def recognize(ds: DeltaSet) -> Shape:
     (every edge on two triangle sides) is its normalisation N, a closed
     surface, with j identifications of vertices.  If N is connected and
     oriented of genus g, chi = 2 - 2g - j, so chi = 2 holds only for S^2
-    (Hatcher, Algebraic Topology, 3.3).  No elimination runs."""
+    (Hatcher, Algebraic Topology, 3.3).  No elimination runs, and the shape
+    is kept in the memo."""
+    if "shape" in ds._memo:
+        return ds._memo["shape"]
+    shape = Shape.OTHER
     if ds.counts == (1,):
-        return Shape.POINT
-    if ds.dim == 1:
+        shape = Shape.POINT
+    elif ds.dim == 1:
         adjacent: list[list[int]] = [[] for _ in ds.simplices(0)]
         for b, a in ds._faces[0]:
             adjacent[a].append(b)
             adjacent[b].append(a)
         valence = [len(near) for near in adjacent]
-        if any(d > 2 for d in valence) or valence.count(1) != 2:
-            return Shape.OTHER
-        seen = [True] + [False] * (ds.n(0) - 1)
-        queue = [0]  # grows while it is read
-        for v in queue:
-            for w in adjacent[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        return Shape.INTERVAL if len(queue) == ds.n(0) else Shape.OTHER
-    if ds.dim == 2:
+        if max(valence) <= 2 and valence.count(1) == 2:
+            seen = [True] + [False] * (ds.n(0) - 1)
+            queue = [0]  # grows while it is read
+            for v in queue:
+                for w in adjacent[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        queue.append(w)
+            if len(queue) == ds.n(0):
+                shape = Shape.INTERVAL
+    elif ds.dim == 2:
         used = {v for fs in ds._faces[0] for v in fs}
         if len(used) == ds.n(0) and _oriented(ds) is not None \
                 and euler_characteristic(ds) == 2:
-            return Shape.SPHERE2
-    return Shape.OTHER
+            shape = Shape.SPHERE2
+    ds._memo["shape"] = shape
+    return shape
 
 
 def _oriented(ds: DeltaSet) -> tuple[int, ...] | None:

@@ -7,6 +7,11 @@ this into the dual Delta-set, ``strata_classes`` and ``smooth_locus_class``
 produce Grothendieck-ring classes, and ``degeneration_type`` recognizes the
 three Kulikov shapes.
 
+Each fact is computed once per fiber and kept on it: ``validate`` stores the
+violations, ``clemens_polytope`` the polytope (whose shape its own memo
+keeps) and ``strata_classes`` the strata, so the public functions are the
+only route and calling them again costs a lookup.
+
 Multiplicities are kept out of the fiber: Kulikov fibers are reduced, and
 the multiplicities that the general weak Neron evaluation needs live in
 ``WeakNeronData``.
@@ -103,10 +108,16 @@ class TriplePoint:
 
 @dataclass(frozen=True)
 class DegenerationFiber:
+    """Logically immutable; the ``_memo`` dict is not a field, so equality,
+    hashing, repr and the JSON see only the four fields below."""
+
     label: str
     components: tuple
     double_curves: tuple
     triple_points: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "_memo", {})
 
     @classmethod
     def of(cls, label, components, double_curves=(), triple_points=()):
@@ -192,6 +203,8 @@ def validate(f: DegenerationFiber) -> list[str]:
     """All invariant violations, as human-readable strings; [] means valid.
     Triple points are checked against one frozenset of components per
     double-curve id (of two curves with one id, the later)."""
+    if "violations" in f._memo:
+        return list(f._memo["violations"])
     out: list[str] = []
     comp_ids = {c.id for c in f.components}
     if len(comp_ids) != len(f.components):
@@ -259,13 +272,13 @@ def validate(f: DegenerationFiber) -> list[str]:
                 or len(q & r) != 1:
             out.append("triple point %r curves are not pairwise adjacent "
                        "along three components" % (t.id,))
-    return out
+    f._memo["violations"] = out
+    return list(out)
 
 
 def _require_valid(f: DegenerationFiber) -> None:
-    violations = validate(f)
-    if violations:
-        raise InvalidFiberError(violations)
+    if validate(f):
+        raise InvalidFiberError(f._memo["violations"])
 
 
 # ---------------------------------------------------------------------------
@@ -274,17 +287,16 @@ def _require_valid(f: DegenerationFiber) -> None:
 
 def clemens_polytope(f: DegenerationFiber) -> DeltaSet:
     """Dual Delta-set: vertices are components, edges double curves,
-    triangles triple points, ordered by the fixed total order on ids."""
+    triangles triple points, ordered by the fixed total order on ids.
+
+    Each curve is kept once, as (minus its vertex-index sum, edge index).
+    The curves of a triple point on vertices a < b < c sum to b + c, a + c,
+    a + b: half the total less a sum is the vertex a curve misses, and face
+    j misses the j-th least vertex, so the faces are the curves in ascending
+    key order."""
+    if "polytope" in f._memo:
+        return f._memo["polytope"]
     _require_valid(f)
-    return _polytope(f)
-
-
-def _polytope(f: DegenerationFiber) -> DeltaSet:
-    """``clemens_polytope`` of a fiber already known to be valid.  Each curve
-    is kept once, as (minus its vertex-index sum, edge index).  The curves of
-    a triple point on vertices a < b < c sum to b + c, a + c, a + b: half the
-    total less a sum is the vertex a curve misses, and face j misses the j-th
-    least vertex, so the faces are the curves in ascending key order."""
     vidx = {c.id: i for i, c in enumerate(_by_id(f.components))}
     edge_faces, curve = [], {}
     for d in _by_id(f.double_curves):
@@ -295,38 +307,33 @@ def _polytope(f: DegenerationFiber) -> DeltaSet:
     for t in _by_id(f.triple_points):
         (_, e0), (_, e1), (_, e2) = sorted(map(curve.__getitem__, t.on))
         tri_faces.append((e0, e1, e2))
-    return DeltaSet(len(vidx), [edge_faces, tri_faces])
+    f._memo["polytope"] = DeltaSet(len(vidx), [edge_faces, tri_faces])
+    return f._memo["polytope"]
 
 
 def strata_classes(f: DegenerationFiber
                    ) -> tuple[MotiveClass, MotiveClass, MotiveClass]:
     """Classes of the strata: all components, all double curves, all
-    triple points."""
+    triple points, as one multiple per component kind and per (genus, curve
+    name), which fixes the class of a curve."""
+    if "strata" in f._memo:
+        return f._memo["strata"]
     _require_valid(f)
-    return _strata(f)
-
-
-def _strata(f: DegenerationFiber
-            ) -> tuple[MotiveClass, MotiveClass, MotiveClass]:
-    """``strata_classes`` of a valid fiber, one multiple per component kind
-    and per (genus, curve name), which fixes the class of a curve."""
     kinds = Counter(map(attrgetter("kind"), f.components))
     keys = list(map(attrgetter("genus", "curve"), f.double_curves))
     rep = dict(zip(keys, f.double_curves))
-    return (MotiveClass._combine((n, component_class(kind))
-                                 for kind, n in kinds.items()),
-            MotiveClass._combine((n, curve_class(rep[key]))
-                                 for key, n in Counter(keys).items()),
-            _L(0, len(f.triple_points)))
+    f._memo["strata"] = (
+        MotiveClass._combine((n, component_class(kind))
+                             for kind, n in kinds.items()),
+        MotiveClass._combine((n, curve_class(rep[key]))
+                             for key, n in Counter(keys).items()),
+        _L(0, len(f.triple_points)))
+    return f._memo["strata"]
 
 
 def smooth_locus_class(f: DegenerationFiber) -> MotiveClass:
     """Inclusion-exclusion class of the smooth locus of the fiber."""
-    return _inclusion_exclusion(strata_classes(f))
-
-
-def _inclusion_exclusion(strata) -> MotiveClass:
-    return MotiveClass._combine(zip((1, -2, 3), strata))
+    return MotiveClass._combine(zip((1, -2, 3), strata_classes(f)))
 
 
 def open_component_classes(f: DegenerationFiber) -> list[MotiveClass]:
@@ -353,12 +360,7 @@ def open_component_classes(f: DegenerationFiber) -> list[MotiveClass]:
 
 def degeneration_type(f: DegenerationFiber) -> int:
     """Kulikov type: 1 (smooth), 2 (chain), 3 (sphere); raises otherwise."""
-    return _kulikov_type(f, recognize(clemens_polytope(f)))
-
-
-def _kulikov_type(f: DegenerationFiber, shape: Shape) -> int:
-    """The Kulikov type of a valid fiber whose Clemens polytope has the
-    given shape."""
+    shape = recognize(clemens_polytope(f))
     if shape == Shape.POINT:
         return 1
     if shape == Shape.INTERVAL:

@@ -6,6 +6,10 @@ integral is the class of the smooth locus.  ``closed_form_integral``
 evaluates the two closed forms for chain (s = 2) and sphere (s = 3)
 degenerations at ramification index e, and ``verify_fiber`` runs the whole
 comparison for a fiber, reading the discriminant off the combinatorics.
+
+Every evaluator reads the fiber through the public functions of ``fibers``
+and ``weightss``; the violations, polytope and strata they share are kept on
+the fiber, so each is computed once however many evaluators ask.
 """
 
 from __future__ import annotations
@@ -14,15 +18,11 @@ import warnings
 from dataclasses import dataclass
 from math import isqrt
 
-from .deltaset import DeltaSet, recognize
 from .fibers import (
     DegenerationFiber,
     WeakNeronData,
-    _inclusion_exclusion,
-    _kulikov_type,
-    _polytope,
-    _require_valid,
-    _strata,
+    degeneration_type,
+    smooth_locus_class,
     strata_classes,
 )
 from .motives import (
@@ -32,7 +32,7 @@ from .motives import (
     POINT,
     UnivariateLaurent,
 )
-from .weightss import _monodromy_composition, _monodromy_gram
+from .weightss import _monodromy_composition, monodromy_gram
 
 
 class GeometricRealizabilityWarning(UserWarning):
@@ -121,46 +121,16 @@ def integral_from_neron(data: WeakNeronData) -> MotiveClass:
 def integral_kulikov(f: DegenerationFiber) -> MotiveClass:
     """The integral of a Kulikov fiber: all multiplicities vanish, so it is
     the class of the smooth locus."""
-    _require_valid(f)
-    _kulikov(f)
-    return _inclusion_exclusion(_strata(f))
+    degeneration_type(f)
+    return smooth_locus_class(f)
 
 
 def lim_class(f: DegenerationFiber) -> MotiveClass:
     """Alternating sum of strata classes with partial Tate-twist sums:
     sum_j (-1)^j [Y^(j)] (1 + L + ... + L^j)."""
-    return _limit_sum(strata_classes(f))
-
-
-def _limit_sum(y) -> MotiveClass:
     return MotiveClass._combine(((-1) ** j, stratum.twist(-i))
-                                for j, stratum in enumerate(y)
+                                for j, stratum in enumerate(strata_classes(f))
                                 for i in range(j + 1))
-
-
-def _kulikov(f: DegenerationFiber) -> tuple[int, DeltaSet]:
-    """Kulikov type and Clemens polytope of a valid fiber."""
-    cl = _polytope(f)
-    return _kulikov_type(f, recognize(cl)), cl
-
-
-def _params_for_type(f: DegenerationFiber, s: int, cl: DeltaSet
-                     ) -> RamifiedParams | None:
-    """The closed-form parameters of a fiber of Kulikov type ``s``."""
-    if s == 1:
-        return None
-    if s == 2:
-        m = len(f.double_curves)
-        r1 = _monodromy_composition(m)[1]
-        atom = EllipticCurveAtom(f.double_curves[0].curve)
-        return RamifiedParams(e=1, s=2, r=r1, elliptic_atom=atom)
-    r2 = len(f.triple_points)
-    mg = _monodromy_gram(cl)
-    if mg.r_d != r2:
-        raise ArithmeticError(
-            "monodromy Gram determinant %d disagrees with the triple point "
-            "count %d" % (mg.r_d, r2))
-    return RamifiedParams(e=1, s=3, r=r2)
 
 
 def _checked_chi(integral: EPolynomial, lim: EPolynomial) -> int:
@@ -181,18 +151,28 @@ def fiber_params(f: DegenerationFiber) -> RamifiedParams | None:
     composition on the explicit H^1 row; for a sphere, r2 is the triple
     point count, confirmed against the monodromy Gram determinant.
     """
-    _require_valid(f)
-    return _params_for_type(f, *_kulikov(f))
+    s = degeneration_type(f)
+    if s == 1:
+        return None
+    if s == 2:
+        r1 = _monodromy_composition(len(f.double_curves))[1]
+        atom = EllipticCurveAtom(f.double_curves[0].curve)
+        return RamifiedParams(e=1, s=2, r=r1, elliptic_atom=atom)
+    r2 = len(f.triple_points)
+    mg = monodromy_gram(f)
+    if mg.r_d != r2:
+        raise ArithmeticError(
+            "monodromy Gram determinant %d disagrees with the triple point "
+            "count %d" % (mg.r_d, r2))
+    return RamifiedParams(e=1, s=3, r=r2)
 
 
 def acampo_chi(f: DegenerationFiber) -> int:
     """Euler characteristic of the integral; 24 exactly for honest K3
     fibers.  The limit-class route must agree, and is asserted."""
-    _require_valid(f)
-    _kulikov(f)
-    strata = _strata(f)
-    return _checked_chi(_inclusion_exclusion(strata).e_polynomial(),
-                        _limit_sum(strata).e_polynomial())
+    degeneration_type(f)
+    return _checked_chi(smooth_locus_class(f).e_polynomial(),
+                        lim_class(f).e_polynomial())
 
 
 def serre_hodge_check(f: DegenerationFiber) -> bool:
@@ -238,23 +218,16 @@ def verify_fiber(f: DegenerationFiber) -> IntegralReport:
     ``match`` is exact structural equality of classes; no realization-level
     comparison is accepted as a proxy.
     """
-    _require_valid(f)
-    return _verify_valid(f)
-
-
-def _verify_valid(f: DegenerationFiber) -> IntegralReport:
-    """``verify_fiber`` of a fiber already known to be valid."""
-    s, cl = _kulikov(f)
-    strata = _strata(f)
-    integral = _inclusion_exclusion(strata)
-    params = _params_for_type(f, s, cl)
+    params = fiber_params(f)
+    integral = smooth_locus_class(f)
     closed = None if params is None else _closed_form(params)
-    e_poly, e_lim = integral.e_polynomial(), _limit_sum(strata).e_polynomial()
+    e_poly, e_lim = integral.e_polynomial(), lim_class(f).e_polynomial()
     reduced = e_poly.serre()
     # serre_ok compares the reduction with the limit class's and, unless the
     # fiber is smooth, with the closed form's
     return IntegralReport(
-        label=f.label, type_s=s, r=params.r if params else None,
+        label=f.label, type_s=params.s if params else 1,
+        r=params.r if params else None,
         integral=integral, closed_form=closed,
         match=closed is None or integral == closed,
         e_poly=e_poly, chi=_checked_chi(e_poly, e_lim),

@@ -242,10 +242,7 @@ class EllipticCurveAtom:
         return _E_CURVE
 
     def count(self, atom_counts) -> int:
-        if atom_counts is None or self.name not in atom_counts:
-            raise MissingRealizationError(
-                "no point count declared for elliptic atom %r" % self.name)
-        return int(atom_counts[self.name])
+        return _declared_count(atom_counts, self.name, "elliptic", self.name)
 
     def __repr__(self) -> str:
         return "[%s]" % self.name
@@ -268,16 +265,25 @@ class OpaqueAtom:
 
     def count(self, atom_counts) -> int:
         key = self.count_symbol if self.count_symbol is not None else self.name
-        if atom_counts is None or key not in atom_counts:
-            raise MissingRealizationError(
-                "no point count declared for opaque atom %r" % self.name)
-        return int(atom_counts[key])
+        return _declared_count(atom_counts, key, "opaque", self.name)
 
     def __repr__(self) -> str:
         return "[%s]" % self.name
 
 
 Atom = _PointAtom | EllipticCurveAtom | OpaqueAtom
+
+
+def _declared_count(atom_counts, key: str, kind: str, name: str) -> int:
+    """The point count declared under ``key``; it must be an ``int``."""
+    if atom_counts is None or key not in atom_counts:
+        raise MissingRealizationError(
+            "no point count declared for %s atom %r" % (kind, name))
+    n = atom_counts[key]
+    if type(n) is not int:
+        raise ValueError("point count %r of %s atom %r is not an integer"
+                         % (n, kind, name))
+    return n
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .deltaset import (CycleVector, DeltaSet, _boundary_rows,
-                       _coboundary_rows, _top_cycles, cycle_pairing)
+from .deltaset import (CycleVector, _boundary_rows, _coboundary_rows,
+                       _top_cycles, cycle_pairing)
 from .fibers import DegenerationFiber, clemens_polytope, component_betti
 from .intlinalg import IntMatrix, _chain_normalize, _sparse_reduce, det
 
@@ -230,11 +230,7 @@ def monodromy_gram(f: DegenerationFiber) -> MonodromyGram:
     breadth-first pass with no elimination (``_top_cycles``).  A single
     generator has its first nonzero coefficient positive.
     """
-    return _monodromy_gram(clemens_polytope(f))
-
-
-def _monodromy_gram(cl: DeltaSet) -> MonodromyGram:
-    """``monodromy_gram`` of a fiber with Clemens polytope ``cl``."""
+    cl = clemens_polytope(f)
     vectors = _top_cycles(cl) if cl.dim == _DIM else []
     if not vectors:
         raise ValueError("top homology has rank 0: fiber is not maximally "

@@ -136,6 +136,19 @@ class TestType3Builder:
         with pytest.raises(ProfileError):
             build_type3("tetrahedron", (1, 1, 1, 1))
 
+    @pytest.mark.parametrize("build, profile, bad", [
+        (lambda p: build_type2_chain(1, p), [10.5, 10.0], "10.5"),
+        (lambda p: build_type2_chain(1, p), ["10", 10], "'10'"),
+        (lambda p: build_type2_chain(1, p), [True, 19], "True"),
+        (lambda p: build_type3("tetrahedron", p), [7.9, 7, 7, 7], "7.9"),
+        (lambda p: build_type3("tetrahedron", p), [7, 7, 7, 7.0], "7.0"),
+    ], ids=["float", "string", "bool", "type3-float", "type3-whole-float"])
+    def test_non_int_profile_refused(self, build, profile, bad):
+        # entries are refused, not truncated or parsed
+        with pytest.raises(ProfileError,
+                           match="profile entry %s is not an integer" % bad):
+            build(profile)
+
 
 class TestRefineSphere:
     def test_barycentric_counts(self):

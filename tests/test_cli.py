@@ -693,7 +693,7 @@ class TestCrossCheckFailures:
         def fail(fiber):
             raise exc
 
-        monkeypatch.setattr("k3motive.cli._verify_valid", fail)
+        monkeypatch.setattr("k3motive.cli.verify_fiber", fail)
         assert run(["verify", str(path)]) == 1
         err = capsys.readouterr().err
         assert err == "error: cross-check failed: %s: %s\n" % (

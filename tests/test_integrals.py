@@ -313,19 +313,45 @@ def count_calls(monkeypatch, counts, name, fn):
             monkeypatch.setattr(mod, name, wrapper)
 
 
+class CountingMemo(dict):
+    """A fact memo that counts the facts written to it under the keys of
+    ``counts``: each write is one run of the body that computes the fact."""
+
+    def __init__(self, counts):
+        super().__init__()
+        self.counts = counts
+
+    def __setitem__(self, key, value):
+        if key in self.counts:
+            self.counts[key] += 1
+        super().__setitem__(key, value)
+
+
 def route_counts(monkeypatch):
-    """Count the calls of each step of the one-analysis route (and of the
-    sparse engine, the boundary rows and dense identities) from here on."""
+    """Count, from here on, each body of the one-analysis route: the
+    violation scan, the polytope's Delta-set build and the strata sum of
+    each fiber built from here on (as facts written to its memo), the
+    recognition of each polytope (to the polytope's memo), the orientation
+    pass, the Kulikov classification and the Gram; and the sparse engine,
+    the boundary rows and dense identities."""
     from k3motive import deltaset, fibers, intlinalg, weightss
     from k3motive.intlinalg import IntMatrix
 
-    counts = {}
+    counts = dict.fromkeys(("violations", "polytope", "strata", "shape"), 0)
+    monkeypatch.setattr(
+        fibers.DegenerationFiber, "__post_init__",
+        lambda f: object.__setattr__(f, "_memo", CountingMemo(counts)))
+    build = fibers.DeltaSet
+
+    def counted_polytope(*args):
+        ds = build(*args)
+        ds._memo = CountingMemo(counts)
+        return ds
+
+    monkeypatch.setattr(fibers, "DeltaSet", counted_polytope)
     for name, fn in (("_sparse_reduce", intlinalg._sparse_reduce),
-                     ("validate", fibers.validate),
-                     ("_polytope", fibers._polytope),
-                     ("_kulikov_type", fibers._kulikov_type),
-                     ("_strata", fibers._strata),
-                     ("_monodromy_gram", weightss._monodromy_gram),
+                     ("degeneration_type", fibers.degeneration_type),
+                     ("monodromy_gram", weightss.monodromy_gram),
                      ("_orientation", deltaset._orientation),
                      ("_boundary_rows", deltaset._boundary_rows)):
         count_calls(monkeypatch, counts, name, fn)
@@ -334,14 +360,15 @@ def route_counts(monkeypatch):
     return counts
 
 
-# one validation, one polytope, one strata sum per call; nothing is
-# eliminated and no boundary row is built: the sphere is recognized and its
-# Gram basis found by one shared orientation pass, the chain by its
-# valences and one connectivity pass, with no orientation pass
-ONCE = {"_sparse_reduce": 0, "validate": 1, "_polytope": 1,
-        "_kulikov_type": 1, "_strata": 1, "_monodromy_gram": 1,
+# one violation scan, one polytope, one recognition, one classification, one
+# strata sum and one Gram per call; nothing is eliminated and no boundary row
+# is built: the sphere is recognized and its Gram basis found by one shared
+# orientation pass, the chain by its valences and one connectivity pass,
+# with no orientation pass
+ONCE = {"_sparse_reduce": 0, "violations": 1, "polytope": 1, "shape": 1,
+        "degeneration_type": 1, "strata": 1, "monodromy_gram": 1,
         "_orientation": 1, "_boundary_rows": 0, "identity": 0}
-CHAIN = ("_monodromy_gram", "_orientation")
+CHAIN = ("monodromy_gram", "_orientation")
 
 
 class TestOncePerFiber:
@@ -349,13 +376,13 @@ class TestOncePerFiber:
         from k3motive.builders import (build_type2_chain, build_type3,
                                        octahedron, refine_sphere)
 
+        counts = route_counts(monkeypatch)
         # a chain has no Gram basis: r1 = m^2 comes from the H^1 row
         cases = [(build_type3("icosahedron"), ()),
                  (build_type3(refine_sphere(octahedron(), 3, "edge_split")),
                   ()),
                  (build_type2_chain(1), CHAIN),
                  (build_type2_chain(4), CHAIN)]
-        counts = route_counts(monkeypatch)
         for fiber, skipped in cases:
             counts.update(dict.fromkeys(counts, 0))
             report = verify_fiber(fiber)
@@ -365,23 +392,24 @@ class TestOncePerFiber:
 
     @pytest.mark.parametrize("helper, skipped", [
         (serre_hodge_check, ()),
-        (fiber_params, ("_strata",)),
-        (acampo_chi, ("_monodromy_gram",)),
-        (integral_kulikov, ("_monodromy_gram",)),
+        (fiber_params, ("strata",)),
+        (acampo_chi, ("monodromy_gram",)),
+        (integral_kulikov, ("monodromy_gram",)),
     ], ids=["serre_hodge_check", "fiber_params", "acampo_chi",
             "integral_kulikov"])
     def test_public_helper_call_counts(self, monkeypatch, helper, skipped):
         from k3motive.builders import build_type3
 
-        fiber = build_type3("icosahedron")
         counts = route_counts(monkeypatch)
+        fiber = build_type3("icosahedron")
+        counts.update(dict.fromkeys(counts, 0))  # the builder's own pass
         helper(fiber)
         assert counts == {k: 0 if k in skipped else n
                           for k, n in ONCE.items()}
 
     @pytest.mark.parametrize("command, family, skipped", [
         ("verify", "type3", ()),
-        ("analyze", "type3", ("_monodromy_gram",)),
+        ("analyze", "type3", ("monodromy_gram",)),
         ("verify", "type2", CHAIN),
         ("analyze", "type2", CHAIN),
     ], ids=["verify", "analyze", "verify-type2", "analyze-type2"])
@@ -397,6 +425,50 @@ class TestOncePerFiber:
         assert main([command, str(path)]) == 0
         assert counts == {k: 0 if k in skipped else n
                           for k, n in ONCE.items()}
+
+    def test_facts_shared_across_public_functions(self, monkeypatch):
+        from k3motive.builders import build_type3
+        from k3motive.fibers import degeneration_type, strata_classes
+        from k3motive.weightss import monodromy_gram
+
+        counts = route_counts(monkeypatch)
+        fiber = build_type3("octahedron")
+        counts.update(dict.fromkeys(counts, 0))
+        assert degeneration_type(fiber) == 3
+        strata = strata_classes(fiber)
+        assert monodromy_gram(fiber).r_d == 8
+        assert acampo_chi(fiber) == 24
+        report = verify_fiber(fiber)
+        # validated once, one polytope, one strata sum, recognized once
+        once = ("violations", "polytope", "strata", "shape", "_orientation")
+        assert {k: counts[k] for k in once} == dict.fromkeys(once, 1)
+        assert counts["_sparse_reduce"] == 0
+        assert strata_classes(fiber) is strata
+        assert report == verify_fiber(build_type3("octahedron"))
+
+    def test_memo_is_not_part_of_the_fiber(self):
+        import dataclasses
+
+        from k3motive.builders import build_type3
+        from k3motive.fibers import validate
+        from k3motive.serialize import dumps, fiber_to_json
+
+        analysed, fresh = build_type3("icosahedron"), build_type3("icosahedron")
+        verify_fiber(analysed)
+        assert analysed == fresh and hash(analysed) == hash(fresh)
+        assert repr(analysed) == repr(fresh)
+        assert dataclasses.fields(analysed) == dataclasses.fields(fresh)
+        assert dataclasses.asdict(analysed) == dataclasses.asdict(fresh)
+        assert dumps(fiber_to_json(analysed)) == dumps(fiber_to_json(fresh))
+        assert dataclasses.replace(analysed)._memo == {}
+        # validate hands out a copy of the stored violations
+        validate(analysed).append("not a violation")
+        assert validate(analysed) == []
+        bad = dataclasses.replace(fresh, components=fresh.components * 2)
+        first = validate(bad)
+        assert first == ["duplicate component ids"]
+        first.clear()
+        assert validate(bad) == ["duplicate component ids"]
 
     def test_build_kummer_eliminates_nothing(self, monkeypatch):
         from k3motive import intlinalg
@@ -443,8 +515,7 @@ class TestClassSums:
     """Each one-pass class sum equals the binary-operator formula."""
 
     def test_strata_inclusion_exclusion_and_limit(self):
-        from k3motive.fibers import _inclusion_exclusion, _strata
-        from k3motive.integrals import _limit_sum
+        from k3motive.fibers import strata_classes
         from test_fibers import oracle_strata
 
         corpus = class_sum_corpus()
@@ -452,11 +523,10 @@ class TestClassSums:
         one = MotiveClass.one()
         for f in corpus:
             y0, y1, y2 = oracle_strata(f)
-            strata = _strata(f)
-            assert strata == (y0, y1, y2), f.label
-            assert _inclusion_exclusion(strata) == y0 - 2 * y1 + 3 * y2
-            assert _limit_sum(strata) == (y0 - y1 * (one + L(1))
-                                          + y2 * (one + L(1) + L(2)))
+            assert strata_classes(f) == (y0, y1, y2), f.label
+            assert smooth_locus_class(f) == y0 - 2 * y1 + 3 * y2
+            assert lim_class(f) == (y0 - y1 * (one + L(1))
+                                    + y2 * (one + L(1) + L(2)))
 
     def test_closed_forms(self):
         from k3motive.integrals import _closed_form

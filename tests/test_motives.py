@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -189,6 +190,19 @@ class TestPointCount:
     def test_missing_count(self):
         with pytest.raises(MissingRealizationError):
             E_class().point_count()
+
+    @pytest.mark.parametrize("count", [1.7, True, "5"])
+    @pytest.mark.parametrize("atom, kind", [
+        (EllipticCurveAtom("E"), "elliptic"), (OpaqueAtom("E"), "opaque")],
+        ids=["elliptic", "opaque"])
+    def test_non_int_count_refused(self, atom, kind, count):
+        # a count is refused, not truncated or parsed
+        cls = MotiveClass.of_atom(atom, 1, 2)
+        with pytest.raises(ValueError, match="point count %s of %s atom 'E' "
+                           "is not an integer" % (re.escape(repr(count)),
+                                                  kind)):
+            cls.point_count({"E": count})
+        assert cls.point_count({"E": 5}) == UnivariateLaurent({1: 10})
 
 
 class TestCanonicalOrder:
