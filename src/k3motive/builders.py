@@ -13,6 +13,7 @@ evaluators reject it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .deltaset import (
@@ -326,18 +327,14 @@ def build_kummer(p: KummerParams) -> KummerReport:
     integral = (census.special * KUMMER_SPECIAL_CLASS
                 + census.generic * KUMMER_GENERIC_CLASS)
 
-    # orbit ids follow the representatives in ascending order
+    # orbit ids follow the representatives in ascending order; the census
+    # shares one kind object per class
     reps = [v for v, img in enumerate(sigma.maps[0]) if img >= v]
-    orbit = {v: i for i, v in enumerate(reps)}
-    fixed_orbits = {orbit[v] for v in fixed}
-
-    comps = []
-    for o in range(nerve.n(0)):
-        if o in fixed_orbits:
-            kind = Other(KUMMER_SPECIAL_COMPLETE, betti=(1, 0, 6))
-        else:
-            kind = Other(KUMMER_GENERIC_COMPLETE, betti=(1, 0, 2))
-        comps.append(Component(o, kind))
+    kinds = [Other(KUMMER_GENERIC_COMPLETE, betti=(1, 0, 2))] * nerve.n(0)
+    special = Other(KUMMER_SPECIAL_COMPLETE, betti=(1, 0, 6))
+    for v in fixed:
+        kinds[bisect_left(reps, v)] = special
+    comps = [Component(o, kind) for o, kind in enumerate(kinds)]
     fiber = _nerve_fiber("kummer_%dx%d" % (p.m1, p.m2), comps, nerve)
 
     r2_a, r2_x = kummer_r2_abelian(p)

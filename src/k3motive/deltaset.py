@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, compress, count, permutations
 from math import gcd
+from operator import add, eq, ge, itemgetter, mul, ne
 from typing import Sequence
 
 from .intlinalg import (IntMatrix, _chain_normalize, _dense, _int_rows,
@@ -39,6 +40,25 @@ from .intlinalg import kernel_basis  # noqa: F401
 
 class QuotientError(ValueError):
     """The orbit space admits no Delta-set structure on these cells."""
+
+
+def _take(seq, ids) -> tuple:
+    """``seq[i]`` for each i in ``ids``, in one C-level pass."""
+    return itemgetter(*ids)(seq) if len(ids) > 1 \
+        else tuple(seq[i] for i in ids)
+
+
+def _symmetric(slots) -> list:
+    """The elementary symmetric functions e_1, ..., e_k of the k entries of
+    each row, from the rows' k slot columns: they agree on two rows exactly
+    when the rows hold the same multiset."""
+    e = [slots[0]]
+    for x in slots[1:]:
+        e = ([list(map(add, e[0], x))]
+             + [list(map(add, hi, map(mul, x, lo)))
+                for lo, hi in zip(e, e[1:])]
+             + [list(map(mul, x, e[-1]))])
+    return e
 
 
 class DeltaSet:
@@ -53,6 +73,9 @@ class DeltaSet:
         """``faces[q-1][s]`` lists the q+1 faces of the s-th q-simplex.
 
         Trailing empty dimensions are dropped; a float or boolean is refused.
+        The face counts, the face ranges and the simplicial identities are
+        checked in flat passes over the face ids taken slot by slot; only a
+        failed pass scans simplex by simplex, to name the first failure.
         """
         counts = [num_vertices]
         _int_rows([counts], "vertex count")
@@ -61,11 +84,13 @@ class DeltaSet:
         stored = [_int_rows(level, "face id") for level in faces]
         while stored and not stored[-1]:
             stored.pop()
+        slots = []  # slots[q-1][j]: face j of each q-simplex
         for q, level in enumerate(stored, start=1):
             counts.append(len(level))
+            slots.append(tuple(zip(*level)))
             if set(map(len, level)) == {q + 1} \
-                    and min(map(min, level)) >= 0 \
-                    and max(map(max, level)) < counts[q - 1]:
+                    and min(map(min, slots[-1])) >= 0 \
+                    and max(map(max, slots[-1])) < counts[q - 1]:
                 continue
             # an empty level, or some simplex is bad: report the first
             for s, fs in enumerate(level):
@@ -82,8 +107,14 @@ class DeltaSet:
         self._faces = tuple(stored)
         self._memo = {}
         for q in range(2, self.dim + 1):
-            lower = self._faces[q - 2]
             pairs = [(i, j) for j in range(q + 1) for i in range(j)]
+            # d_i d_j = d_{j-1} d_i, slot by slot: lower[fs[j]][i] is
+            # slot i of the face in slot j
+            up, down = slots[q - 1], slots[q - 2]
+            if all(_take(down[i], up[j]) == _take(down[j - 1], up[i])
+                   for i, j in pairs):
+                continue
+            lower = self._faces[q - 2]
             for s, fs in enumerate(self._faces[q - 1]):
                 for i, j in pairs:
                     if lower[fs[j]][i] != lower[fs[i]][j - 1]:
@@ -485,6 +516,10 @@ class Involution:
     ``maps[q][s]`` is the image of the s-th q-simplex.  The map may reorder
     the faces of a simplex it moves (geometrically: reverse orientations);
     a simplex mapped to itself must be fixed together with all its faces.
+    Each level is checked in flat passes: the map composed with itself, and
+    the symmetric functions of the images of the faces of each simplex
+    against those of the faces of its image; only a failed pass scans
+    simplex by simplex, to name the first failure.
     """
 
     def __init__(self, ds: DeltaSet, maps: Sequence[Sequence[int]]):
@@ -495,14 +530,22 @@ class Involution:
         for q, level in enumerate(self.maps):
             if sorted(level) != list(range(ds.n(q))):
                 raise ValueError("map in dimension %d is not a bijection" % q)
+            if _take(level, level) == tuple(range(ds.n(q))):
+                continue
             for s, img in enumerate(level):
                 if level[img] != s:
                     raise ValueError("map is not an involution at (%d, %d)"
                                      % (q, s))
         for q, level in enumerate(self.ds._faces, start=1):
-            below = self.maps[q - 1]
+            below, here = self.maps[q - 1], self.maps[q]
+            slots = tuple(zip(*level))
+            fixed = compress(count(), map(eq, here, count()))
+            if _symmetric([_take(below, x) for x in slots]) \
+                    == _symmetric([_take(x, here) for x in slots]) \
+                    and all(below[f] == f for s in fixed for f in level[s]):
+                continue
             target = [sorted(fs) for fs in level]
-            for s, (img, fs) in enumerate(zip(self.maps[q], level)):
+            for s, (img, fs) in enumerate(zip(here, level)):
                 if sorted(map(below.__getitem__, fs)) != target[img]:
                     raise ValueError(
                         "not an automorphism: faces of %d-simplex %d do not "
@@ -515,11 +558,11 @@ class Involution:
                                 "pointwise; refine first" % (q, s))
 
     def is_free_on_positive(self) -> bool:
-        return all(img != s for level in self.maps[1:]
-                   for s, img in enumerate(level))
+        return all(map(ne, chain.from_iterable(self.maps[1:]),
+                       chain.from_iterable(map(range, self.ds.counts[1:]))))
 
     def fixed_vertices(self) -> list[int]:
-        return [v for v, img in enumerate(self.maps[0]) if img == v]
+        return list(compress(count(), map(eq, self.maps[0], count())))
 
 
 def quotient_by_involution(ds: DeltaSet, sigma: Involution) -> DeltaSet:
@@ -533,7 +576,7 @@ def quotient_by_involution(ds: DeltaSet, sigma: Involution) -> DeltaSet:
     reps: list[list[int]] = []
     orbit_of: list[list[int]] = []
     for level in sigma.maps:
-        rep_ids = [s for s, img in enumerate(level) if img >= s]
+        rep_ids = list(compress(count(), map(ge, level, count())))
         orbit = [0] * len(level)
         for i, r in enumerate(rep_ids):
             orbit[r] = orbit[level[r]] = i
@@ -543,35 +586,35 @@ def quotient_by_involution(ds: DeltaSet, sigma: Involution) -> DeltaSet:
     if ds.dim == 0:
         return DeltaSet(len(reps[0]))
 
-    # quotient endpoints of each edge orbit, in the representative's order
+    # quotient (tail, head) of each edge orbit, in the representative's
+    # order, and its flip: None while free, False for a fixed edge
     vorb = orbit_of[0]
-    e_ends = []
-    for e in reps[1]:
-        head, tail = ds.faces(1, e)
-        e_ends.append((vorb[tail], vorb[head]))
-
-    flips = {i: False for i, e in enumerate(reps[1]) if sigma.maps[1][e] == e}
+    heads, tails = (_take(vorb, x) for x in zip(*ds._faces[0]))
+    e_ends = list(zip(_take(tails, reps[1]), _take(heads, reps[1])))
+    flips: list[bool | None] = [
+        False if img == e else None
+        for e, img in zip(reps[1], _take(sigma.maps[1], reps[1]))]
 
     new_tris = []
     if ds.dim == 2:
         all_orders = list(permutations(range(3)))
-        edges, faces = ds._faces
-        tris = []
-        for t in reps[2]:
-            fs = faces[t]
-            e_orbs = tuple(map(orbit_of[1].__getitem__, fs))
-            (h2, t2), (h0, _) = edges[fs[2]], edges[fs[0]]
-            w = (vorb[t2], vorb[h2], vorb[h0])  # vorb of vertex_tuple(2, t)
-            taus = [(0, 1, 2)] if sigma.maps[2][t] == t else all_orders
-            tris.append((t, e_orbs, w, taus))
+        slots = tuple(zip(*_take(ds._faces[1], reps[2])))
+        # per orbit triangle: its index, the edge orbits of its faces, the
+        # vertex orbits of its slots (as in vertex_tuple) and its orderings
+        tris = list(zip(
+            count(), zip(*(_take(orbit_of[1], x) for x in slots)),
+            zip(_take(tails, slots[2]), _take(heads, slots[2]),
+                _take(heads, slots[0])),
+            [[(0, 1, 2)] if img == t else all_orders
+             for t, img in zip(reps[2], _take(sigma.maps[2], reps[2]))]))
 
         # process triangles in breadth-first order over shared edge orbits,
         # so each one usually meets an already-oriented edge and the
         # backtracking stays local
-        by_edge: dict[int, list[int]] = {}
-        for idx, tri in enumerate(tris):
-            for eo in tri[1]:
-                by_edge.setdefault(eo, []).append(idx)
+        by_edge: list[list[int]] = [[] for _ in reps[1]]
+        for idx, (_, e_orbs, _, _) in enumerate(tris):
+            for eo in e_orbs:
+                by_edge[eo].append(idx)
         order = []  # doubles as the queue; order[head:] is still to visit
         seen = [False] * len(tris)
         head = 0
@@ -586,25 +629,27 @@ def quotient_by_involution(ds: DeltaSet, sigma: Involution) -> DeltaSet:
                             seen[nb] = True
                             order.append(nb)
                 head += 1
-        tris = [tris[i] for i in order]
+        tris = _take(tris, order)
 
         def orient(tri, tau) -> list[int] | None:
             # fix the edge flips ordering tau needs and return the edge
             # orbits newly fixed, or fix nothing and return None on a clash
             _, e_orbs, w, _ = tri
             assigned = []
-            for i, (a, b) in enumerate(((1, 2), (0, 2), (0, 1))):
-                eo, ends = e_orbs[tau[i]], (w[tau[a]], w[tau[b]])
-                if e_ends[eo][0] == e_ends[eo][1]:
+            for i, a, b in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+                eo = e_orbs[tau[i]]
+                u, v = e_ends[eo]
+                if u == v:
                     continue  # loop edge: orientation-free
-                if ends not in (e_ends[eo], e_ends[eo][::-1]):
+                x, y = w[tau[a]], w[tau[b]]
+                if (x != u or y != v) and (x != v or y != u):
                     raise AssertionError("edge orbit endpoints disagree")
-                need = ends != e_ends[eo]
-                if flips.get(eo) == need:
+                need = x != u
+                if flips[eo] == need:
                     continue
-                if eo in flips:
-                    for x in assigned:
-                        del flips[x]
+                if flips[eo] is not None:
+                    for done in assigned:
+                        flips[done] = None
                     return None
                 flips[eo] = need
                 assigned.append(eo)
@@ -629,13 +674,14 @@ def quotient_by_involution(ds: DeltaSet, sigma: Involution) -> DeltaSet:
                         "barycentric refinement before taking the quotient")
                 k, assigned = placed.pop()
                 for eo in assigned:
-                    del flips[eo]
+                    flips[eo] = None
                 k += 1
-        ordered = {t: tuple(e_orbs[i] for i in taus[k])
-                   for (t, e_orbs, _, taus), (k, _) in zip(tris, placed)}
-        new_tris = [ordered[t] for t in reps[2]]
+        new_tris = [None] * len(tris)
+        for (i, e_orbs, _, taus), (k, _) in zip(tris, placed):
+            a, b, c = taus[k]
+            new_tris[i] = (e_orbs[a], e_orbs[b], e_orbs[c])
 
     # (head, tail) of each edge orbit: the representative's, or flipped
-    new_edges = [ends if flips.get(i) else ends[::-1]
-                 for i, ends in enumerate(e_ends)]
+    new_edges = [ends if flip else ends[::-1]
+                 for ends, flip in zip(e_ends, flips)]
     return DeltaSet(len(reps[0]), [new_edges, new_tris])

@@ -211,7 +211,9 @@ def validate(f: DegenerationFiber) -> list[str]:
         out.append("duplicate component ids")
 
     for c in f.components:
-        if isinstance(c.kind, (Rational, RuledElliptic)):
+        if not isinstance(c.kind, ComponentKind):
+            out.append("component %r has unknown kind %r" % (c.id, c.kind))
+        elif isinstance(c.kind, (Rational, RuledElliptic)):
             if type(c.kind.a) is not int:
                 out.append("component %r has non-integer a %r"
                            % (c.id, c.kind.a))

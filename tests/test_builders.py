@@ -244,9 +244,32 @@ ODD_SIDE_EDGE = {
     (8, 3): 4, (8, 5): 7, (8, 7): 10,
 }
 
-# sha256 of repr(nerve._faces) from the dict-keyed builder
+# sha256 of repr(nerve._faces): 4 x 6, 18 x 18 and 30 x 30 from the
+# dict-keyed builder, the rest (every shape the kummer-nerve benchmark draws
+# at areas 64 to 256) from the per-simplex construction checks
 NERVE_DIGESTS = {
     (4, 6): "db19624ccd950a7f99ec82e880ccb74cf416d4eb5ed157c5785b28e0e89188ca",
+    (4, 16):
+        "23836b501fea5a3ae5661221ee0514ff59c5910df743ecc72221af1c997f02e5",
+    (8, 8): "af725c5ba11e6b8a3e89f23ff4282582487db967de976ea44d94c8eee21f1b1a",
+    (16, 4):
+        "90ddb41345d07ca27eacacadfea0aa8c59a7785c28e9912f3e5ebbe14c030ed7",
+    (6, 24):
+        "f72c6a6d2cfb90428ca1e13eb9a57a34655e68d43ba2b3af59131224f9841d7c",
+    (8, 18):
+        "cab37edbd014f06c9c5602a99ab93c1d6916f0885442358e1271c357ab830d9c",
+    (12, 12):
+        "07a685708a047b1a80d0052f6ef376fd259f8ef9dac960101da4a01335c73d17",
+    (18, 8):
+        "94f315ec86691e0671852f07c52f31c821817a7e0e225792a7f4c2cf61a9520e",
+    (24, 6):
+        "2aa3a964532ec575e5f2fb01246e7fd92eac94d1bfdcd888456d2c6ec4d0e87e",
+    (8, 32):
+        "2be3b7049da81729ac30e1a23818822710607b788791fbe44f1ff126dea2f7bd",
+    (16, 16):
+        "e7efdfb6c67532a676cdd890994ec88b9340cc8771ecbb2a8d8eadd3d0d27416",
+    (32, 8):
+        "f07d49e78cf68ed80775f9b06f6972609331f23f387972ba412c86cdc98a4741",
     (18, 18):
         "b7335280b937ab2e00bd5d181d73849e22a75d18d67689a21f236fee240985b5",
     (30, 30):

@@ -1,10 +1,14 @@
+import functools
 import hashlib
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from k3motive.builders import (
+    KummerParams,
+    build_kummer,
     icosahedron,
     octahedron,
     torus_grid,
@@ -1008,6 +1012,8 @@ class TestQuotient:
         ds = tetra()
         ident = Involution(ds, [list(range(ds.n(q)))
                                 for q in range(ds.dim + 1)])
+        assert not ident.is_free_on_positive()
+        assert ident.fixed_vertices() == [0, 1, 2, 3]
         q = quotient_by_involution(ds, ident)
         assert q.counts == ds.counts
         assert recognize(q) == Shape.SPHERE2
@@ -1033,6 +1039,8 @@ class TestQuotient:
         # edges swapped in pairs; quotient is an interval
         ds = circle(4)
         sigma = Involution(ds, [[0, 3, 2, 1], [3, 2, 1, 0]])
+        assert sigma.is_free_on_positive()
+        assert sigma.fixed_vertices() == [0, 2]
         q = quotient_by_involution(ds, sigma)
         assert q.counts == (3, 2)
         assert recognize(q) == Shape.INTERVAL
@@ -1079,3 +1087,197 @@ class TestQuotient:
                                    for q in range(solid.dim + 1)])
         with pytest.raises(QuotientError):
             quotient_by_involution(solid, ident)
+
+
+# -- flat construction checks against a per-simplex scan --------------------
+
+def scan_delta_error(num_vertices, faces):
+    """The first failure of the per-simplex checks, in the constructor's
+    order: face counts and ranges level by level, then the identities
+    d_i d_j = d_{j-1} d_i; None when every check holds."""
+    levels = [list(level) for level in faces]
+    while levels and not levels[-1]:
+        levels.pop()
+    counts = [num_vertices]
+    for q, level in enumerate(levels, start=1):
+        counts.append(len(level))
+        for s, fs in enumerate(level):
+            if len(fs) != q + 1:
+                return ("simplex %d of dimension %d has %d faces, expected %d"
+                        % (s, q, len(fs), q + 1))
+            bad = [f for f in fs if not 0 <= f < counts[q - 1]]
+            if bad:
+                return "face id %d out of range in dimension %d" % (bad[0], q)
+    for q in range(2, len(levels) + 1):
+        lower = levels[q - 2]
+        for s, fs in enumerate(levels[q - 1]):
+            for j in range(q + 1):
+                for i in range(j):
+                    if lower[fs[j]][i] != lower[fs[i]][j - 1]:
+                        return ("simplicial identity fails at %d-simplex %d "
+                                "(i=%d, j=%d)" % (q, s, i, j))
+    return None
+
+
+def scan_involution_error(ds, maps):
+    """The first failure of the per-simplex involution checks, in the
+    constructor's order; None when every check holds."""
+    for q, level in enumerate(maps):
+        if sorted(level) != list(range(ds.n(q))):
+            return "map in dimension %d is not a bijection" % q
+        for s, img in enumerate(level):
+            if level[img] != s:
+                return "map is not an involution at (%d, %d)" % (q, s)
+    for q in range(1, ds.dim + 1):
+        for s in ds.simplices(q):
+            img, fs = maps[q][s], ds.faces(q, s)
+            if sorted(maps[q - 1][f] for f in fs) != sorted(ds.faces(q, img)):
+                return ("not an automorphism: faces of %d-simplex %d do not "
+                        "match faces of its image" % (q, s))
+            if img == s and any(maps[q - 1][f] != f for f in fs):
+                return ("%d-simplex %d is stabilized but not fixed pointwise; "
+                        "refine first" % (q, s))
+    return None
+
+
+def induced_maps(ds, vmap):
+    """The maps a vertex permutation induces on a simplicial complex, whose
+    simplices are fixed by their vertex sets."""
+    maps = [list(vmap)]
+    for q in range(1, ds.dim + 1):
+        index = {frozenset(ds.vertex_tuple(q, s)): s for s in ds.simplices(q)}
+        maps.append([index[frozenset(vmap[v] for v in ds.vertex_tuple(q, s))]
+                     for s in ds.simplices(q)])
+    return maps
+
+
+def relabelled(ds, maps, seed):
+    """ds and an involution's maps under a seeded relabelling."""
+    rng = random.Random(seed)
+    perms = [rng.sample(range(ds.n(q)), ds.n(q)) for q in range(ds.dim + 1)]
+    out = [[0] * ds.n(q) for q in range(ds.dim + 1)]
+    for q, level in enumerate(maps):
+        for s, img in enumerate(level):
+            out[q][perms[q][s]] = perms[q][img]
+    return relabel(ds, perms), out
+
+
+def identity_maps(ds):
+    return [list(ds.simplices(q)) for q in range(ds.dim + 1)]
+
+
+def solid_tetra():
+    base = tetra()
+    return DeltaSet(4, [base._faces[0], base._faces[1], [(3, 2, 1, 0)]])
+
+
+FLAT_BASES = ("torus 2x2", "torus 4x6", "torus 6x4", "kummer 2x4",
+              "kummer 4x4", "octahedron antipodal", "icosahedron",
+              "rp2", "solid tetrahedron", "square reflection",
+              "2-gon rotation")
+
+
+@functools.cache
+def flat_base(name):
+    """A valid complex and an involution of it, by name; the spheres and
+    RP^2 relabelled."""
+    kind, _, size = name.partition(" ")
+    if kind == "torus":
+        ds, sigma = torus_negation(*map(int, size.split("x")))
+        return ds, sigma.maps
+    if kind == "kummer":
+        nerve = build_kummer(KummerParams(*map(int, size.split("x")))).nerve
+        return nerve, identity_maps(nerve)
+    if kind == "octahedron":
+        ds = octahedron()  # 0, 1, 2 opposite 5, 3, 4
+        return relabelled(ds, induced_maps(ds, [5, 3, 4, 1, 2, 0]), 11)
+    if kind == "icosahedron":
+        return relabelled(icosahedron(), identity_maps(icosahedron()), 12)
+    if kind == "rp2":
+        return relabelled(rp2(), identity_maps(rp2()), 13)
+    if kind == "solid":
+        return solid_tetra(), identity_maps(solid_tetra())
+    if kind == "square":
+        return circle(4), [[0, 3, 2, 1], [3, 2, 1, 0]]
+    return circle(2), [[1, 0], [1, 0]]
+
+
+class TestFlatChecks:
+    """The flat passes of the constructors accept exactly what the
+    per-simplex scan accepts, and a failure names the scan's first one."""
+
+    SETTINGS = settings(derandomize=True, max_examples=300, deadline=None,
+                        database=None)
+
+    def test_valid_inputs_are_kept(self):
+        for name in FLAT_BASES:
+            ds, maps = flat_base(name)
+            assert scan_delta_error(ds.n(0), ds._faces) is None, name
+            assert scan_involution_error(ds, maps) is None, name
+            copy = DeltaSet(ds.n(0), [list(level) for level in ds._faces])
+            assert copy._counts == ds._counts and copy._faces == ds._faces
+            assert Involution(copy, maps).maps == tuple(map(tuple, maps))
+
+    def test_equal_face_sums_are_not_enough(self):
+        # edges 1 and 3 of the square swapped over fixed vertices: each
+        # edge's faces sum to what its image's faces sum to, and still the
+        # faces of edge 1, {1, 2}, are not those of edge 3, {0, 3}
+        maps = [[0, 1, 2, 3], [0, 3, 2, 1]]
+        text = ("not an automorphism: faces of 1-simplex 1 do not match "
+                "faces of its image")
+        assert scan_involution_error(circle(4), maps) == text
+        with pytest.raises(ValueError) as exc:
+            Involution(circle(4), maps)
+        assert str(exc.value) == text
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_delta_set(self, data):
+        ds, _ = flat_base(data.draw(st.sampled_from(FLAT_BASES)))
+        faces = [list(level) for level in ds._faces]
+        q = data.draw(st.integers(1, ds.dim))
+        s = data.draw(st.integers(0, ds.n(q) - 1))
+        fs = list(faces[q - 1][s])
+        i, j = data.draw(st.integers(0, q)), data.draw(st.integers(0, q))
+        if data.draw(st.booleans()):  # one face id, in range or not
+            fs[j] = data.draw(st.integers(-2, ds.n(q - 1) + 1))
+        else:  # two slots swapped: every id stays in range
+            fs[i], fs[j] = fs[j], fs[i]
+        faces[q - 1][s] = tuple(fs)
+        expected = scan_delta_error(ds.n(0), faces)
+        if expected is None:
+            got = DeltaSet(ds.n(0), faces)
+            assert got._counts == ds._counts
+            assert got._faces == tuple(map(tuple, faces))
+        else:
+            with pytest.raises(ValueError) as exc:
+                DeltaSet(ds.n(0), faces)
+            assert str(exc.value) == expected
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_involution(self, data):
+        ds, maps = flat_base(data.draw(st.sampled_from(FLAT_BASES)))
+        maps = [list(level) for level in maps]
+        q = data.draw(st.integers(0, ds.dim))
+        n = ds.n(q)
+        s = data.draw(st.integers(0, n - 1))
+        t = data.draw(st.integers(0, n - 1))
+        swap = list(range(n))
+        swap[s], swap[t] = t, s
+        kind = data.draw(st.integers(0, 3))
+        if kind == 0:  # one image, in range or not
+            maps[q][s] = data.draw(st.integers(-1, n))
+        elif kind == 1:  # conjugated by the transposition (s t)
+            maps[q] = [swap[maps[q][swap[x]]] for x in range(n)]
+        elif kind == 2:  # the orbit of s fixed: still an involution
+            maps[q][maps[q][s]], maps[q][s] = maps[q][s], s
+        else:  # composed with (s t): still a bijection
+            maps[q] = [swap[img] for img in maps[q]]
+        expected = scan_involution_error(ds, maps)
+        if expected is None:
+            assert Involution(ds, maps).maps == tuple(map(tuple, maps))
+        else:
+            with pytest.raises(ValueError) as exc:
+                Involution(ds, maps)
+            assert str(exc.value) == expected

@@ -86,6 +86,19 @@ class TestValidate:
             [DoubleCurve("c", (0, 9), 0)])
         assert any("unknown component" in m for m in validate(f))
 
+    def test_unknown_kind_is_a_violation(self):
+        # one line naming the component, instead of a TypeError from the
+        # class and Betti lookups of the evaluators
+        f = DegenerationFiber.of(
+            "x", [Component(0, "junk"), Component("r", Rational(20)),
+                  Component(2, None)])
+        assert validate(f) == ["component 0 has unknown kind 'junk'",
+                               "component 2 has unknown kind None"]
+        from k3motive.integrals import verify_fiber
+        with pytest.raises(InvalidFiberError) as exc:
+            verify_fiber(f)
+        assert exc.value.violations == validate(f)
+
     def test_genus_one_needs_atom(self):
         f = DegenerationFiber.of(
             "bad", [Component(0, Rational(0)), Component(1, Rational(0))],
