@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import chain, compress, count, permutations
+from itertools import chain, compress, count, permutations, repeat
 from math import gcd
-from operator import add, eq, ge, itemgetter, mul, ne
+from operator import add, eq, floordiv, ge, itemgetter, mul, ne
 from typing import Sequence
 
 from .intlinalg import (IntMatrix, _chain_normalize, _dense, _int_rows,
@@ -377,7 +377,7 @@ def recognize(ds: DeltaSet) -> Shape:
             if len(queue) == ds.n(0):
                 shape = Shape.INTERVAL
     elif ds.dim == 2:
-        used = {v for fs in ds._faces[0] for v in fs}
+        used = set(chain.from_iterable(ds._faces[0]))
         if len(used) == ds.n(0) and _oriented(ds) is not None \
                 and euler_characteristic(ds) == 2:
             shape = Shape.SPHERE2
@@ -393,30 +393,42 @@ def _oriented(ds: DeltaSet) -> tuple[int, ...] | None:
 
 
 def _orientation(ds: DeltaSet) -> tuple[int, ...] | None:
-    """Signs from one breadth-first pass from triangle 0 of a closed
-    2-pseudomanifold (every edge on exactly two triangle sides) that cancel
-    on the sides (t, j), (o, k) of each edge, sign[t] (-1)^j + sign[o]
-    (-1)^k = 0; None if there are none or the pass misses a triangle."""
-    sides: list[list[tuple[int, int]]] = [[] for _ in ds.simplices(1)]
-    for t, fs in enumerate(ds._faces[1]):
-        for j, e in enumerate(fs):
-            sides[e].append((t, j))
-    if any(len(two) != 2 for two in sides):
+    """Signs of a closed 2-pseudomanifold (every edge on exactly two
+    triangle sides) that cancel on the two sides 3t + j and 3o + k of each
+    edge, sign[t] (-1)^j + sign[o] (-1)^k = 0; None if there are none or
+    triangle 0 does not reach every triangle.
+
+    The sides, one flat list sorted by edge, pair off as ``first`` and
+    ``second``.  A breadth-first pass from triangle 0 sets each sign from
+    the first side that reaches it, and one flat pass then checks every
+    edge.  Signs of a connected complex, where they exist, are fixed by
+    sign[0] = 1, so setting them before checking changes no answer."""
+    tris = ds._faces[1]
+    flat = list(chain.from_iterable(tris))
+    edges = tuple(ds.simplices(1))
+    order = sorted(range(len(flat)), key=flat.__getitem__)
+    first, second = order[0::2], order[1::2]
+    if _take(flat, first) != edges or _take(flat, second) != edges:
         return None
-    sign = [1] + [0] * (ds.n(2) - 1)
+    # per edge: the triangles of its two sides, their sum, and the factor
+    # -(-1)^(j + k) that carries a sign from one side to the other
+    a = list(map(floordiv, first, repeat(3)))
+    b = list(map(floordiv, second, repeat(3)))
+    both = list(map(add, a, b))
+    across = list(map(mul, _take((-1, 1, -1) * len(tris), first),
+                      _take((1, -1, 1) * len(tris), second)))
+    sign = [1] + [0] * (len(tris) - 1)
     queue = [0]  # grows while it is read: breadth-first order
     for t in queue:
-        for j, e in enumerate(ds._faces[1][t]):
-            (o, k), other = sides[e]
-            if (o, k) == (t, j):
-                o, k = other
-            need = sign[t] if (j + k) % 2 else -sign[t]
+        for e in tris[t]:
+            o = both[e] - t
             if not sign[o]:
-                sign[o] = need
+                sign[o] = sign[t] * across[e]
                 queue.append(o)
-            elif sign[o] != need:
-                return None
-    return tuple(sign) if len(queue) == ds.n(2) else None
+    if len(queue) != len(tris) \
+            or tuple(map(mul, _take(sign, a), across)) != _take(sign, b):
+        return None
+    return tuple(sign)
 
 
 def relabel(ds: DeltaSet, perms: Sequence[Sequence[int]]) -> DeltaSet:

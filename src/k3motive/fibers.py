@@ -8,9 +8,12 @@ produce Grothendieck-ring classes, and ``degeneration_type`` recognizes the
 three Kulikov shapes.
 
 Each fact is computed once per fiber and kept on it: ``validate`` stores the
-violations, ``clemens_polytope`` the polytope (whose shape its own memo
-keeps) and ``strata_classes`` the strata, so the public functions are the
-only route and calling them again costs a lookup.
+violations and, for a fiber whose curves and triple points pass, the
+integer incidence it checked them on (the two component indices of each
+double curve, and the curves of each triple point in face order), which
+``clemens_polytope`` reads to store the polytope (whose shape its own memo
+keeps); ``strata_classes`` stores the strata.  So the public functions are
+the only route and calling them again costs a lookup.
 
 Multiplicities are kept out of the fiber: Kulikov fibers are reduced, and
 the multiplicities that the general weak Neron evaluation needs live in
@@ -21,7 +24,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import chain, compress, count, repeat
+from operator import attrgetter, eq, getitem, gt, itemgetter
 from typing import Iterable
 
 from .deltaset import DeltaSet, Shape, recognize
@@ -180,19 +184,24 @@ def curve_class(curve: DoubleCurve) -> MotiveClass:
     return MotiveClass.of_atom(EllipticCurveAtom(curve.curve))
 
 
+_ID, _ON, _KIND = attrgetter("id"), attrgetter("on"), attrgetter("kind")
+_A, _GENUS, _NAME = attrgetter("a"), attrgetter("genus"), attrgetter("curve")
+_FIRST, _SECOND, _THIRD = itemgetter(0), itemgetter(1), itemgetter(2)
+_HIGH_LOW = itemgetter(1, 0)
+
+
 def _id_key(x):
     return (isinstance(x, str), x)
 
 
 def _by_id(items) -> list:
     """``items`` in the id order of ``_id_key``, by a C-level key."""
-    key = attrgetter("id")
-    kinds = set(map(type, map(key, items)))
+    kinds = set(map(type, map(_ID, items)))
     if len(kinds) > 1 and any(issubclass(k, str) for k in kinds):
         rest = [x for x in items if not isinstance(x.id, str)]
         strs = [x for x in items if isinstance(x.id, str)]
-        return sorted(rest, key=key) + sorted(strs, key=key)
-    return sorted(items, key=key)
+        return sorted(rest, key=_ID) + sorted(strs, key=_ID)
+    return sorted(items, key=_ID)
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +210,16 @@ def _by_id(items) -> list:
 
 def validate(f: DegenerationFiber) -> list[str]:
     """All invariant violations, as human-readable strings; [] means valid.
-    Triple points are checked against one frozenset of components per
-    double-curve id (of two curves with one id, the later)."""
+
+    The double curves and triple points are checked in the flat passes of
+    ``_incidence``, whose ``ends`` and ``sides`` the memo keeps for
+    ``clemens_polytope``; only when a pass fails does ``_scan_curves`` walk
+    them one by one, to name every violation in its words and order."""
     if "violations" in f._memo:
         return list(f._memo["violations"])
     out: list[str] = []
-    comp_ids = {c.id for c in f.components}
-    if len(comp_ids) != len(f.components):
+    index = dict(zip(map(_ID, f.components), count()))
+    if len(index) != len(f.components):
         out.append("duplicate component ids")
 
     for c in f.components:
@@ -232,6 +244,65 @@ def validate(f: DegenerationFiber) -> list[str]:
                 out.append("component %r Betti data disagrees with its "
                            "class" % (c.id,))
 
+    incidence = _incidence(f, index)
+    if incidence is None:
+        out += _scan_curves(f, index)
+    else:
+        f._memo["ends"], f._memo["sides"] = incidence
+    f._memo["violations"] = out
+    return list(out)
+
+
+def _incidence(f: DegenerationFiber, index: dict) -> tuple | None:
+    """``ends`` and ``_sides`` if every double curve and triple point passes
+    the checks of ``_scan_curves``, else None.
+
+    ``ends`` maps each double-curve id (of two curves with one id, the
+    later) to (low, high, i): the indices in ``index`` (component id to
+    stored position) of its two components, ascending, and its own stored
+    position.  The curves of a triple point on components a < b < c have
+    the ends ab, ac, bc, so ``_sides`` needs one sort per triple point."""
+    curves, points = f.double_curves, f.triple_points
+    ons, genus = list(map(_ON, curves)), list(map(_GENUS, curves))
+    if set(map(len, ons)) - {2} or set(map(type, genus)) - {int} \
+            or set(genus) - {0, 1} or not all(compress(map(_NAME, curves),
+                                                       genus)):
+        return None
+    u = list(map(index.get, map(_FIRST, ons)))
+    v = list(map(index.get, map(_SECOND, ons)))
+    if None in u or None in v or any(map(eq, u, v)):
+        return None
+    # (u, v, i), or (v, u, i) where u > v
+    ends = dict(zip(map(_ID, curves),
+                    map(getitem, zip(zip(u, v, count()), zip(v, u, count())),
+                        map(gt, u, v))))
+    if len(ends) != len(curves) \
+            or len(set(map(_ID, points))) != len(points):
+        return None
+    try:
+        sides = _sides(points, ends)
+    except (KeyError, ValueError):  # an unknown curve, or not three
+        return None
+    return None if sides is None else (ends, sides)
+
+
+def _sides(points, ends: dict) -> list[int] | None:
+    """The stored positions of the curves ab, ac, bc of each triple point,
+    three per point in stored order, or None if the sorted ``ends`` of some
+    triple point's curves do not read ab, ac, bc for any a < b < c."""
+    sides = list(map(sorted, map(map, repeat(ends.__getitem__),
+                                 map(_ON, points))))
+    for (a, b, _), (a2, c, _), (b2, c2, _) in sides:
+        if a != a2 or b != b2 or c != c2:
+            return None
+    return list(map(_THIRD, chain.from_iterable(sides)))
+
+
+def _scan_curves(f: DegenerationFiber, index: dict) -> list[str]:
+    """The violations of the double curves and triple points, item by item:
+    triple points against one frozenset of components per double-curve id
+    (of two curves with one id, the later)."""
+    out: list[str] = []
     on = {d.id: frozenset(d.on) for d in f.double_curves}
     if len(on) != len(f.double_curves):
         out.append("duplicate double-curve ids")
@@ -244,7 +315,7 @@ def validate(f: DegenerationFiber) -> list[str]:
         if d.on[0] == d.on[1]:
             out.append("self-intersecting double curve %r" % (d.id,))
         for cid in d.on:
-            if cid not in comp_ids:
+            if cid not in index:
                 out.append("double curve %r references unknown component %r"
                            % (d.id, cid))
         if type(d.genus) is not int:
@@ -274,8 +345,7 @@ def validate(f: DegenerationFiber) -> list[str]:
                 or len(q & r) != 1:
             out.append("triple point %r curves are not pairwise adjacent "
                        "along three components" % (t.id,))
-    f._memo["violations"] = out
-    return list(out)
+    return out
 
 
 def _require_valid(f: DegenerationFiber) -> None:
@@ -287,29 +357,46 @@ def _require_valid(f: DegenerationFiber) -> None:
 # the dual complex and strata classes
 # ---------------------------------------------------------------------------
 
+def _positions(items, order) -> list[int] | None:
+    """The position in ``order`` of each of ``items``, the same objects, or
+    None where the two orders agree."""
+    if list(items) == list(order):
+        return None
+    at = dict(zip(map(id, order), count()))
+    return list(map(at.__getitem__, map(id, items)))
+
+
 def clemens_polytope(f: DegenerationFiber) -> DeltaSet:
     """Dual Delta-set: vertices are components, edges double curves,
     triangles triple points, ordered by the fixed total order on ids.
 
-    Each curve is kept once, as (minus its vertex-index sum, edge index).
-    The curves of a triple point on vertices a < b < c sum to b + c, a + c,
-    a + b: half the total less a sum is the vertex a curve misses, and face
-    j misses the j-th least vertex, so the faces are the curves in ascending
-    key order."""
+    Read off the memo's ``ends`` and ``sides``, renumbered to the id
+    order: an edge's faces are its high and its low end, and the faces of a
+    triangle on vertices a < b < c, where face j misses the j-th least
+    vertex, are its curves bc, ac, ab."""
     if "polytope" in f._memo:
         return f._memo["polytope"]
     _require_valid(f)
-    vidx = {c.id: i for i, c in enumerate(_by_id(f.components))}
-    edge_faces, curve = [], {}
-    for d in _by_id(f.double_curves):
-        a, b = vidx[d.on[0]], vidx[d.on[1]]
-        curve[d.id] = (-a - b, len(edge_faces))
-        edge_faces.append((a, b) if a > b else (b, a))
-    tri_faces = []
-    for t in _by_id(f.triple_points):
-        (_, e0), (_, e1), (_, e2) = sorted(map(curve.__getitem__, t.on))
-        tri_faces.append((e0, e1, e2))
-    f._memo["polytope"] = DeltaSet(len(vidx), [edge_faces, tri_faces])
+    if "ends" not in f._memo:
+        f._memo["ends"], f._memo["sides"] = _incidence(
+            f, dict(zip(map(_ID, f.components), count())))
+    ends, sides = f._memo["ends"], f._memo["sides"]
+    at = _positions(f.components, _by_id(f.components))
+    if at is not None:  # ends in stored positions: renumber, sort again
+        ends = {k: (at[lo], at[hi], i) if at[lo] < at[hi]
+                else (at[hi], at[lo], i) for k, (lo, hi, i) in ends.items()}
+        sides = _sides(f.triple_points, ends)
+    curves = _by_id(f.double_curves)
+    edge = _positions(f.double_curves, curves)
+    if edge is not None:
+        sides = list(map(edge.__getitem__, sides))
+    ab, ac, bc = sides[0::3], sides[1::3], sides[2::3]
+    stored = _positions(_by_id(f.triple_points), f.triple_points)
+    if stored is not None:
+        ab, ac, bc = (list(map(x.__getitem__, stored)) for x in (ab, ac, bc))
+    f._memo["polytope"] = DeltaSet(len(f.components), [
+        list(map(_HIGH_LOW, map(ends.__getitem__, map(_ID, curves)))),
+        list(zip(bc, ac, ab))])
     return f._memo["polytope"]
 
 
@@ -321,14 +408,20 @@ def strata_classes(f: DegenerationFiber
     if "strata" in f._memo:
         return f._memo["strata"]
     _require_valid(f)
-    kinds = Counter(map(attrgetter("kind"), f.components))
-    keys = list(map(attrgetter("genus", "curve"), f.double_curves))
-    rep = dict(zip(keys, f.double_curves))
+    kinds, curves = list(map(_KIND, f.components)), f.double_curves
+    # count plain values, not frozen dataclasses or tuples, where they fix
+    # the class: the a of each Rational, the name of curves of one genus
+    by_kind = list(map(_A, kinds)) if set(map(type, kinds)) == {Rational} \
+        else kinds
+    by_curve = list(map(_NAME, curves)) \
+        if len(set(map(_GENUS, curves))) == 1 \
+        else list(map(attrgetter("genus", "curve"), curves))
+    kind, rep = dict(zip(by_kind, kinds)), dict(zip(by_curve, curves))
     f._memo["strata"] = (
-        MotiveClass._combine((n, component_class(kind))
-                             for kind, n in kinds.items()),
-        MotiveClass._combine((n, curve_class(rep[key]))
-                             for key, n in Counter(keys).items()),
+        MotiveClass._combine((n, component_class(kind[k]))
+                             for k, n in Counter(by_kind).items()),
+        MotiveClass._combine((n, curve_class(rep[k]))
+                             for k, n in Counter(by_curve).items()),
         _L(0, len(f.triple_points)))
     return f._memo["strata"]
 
@@ -384,11 +477,13 @@ def degeneration_type(f: DegenerationFiber) -> int:
                 "type II chain must be ruled by a single elliptic curve")
         return 2
     if shape == Shape.SPHERE2:
-        for c in f.components:
-            if not isinstance(c.kind, Rational):
-                raise NonKulikovError(
-                    "sphere fiber with non-rational component %r" % (c.id,))
-        if any(d.genus != 0 for d in f.double_curves):
+        if not all(map(isinstance, map(_KIND, f.components),
+                       repeat(Rational))):
+            c = next(c for c in f.components
+                     if not isinstance(c.kind, Rational))
+            raise NonKulikovError(
+                "sphere fiber with non-rational component %r" % (c.id,))
+        if any(map(_GENUS, f.double_curves)):  # each genus is 0 or 1
             raise NonKulikovError("sphere fiber with a genus-1 double curve")
         return 3
     raise NonKulikovError("Clemens polytope is neither a point, an interval "

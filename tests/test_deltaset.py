@@ -2,6 +2,7 @@ import functools
 import hashlib
 import random
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -846,6 +847,93 @@ class TestTopCyclesOracle:
                 closed(ds) and len(kernel) == 1 and 0 not in kernel[0]), ds
             oriented += took_orientation
         assert oriented == 59
+
+
+def orientation_reference(ds):
+    """``_orientation`` with a list of (triangle, slot) sides per edge and
+    the sign check inside the breadth-first pass, kept verbatim."""
+    sides = [[] for _ in ds.simplices(1)]
+    for t, fs in enumerate(ds._faces[1]):
+        for j, e in enumerate(fs):
+            sides[e].append((t, j))
+    if any(len(two) != 2 for two in sides):
+        return None
+    sign = [1] + [0] * (ds.n(2) - 1)
+    queue = [0]
+    for t in queue:
+        for j, e in enumerate(ds._faces[1][t]):
+            (o, k), other = sides[e]
+            if (o, k) == (t, j):
+                o, k = other
+            need = sign[t] if (j + k) % 2 else -sign[t]
+            if not sign[o]:
+                sign[o] = need
+                queue.append(o)
+            elif sign[o] != need:
+                return None
+    return tuple(sign) if len(queue) == ds.n(2) else None
+
+
+def side_count_cases():
+    """2-complexes whose edges sit on 0, 1 or 3 triangle sides, and
+    triangles that repeat an edge, by name."""
+    t, two_gon = tetra(), small_complexes()["two_gon"]
+    edges = [t.faces(1, e) for e in t.simplices(1)]
+    tris = [t.faces(2, s) for s in t.simplices(2)]
+    gon_edges = [two_gon.faces(1, e) for e in two_gon.simplices(1)]
+    return {
+        # the tetrahedron with a seventh edge that no triangle uses
+        "edge on no side": DeltaSet(4, [edges + [(1, 0)], tris]),
+        "lone triangle": DeltaSet(3, [[(1, 0), (2, 0), (2, 1)], [(2, 1, 0)]]),
+        "open tetrahedron": DeltaSet(4, [edges, tris[1:]]),
+        # three pages on edge 0, each other edge on one side
+        "book": DeltaSet(5, [[(1, 0), (2, 0), (2, 1), (3, 0), (3, 1),
+                              (4, 0), (4, 1)],
+                             [(2, 1, 0), (4, 3, 0), (6, 5, 0)]]),
+        # the suspended 2-gon with one triangle moved from one equator edge
+        # to the parallel one: sides 3 and 1, or 1 and 3, twice the edge
+        # count in all
+        "three and one": DeltaSet(4, [gon_edges,
+                                      [(3, 2, 0), (3, 2, 0), (5, 4, 0),
+                                       (5, 4, 1)]]),
+        "one and three": DeltaSet(4, [gon_edges,
+                                      [(3, 2, 1), (3, 2, 1), (5, 4, 0),
+                                       (5, 4, 1)]]),
+        # d0 = d1 twice on one loop: a sphere; d0 = d2: Moebius bands
+        "cones": small_complexes()["cones"],
+        "bands": small_complexes()["bands"],
+        "one band": DeltaSet(1, [[(0, 0)] * 2, [(0, 1, 0)]]),
+    }
+
+
+class TestOrientationReference:
+    """The flat side list gives the signs of the per-edge (triangle, slot)
+    lists, or None, on every 2-complex."""
+
+    def test_signs_equal_reference(self):
+        from k3motive.deltaset import _orientation
+
+        complexes = recognition_corpus() + list(side_count_cases().values())
+        with warnings.catch_warnings():  # the e^2 r2 > 20 realizability
+            warnings.simplefilter("ignore")
+            for m1, m2 in ((2, 2), (4, 6)):
+                complexes.append(build_kummer(KummerParams(m1, m2)).nerve)
+        found = {"signs": 0, "none": 0}
+        for ds in complexes:
+            if ds.dim == 2:
+                expected = orientation_reference(ds)
+                assert _orientation(ds) == expected, ds
+                found["none" if expected is None else "signs"] += 1
+        assert found == {"signs": 62, "none": 16}
+
+    def test_each_side_count_is_refused(self):
+        from k3motive.deltaset import _orientation
+
+        signs = {name: _orientation(ds)
+                 for name, ds in side_count_cases().items()}
+        assert signs == {name: orientation_reference(ds)
+                         for name, ds in side_count_cases().items()}
+        assert [name for name, sign in signs.items() if sign] == ["cones"]
 
 
 class TestCycleCheck:

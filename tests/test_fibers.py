@@ -1,6 +1,8 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from k3motive.deltaset import Shape, homology, recognize
 from k3motive.fibers import (
@@ -26,6 +28,7 @@ from k3motive.fibers import (
 from k3motive.motives import (
     EPolynomial,
     EllipticCurveAtom,
+    MissingRealizationError,
     MotiveClass,
     OpaqueAtom,
     POINT,
@@ -839,3 +842,260 @@ class TestIdOrder:
             assert cl.counts == refs[name].counts, name
             assert cl._faces == refs[name]._faces, name
         assert calls == []
+
+
+# -- the flat validation pass against the item-by-item scan ------------------
+
+def scan_validate(f):
+    """``validate`` as an item-by-item scan, kept verbatim: triple points
+    against one frozenset of components per double-curve id (of two curves
+    with one id, the later)."""
+    out = []
+    comp_ids = {c.id for c in f.components}
+    if len(comp_ids) != len(f.components):
+        out.append("duplicate component ids")
+
+    for c in f.components:
+        if not isinstance(c.kind, (Rational, RuledElliptic, K3Smooth, Other)):
+            out.append("component %r has unknown kind %r" % (c.id, c.kind))
+        elif isinstance(c.kind, (Rational, RuledElliptic)):
+            if type(c.kind.a) is not int:
+                out.append("component %r has non-integer a %r"
+                           % (c.id, c.kind.a))
+            elif c.kind.a < 0:
+                out.append("component %r has negative a" % (c.id,))
+        if isinstance(c.kind, Other) and c.kind.betti is not None:
+            try:
+                e = c.kind.klass.e_polynomial()
+            except MissingRealizationError:
+                continue
+            b0 = e.coefficient(0, 0)
+            b1 = -(e.coefficient(1, 0) + e.coefficient(0, 1))
+            b2 = (e.coefficient(1, 1) + e.coefficient(2, 0)
+                  + e.coefficient(0, 2))
+            if (b0, b1, b2) != tuple(c.kind.betti):
+                out.append("component %r Betti data disagrees with its "
+                           "class" % (c.id,))
+
+    on = {d.id: frozenset(d.on) for d in f.double_curves}
+    if len(on) != len(f.double_curves):
+        out.append("duplicate double-curve ids")
+
+    for d in f.double_curves:
+        if len(d.on) != 2:
+            out.append("double curve %r is not on exactly two components"
+                       % (d.id,))
+            continue
+        if d.on[0] == d.on[1]:
+            out.append("self-intersecting double curve %r" % (d.id,))
+        for cid in d.on:
+            if cid not in comp_ids:
+                out.append("double curve %r references unknown component %r"
+                           % (d.id, cid))
+        if type(d.genus) is not int:
+            out.append("double curve %r has non-integer genus %r"
+                       % (d.id, d.genus))
+        elif d.genus not in (0, 1):
+            out.append("double curve %r has genus %r outside {0, 1}"
+                       % (d.id, d.genus))
+        if d.genus == 1 and not d.curve:
+            out.append("genus-1 double curve %r names no elliptic atom"
+                       % (d.id,))
+
+    if len({t.id for t in f.triple_points}) != len(f.triple_points):
+        out.append("duplicate triple-point ids")
+
+    for t in f.triple_points:
+        if len(t.on) != 3 or len(set(t.on)) != 3:
+            out.append("triple point %r is not on three distinct curves"
+                       % (t.id,))
+            continue
+        if not all(map(on.__contains__, t.on)):
+            out.append("triple point %r references an unknown double curve"
+                       % (t.id,))
+            continue
+        p, q, r = map(on.__getitem__, t.on)
+        if len(p | q | r) != 3 or len(p & q) != 1 or len(p & r) != 1 \
+                or len(q & r) != 1:
+            out.append("triple point %r curves are not pairwise adjacent "
+                       "along three components" % (t.id,))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def flat_pass_bases():
+    """Valid fibers with int, string and mixed ids, stored in and out of
+    id order, by name; each test gets fresh copies."""
+    import warnings
+
+    from k3motive.builders import (KummerParams, build_kummer,
+                                   build_type2_chain, build_type3,
+                                   octahedron)
+    from k3motive.deltaset import refine_edge_split
+    from test_deltaset import shuffled
+
+    rng = random.Random(2207)
+    bases = {}
+    tri = octahedron()
+    for k in range(3):
+        bases["octahedron^%d" % k] = build_type3(shuffled(tri, rng))
+        tri = refine_edge_split(tri)
+    octa = bases["octahedron^1"]
+    bases["relabelled"] = relabelled(octa, rng)
+    bases["string ids"] = renamed(octa, lambda x: "s%d" % x)
+    bases["mixed ids"] = renamed(octa, lambda x: "m%d" % x if x % 3 else x)
+    bases["tetra"] = tetra_fiber()
+    bases["chain 1"] = build_type2_chain(1)
+    bases["chain 4"] = build_type2_chain(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        bases["kummer 2x2"] = build_kummer(KummerParams(2, 2)).fiber
+    return bases
+
+
+def fresh(f, curves=None, points=None):
+    """A new fiber, with an empty memo, on these curves and points."""
+    return DegenerationFiber.of(
+        f.label, f.components,
+        f.double_curves if curves is None else curves,
+        f.triple_points if points is None else points)
+
+
+CORRUPTIONS = ("swap end", "repeat curve", "unknown curve", "parallel curve",
+               "loop curve", "star", "shared id", "shared point id",
+               "bad genus", "two or four curves")
+
+
+def corrupt(f, kind, data):
+    """``f`` with one corruption of its double curves or triple points, or
+    None where the fiber has no room for it."""
+    curves, points = list(f.double_curves), list(f.triple_points)
+    comps = [c.id for c in f.components]
+
+    def pick(seq):
+        return data.draw(st.integers(0, len(seq) - 1))
+
+    if kind == "swap end":
+        i, j = pick(curves), data.draw(st.integers(0, 1))
+        on = list(curves[i].on)
+        on[j] = comps[pick(comps)]
+        curves[i] = DoubleCurve(curves[i].id, tuple(on), curves[i].genus,
+                                curves[i].curve)
+    elif kind in ("repeat curve", "unknown curve", "parallel curve"):
+        if not points:
+            return None
+        t = pick(points)
+        on = list(points[t].on)
+        j = data.draw(st.integers(0, 2))
+        if kind == "repeat curve":
+            on[j] = on[(j + 1) % 3]
+        elif kind == "unknown curve":
+            on[j] = "no such curve"
+        else:
+            d = curves[pick(curves)]
+            curves.append(DoubleCurve("parallel", d.on, d.genus, d.curve))
+            on[j] = "parallel"
+        points[t] = TriplePoint(points[t].id, tuple(on))
+    elif kind == "shared point id":
+        if len(points) < 2:
+            return None
+        s, t = data.draw(st.lists(st.integers(0, len(points) - 1),
+                                  min_size=2, max_size=2, unique=True))
+        points[t] = TriplePoint(points[s].id, points[t].on)
+    elif kind == "bad genus":
+        i = pick(curves)
+        genus, name = data.draw(st.sampled_from(
+            [(2, "E"), (-1, None), (1.0, "E"), (True, "E"), (1, None),
+             (1, ""), (1, "E")]))
+        curves[i] = DoubleCurve(curves[i].id, curves[i].on, genus, name)
+    elif kind == "two or four curves":
+        if not points:
+            return None
+        t = pick(points)
+        on = points[t].on
+        on = on[:2] if data.draw(st.booleans()) else on + on[:1]
+        points[t] = TriplePoint(points[t].id, on)
+    elif kind == "loop curve":
+        c = comps[pick(comps)]
+        curves.insert(pick(curves), DoubleCurve("loop", (c, c), 0))
+    elif kind == "star":
+        if len(comps) < 4:
+            return None
+        hub, *rim = data.draw(st.lists(st.sampled_from(comps), min_size=4,
+                                       max_size=4, unique=True))
+        curves += [DoubleCurve(("star", x), (hub, x), 0) for x in rim]
+        points.append(TriplePoint("star", tuple(("star", x) for x in rim)))
+    else:  # a later curve with an id already taken, and improper
+        d = curves[pick(curves)]
+        c = comps[pick(comps)]
+        curves.append(data.draw(st.sampled_from(
+            [DoubleCurve(d.id, (c, c), 0), DoubleCurve(d.id, (c,), 0),
+             DoubleCurve(d.id, (c, "no such component"), 0),
+             DoubleCurve(d.id, d.on, 2), DoubleCurve(d.id, d.on, 1)])))
+    return fresh(f, curves, points)
+
+
+def counted_validate(f):
+    """``validate(f)`` and the number of ``_scan_curves`` calls it made."""
+    from k3motive import fibers
+
+    calls = []
+    scan = fibers._scan_curves
+    fibers._scan_curves = lambda *a: calls.append(a) or scan(*a)
+    try:
+        return validate(f), len(calls)
+    finally:
+        fibers._scan_curves = scan
+
+
+class TestFlatValidation:
+    """The flat pass of ``validate`` gives the scan's list on every fiber,
+    and the scan runs only where there is a violation to name."""
+
+    SETTINGS = settings(derandomize=True, max_examples=250, deadline=None,
+                        database=None)
+
+    def test_valid_fibers_never_scan(self):
+        for name, f in flat_pass_bases().items():
+            g = fresh(f)
+            assert scan_validate(g) == [], name
+            assert counted_validate(g) == ([], 0), name
+            assert "ends" in g._memo and "sides" in g._memo, name
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_corrupted_fibers_match_the_scan(self, data):
+        base = data.draw(st.sampled_from(sorted(flat_pass_bases())))
+        kind = data.draw(st.sampled_from(CORRUPTIONS))
+        f = corrupt(flat_pass_bases()[base], kind, data)
+        if f is None:
+            return
+        expected = scan_validate(f)
+        got, scans = counted_validate(f)
+        assert got == expected, (base, kind)
+        assert bool(scans) == bool(expected), (base, kind)
+        assert ("ends" in f._memo) == (not expected), (base, kind)
+
+    def test_every_corruption_is_caught_somewhere(self):
+        seen = set()
+
+        @settings(derandomize=True, max_examples=100, deadline=None,
+                  database=None)
+        @given(data=st.data())
+        def probe(data):
+            kind = data.draw(st.sampled_from(CORRUPTIONS))
+            f = corrupt(flat_pass_bases()["octahedron^1"], kind, data)
+            if f is not None and scan_validate(f):
+                seen.add(kind)
+
+        probe()
+        assert seen == set(CORRUPTIONS)
+
+    def test_polytope_without_ends_in_the_memo(self):
+        for name, f in flat_pass_bases().items():
+            g = fresh(f)
+            assert validate(g) == []
+            del g._memo["ends"], g._memo["sides"]
+            ref = polytope_reference(g)
+            cl = clemens_polytope(g)
+            assert cl.counts == ref.counts and cl._faces == ref._faces, name
