@@ -147,6 +147,7 @@ _K3_EPOLY = EPolynomial({(0, 0): 1, (2, 0): 1, (1, 1): 20, (0, 2): 1, (2, 2): 1}
 K3_ATOM = OpaqueAtom("K3", e_poly=_K3_EPOLY)
 
 _L = MotiveClass.lefschetz
+_RATIONAL_CURVE = MotiveClass({(POINT, 0): 1, (POINT, 1): 1})  # 1 + L
 
 
 def component_class(kind: ComponentKind) -> MotiveClass:
@@ -403,26 +404,27 @@ def clemens_polytope(f: DegenerationFiber) -> DeltaSet:
 def strata_classes(f: DegenerationFiber
                    ) -> tuple[MotiveClass, MotiveClass, MotiveClass]:
     """Classes of the strata: all components, all double curves, all
-    triple points, as one multiple per component kind and per (genus, curve
-    name), which fixes the class of a curve."""
+    triple points.  N rational components sum to N(1 + L^2) + (sum of a) L
+    (``_require_valid`` checked each a), other fibers to one multiple per
+    component kind; the genus-0 curves to n0(1 + L) and the genus-1 curves
+    to one multiple per curve name, which fixes their class."""
     if "strata" in f._memo:
         return f._memo["strata"]
     _require_valid(f)
     kinds, curves = list(map(_KIND, f.components)), f.double_curves
-    # count plain values, not frozen dataclasses or tuples, where they fix
-    # the class: the a of each Rational, the name of curves of one genus
-    by_kind = list(map(_A, kinds)) if set(map(type, kinds)) == {Rational} \
-        else kinds
-    by_curve = list(map(_NAME, curves)) \
-        if len(set(map(_GENUS, curves))) == 1 \
-        else list(map(attrgetter("genus", "curve"), curves))
-    kind, rep = dict(zip(by_kind, kinds)), dict(zip(by_curve, curves))
-    f._memo["strata"] = (
-        MotiveClass._combine((n, component_class(kind[k]))
-                             for k, n in Counter(by_kind).items()),
-        MotiveClass._combine((n, curve_class(rep[k]))
-                             for k, n in Counter(by_curve).items()),
-        _L(0, len(f.triple_points)))
+    if set(map(type, kinds)) == {Rational}:
+        n, a = len(kinds), sum(map(_A, kinds))
+        y0 = MotiveClass._pruned({(POINT, 0): n, (POINT, 1): a, (POINT, 2): n})
+    else:
+        y0 = MotiveClass._combine((n, component_class(k))
+                                  for k, n in Counter(kinds).items())
+    # each genus is 0 or 1, so the genus-1 names are those under a true genus
+    names = list(compress(map(_NAME, curves), map(_GENUS, curves)))
+    y1 = MotiveClass._combine(chain(
+        [(len(curves) - len(names), _RATIONAL_CURVE)],
+        ((n, MotiveClass.of_atom(EllipticCurveAtom(name)))
+         for name, n in Counter(names).items())))
+    f._memo["strata"] = (y0, y1, _L(0, len(f.triple_points)))
     return f._memo["strata"]
 
 

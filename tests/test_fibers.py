@@ -509,7 +509,48 @@ def strata_corpus():
               chain_fiber(4, middles=(0, 3, 1)),
               DegenerationFiber.of("smooth", [Component(0, K3Smooth())])]
     fibers += [random_fiber(rng, rng.randint(1, 7)) for _ in range(40)]
-    return fibers + [relabelled(f, rng) for f in fibers]
+    return fibers + [relabelled(f, rng) for f in fibers] + strata_extras()
+
+
+def strata_extras():
+    """Relabelled sphere ladders with seeded profiles, so many distinct a;
+    genus-0 curves beside genus-1 curves over two names; Kummer 2x2; a
+    sphere whose components are stored out of id order."""
+    import warnings
+
+    from k3motive.builders import (KummerParams, build_kummer, build_type3,
+                                   icosahedron, octahedron)
+    from k3motive.deltaset import refine_barycentric, refine_edge_split
+    from test_deltaset import shuffled
+
+    rng = random.Random(2306)
+    out = []
+    for base, refine, steps in ((octahedron, refine_edge_split, 3),
+                                (icosahedron, refine_barycentric, 1)):
+        tri = base()
+        for k in range(steps + 1):
+            tri = refine(tri) if k else tri
+            total = 20 + 2 * tri.n(2)
+            cuts = sorted(rng.randrange(total + 1)
+                          for _ in range(tri.n(0) - 1))
+            out.append(build_type3(shuffled(tri, rng), [
+                b - a for a, b in zip([0] + cuts, cuts + [total])]))
+    comps = [Component(i, Rational(3)) for i in range(3)] \
+        + [Component(3, RuledElliptic("E", 1))]
+    curves = [DoubleCurve("g", (0, 1), 0), DoubleCurve("h", (1, 2), 0, "G"),
+              DoubleCurve("e", (0, 3), 1, "E"),
+              DoubleCurve("f", (2, 3), 1, "F"),
+              DoubleCurve("e2", (3, 1), 1, "E")]
+    out.append(DegenerationFiber.of(
+        "both genera", comps, curves, [TriplePoint("t", ("e", "g", "e2"))]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out.append(build_kummer(KummerParams(2, 2)).fiber)
+    octa = out[2]
+    out.append(DegenerationFiber.of(
+        "reversed", octa.components[::-1], octa.double_curves,
+        octa.triple_points))
+    return out
 
 
 class TestStrataOracle:
@@ -520,10 +561,20 @@ class TestStrataOracle:
         assert set(KIND_POOL) <= kinds
         assert {(0, None), (0, "E"), (1, "E"), (1, "F")} <= curves
         assert all(validate(f) == [] for f in corpus)
+        ladders, (both, kummer, rev) = corpus[-9:-3], corpus[-3:]
+        assert max(len({c.kind.a for c in f.components})
+                   for f in ladders) > 10
+        assert {(d.genus, d.curve) for d in both.double_curves} \
+            == {(0, None), (0, "G"), (1, "E"), (1, "F")}
+        assert {type(c.kind) for c in kummer.components} == {Other}
+        ids = [c.id for c in rev.components]
+        assert ids == sorted(ids, reverse=True)
 
     def test_strata_classes_equal_per_item_sums(self):
         for f in strata_corpus():
-            assert strata_classes(f) == oracle_strata(f)
+            got, ref = strata_classes(f), oracle_strata(f)
+            assert got == ref
+            assert [y.terms() for y in got] == [y.terms() for y in ref]
 
     def test_open_component_classes_equal_per_item_sums(self):
         for f in strata_corpus():
@@ -708,8 +759,10 @@ def renamed(f, name):
 
 
 def polytope_corpus():
-    """Sphere ladders (each also relabelled), string and mixed ids, curves
-    on a shared component pair, chains and two Kummer documents."""
+    """Sphere ladders (each also relabelled), string and mixed ids, an
+    id-ordered sphere renamed to descending, shuffled and unpadded string
+    ids, curves on a shared component pair, chains and two Kummer
+    documents."""
     import warnings
 
     from k3motive.builders import (KummerParams, build_kummer,
@@ -733,6 +786,13 @@ def polytope_corpus():
     corpus["string ids"] = renamed(octa, lambda x: "s%d" % x)
     corpus["mixed ids"] = renamed(octa, lambda x: "m%d" % x if x % 3 else x)
     corpus["random mixed ids"] = relabelled(octa, rng)
+    octa = corpus["octahedron^1"]  # every item stored in id order
+    n = 1 + max(x.id for x in octa.components + octa.double_curves
+                + octa.triple_points)
+    perm = rng.sample(range(n), n)
+    corpus["descending ids"] = renamed(octa, lambda x: n - x)
+    corpus["shuffled ids"] = renamed(octa, perm.__getitem__)
+    corpus["unpadded string ids"] = renamed(octa, lambda x: "s%d" % x)
     comps = [Component(i, Rational(0)) for i in range(3)]
     curves = [DoubleCurve("ab", (1, 0), 0), DoubleCurve(0, (2, 0), 0),
               DoubleCurve("bc", (2, 1), 0), DoubleCurve(1, (0, 1), 0)]
@@ -753,7 +813,7 @@ def polytope_corpus():
 class TestPolytopeReference:
     def test_faces_equal_reference(self):
         corpus = polytope_corpus()
-        assert len(corpus) == 28
+        assert len(corpus) == 31
         for name, f in corpus.items():
             assert validate(f) == [], name
             cl = clemens_polytope(f)
@@ -1099,3 +1159,28 @@ class TestFlatValidation:
             ref = polytope_reference(g)
             cl = clemens_polytope(g)
             assert cl.counts == ref.counts and cl._faces == ref._faces, name
+
+
+# -- components that share one kind --------------------------------------
+
+class TestSharedOtherKinds:
+    def test_one_violation_per_component_in_order(self):
+        klass = MotiveClass.one() + L(1, 2) + L(2)
+        bad = Other(klass, betti=(1, 0, 5))
+        copy = Other(MotiveClass.one() + L(1, 2) + L(2), betti=(1, 0, 5))
+        other = Other(MotiveClass.one() + L(1, 3) + L(2), betti=(1, 0, 3))
+        f = DegenerationFiber.of("x", [
+            Component("p", bad), Component(0, Rational(0)),
+            Component("q", bad), Component(1, copy), Component(2, other),
+            Component(3, Other(klass))])
+        assert validate(f) == [
+            "component 'p' Betti data disagrees with its class",
+            "component 'q' Betti data disagrees with its class",
+            "component 1 Betti data disagrees with its class"]
+        assert validate(f) == scan_validate(fresh(f))
+
+    def test_shared_kind_without_realization(self):
+        kind = Other(OPAQUE, betti=(1, 0, 5))
+        f = DegenerationFiber.of("x", [Component(0, kind),
+                                       Component(1, kind)])
+        assert validate(f) == []
