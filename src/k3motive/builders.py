@@ -36,7 +36,6 @@ from .fibers import (
     TriplePoint,
     WeakNeronData,
 )
-from .integrals import _warn_if_virtual
 from .intlinalg import _int_rows
 from .motives import MotiveClass
 
@@ -183,8 +182,6 @@ def refine_sphere(tri: DeltaSet, steps: int, style: str = "barycentric"
     """Iterated refinement that stays a 2-sphere.
 
     ``style`` is "barycentric" (faces x6) or "edge_split" (faces x4).
-    Beyond 20 faces the result exceeds the geometric K3 bound and is only
-    good for complex-level property tests, not for fiber building.
     """
     if recognize(tri) != Shape.SPHERE2:
         raise ValueError("input is not a 2-sphere")
@@ -212,6 +209,8 @@ class KummerParams:
     m2: int
 
     def __post_init__(self):
+        if type(self.m1) is not int or type(self.m2) is not int:
+            _int_rows([(self.m1, self.m2)], "valuation")  # raises
         if self.m1 < 2 or self.m2 < 2:
             raise ValueError("valuations must be >= 2")
         if self.m1 % 2 or self.m2 % 2:
@@ -296,9 +295,7 @@ def kummer_r2_abelian(p: KummerParams) -> tuple[int, int]:
     it for the Kummer surface.
     """
     r2_a = 2 * p.m1 * p.m2
-    r2_x = r2_a // 2
-    _warn_if_virtual(r2_x)  # at ramification e = 1
-    return r2_a, r2_x
+    return r2_a, r2_a // 2
 
 
 def build_kummer(p: KummerParams) -> KummerReport:

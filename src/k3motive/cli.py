@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from pathlib import Path
 
 from .builders import (
@@ -39,9 +38,8 @@ from .fibers import (
     validate,
 )
 from .integrals import (
-    GeometricRealizabilityWarning,
     RamifiedParams,
-    _closed_form,
+    closed_form_integral,
     integral_from_neron,
     verify_fiber,
 )
@@ -144,9 +142,7 @@ def _cmd_build(args) -> int:
     else:  # kummer
         if args.m1 is None or args.m2 is None:
             raise InputError("build kummer requires --m1 and --m2")
-        with warnings.catch_warnings():  # program boundary; r2 is written out
-            warnings.simplefilter("ignore", GeometricRealizabilityWarning)
-            report = build_kummer(KummerParams(args.m1, args.m2))
+        report = build_kummer(KummerParams(args.m1, args.m2))
         fiber, neron = report.fiber, report.neron_data()
         params = RamifiedParams(e=1, s=3, r=report.r2_kummer)
         doc["kummer"] = {
@@ -165,7 +161,7 @@ def _cmd_build(args) -> int:
         "fiber": fiber_to_json(fiber),
         "expectations": {
             "family": args.family, "s": params.s, "r": params.r,
-            "closed_form": motive_to_json(_closed_form(params))},
+            "closed_form": motive_to_json(closed_form_integral(params))},
         "neron": neron_to_json(neron),
     })
     _write_json(args.out, doc)
@@ -288,7 +284,7 @@ def _verify_one(path: str, e: int):
             raise InputError("type 2 closed form at e = %d: the first double "
                              "curve names no elliptic curve" % e)
         atom = EllipticCurveAtom(curve) if s == 2 else None
-        report["closed_form_at_e"] = motive_to_json(_closed_form(
+        report["closed_form_at_e"] = motive_to_json(closed_form_integral(
             RamifiedParams(e=e, s=s, r=r, elliptic_atom=atom)))
 
     return (report, 0 if ok else 1)

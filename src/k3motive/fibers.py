@@ -191,12 +191,9 @@ _FIRST, _SECOND, _THIRD = itemgetter(0), itemgetter(1), itemgetter(2)
 _HIGH_LOW = itemgetter(1, 0)
 
 
-def _id_key(x):
-    return (isinstance(x, str), x)
-
-
 def _by_id(items) -> list:
-    """``items`` in the id order of ``_id_key``, by a C-level key."""
+    """``items`` in id order: non-string ids ascending, then string ids
+    ascending, by a C-level key."""
     kinds = set(map(type, map(_ID, items)))
     if len(kinds) > 1 and any(issubclass(k, str) for k in kinds):
         rest = [x for x in items if not isinstance(x.id, str)]
@@ -358,47 +355,29 @@ def _require_valid(f: DegenerationFiber) -> None:
 # the dual complex and strata classes
 # ---------------------------------------------------------------------------
 
-def _positions(items, order) -> list[int] | None:
-    """The position in ``order`` of each of ``items``, the same objects, or
-    None where the two orders agree."""
-    if list(items) == list(order):
-        return None
-    at = dict(zip(map(id, order), count()))
-    return list(map(at.__getitem__, map(id, items)))
-
-
 def clemens_polytope(f: DegenerationFiber) -> DeltaSet:
     """Dual Delta-set: vertices are components, edges double curves,
     triangles triple points, ordered by the fixed total order on ids.
 
-    Read off the memo's ``ends`` and ``sides``, renumbered to the id
-    order: an edge's faces are its high and its low end, and the faces of a
-    triangle on vertices a < b < c, where face j misses the j-th least
-    vertex, are its curves bc, ac, ab."""
+    A fiber not stored in id order gets the polytope of its id-ordered
+    copy.  Otherwise it is read off the memo's ``ends`` and ``sides``: an
+    edge's faces are its high and its low end, and the faces of a triangle
+    on vertices a < b < c, where face j misses the j-th least vertex, are
+    its curves bc, ac, ab."""
     if "polytope" in f._memo:
         return f._memo["polytope"]
     _require_valid(f)
-    if "ends" not in f._memo:
-        f._memo["ends"], f._memo["sides"] = _incidence(
-            f, dict(zip(map(_ID, f.components), count())))
-    ends, sides = f._memo["ends"], f._memo["sides"]
-    at = _positions(f.components, _by_id(f.components))
-    if at is not None:  # ends in stored positions: renumber, sort again
-        ends = {k: (at[lo], at[hi], i) if at[lo] < at[hi]
-                else (at[hi], at[lo], i) for k, (lo, hi, i) in ends.items()}
-        sides = _sides(f.triple_points, ends)
-    curves = _by_id(f.double_curves)
-    edge = _positions(f.double_curves, curves)
-    if edge is not None:
-        sides = list(map(edge.__getitem__, sides))
-    ab, ac, bc = sides[0::3], sides[1::3], sides[2::3]
-    stored = _positions(_by_id(f.triple_points), f.triple_points)
-    if stored is not None:
-        ab, ac, bc = (list(map(x.__getitem__, stored)) for x in (ab, ac, bc))
-    f._memo["polytope"] = DeltaSet(len(f.components), [
-        list(map(_HIGH_LOW, map(ends.__getitem__, map(_ID, curves)))),
-        list(zip(bc, ac, ab))])
-    return f._memo["polytope"]
+    parts = (f.components, f.double_curves, f.triple_points)
+    ordered = tuple(map(tuple, map(_by_id, parts)))
+    if ordered != parts:
+        polytope = clemens_polytope(DegenerationFiber(f.label, *ordered))
+    else:
+        sides = f._memo["sides"]
+        polytope = DeltaSet(len(f.components), [
+            list(map(_HIGH_LOW, f._memo["ends"].values())),
+            list(zip(sides[2::3], sides[1::3], sides[0::3]))])
+    f._memo["polytope"] = polytope
+    return polytope
 
 
 def strata_classes(f: DegenerationFiber
@@ -465,7 +444,7 @@ def degeneration_type(f: DegenerationFiber) -> int:
             raise NonKulikovError("interval fiber with a genus-0 double curve")
         valence = Counter(cid for d in f.double_curves for cid in d.on)
         atoms = {d.curve for d in f.double_curves}
-        for c in sorted(f.components, key=lambda c: _id_key(c.id)):
+        for c in _by_id(f.components):
             if valence[c.id] == 1 and not isinstance(c.kind, Rational):
                 raise NonKulikovError("chain end %r is not rational" % (c.id,))
             if valence[c.id] == 2:

@@ -14,7 +14,6 @@ the fiber, so each is computed once however many evaluators ask.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from math import isqrt
 
@@ -25,6 +24,7 @@ from .fibers import (
     smooth_locus_class,
     strata_classes,
 )
+from .intlinalg import _int_rows
 from .motives import (
     EllipticCurveAtom,
     EPolynomial,
@@ -36,7 +36,8 @@ from .weightss import _monodromy_composition, monodromy_gram
 
 
 class GeometricRealizabilityWarning(UserWarning):
-    """The closed form is evaluable but no geometric fiber realizes it."""
+    """Never raised: no bound on e^2 r2 holds (the Kummer model has r2 =
+    4096 at 64 x 64); kept importable for code that filters it."""
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,7 @@ class RamifiedParams:
     elliptic_atom: EllipticCurveAtom | None = None
 
     def __post_init__(self):
+        _int_rows([(self.e, self.s, self.r)], "closed-form parameter")
         if self.e < 1:
             raise ValueError("ramification index must be positive")
         if self.s not in (2, 3):
@@ -64,31 +66,13 @@ class RamifiedParams:
             raise ValueError("type 3 requires e^2 r2 even")
 
 
-def _warn_if_virtual(e2r2: int) -> None:
-    """The realizability rule, for the caller of a public function."""
-    if e2r2 > 20:  # the icosahedron saturates the bound
-        warnings.warn("e^2 r2 = %d exceeds 20: the class is virtual, no "
-                      "geometric fiber realizes it" % e2r2,
-                      GeometricRealizabilityWarning, stacklevel=3)
-
-
 def closed_form_integral(p: RamifiedParams) -> MotiveClass:
     """The closed-form integral for a degenerate K3 after a degree-e
     extension.
 
     Type 2:  2 - (e sqrt(r1) + 1)[E] + 20 L + (e sqrt(r1) - 1)[E](-1) + 2 L^2.
     Type 3:  (e^2 r2 / 2 + 2)(1 + L^2) + (20 - e^2 r2) L.
-
-    Values with e^2 r2 > 20 remain evaluable as virtual classes but cannot
-    come from a geometric fiber, so they only raise a warning.
     """
-    if p.s == 3:
-        _warn_if_virtual(p.e * p.e * p.r)
-    return _closed_form(p)
-
-
-def _closed_form(p: RamifiedParams) -> MotiveClass:
-    """``closed_form_integral`` without the realizability warning."""
     if p.s == 2:
         k, e = p.e * isqrt(p.r), p.elliptic_atom
         return MotiveClass({(POINT, 0): 2, (e, 0): -(k + 1), (POINT, 1): 20,
@@ -101,8 +85,8 @@ def _closed_form(p: RamifiedParams) -> MotiveClass:
 def maximally_degenerate_closed_form(e: int, r2: int) -> MotiveClass:
     """The conjectural formula for maximally degenerate K3 surfaces over an
     arbitrary complete discrete valuation field; shape-identical to the
-    type 3 closed form, whose checks and unwarned evaluator it shares."""
-    return _closed_form(RamifiedParams(e=e, s=3, r=r2))
+    type 3 closed form, whose checks and evaluator it shares."""
+    return closed_form_integral(RamifiedParams(e=e, s=3, r=r2))
 
 
 def integral_from_neron(data: WeakNeronData) -> MotiveClass:
@@ -193,7 +177,7 @@ def scaling_check(p: RamifiedParams, e_further: int) -> bool:
                             elliptic_atom=p.elliptic_atom)
     total = RamifiedParams(e=p.e * e_further, s=p.s, r=p.r,
                            elliptic_atom=p.elliptic_atom)
-    return _closed_form(total) == _closed_form(scaled)
+    return closed_form_integral(total) == closed_form_integral(scaled)
 
 
 @dataclass(frozen=True)
@@ -220,7 +204,7 @@ def verify_fiber(f: DegenerationFiber) -> IntegralReport:
     """
     params = fiber_params(f)
     integral = smooth_locus_class(f)
-    closed = None if params is None else _closed_form(params)
+    closed = None if params is None else closed_form_integral(params)
     e_poly, e_lim = integral.e_polynomial(), lim_class(f).e_polynomial()
     reduced = e_poly.serre()
     # serre_ok compares the reduction with the limit class's and, unless the

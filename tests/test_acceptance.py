@@ -5,7 +5,6 @@ Every expected value is exact; the timing bounds are the stated ones.
 
 import random
 import time
-import warnings
 
 from k3motive.builders import (
     KummerParams,
@@ -36,7 +35,6 @@ from k3motive.fibers import (
     smooth_locus_class,
 )
 from k3motive.integrals import (
-    GeometricRealizabilityWarning,
     RamifiedParams,
     acampo_chi,
     integral_from_neron,
@@ -124,18 +122,16 @@ def test_criterion_3_chi_and_serre():
         rep = build_kummer(KummerParams(m1, m2))
         assert rep.integral.euler_characteristic() == 24
         assert rep.integral.serre_reduce() == UnivariateLaurent.constant(24)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GeometricRealizabilityWarning)
-        for e in range(1, 6):
-            for r in range(1, 21):
-                if (e * e * r) % 2 == 0:
-                    cls = closed_form_integral(RamifiedParams(e=e, s=3, r=r))
-                    assert cls.euler_characteristic() == 24
-                root = int(r ** 0.5)
-                if root * root == r:
-                    cls = closed_form_integral(
-                        RamifiedParams(e=e, s=2, r=r, elliptic_atom=E_ATOM))
-                    assert cls.euler_characteristic() == 24
+    for e in range(1, 6):
+        for r in range(1, 21):
+            if (e * e * r) % 2 == 0:
+                cls = closed_form_integral(RamifiedParams(e=e, s=3, r=r))
+                assert cls.euler_characteristic() == 24
+            root = int(r ** 0.5)
+            if root * root == r:
+                cls = closed_form_integral(
+                    RamifiedParams(e=e, s=2, r=r, elliptic_atom=E_ATOM))
+                assert cls.euler_characteristic() == 24
     announce(3, "chi = 24 and the Serre identity hold for every builder "
                 "output and closed form", t0)
 
@@ -178,25 +174,23 @@ def test_criterion_4_cycle_coefficients():
 
 def test_criterion_5_kummer_suite():
     t0 = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GeometricRealizabilityWarning)
-        for m1 in (2, 4, 6):
-            for m2 in (2, 4, 6):
-                p = KummerParams(m1, m2)
-                rep = build_kummer(p)
-                c = m1 * m2
-                assert recognize(rep.nerve) == Shape.SPHERE2
-                assert euler_characteristic(rep.nerve) == 2
-                assert rep.component_census.total == c // 2 + 2
-                assert rep.component_census.special == 4
-                want = ((c // 2 + 2) * (MotiveClass.one() + L(2))
-                        + L(1, 20 - c))
-                assert rep.integral == want
-                assert kummer_r2_abelian(p) == (2 * c, c)
-                assert rep.r2_abelian == 2 * c
-                assert rep.r2_kummer == c
-                gen = top_cycle_generator(rep.nerve, 2)
-                assert cycle_pairing(gen, gen) == c
+    for m1 in (2, 4, 6):
+        for m2 in (2, 4, 6):
+            p = KummerParams(m1, m2)
+            rep = build_kummer(p)
+            c = m1 * m2
+            assert recognize(rep.nerve) == Shape.SPHERE2
+            assert euler_characteristic(rep.nerve) == 2
+            assert rep.component_census.total == c // 2 + 2
+            assert rep.component_census.special == 4
+            want = ((c // 2 + 2) * (MotiveClass.one() + L(2))
+                    + L(1, 20 - c))
+            assert rep.integral == want
+            assert kummer_r2_abelian(p) == (2 * c, c)
+            assert rep.r2_abelian == 2 * c
+            assert rep.r2_kummer == c
+            gen = top_cycle_generator(rep.nerve, 2)
+            assert cycle_pairing(gen, gen) == c
     announce(5, "Kummer census, integral, lattice r2 and grid pairing agree "
                 "for (m1, m2) in {2,4,6}^2", t0, 5.0)
 

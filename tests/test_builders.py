@@ -33,7 +33,6 @@ from k3motive.deltaset import (
 )
 from k3motive.fibers import NonKulikovError, degeneration_type, validate
 from k3motive.integrals import (
-    GeometricRealizabilityWarning,
     RamifiedParams,
     acampo_chi,
     integral_from_neron,
@@ -316,12 +315,10 @@ class TestGridReference:
                     build(m1, m2)
 
     def test_nerve_digests(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", GeometricRealizabilityWarning)
-            for (m1, m2), digest in NERVE_DIGESTS.items():
-                nerve = build_kummer(KummerParams(m1, m2)).nerve
-                got = hashlib.sha256(repr(nerve._faces).encode()).hexdigest()
-                assert got == digest
+        for (m1, m2), digest in NERVE_DIGESTS.items():
+            nerve = build_kummer(KummerParams(m1, m2)).nerve
+            got = hashlib.sha256(repr(nerve._faces).encode()).hexdigest()
+            assert got == digest
 
 
 class TestKummer:
@@ -353,9 +350,19 @@ class TestKummer:
         assert kummer_r2_abelian(KummerParams(2, 2)) == (8, 4)
         assert kummer_r2_abelian(KummerParams(2, 4)) == (16, 8)
 
-    def test_r2_above_20_warns(self):
-        with pytest.warns(GeometricRealizabilityWarning):
+    def test_r2_above_20_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert kummer_r2_abelian(KummerParams(6, 6)) == (72, 36)
+
+    @pytest.mark.parametrize("m1, m2", [(2.0, 4), (4, 2.0), (True, 4),
+                                        (4, "6")],
+                             ids=["float m1", "float m2", "bool m1", "str m2"])
+    def test_inexact_valuations_rejected(self, m1, m2):
+        bad = m1 if type(m1) is not int else m2
+        with pytest.raises(ValueError,
+                           match="valuation %r is not an integer" % bad):
+            KummerParams(m1, m2)
 
     def test_chi_24(self):
         for m1, m2 in ((2, 2), (4, 2), (4, 4)):
@@ -377,8 +384,7 @@ class TestKummer:
         old = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
-            with pytest.warns(GeometricRealizabilityWarning):
-                rep = build_kummer(KummerParams(32, 32))
+            rep = build_kummer(KummerParams(32, 32))
         finally:
             sys.setrecursionlimit(old)
         assert recognize(rep.nerve) == Shape.SPHERE2
@@ -387,8 +393,7 @@ class TestKummer:
 
     def test_40x40(self):
         # the checks of the benchmark's kummer-nerve workload
-        with pytest.warns(GeometricRealizabilityWarning):
-            rep = build_kummer(KummerParams(40, 40))
+        rep = build_kummer(KummerParams(40, 40))
         assert rep.nerve.n(0) - rep.nerve.n(1) + rep.nerve.n(2) == 2
         assert rep.nerve.n(2) == 1600
         assert rep.component_census.total == 1600 // 2 + 2

@@ -46,8 +46,8 @@ def test_cli_loads_no_rational_arithmetic():
 
 def test_cli_raises_no_warning(tmp_path):
     # r2 = 64 for the Kummer 8 x 8 document and e^2 r2 = 80 for the
-    # icosahedron at e = 2: virtual classes, which the CLI writes without a
-    # warning even when every warning is an error
+    # icosahedron at e = 2: no bound on e^2 r2 holds, so nothing warns even
+    # when every warning is an error
     src = str(Path(__import__("k3motive").__file__).parents[1])
     kummer, ico = tmp_path / "k.json", tmp_path / "i.json"
     for argv in (["build", "kummer", "--m1", "8", "--m2", "8", "-o", kummer],

@@ -2,7 +2,6 @@ import functools
 import hashlib
 import random
 import sys
-import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -347,8 +346,6 @@ class TestCohomology:
         assert cohomology(ds, 1) == (0, ())
         assert cohomology(ds, 2) == (0, (2,))
 
-    @pytest.mark.filterwarnings(
-        "ignore::k3motive.integrals.GeometricRealizabilityWarning")
     def test_matches_transposed_boundaries(self):
         from k3motive.builders import KummerParams, build_kummer, icosahedron
         from k3motive.intlinalg import invariant_factors, rank
@@ -388,8 +385,6 @@ class TestSparseBoundaries:
                 data[f][s] += (-1) ** j
         return IntMatrix(data, cols=ds.n(q))
 
-    @pytest.mark.filterwarnings(
-        "ignore::k3motive.integrals.GeometricRealizabilityWarning")
     def test_cached_reduction_matches_dense_route(self):
         from k3motive.deltaset import _boundary_reduction
         from k3motive.intlinalg import kernel_basis, rank_and_invariants
@@ -476,8 +471,6 @@ class TestTopCycle:
                 g = gcd(g, c)
             assert g == 1
 
-    @pytest.mark.filterwarnings(
-        "ignore::k3motive.integrals.GeometricRealizabilityWarning")
     def test_below_top_degree_values(self):
         # the boundary-quotient path (d < dim), pinned to exact outputs:
         # the free generator of H_1 of circle + RP^2 is the circle, and H_0
@@ -914,10 +907,8 @@ class TestOrientationReference:
         from k3motive.deltaset import _orientation
 
         complexes = recognition_corpus() + list(side_count_cases().values())
-        with warnings.catch_warnings():  # the e^2 r2 > 20 realizability
-            warnings.simplefilter("ignore")
-            for m1, m2 in ((2, 2), (4, 6)):
-                complexes.append(build_kummer(KummerParams(m1, m2)).nerve)
+        for m1, m2 in ((2, 2), (4, 6)):
+            complexes.append(build_kummer(KummerParams(m1, m2)).nerve)
         found = {"signs": 0, "none": 0}
         for ds in complexes:
             if ds.dim == 2:

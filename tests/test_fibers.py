@@ -516,8 +516,6 @@ def strata_extras():
     """Relabelled sphere ladders with seeded profiles, so many distinct a;
     genus-0 curves beside genus-1 curves over two names; Kummer 2x2; a
     sphere whose components are stored out of id order."""
-    import warnings
-
     from k3motive.builders import (KummerParams, build_kummer, build_type3,
                                    icosahedron, octahedron)
     from k3motive.deltaset import refine_barycentric, refine_edge_split
@@ -543,9 +541,7 @@ def strata_extras():
               DoubleCurve("e2", (3, 1), 1, "E")]
     out.append(DegenerationFiber.of(
         "both genera", comps, curves, [TriplePoint("t", ("e", "g", "e2"))]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        out.append(build_kummer(KummerParams(2, 2)).fiber)
+    out.append(build_kummer(KummerParams(2, 2)).fiber)
     octa = out[2]
     out.append(DegenerationFiber.of(
         "reversed", octa.components[::-1], octa.double_curves,
@@ -719,11 +715,16 @@ class TestEulerCount:
 
 # -- the Clemens polytope against its frozenset-keyed reference -------------
 
+def _id_key(x):
+    """The total order on ids, written out apart from the library: every
+    non-string id before every string id."""
+    return (isinstance(x, str), x)
+
+
 def polytope_reference(f):
     """The Clemens polytope of a valid fiber as built with a frozenset of
     vertex indices per curve of each triple point, kept verbatim."""
     from k3motive.deltaset import DeltaSet
-    from k3motive.fibers import _id_key
 
     comp_order = sorted((c.id for c in f.components), key=_id_key)
     vidx = {cid: i for i, cid in enumerate(comp_order)}
@@ -763,8 +764,6 @@ def polytope_corpus():
     id-ordered sphere renamed to descending, shuffled and unpadded string
     ids, curves on a shared component pair, chains and two Kummer
     documents."""
-    import warnings
-
     from k3motive.builders import (KummerParams, build_kummer,
                                    build_type2_chain, build_type3,
                                    icosahedron, octahedron)
@@ -801,12 +800,10 @@ def polytope_corpus():
                                   TriplePoint(5, (0, 1, "bc"))])
     for m in range(1, 7):
         corpus["chain %d" % m] = build_type2_chain(m)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for m1, m2 in ((4, 6), (18, 18)):
-            fiber = build_kummer(KummerParams(m1, m2)).fiber
-            corpus["kummer %dx%d" % (m1, m2)] = fiber_from_json(
-                fiber_to_json(fiber))
+    for m1, m2 in ((4, 6), (18, 18)):
+        fiber = build_kummer(KummerParams(m1, m2)).fiber
+        corpus["kummer %dx%d" % (m1, m2)] = fiber_from_json(
+            fiber_to_json(fiber))
     return corpus
 
 
@@ -875,7 +872,7 @@ class TestExactFibers:
 
 class TestIdOrder:
     def test_by_id_is_the_id_key_order(self):
-        from k3motive.fibers import _by_id, _id_key
+        from k3motive.fibers import _by_id
 
         rng = random.Random(1905)
         pools = [lambda: rng.randrange(50), lambda: "s%d" % rng.randrange(50),
@@ -887,21 +884,6 @@ class TestIdOrder:
             rng.shuffle(ids)
             items = [TriplePoint(i, ()) for i in ids]
             assert _by_id(items) == sorted(items, key=lambda t: _id_key(t.id))
-
-    def test_polytope_calls_no_id_key(self, monkeypatch):
-        from k3motive import fibers
-
-        corpus = polytope_corpus()
-        refs = {name: polytope_reference(f) for name, f in corpus.items()}
-        calls = []
-        key = fibers._id_key
-        monkeypatch.setattr(fibers, "_id_key",
-                            lambda x: calls.append(x) or key(x))
-        for name, f in corpus.items():
-            cl = clemens_polytope(f)
-            assert cl.counts == refs[name].counts, name
-            assert cl._faces == refs[name]._faces, name
-        assert calls == []
 
 
 # -- the flat validation pass against the item-by-item scan ------------------
@@ -986,8 +968,6 @@ def scan_validate(f):
 def flat_pass_bases():
     """Valid fibers with int, string and mixed ids, stored in and out of
     id order, by name; each test gets fresh copies."""
-    import warnings
-
     from k3motive.builders import (KummerParams, build_kummer,
                                    build_type2_chain, build_type3,
                                    octahedron)
@@ -1007,9 +987,7 @@ def flat_pass_bases():
     bases["tetra"] = tetra_fiber()
     bases["chain 1"] = build_type2_chain(1)
     bases["chain 4"] = build_type2_chain(4)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        bases["kummer 2x2"] = build_kummer(KummerParams(2, 2)).fiber
+    bases["kummer 2x2"] = build_kummer(KummerParams(2, 2)).fiber
     return bases
 
 
@@ -1150,15 +1128,6 @@ class TestFlatValidation:
 
         probe()
         assert seen == set(CORRUPTIONS)
-
-    def test_polytope_without_ends_in_the_memo(self):
-        for name, f in flat_pass_bases().items():
-            g = fresh(f)
-            assert validate(g) == []
-            del g._memo["ends"], g._memo["sides"]
-            ref = polytope_reference(g)
-            cl = clemens_polytope(g)
-            assert cl.counts == ref.counts and cl._faces == ref._faces, name
 
 
 # -- components that share one kind --------------------------------------

@@ -14,7 +14,6 @@ from k3motive.fibers import (
     smooth_locus_class,
 )
 from k3motive.integrals import (
-    GeometricRealizabilityWarning,
     RamifiedParams,
     acampo_chi,
     fiber_params,
@@ -67,37 +66,48 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             RamifiedParams(e=1, s=3, r=5)
 
-    def test_realizability_warning(self):
-        with pytest.warns(GeometricRealizabilityWarning):
-            closed_form_integral(RamifiedParams(e=1, s=3, r=24))
+    def test_no_bound_on_e2r2(self):
+        # the Kummer model of the proven case has r2 = m1 m2 for every even
+        # grid, so no bound on e^2 r2 holds and nothing warns past 20
+        from k3motive.builders import (KummerParams, build_kummer,
+                                       kummer_r2_abelian)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            closed_form_integral(RamifiedParams(e=1, s=3, r=20))
+            cf = closed_form_integral(RamifiedParams(e=4, s=3, r=32))
+            r2 = kummer_r2_abelian(KummerParams(8, 8))
+            rep = build_kummer(KummerParams(8, 8))
+        assert cf == L(1, 20 - 512) + 258 * (L(0) + L(2))
+        assert r2 == (128, 64) and rep.r2_kummer == 64
+        assert rep.integral == maximally_degenerate_closed_form(1, 64)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(e=True, s=3, r=8), dict(e=2.0, s=3, r=8), dict(e=1, s=3, r=8.0),
+        dict(e=1, s=3.0, r=8), dict(e=1, s=2, r=4.0, elliptic_atom=E_ATOM)],
+        ids=["bool e", "float e", "float r", "float s", "float r1"])
+    def test_inexact_params_rejected(self, kwargs):
+        bad = next(v for v in kwargs.values() if type(v) in (bool, float))
+        with pytest.raises(ValueError, match="closed-form parameter %r is "
+                           "not an integer" % bad):
+            RamifiedParams(**kwargs)
 
     def test_chi_is_24_for_all_params(self):
         for e in range(1, 6):
             for r in range(1, 21):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore",
-                                          GeometricRealizabilityWarning)
-                    if (e * e * r) % 2 == 0:
-                        p3 = RamifiedParams(e=e, s=3, r=r)
-                        assert closed_form_integral(p3) \
-                            .euler_characteristic() == 24
-                    root = int(r ** 0.5)
-                    if root * root == r:
-                        p2 = RamifiedParams(e=e, s=2, r=r,
-                                            elliptic_atom=E_ATOM)
-                        assert closed_form_integral(p2) \
-                            .euler_characteristic() == 24
+                if (e * e * r) % 2 == 0:
+                    p3 = RamifiedParams(e=e, s=3, r=r)
+                    assert closed_form_integral(p3) \
+                        .euler_characteristic() == 24
+                root = int(r ** 0.5)
+                if root * root == r:
+                    p2 = RamifiedParams(e=e, s=2, r=r, elliptic_atom=E_ATOM)
+                    assert closed_form_integral(p2) \
+                        .euler_characteristic() == 24
 
     def test_conjecture_pins_type3(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", GeometricRealizabilityWarning)
-            for e in range(1, 5):
-                for r2 in range(2, 25, 2):
-                    assert maximally_degenerate_closed_form(e, r2) == \
-                        closed_form_integral(RamifiedParams(e=e, s=3, r=r2))
+        for e in range(1, 5):
+            for r2 in range(2, 25, 2):
+                assert maximally_degenerate_closed_form(e, r2) == \
+                    closed_form_integral(RamifiedParams(e=e, s=3, r=r2))
 
 
 class TestNeronEvaluator:
@@ -252,8 +262,7 @@ class TestVerifyFiber:
         assert rep.match is True
 
     def test_internal_paths_leave_the_filters_alone(self, monkeypatch):
-        # the closed forms are evaluated at e^2 r2 = 512, 36 and 432: only
-        # closed_form_integral, kummer_r2_abelian and build_kummer warn, and
+        # the closed forms are evaluated at e^2 r2 = 512, 36 and 432, and
         # no library path swaps the process-wide filters to hide a warning
         from k3motive.builders import build_type3, octahedron, refine_sphere
         fiber = build_type3(refine_sphere(octahedron(), 3, "edge_split"))
@@ -270,20 +279,6 @@ class TestVerifyFiber:
         assert rep.match and rep.r == 512
         assert rep.closed_form == L(1, 20 - 512) + 258 * (L(0) + L(2))
         assert md == L(1, 20 - 36) + 20 * (L(0) + L(2))
-
-    def test_public_warnings_point_at_the_caller(self):
-        from k3motive.builders import (KummerParams, build_kummer,
-                                       kummer_r2_abelian)
-        for call in (lambda: closed_form_integral(RamifiedParams(e=3, s=3,
-                                                                 r=4)),
-                     lambda: kummer_r2_abelian(KummerParams(8, 8))):
-            with pytest.warns(GeometricRealizabilityWarning) as rec:
-                call()
-            assert [w.filename for w in rec] == [__file__]
-        # build_kummer warns through kummer_r2_abelian, from builders
-        with pytest.warns(GeometricRealizabilityWarning) as rec:
-            build_kummer(KummerParams(8, 8))
-        assert [w.filename.endswith("builders.py") for w in rec] == [True]
 
     def test_2048_faces(self):
         from k3motive.builders import build_type3, octahedron, refine_sphere
@@ -477,8 +472,7 @@ class TestOncePerFiber:
         counts = {}
         count_calls(monkeypatch, counts, "_sparse_reduce",
                     intlinalg._sparse_reduce)
-        with pytest.warns(GeometricRealizabilityWarning):
-            rep = build_kummer(KummerParams(30, 30))
+        rep = build_kummer(KummerParams(30, 30))
         assert rep.nerve.counts == (452, 1350, 900)
         assert counts == {"_sparse_reduce": 0}
 
@@ -529,21 +523,19 @@ class TestClassSums:
                                     + y2 * (one + L(1) + L(2)))
 
     def test_closed_forms(self):
-        from k3motive.integrals import _closed_form
-
         one = MotiveClass.one()
         for e in range(1, 4):
             for m in range(1, 8):
                 k = e * m
                 chain = (2 * one - (k + 1) * E + 20 * L(1)
                          + (k - 1) * E * L(1) + 2 * L(2))
-                assert _closed_form(RamifiedParams(
+                assert closed_form_integral(RamifiedParams(
                     e=e, s=2, r=m * m, elliptic_atom=E_ATOM)) == chain
             for r in range(2, 40, 2):
                 e2r = e * e * r
                 chain = ((e2r // 2 + 2) * (one + L(2))
                          + (20 - e2r) * L(1))
-                assert _closed_form(RamifiedParams(e=e, s=3, r=r)) == chain
+                assert closed_form_integral(RamifiedParams(e=e, s=3, r=r)) == chain
 
     def test_integral_from_neron(self):
         from k3motive.fibers import open_component_classes
