@@ -90,8 +90,6 @@ def matrix_from_json(doc: dict) -> IntMatrix:
     key."""
     _keys(doc, ("rows", "cols", "entries"))
     rows, cols = _int(doc["rows"], "rows"), _int(doc["cols"], "cols")
-    if rows < 0 or cols < 0:
-        raise ValueError("shape %d x %d is negative" % (rows, cols))
     return IntMatrix.from_flat(rows, cols, [
         _decimal(x, "entry") for x in _array(doc["entries"], "entries")])
 

@@ -316,6 +316,23 @@ class TestIntMatrix:
             build()
         assert str(exc.value) == "matrix entry %s is not an integer" % bad
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: IntMatrix([], cols=-3), "shape 0 x -3 is negative"),
+        (lambda: IntMatrix.identity(-2), "shape -2 x -2 is negative"),
+        (lambda: IntMatrix.from_flat(-1, -1, [1]),
+         "shape -1 x -1 is negative"),
+        (lambda: IntMatrix.zeros(-1, 2), "shape -1 x 2 is negative"),
+        (lambda: IntMatrix.diagonal([1, 2, 3], rows=2),
+         "3 diagonal entries do not fit a 2 x 3 matrix"),
+        (lambda: IntMatrix.diagonal([1], rows=-1),
+         "shape -1 x 1 is negative"),
+    ], ids=["empty-body", "identity", "from-flat", "zeros", "diagonal-long",
+            "diagonal-negative"])
+    def test_bad_shape_refused(self, build, message):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
 
 # -- independent oracle: sympy's invariant factors ---------------------------
 
@@ -508,10 +525,10 @@ class TestPivotOrder:
 
 
 def snf_reference(a):
-    """Reference for the dense Smith form's operations: the same pivot rule,
-    sweeps and divisibility fix, but every operation updates whole rows and
-    columns of S, U and V.  Returns U, S, V as lists of rows and the
-    diagonal."""
+    """Reference for the dense Smith form's operations: the same stage
+    pivot, column-then-row Euclid and divisibility fix, but every operation
+    updates whole rows and columns of S, U and V.  Returns U, S, V as lists
+    of rows and the diagonal."""
     m, n = a.rows, a.cols
     s = [list(r) for r in a.iter_rows()]
     u = [[int(i == j) for j in range(m)] for i in range(m)]
@@ -552,6 +569,15 @@ def snf_reference(a):
         for row in v:
             row[dst] += q * row[src]
 
+    def least(entries):
+        # position of the least nonzero |x| among (position, x), first on
+        # a tie, or None
+        best = None
+        for p, x in entries:
+            if x and (best is None or abs(x) < best[1]):
+                best = (p, abs(x))
+        return best and best[0]
+
     t = 0
     limit = min(m, n)
     while t < limit:
@@ -572,36 +598,29 @@ def snf_reference(a):
                 s[t] = [-x for x in s[t]]
                 u[t] = [-x for x in u[t]]
             piv = s[t][t]
-            dirty = False
             for r in range(t + 1, m):
-                if s[r][t]:
-                    q = balanced_div(s[r][t], piv)
-                    if q:
-                        add_row(r, t, -q)
-                    if s[r][t]:
-                        dirty = True
+                q = balanced_div(s[r][t], piv)
+                if q:
+                    add_row(r, t, -q)
+            pos = least(((r, t), s[r][t]) for r in range(t + 1, m))
+            if pos:
+                continue
             for c in range(t + 1, n):
-                if s[t][c]:
-                    q = balanced_div(s[t][c], piv)
-                    if q:
-                        add_col(c, t, -q)
-                    if s[t][c]:
-                        dirty = True
-            if not dirty:
-                d = s[t][t]
-                bad = None
-                for r in range(t + 1, m):
-                    row = s[r]
-                    for c in range(t + 1, n):
-                        if row[c] % d:
-                            bad = r
-                            break
-                    if bad is not None:
-                        break
-                if bad is None:
+                q = balanced_div(s[t][c], piv)
+                if q:
+                    add_col(c, t, -q)
+            pos = least(((t, c), s[t][c]) for c in range(t + 1, n))
+            if pos:
+                continue
+            bad = None
+            for r in range(t + 1, m):
+                if any(s[r][c] % piv for c in range(t + 1, n)):
+                    bad = r
                     break
-                add_row(t, bad, 1)
-            pos = pivot_position(t)
+            if bad is None:
+                break
+            add_row(t, bad, 1)
+            pos = (t, t)
         t += 1
 
     return u, s, v, tuple(s[k][k] for k in range(limit))
@@ -645,3 +664,33 @@ class TestSmithReference:
                      [[10 ** 40, 1], [1, 10 ** 40]],
                      [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]):
             self.check(IntMatrix(data))
+
+
+def transform_bits(dec):
+    """Bit length of the largest |entry| of U and V."""
+    return max(abs(x).bit_length() for t in (dec.U, dec.V) for x in t.flat())
+
+
+def seeded_matrices(seed, count, bound):
+    """``count`` matrices, rows and cols uniform in 1..30, entries uniform in
+    [-bound, bound], drawn as acceptance criterion 7 draws its set."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows, cols = rng.randint(1, 30), rng.randint(1, 30)
+        yield IntMatrix([[rng.randint(-bound, bound) for _ in range(cols)]
+                         for _ in range(rows)])
+
+
+class TestTransformGrowth:
+    """Bounds on the entries of U and V, each 10 % above the largest bit
+    length measured for the column-then-row Euclid (926 and 8445 bits).
+    They only ever tighten."""
+
+    def test_criterion_7_set(self):
+        # the 500 matrices of acceptance criterion 7 (seed 777)
+        decs = map(smith_normal_form, seeded_matrices(777, 500, 9))
+        assert max(map(transform_bits, decs)) <= 1019
+
+    def test_nine_digit_entries(self):
+        decs = map(check_decomposition, seeded_matrices(778, 20, 10 ** 9))
+        assert max(map(transform_bits, decs)) <= 9290
