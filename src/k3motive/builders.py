@@ -14,8 +14,8 @@ evaluators reject it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 
+from ._record import Record
 from .deltaset import (
     DeltaSet,
     Involution,
@@ -199,8 +199,7 @@ def refine_sphere(tri: DeltaSet, steps: int, style: str = "barycentric"
 # Kummer fibers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KummerParams:
+class KummerParams(Record):
     """Diagonal valuations (m1, m2) of the period lattice; both even, so
     that the two-torsion is rational and negation fixes exactly four
     components."""
@@ -217,8 +216,7 @@ class KummerParams:
             raise ValueError("valuations must be even")
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(Record):
     generic: int
     special: int
 
@@ -227,8 +225,7 @@ class Census:
         return self.generic + self.special
 
 
-@dataclass(frozen=True)
-class KummerReport:
+class KummerReport(Record):
     fiber: DegenerationFiber
     nerve: DeltaSet
     component_census: Census

@@ -26,12 +26,12 @@ stop at dimension 2, the largest a Clemens polytope has.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import chain, compress, count, permutations, repeat
 from math import gcd
 from operator import add, eq, floordiv, ge, itemgetter, mul, ne
 from typing import Sequence
 
+from ._record import Record
 from .intlinalg import (IntMatrix, _chain_normalize, _dense, _int_rows,
                         _sparse_reduce)
 # unused here; perfbench/selftest.py reads and patches deltaset.kernel_basis
@@ -176,8 +176,7 @@ class DeltaSet:
         return "DeltaSet(counts=%r)" % (self._counts,)
 
 
-@dataclass(frozen=True)
-class CycleVector:
+class CycleVector(Record):
     """An integer q-cycle: one coefficient per q-simplex."""
 
     dimension: int

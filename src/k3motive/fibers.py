@@ -23,11 +23,11 @@ the multiplicities that the general weak Neron evaluation needs live in
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from operator import attrgetter, eq, getitem, gt, itemgetter
 from typing import Iterable
 
+from ._record import Record
 from .deltaset import DeltaSet, Shape, recognize
 from .intlinalg import _int_rows
 from .motives import (
@@ -56,28 +56,24 @@ class NonKulikovError(ValueError):
 # component kinds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Rational:
+class Rational(Record):
     """Rational surface with class 1 + a*L + L^2."""
 
     a: int
 
 
-@dataclass(frozen=True)
-class RuledElliptic:
+class RuledElliptic(Record):
     """Elliptic-ruled surface with class [E](1 + L) + a*L over a named curve."""
 
     curve: str
     a: int = 0
 
 
-@dataclass(frozen=True)
-class K3Smooth:
+class K3Smooth(Record):
     """A smooth K3 surface (type I special fiber)."""
 
 
-@dataclass(frozen=True)
-class Other:
+class Other(Record):
     """Escape hatch: an explicitly given class, optionally with Betti data."""
 
     klass: MotiveClass
@@ -87,14 +83,12 @@ class Other:
 ComponentKind = Rational | RuledElliptic | K3Smooth | Other
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Record):
     id: object
     kind: ComponentKind
 
 
-@dataclass(frozen=True)
-class DoubleCurve:
+class DoubleCurve(Record):
     id: object
     on: tuple
     genus: int
@@ -104,14 +98,12 @@ class DoubleCurve:
     self_intersections: tuple | None = None
 
 
-@dataclass(frozen=True)
-class TriplePoint:
+class TriplePoint(Record):
     id: object
     on: tuple
 
 
-@dataclass(frozen=True)
-class DegenerationFiber:
+class DegenerationFiber(Record):
     """Logically immutable; the ``_memo`` dict is not a field, so equality,
     hashing, repr and the JSON see only the four fields below."""
 
@@ -130,8 +122,7 @@ class DegenerationFiber:
                    triple_points=tuple(triple_points))
 
 
-@dataclass(frozen=True)
-class WeakNeronData:
+class WeakNeronData(Record):
     """Pairs (component class, multiplicity of the relative form on it)."""
 
     items: tuple

@@ -14,9 +14,9 @@ the fiber, so each is computed once however many evaluators ask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
+from ._record import Record
 from .fibers import (
     DegenerationFiber,
     WeakNeronData,
@@ -40,8 +40,7 @@ class GeometricRealizabilityWarning(UserWarning):
     4096 at 64 x 64); kept importable for code that filters it."""
 
 
-@dataclass(frozen=True)
-class RamifiedParams:
+class RamifiedParams(Record):
     """Input to the closed forms: ramification index, type and discriminant."""
 
     e: int
@@ -180,8 +179,7 @@ def scaling_check(p: RamifiedParams, e_further: int) -> bool:
     return closed_form_integral(total) == closed_form_integral(scaled)
 
 
-@dataclass(frozen=True)
-class IntegralReport:
+class IntegralReport(Record):
     """Everything the verification pipeline derives from one fiber."""
 
     label: str

@@ -31,11 +31,12 @@ a full scan would choose (see ``_sparse_reduce``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush, heappushpop
 from itertools import chain
 from math import gcd
 from typing import Iterator, Sequence
+
+from ._record import Record
 
 
 def _int_rows(rows, what: str) -> tuple[tuple[int, ...], ...]:
@@ -48,6 +49,9 @@ def _int_rows(rows, what: str) -> tuple[tuple[int, ...], ...]:
 
 
 def _check_shape(rows: int, cols: int) -> None:
+    if type(rows) is not int or type(cols) is not int:
+        raise ValueError("shape %r x %r is not a pair of integers"
+                         % (rows, cols))
     if rows < 0 or cols < 0:
         raise ValueError("shape %d x %d is negative" % (rows, cols))
 
@@ -164,8 +168,7 @@ class IntMatrix:
             if self.rows else "IntMatrix([], cols=%d)" % self.cols
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Record):
     """U @ A @ V == S with U, V unimodular and S diagonal.
 
     ``diagonal`` has length min(rows, cols); nonzero entries are positive,
@@ -186,8 +189,7 @@ class SmithDecomposition:
         return tuple(d for d in self.diagonal if d)
 
 
-@dataclass(frozen=True)
-class CokernelStructure:
+class CokernelStructure(Record):
     """coker(A) = Z^free_rank  (+)  Z/t1 (+) ... with t1 | t2 | ..."""
 
     free_rank: int

@@ -29,10 +29,10 @@ types never compare equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping
 
+from ._record import Record
 from .intlinalg import _int_rows
 
 
@@ -208,10 +208,10 @@ _E_POINT = EPolynomial.one()
 _E_CURVE = EPolynomial({(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})
 
 
-@dataclass(frozen=True, eq=False)
 class _PointAtom:
     """The singleton ``POINT``: equal to itself only, and its own copy."""
 
+    __slots__ = ()
     kind_rank = 0
     name = ""
 
@@ -231,8 +231,7 @@ class _PointAtom:
 POINT = _PointAtom()
 
 
-@dataclass(frozen=True)
-class EllipticCurveAtom:
+class EllipticCurveAtom(Record):
     """A named elliptic curve; Hodge diamond 1 / 1 1 / 1."""
 
     name: str
@@ -248,8 +247,7 @@ class EllipticCurveAtom:
         return "[%s]" % self.name
 
 
-@dataclass(frozen=True)
-class OpaqueAtom:
+class OpaqueAtom(Record):
     """A user-declared class with explicitly given realizations."""
 
     name: str

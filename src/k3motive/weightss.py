@@ -12,8 +12,7 @@ stay sparse, in the form the elimination engine reads, from start to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .deltaset import (CycleVector, _boundary_rows, _coboundary_rows,
                        _top_cycles, cycle_pairing)
 from .fibers import DegenerationFiber, clemens_polytope, component_betti
@@ -26,8 +25,7 @@ _DIM = 2
 _H1_RANK = 2
 
 
-@dataclass(frozen=True)
-class SpectralRow:
+class SpectralRow(Record):
     """A bounded complex of free Z-modules with explicit differentials.
 
     ``differentials[i]`` maps the i-th module to the (i+1)-st as the nonzero
@@ -66,8 +64,7 @@ class SpectralRow:
                                      "to zero" % (i, i + 1))
 
 
-@dataclass(frozen=True)
-class E1Summand:
+class E1Summand(Record):
     """One H^degree(Y^(stratum)) contribution, with its Tate twist."""
 
     rank: int
@@ -210,8 +207,7 @@ def e2_report(rows: list[SpectralRow]
     return out
 
 
-@dataclass(frozen=True)
-class MonodromyGram:
+class MonodromyGram(Record):
     """Coefficient pairing on a basis of H_d(Cl(Y)) modulo torsion."""
 
     basis: tuple[CycleVector, ...]

@@ -44,6 +44,21 @@ def test_cli_loads_no_rational_arithmetic():
     assert out == "[]\n"
 
 
+@pytest.mark.parametrize("module", ["dataclasses", "inspect"])
+def test_cli_loads_no_introspection(module):
+    # records are plain tuples: starting the CLI compiles no dataclass and
+    # imports none of inspect's dependencies (ast, dis, tokenize)
+    src = str(Path(__import__("k3motive").__file__).parents[1])
+    code = ("import sys; bare = %r in sys.modules; import k3motive.cli; "
+            "print(bare, %r in sys.modules)" % (module, module))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    if out.startswith("True"):
+        pytest.skip("the bare interpreter already loads %s" % module)
+    assert out == "False False\n"
+
+
 def test_cli_raises_no_warning(tmp_path):
     # r2 = 64 for the Kummer 8 x 8 document and e^2 r2 = 80 for the
     # icosahedron at e = 2: no bound on e^2 r2 holds, so nothing warns even

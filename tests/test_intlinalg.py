@@ -333,6 +333,21 @@ class TestIntMatrix:
             build()
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("build, shape", [
+        (lambda: IntMatrix([], cols=2.5), "0 x 2.5"),
+        (lambda: IntMatrix([], cols=True), "0 x True"),
+        (lambda: IntMatrix.from_flat(0, 1.5, []), "0 x 1.5"),
+        (lambda: IntMatrix.identity(True), "True x True"),
+        (lambda: IntMatrix.zeros(2.0, 2), "2.0 x 2"),
+        (lambda: IntMatrix.diagonal([], rows=1.5), "1.5 x 0"),
+    ], ids=["empty-body-float", "empty-body-bool", "from-flat", "identity",
+            "zeros", "diagonal"])
+    def test_non_int_shape_refused(self, build, shape):
+        # refused, not kept: a float or boolean shape is no shape
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == "shape %s is not a pair of integers" % shape
+
 
 # -- independent oracle: sympy's invariant factors ---------------------------
 
