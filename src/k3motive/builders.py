@@ -142,6 +142,8 @@ def build_type2_chain(m: int, a_profile=None) -> DegenerationFiber:
     The profile lists the m+1 surface invariants a_i and must sum to 20;
     the default puts 10 on each end.
     """
+    if type(m) is not int:
+        _int_rows([(m,)], "chain length")  # raises
     if m < 1:
         raise ValueError("chain length m must be >= 1")
     if a_profile is None:
@@ -183,10 +185,14 @@ def refine_sphere(tri: DeltaSet, steps: int, style: str = "barycentric"
 
     ``style`` is "barycentric" (faces x6) or "edge_split" (faces x4).
     """
+    if type(steps) is not int or steps < 0:
+        raise ValueError("steps %r is not a non-negative integer" % (steps,))
+    refine = {"barycentric": refine_barycentric,
+              "edge_split": refine_edge_split}.get(style)
+    if refine is None:
+        raise ValueError("unknown refinement style %r" % (style,))
     if recognize(tri) != Shape.SPHERE2:
         raise ValueError("input is not a 2-sphere")
-    refine = {"barycentric": refine_barycentric,
-              "edge_split": refine_edge_split}[style]
     out = tri
     for _ in range(steps):
         out = refine(out)

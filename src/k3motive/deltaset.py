@@ -9,10 +9,9 @@ the 2-gon circle and the torus-quotient nerves need exactly that.
 Homology comes from one memoized sparse elimination per Delta-set and degree,
 fed straight from the face lists.  Recognition eliminates nothing; the top
 homology is one orientation pass on a closed, connected, oriented
-2-pseudomanifold and the top-degree kernel of that elimination elsewhere; a
-free generator below the top degree pairs the sparse kernels of a boundary
-and a coboundary.  Nothing in the library calls ``boundary_matrix``, the one
-dense build: it is the dense oracle of the tests.
+2-pseudomanifold and the top-degree kernel of that elimination elsewhere.
+Nothing in the library calls ``boundary_matrix``, the one dense build: it is
+the dense oracle of the tests.
 ``quotient_by_involution`` builds the orbit Delta-set of an involution that
 is free on positive-dimensional simplices (fixed simplices are allowed when
 they are fixed together with all of their faces); the orbit cells inherit
@@ -27,7 +26,6 @@ from __future__ import annotations
 
 import enum
 from itertools import chain, compress, count, permutations, repeat
-from math import gcd
 from operator import add, eq, floordiv, ge, itemgetter, mul, ne
 from typing import Sequence
 
@@ -288,47 +286,15 @@ def _top_cycles(ds: DeltaSet) -> list[CycleVector]:
 
 
 def top_cycle_generator(ds: DeltaSet, d: int) -> CycleVector:
-    """A generator of H_d modulo torsion, for rank exactly 1: at the top
-    degree the ``_top_cycles`` vector.  Below it, a cocycle phi kills
-    boundaries, so phi(z) = a b(z) for the class b(z) of a cycle z in
-    H_d / torsion = Z; by the universal coefficient theorem some basis
-    cocycle has a != 0.  The first such one and an extended gcd over the
-    cycle basis, last column first, give a z with phi(z) = +-|a|, so
-    b(z) = +-1; H_0 of a connected complex gives its last vertex.  The
-    first nonzero coefficient is made positive."""
-    if d == ds.dim:
-        top = _top_cycles(ds)
-        betti = len(top)
-    else:  # rank-nullity for d_d and d_{d+1}
-        cycles = _sparse_reduce(_boundary_rows(ds, d), ds.n(d),
-                                want_kernel=True)[1][::-1]
-        cocycles = _sparse_reduce(_coboundary_rows(ds, d + 1), ds.n(d),
-                                  want_kernel=True)[1]
-        betti = len(cycles) + len(cocycles) - ds.n(d)
-    if betti != 1:
-        raise ValueError("H_%d has free rank %d, expected 1" % (d, betti))
-    if d == ds.dim:
-        return top[0]
-    for phi in cocycles:
-        values = [sum(x * phi.get(s, 0) for s, x in z.items())
-                  for z in cycles]
-        if any(values):
-            break
-    gen: dict[int, int] = {}
-    g = 0  # phi(gen)
-    for z, v in zip(cycles, values):
-        if v and (not g or v % g):
-            h = gcd(g, v)
-            t = pow(v // h, -1, abs(g) // h) if g else v // h
-            u = (h - t * v) // g if g else 0  # u g + t v = h
-            gen = {s: u * gen.get(s, 0) + t * z.get(s, 0)
-                   for s in gen.keys() | z.keys()}
-            g = h
-    coeffs = [gen.get(s, 0) for s in ds.simplices(d)]
-    if next((c for c in coeffs if c), 0) < 0:
-        coeffs = [-c for c in coeffs]
-    assert _is_cycle(ds, d, coeffs)
-    return CycleVector(dimension=d, coefficients=tuple(coeffs))
+    """The generator of H_d for the top degree d and free rank exactly 1:
+    the ``_top_cycles`` vector, its first nonzero coefficient positive.
+    Above the top degree H_d = 0."""
+    if d < ds.dim:
+        raise ValueError("H_%d is below the top degree %d" % (d, ds.dim))
+    top = _top_cycles(ds) if d == ds.dim else []
+    if len(top) != 1:
+        raise ValueError("H_%d has free rank %d, expected 1" % (d, len(top)))
+    return top[0]
 
 
 def cycle_pairing(x: CycleVector, y: CycleVector) -> int:

@@ -25,7 +25,7 @@ from .fibers import (
     TriplePoint,
     WeakNeronData,
 )
-from .intlinalg import IntMatrix, SmithDecomposition, _dense, _sparse_rows
+from .intlinalg import IntMatrix, SmithDecomposition
 from .motives import (
     EPolynomial,
     EllipticCurveAtom,
@@ -336,36 +336,3 @@ def neron_from_json(doc) -> WeakNeronData:
         items.append((motive_from_json(e["class"]),
                       _int(e["multiplicity"], "multiplicity")))
     return WeakNeronData.of(items)
-
-
-# ---------------------------------------------------------------------------
-# spectral rows
-# ---------------------------------------------------------------------------
-
-def spectral_row_to_json(row) -> dict:
-    return {"q": row.q, "modules": list(row.modules), "differentials": [
-        matrix_to_json(_dense(d, (m, n))) for d, m, n
-        in zip(row.differentials, row.modules[1:], row.modules)]}
-
-
-def spectral_row_from_json(doc) -> "SpectralRow":
-    """A spectral row: its three keys and no other, an integer ``q``,
-    integer ``modules`` and matrix documents of the shapes they give."""
-    from .weightss import SpectralRow
-    _keys(doc, ("q", "modules", "differentials"))
-    q = _int(doc["q"], "q")
-    modules = _ints(_array(doc["modules"], "modules"), "modules")
-    matrices = [matrix_from_json(d)
-                for d in _array(doc["differentials"], "differentials")]
-    for i, (a, shape) in enumerate(zip(matrices, zip(modules[1:], modules))):
-        if a.shape != shape:
-            raise ValueError("differential %d has shape %r, expected %r"
-                             % (i, a.shape, shape))
-    return SpectralRow(q=q, modules=modules,
-                       differentials=tuple(map(_sparse_rows, matrices)))
-
-
-def e2_report_to_json(report) -> list:
-    """Rows of {position, betti, torsion} entries for an e2_report result."""
-    return [[{"position": i, "betti": betti, "torsion": list(torsion)}
-             for i, (betti, torsion) in enumerate(row)] for row in report]

@@ -81,6 +81,17 @@ class TestType2Builder:
         with pytest.raises(ProfileError):
             build_type2_chain(2, (10, 10, 10))
 
+    @pytest.mark.parametrize("m", [True, 2.0], ids=["bool", "float"])
+    def test_non_int_length_refused(self, m):
+        with pytest.raises(ValueError,
+                           match="^chain length %s is not an integer$" % m):
+            build_type2_chain(m)
+
+    def test_m1_json_round_trip(self):
+        from k3motive.serialize import fiber_from_json, fiber_to_json
+        f = build_type2_chain(1)
+        assert fiber_from_json(fiber_to_json(f)) == f
+
     def test_closed_form_equality(self):
         atom = EllipticCurveAtom("E")
         for m in range(1, 8):
@@ -170,6 +181,16 @@ class TestRefineSphere:
     def test_rejects_non_sphere(self):
         with pytest.raises(ValueError):
             refine_sphere(torus_grid(2, 2), 1)
+
+    def test_negative_steps_refused(self):
+        with pytest.raises(ValueError,
+                           match="^steps -1 is not a non-negative integer$"):
+            refine_sphere(octahedron(), -1)
+
+    def test_unknown_style_refused(self):
+        with pytest.raises(ValueError,
+                           match="^unknown refinement style 'nope'$"):
+            refine_sphere(octahedron(), 1, style="nope")
 
 
 class TestTorusGrid:

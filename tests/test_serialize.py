@@ -1,5 +1,4 @@
 import json
-import re
 from pathlib import Path
 
 import pytest
@@ -24,14 +23,8 @@ from k3motive.serialize import (
     neron_from_json,
     neron_to_json,
     smith_to_json,
-    spectral_row_to_json,
 )
 from k3motive.fibers import WeakNeronData
-from k3motive.weightss import boundary_rows
-
-# the tetrahedron's cochain row: differentials of shapes (6, 4) and (4, 6)
-TETRA_COCHAIN = spectral_row_to_json(
-    boundary_rows(build_type3("tetrahedron"))[0])
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -168,46 +161,3 @@ class TestNeronJson:
         data = WeakNeronData.of((c, 1) for c in open_component_classes(f))
         doc = neron_to_json(data)
         assert neron_from_json(doc) == data
-
-
-class TestSpectralRowJson:
-    def test_roundtrip_and_report(self):
-        from k3motive.serialize import (
-            e2_report_to_json,
-            spectral_row_from_json,
-            spectral_row_to_json,
-        )
-        from k3motive.weightss import boundary_rows, e2_report
-        cochain, chain_row = boundary_rows(build_type3("tetrahedron"))
-        for row in (cochain, chain_row):
-            doc = spectral_row_to_json(row)
-            assert spectral_row_from_json(doc) == row
-        doc = e2_report_to_json(e2_report([cochain]))
-        assert doc[0][0] == {"position": 0, "betti": 1, "torsion": []}
-        assert doc[0][2] == {"position": 2, "betti": 1, "torsion": []}
-
-    @pytest.mark.parametrize("change, why", [
-        ({"q": 1.0}, "q 1.0 is not an integer"),
-        ({"q": "1"}, "q '1' is not an integer"),
-        ({"modules": [1, True]}, "modules entry True is not an integer"),
-        ({"modules": None}, "modules None is not an array"),
-        ({"q": None}, "q None is not an integer"),
-        ({"extra": 1}, "unexpected keys: extra"),
-        ({"q": 0, "modules": [-3], "differentials": []},
-         "module rank -3 is negative"),
-        ({"differentials": [matrix_to_json(IntMatrix.zeros(3, 3)),
-                            TETRA_COCHAIN["differentials"][1]]},
-         "differential 0 has shape (3, 3), expected (6, 4)"),
-    ], ids=["float-q", "string-q", "bool-module", "null-modules", "null-q",
-            "extra-key", "negative-module", "zero-3x3-differential"])
-    def test_malformed_row_refused(self, change, why):
-        from k3motive.serialize import (spectral_row_from_json,
-                                        spectral_row_to_json)
-        from k3motive.weightss import boundary_rows
-        doc = dict(spectral_row_to_json(
-            boundary_rows(build_type3("tetrahedron"))[0]), **change)
-        with pytest.raises(ValueError, match="^%s$" % re.escape(why)):
-            spectral_row_from_json(doc)
-        del doc["q"]
-        with pytest.raises(ValueError, match="missing required keys: q"):
-            spectral_row_from_json(doc)
