@@ -182,17 +182,6 @@ _FIRST, _SECOND, _THIRD = itemgetter(0), itemgetter(1), itemgetter(2)
 _HIGH_LOW = itemgetter(1, 0)
 
 
-def _by_id(items) -> list:
-    """``items`` in id order: non-string ids ascending, then string ids
-    ascending, by a C-level key."""
-    kinds = set(map(type, map(_ID, items)))
-    if len(kinds) > 1 and any(issubclass(k, str) for k in kinds):
-        rest = [x for x in items if not isinstance(x.id, str)]
-        strs = [x for x in items if isinstance(x.id, str)]
-        return sorted(rest, key=_ID) + sorted(strs, key=_ID)
-    return sorted(items, key=_ID)
-
-
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -348,25 +337,19 @@ def _require_valid(f: DegenerationFiber) -> None:
 
 def clemens_polytope(f: DegenerationFiber) -> DeltaSet:
     """Dual Delta-set: vertices are components, edges double curves,
-    triangles triple points, ordered by the fixed total order on ids.
+    triangles triple points, each numbered by its stored position.
 
-    A fiber not stored in id order gets the polytope of its id-ordered
-    copy.  Otherwise it is read off the memo's ``ends`` and ``sides``: an
-    edge's faces are its high and its low end, and the faces of a triangle
-    on vertices a < b < c, where face j misses the j-th least vertex, are
-    its curves bc, ac, ab."""
+    It is read off the memo's ``ends`` and ``sides``: an edge's faces are
+    its high and its low end, and the faces of a triangle on vertices
+    a < b < c, where face j misses the j-th least vertex, are its curves
+    bc, ac, ab."""
     if "polytope" in f._memo:
         return f._memo["polytope"]
     _require_valid(f)
-    parts = (f.components, f.double_curves, f.triple_points)
-    ordered = tuple(map(tuple, map(_by_id, parts)))
-    if ordered != parts:
-        polytope = clemens_polytope(DegenerationFiber(f.label, *ordered))
-    else:
-        sides = f._memo["sides"]
-        polytope = DeltaSet(len(f.components), [
-            list(map(_HIGH_LOW, f._memo["ends"].values())),
-            list(zip(sides[2::3], sides[1::3], sides[0::3]))])
+    sides = f._memo["sides"]
+    polytope = DeltaSet(len(f.components), [
+        list(map(_HIGH_LOW, f._memo["ends"].values())),
+        list(zip(sides[2::3], sides[1::3], sides[0::3]))])
     f._memo["polytope"] = polytope
     return polytope
 
@@ -435,7 +418,7 @@ def degeneration_type(f: DegenerationFiber) -> int:
             raise NonKulikovError("interval fiber with a genus-0 double curve")
         valence = Counter(cid for d in f.double_curves for cid in d.on)
         atoms = {d.curve for d in f.double_curves}
-        for c in _by_id(f.components):
+        for c in f.components:
             if valence[c.id] == 1 and not isinstance(c.kind, Rational):
                 raise NonKulikovError("chain end %r is not rational" % (c.id,))
             if valence[c.id] == 2:

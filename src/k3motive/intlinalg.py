@@ -524,10 +524,8 @@ def _sparse_reduce(rows: dict[int, dict[int, int]], ncols: int,
                 q = rows[r2][pc] // piv
                 if q:
                     row_sub(r2, pr, q)
-                if pc in rows.get(r2, {}):  # a nonzero remainder: pivot there
+                if pc in rows.get(r2, {}):  # 0 < remainder < piv: pivot there
                     pr = r2
-                    if rows[pr][pc] < 0:
-                        negate_row(pr)
                     break
             else:
                 # the pivot is alone in its column, so a column operation

@@ -988,6 +988,12 @@ class TestQuotient:
         gen = top_cycle_generator(q, 2)
         assert all(abs(c) == 1 for c in gen.coefficients)
 
+    def test_quotient_of_points(self):
+        # two swapped pairs of points give two orbits
+        ds = DeltaSet(4)
+        q = quotient_by_involution(ds, Involution(ds, [[1, 0, 3, 2]]))
+        assert q.counts == (2,)
+
     def test_quotient_by_identity(self):
         ds = tetra()
         ident = Involution(ds, [list(range(ds.n(q)))

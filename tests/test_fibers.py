@@ -660,23 +660,36 @@ class TestDegenerationType:
         with pytest.raises(NonKulikovError):
             degeneration_type(f)
 
-    def test_chain_components_checked_in_id_order(self):
+    def test_chain_components_checked_in_stored_order(self):
         # the chain 0 - "m" - 2 with a rational interior and an
-        # elliptic-ruled end: the first error in id order (integers before
-        # strings) is raised, not the first in input order
+        # elliptic-ruled end: the first error in stored order is raised,
+        # so storing the end first makes it the one named
         curves = [DoubleCurve("c0", (0, "m"), 1, curve="E"),
                   DoubleCurve("c1", ("m", 2), 1, curve="E")]
         comps = [Component("m", Rational(0)), Component(2, Rational(10)),
                  Component(0, RuledElliptic("E", 10))]
         f = DegenerationFiber.of("bad", comps, curves)
         assert validate(f) == []
+        interior = (r"^interior chain component 'm' is not "
+                    r"elliptic-ruled$")
+        with pytest.raises(NonKulikovError, match=interior):
+            degeneration_type(f)
+        f = DegenerationFiber.of("bad", comps[::-1], curves)
         with pytest.raises(NonKulikovError,
                            match=r"^chain end 0 is not rational$"):
             degeneration_type(f)
         comps[2] = Component(0, Rational(10))
         f = DegenerationFiber.of("bad", comps, curves)
-        with pytest.raises(NonKulikovError, match=r"^interior chain "
-                           r"component 'm' is not elliptic-ruled$"):
+        with pytest.raises(NonKulikovError, match=interior):
+            degeneration_type(f)
+
+    def test_interval_with_genus_0_curve_rejected(self):
+        f = DegenerationFiber.of(
+            "bad", [Component(0, Rational(10)), Component(1, Rational(10))],
+            [DoubleCurve("c", (0, 1), 0)])
+        assert validate(f) == []
+        with pytest.raises(NonKulikovError, match=r"^interval fiber with a "
+                           r"genus-0 double curve$"):
             degeneration_type(f)
 
     def test_mixed_elliptic_atoms_rejected(self):
@@ -715,29 +728,22 @@ class TestEulerCount:
 
 # -- the Clemens polytope against its frozenset-keyed reference -------------
 
-def _id_key(x):
-    """The total order on ids, written out apart from the library: every
-    non-string id before every string id."""
-    return (isinstance(x, str), x)
-
-
 def polytope_reference(f):
     """The Clemens polytope of a valid fiber as built with a frozenset of
-    vertex indices per curve of each triple point, kept verbatim."""
+    vertex indices per curve of each triple point, every cell numbered by
+    its stored position."""
     from k3motive.deltaset import DeltaSet
 
-    comp_order = sorted((c.id for c in f.components), key=_id_key)
-    vidx = {cid: i for i, cid in enumerate(comp_order)}
-    curves = sorted(f.double_curves, key=lambda d: _id_key(d.id))
+    vidx = {c.id: i for i, c in enumerate(f.components)}
     eidx = {}
     edge_faces = []
-    for d in curves:
+    for d in f.double_curves:
         a, b = sorted((vidx[d.on[0]], vidx[d.on[1]]))
         eidx[d.id] = len(edge_faces)
         edge_faces.append((b, a))
     curve_by_id = {d.id: d for d in f.double_curves}
     tri_faces = []
-    for t in sorted(f.triple_points, key=lambda t: _id_key(t.id)):
+    for t in f.triple_points:
         curve_pair = {}
         for did in t.on:
             d = curve_by_id[did]
@@ -746,7 +752,7 @@ def polytope_reference(f):
         tri_faces.append((eidx[curve_pair[frozenset((b, c))]],
                           eidx[curve_pair[frozenset((a, c))]],
                           eidx[curve_pair[frozenset((a, b))]]))
-    return DeltaSet(len(comp_order), [edge_faces, tri_faces])
+    return DeltaSet(len(f.components), [edge_faces, tri_faces])
 
 
 def renamed(f, name):
@@ -820,6 +826,17 @@ class TestPolytopeReference:
             (1026, 3072, 2048)
         assert clemens_polytope(corpus["kummer 18x18"]).n(2) == 324
 
+    def test_renaming_keeps_the_faces(self):
+        # cells are numbered by stored position, whatever the ids
+        corpus = polytope_corpus()
+        faces = clemens_polytope(corpus["octahedron^1"])._faces
+        for name in ("descending ids", "shuffled ids", "unpadded string ids"):
+            assert clemens_polytope(corpus[name])._faces == faces, name
+        from k3motive.builders import build_type2_chain
+        chain = clemens_polytope(build_type2_chain(20))
+        assert [chain.faces(1, e) for e in range(20)] == \
+            [(e + 1, e) for e in range(20)]
+
 
 # -- exact values at the fiber boundary --------------------------------------
 
@@ -866,24 +883,6 @@ class TestExactFibers:
         from k3motive.fibers import WeakNeronData
         data = WeakNeronData.of(iter([(L(1), 2), (MotiveClass.one(), -1)]))
         assert data.items == ((L(1), 2), (MotiveClass.one(), -1))
-
-
-# -- the id order without a key call per item --------------------------------
-
-class TestIdOrder:
-    def test_by_id_is_the_id_key_order(self):
-        from k3motive.fibers import _by_id
-
-        rng = random.Random(1905)
-        pools = [lambda: rng.randrange(50), lambda: "s%d" % rng.randrange(50),
-                 lambda: rng.choice((rng.randrange(50),
-                                     "s%d" % rng.randrange(50)))]
-        for _ in range(300):
-            draw = rng.choice(pools)
-            ids = list({draw() for _ in range(rng.randint(0, 12))})
-            rng.shuffle(ids)
-            items = [TriplePoint(i, ()) for i in ids]
-            assert _by_id(items) == sorted(items, key=lambda t: _id_key(t.id))
 
 
 # -- the flat validation pass against the item-by-item scan ------------------

@@ -62,6 +62,14 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             RamifiedParams(e=1, s=2, r=8, elliptic_atom=E_ATOM)
 
+    def test_type_1_and_zero_r_rejected(self):
+        with pytest.raises(ValueError, match="^closed forms exist for "
+                           "types 2 and 3 only$"):
+            RamifiedParams(e=1, s=1, r=4)
+        with pytest.raises(ValueError,
+                           match="^discriminant r must be positive$"):
+            RamifiedParams(e=1, s=3, r=0)
+
     def test_odd_e2r2_rejected(self):
         with pytest.raises(ValueError):
             RamifiedParams(e=1, s=3, r=5)

@@ -73,6 +73,21 @@ class TestE1Page:
         for f in [tetra_fiber(), chain_fiber(1), chain_fiber(4)]:
             assert e1_page(f).total_alternating_rank() == 24
 
+    def test_kummer_page_from_other_betti_data(self):
+        # every Kummer component is an ``Other`` kind with Betti data
+        from k3motive.builders import KummerParams, build_kummer
+        f = build_kummer(KummerParams(4, 6)).fiber
+        b0, b1, b2 = (sum(c.kind.betti[k] for c in f.components)
+                      for k in range(3))
+        curves, points = len(f.double_curves), len(f.triple_points)
+        page = e1_page(f)
+        assert (b0, b1, b2, curves, points) == (14, 0, 44, 36, 24)
+        assert page.rank(0, 2) == b2 + points == 68
+        assert page.rank(0, 0) == page.rank(0, 4) == b0
+        assert page.rank(0, 1) == page.rank(0, 3) == b1
+        assert page.rank(1, 0) == page.rank(-1, 4) == curves
+        assert page.rank(2, 0) == page.rank(-2, 4) == points
+
     def test_missing_betti_rejected(self):
         from k3motive.fibers import Other
         from k3motive.motives import MissingRealizationError, MotiveClass
