@@ -14,6 +14,8 @@ evaluators reject it.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import count, repeat
+from operator import itemgetter
 
 from ._record import Record
 from .deltaset import (
@@ -122,12 +124,13 @@ def _checked_profile(a_profile, count: int, total: int) -> list[int]:
 
 
 def _nerve_fiber(label: str, comps, nerve: DeltaSet) -> DegenerationFiber:
-    """The fiber on these components, one per vertex of the nerve, with a
-    rational double curve per edge and a triple point per triangle."""
-    curves = [DoubleCurve(e, nerve.faces(1, e)[::-1], 0)
-              for e in nerve.simplices(1)]
-    triples = [TriplePoint(t, nerve.faces(2, t)) for t in nerve.simplices(2)]
-    return DegenerationFiber.of(label, comps, curves, triples)
+    """The fiber on these components, one per vertex of the 2-dimensional
+    nerve, with a rational double curve per edge and a triple point per
+    triangle."""
+    edges, tris = nerve._faces
+    curves = map(DoubleCurve, count(), map(itemgetter(1, 0), edges), repeat(0))
+    return DegenerationFiber.of(label, comps, curves,
+                                map(TriplePoint, count(), tris))
 
 
 def build_type1_smooth() -> DegenerationFiber:

@@ -408,11 +408,11 @@ def relabel(ds: DeltaSet, perms: Sequence[Sequence[int]]) -> DeltaSet:
         if sorted(p) != list(range(ds.n(q))):
             raise ValueError("invalid permutation in dimension %d" % q)
     levels = []
-    for q in range(1, ds.dim + 1):
-        level: list[tuple[int, ...] | None] = [None] * ds.n(q)
-        for s in ds.simplices(q):
-            level[perms[q][s]] = tuple(perms[q - 1][f] for f in ds.faces(q, s))
-        levels.append(level)
+    for q, level in enumerate(ds._faces, start=1):
+        # new face ids slot by slot, in the old order; then the new order
+        rows = zip(*(_take(perms[q - 1], col) for col in zip(*level)))
+        levels.append(_take(list(rows), sorted(ds.simplices(q),
+                                               key=perms[q].__getitem__)))
     return DeltaSet(ds.n(0), levels)
 
 

@@ -200,6 +200,7 @@ def validate(f: DegenerationFiber) -> list[str]:
     if len(index) != len(f.components):
         out.append("duplicate component ids")
 
+    realized: dict = {}  # an Other class -> its (b0, b1, b2), or None
     for c in f.components:
         if not isinstance(c.kind, ComponentKind):
             out.append("component %r has unknown kind %r" % (c.id, c.kind))
@@ -210,15 +211,19 @@ def validate(f: DegenerationFiber) -> list[str]:
             elif c.kind.a < 0:
                 out.append("component %r has negative a" % (c.id,))
         if isinstance(c.kind, Other) and c.kind.betti is not None:
-            try:
-                e = c.kind.klass.e_polynomial()
-            except MissingRealizationError:
-                continue
-            b0 = e.coefficient(0, 0)
-            b1 = -(e.coefficient(1, 0) + e.coefficient(0, 1))
-            b2 = (e.coefficient(1, 1) + e.coefficient(2, 0)
-                  + e.coefficient(0, 2))
-            if (b0, b1, b2) != tuple(c.kind.betti):
+            klass = c.kind.klass
+            if klass not in realized:
+                try:
+                    e = klass.e_polynomial()
+                except MissingRealizationError:
+                    realized[klass] = None
+                else:
+                    realized[klass] = (
+                        e.coefficient(0, 0),
+                        -(e.coefficient(1, 0) + e.coefficient(0, 1)),
+                        e.coefficient(1, 1) + e.coefficient(2, 0)
+                        + e.coefficient(0, 2))
+            if realized[klass] not in (None, tuple(c.kind.betti)):
                 out.append("component %r Betti data disagrees with its "
                            "class" % (c.id,))
 
@@ -387,8 +392,9 @@ def smooth_locus_class(f: DegenerationFiber) -> MotiveClass:
 
 
 def open_component_classes(f: DegenerationFiber) -> list[MotiveClass]:
-    """Open stratum of each component, from its count of curve sides per
-    (genus, curve name) and of triple points; one class per distinct kind.
+    """Open stratum of each component, summed in one pass from its whole
+    class, its count of triple points and its count of curve sides per
+    (genus, curve name); one whole class per distinct kind.
 
     Summing these is an independent route to ``smooth_locus_class`` (each
     double curve lies on two components, each triple point on three).
@@ -402,10 +408,12 @@ def open_component_classes(f: DegenerationFiber) -> list[MotiveClass]:
                     for d in f.double_curves for cid in d.on)
     points = Counter(cid for t in f.triple_points
                      for cid in set().union(*(on[i] for i in t.on)))
-    opened = {c.id: whole[c.kind] + _L(0, points[c.id]) for c in f.components}
+    one = _L(0)
+    pairs = {c.id: [(1, whole[c.kind]), (points[c.id], one)]
+             for c in f.components}
     for (cid, genus, curve), n in sides.items():
-        opened[cid] = opened[cid] - n * cut[genus, curve]
-    return [opened[c.id] for c in f.components]
+        pairs[cid].append((-n, cut[genus, curve]))
+    return [MotiveClass._combine(pairs[c.id]) for c in f.components]
 
 
 def degeneration_type(f: DegenerationFiber) -> int:

@@ -5,13 +5,17 @@ written as decimal strings so nothing is ever squeezed through a 64-bit
 reader; matrix entries may have any number of digits.  Motive-class terms
 are emitted in the canonical order (atom kind, then name, then power), which
 makes the serialization byte-stable for equal classes; ``dumps`` pins the
-formatting.
+formatting: the bytes of ``json.dumps(obj, indent=2, sort_keys=True)`` and a
+newline, written without the pure-Python encoder that ``indent`` selects in
+``json`` (the containers and exact scalars of a document are joined here;
+any other value goes through ``json`` itself).
 """
 
 from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring_ascii as _str
 
 from .deltaset import DeltaSet
 from .fibers import (
@@ -36,9 +40,51 @@ from .motives import (
 )
 
 
+_LITERALS = {True: "true", False: "false", None: "null"}
+_SCALAR = {str: _str, int: int.__repr__, bool: _LITERALS.__getitem__,
+           type(None): _LITERALS.__getitem__}
+_STR = {str}
+
+
 def dumps(obj) -> str:
-    """Canonical JSON text: sorted keys, fixed indentation, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON text: sorted keys, fixed indentation, trailing newline.
+
+    Exactly ``json.dumps(obj, indent=2, sort_keys=True) + "\n"``.  Dicts with
+    only ``str`` keys, lists, tuples, strings, exact ``int``s, booleans and
+    ``None`` are written here, with json's own C string escaper; any other
+    value (a float, an ``int`` subclass, a dict with a non-string key) is
+    written by ``json.dumps`` and indented to its place, which is exact since
+    JSON text holds no raw newline inside a string.  An object nested too
+    deep for this writer (a cyclic one among them) is handed whole to
+    ``json.dumps``, which raises as it would.
+    """
+    try:
+        return _write(obj, "\n") + "\n"
+    except RecursionError:
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _write(x, nl: str) -> str:
+    """The JSON text of ``x``, its inner lines prefixed by ``nl``."""
+    t, inner = type(x), nl + "  "
+    if t is dict and set(map(type, x)) <= _STR:  # mixed keys: json raises
+        items = []
+        for k in sorted(x):
+            v = x[k]
+            scalar = _SCALAR.get(type(v))
+            items.append(_str(k) + ": " + (scalar(v) if scalar is not None
+                                           else _write(v, inner)))
+        return "{" + inner + ("," + inner).join(items) + nl + "}" if x else "{}"
+    if t is list or t is tuple:
+        kinds = set(map(type, x))
+        scalar = _SCALAR.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(scalar, x) if scalar is not None \
+            else [_write(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + nl + "]" if x else "[]"
+    scalar = _SCALAR.get(t)
+    if scalar is not None:
+        return scalar(x)
+    return json.dumps(x, indent=2, sort_keys=True).replace("\n", nl)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,9 @@ from k3motive.deltaset import (
     recognize,
     top_cycle_generator,
 )
-from k3motive.fibers import NonKulikovError, degeneration_type, validate
+from k3motive.fibers import (DegenerationFiber, DoubleCurve,
+                             NonKulikovError, TriplePoint,
+                             degeneration_type, validate)
 from k3motive.integrals import (
     RamifiedParams,
     acampo_chi,
@@ -191,6 +193,28 @@ class TestRefineSphere:
         with pytest.raises(ValueError,
                            match="^unknown refinement style 'nope'$"):
             refine_sphere(octahedron(), 1, style="nope")
+
+
+def nerve_fiber_reference(label, comps, nerve):
+    """The nerve fiber as ``builders`` built it before its C-level passes:
+    one double curve per edge and one triple point per triangle, in a
+    loop."""
+    curves = [DoubleCurve(e, nerve.faces(1, e)[::-1], 0)
+              for e in nerve.simplices(1)]
+    triples = [TriplePoint(t, nerve.faces(2, t)) for t in nerve.simplices(2)]
+    return DegenerationFiber.of(label, comps, curves, triples)
+
+
+class TestNerveFiber:
+    def test_matches_per_simplex_reference(self):
+        for tri in (tetrahedron(), icosahedron(),
+                    refine_sphere(octahedron(), 2, "edge_split")):
+            f = build_type3(tri)
+            assert f == nerve_fiber_reference(f.label, f.components, tri)
+        for m1, m2 in ((2, 2), (4, 6), (30, 30)):
+            rep = build_kummer(KummerParams(m1, m2))
+            assert rep.fiber == nerve_fiber_reference(
+                rep.fiber.label, rep.fiber.components, rep.nerve)
 
 
 class TestTorusGrid:

@@ -513,6 +513,40 @@ class TestRecognize:
                     assert homology(other, q) == homology(ds, q)
 
 
+def relabel_reference(ds, perms):
+    """``relabel`` as it was before its slot-column pass: one simplex at a
+    time."""
+    levels = []
+    for q in range(1, ds.dim + 1):
+        level = [None] * ds.n(q)
+        for s in ds.simplices(q):
+            level[perms[q][s]] = tuple(perms[q - 1][f] for f in ds.faces(q, s))
+        levels.append(level)
+    return DeltaSet(ds.n(0), levels)
+
+
+class TestRelabel:
+    def test_matches_per_simplex_reference(self):
+        rng = random.Random(29)
+        cases = [DeltaSet(3), solid_tetra(), octa(), torus_3x3(),
+                 refine_edge_split(refine_edge_split(refine_edge_split(
+                     octahedron()))),
+                 *small_complexes().values(), *one_complexes().values()]
+        for ds in cases:
+            for _ in range(3):
+                perms = [rng.sample(range(ds.n(q)), ds.n(q))
+                         for q in range(ds.dim + 1)]
+                assert relabel(ds, perms) == relabel_reference(ds, perms)
+                perms = tuple(map(tuple, perms))
+                assert relabel(ds, perms) == relabel_reference(ds, perms)
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="one permutation per dimension"):
+            relabel(octa(), [[0]])
+        with pytest.raises(ValueError, match="dimension 1"):
+            relabel(chain(2), [[0, 1, 2], [0, 0]])
+
+
 def closed(ds):
     """Is every edge on exactly two triangle sides?"""
     edge_use = [0] * ds.n(1)

@@ -1152,3 +1152,17 @@ class TestSharedOtherKinds:
         f = DegenerationFiber.of("x", [Component(0, kind),
                                        Component(1, kind)])
         assert validate(f) == []
+
+    def test_each_distinct_class_realized_once(self, monkeypatch):
+        from k3motive.builders import KummerParams, build_kummer
+        from k3motive.serialize import fiber_from_json, fiber_to_json
+        built = build_kummer(KummerParams(6, 6)).fiber
+        calls = []
+        realize = MotiveClass.e_polynomial
+        monkeypatch.setattr(MotiveClass, "e_polynomial",
+                            lambda self: calls.append(self) or realize(self))
+        # 20 components on two kind objects; the decoded copy has 20
+        for f in (fresh(built), fiber_from_json(fiber_to_json(built))):
+            calls.clear()
+            assert validate(f) == []
+            assert len(calls) == 2 and calls[0] != calls[1]

@@ -1,10 +1,14 @@
+import enum
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from k3motive.cli import main
 from k3motive.builders import build_kummer, build_type2_chain, build_type3, \
     KummerParams, octahedron
 from k3motive.fibers import component_class, K3Smooth, open_component_classes
@@ -161,3 +165,90 @@ class TestNeronJson:
         data = WeakNeronData.of((c, 1) for c in open_component_classes(f))
         doc = neron_to_json(data)
         assert neron_from_json(doc) == data
+
+
+class Hue(enum.IntEnum):
+    RED = 1
+    BLUE = -7
+
+
+def json_dumps(x) -> str:
+    """The reference: json's own indented, key-sorted encoder."""
+    return json.dumps(x, indent=2, sort_keys=True) + "\n"
+
+
+def outcome(encode, x):
+    """The text, or the type and message of what encoding raised."""
+    try:
+        return encode(x)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+SCALARS = (st.text() | st.integers()
+           | st.integers(10 ** 600, 10 ** 1200).flatmap(
+               lambda n: st.sampled_from([n, -n]))
+           | st.floats(allow_nan=True, allow_infinity=True)
+           | st.booleans() | st.none() | st.sampled_from(Hue))
+TREES = st.recursive(SCALARS, lambda inner: (
+    st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4)
+    | st.dictionaries(st.integers(), inner, max_size=3)
+    | st.dictionaries(st.text() | st.integers(), inner, max_size=2)),
+    max_leaves=25)
+
+
+class TestDumps:
+    """``dumps`` writes exactly the bytes of ``json_dumps``."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              database=None)
+    @given(TREES)
+    def test_same_bytes_as_json(self, x):
+        assert outcome(dumps, x) == outcome(json_dumps, x)
+
+    def test_edge_values(self):
+        for x in [{}, [], (), "", "\u00e9\x00\n\"\\\ud800", 10 ** 1000,
+                  -(10 ** 1000), float("nan"), float("-inf"), -0.0, Hue.BLUE,
+                  True, None, [[], {}, [[]]], {"a": {}, "b": [()]},
+                  {"k": [1, True, 2]}, [1.5, "x", None], {2: [{"a": 1}]},
+                  {"x": {1: {"y": [1, 2.5]}}}]:
+            assert dumps(x) == json_dumps(x), x
+
+    def test_kummer_30x30_build_document(self, tmp_path):
+        out = tmp_path / "k.json"
+        assert main(["build", "kummer", "--m1", "30", "--m2", "30",
+                     "-o", str(out)]) == 0
+        text = out.read_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "472e426dfd989c8552dc4f069cca65e1c81ec802dda5fd46e22ae9304e57fedf"
+        doc = json.loads(text)
+        assert dumps(doc) == json_dumps(doc) == text
+
+    def test_mixed_verify_all_report(self, tmp_path):
+        d = tmp_path / "fibers"
+        d.mkdir()
+        for name, args in [("a", ["type2", "--m", "3"]),
+                           ("b", ["type3", "--triangulation", "octahedron"]),
+                           ("c", ["kummer", "--m1", "4", "--m2", "6"])]:
+            assert main(["build", *args, "-o", str(d / (name + ".json"))]) == 0
+        report = tmp_path / "all.json"
+        assert main(["verify", "--all", str(d), "--report",
+                     str(report)]) == 0
+        text = report.read_text()
+        doc = json.loads(text)
+        assert [r["fiber_label"] for r in doc] == \
+            ["type2_m3", "type3_f8", "kummer_4x6"]
+        assert dumps(doc) == json_dumps(doc) == text
+
+    def test_deep_nesting_goes_to_json(self):
+        deep = 1
+        for _ in range(600):
+            deep = [deep]
+        assert dumps(deep) == json_dumps(deep)
+
+    def test_cycle_raises_as_json_does(self):
+        loop = [1]
+        loop.append(loop)
+        with pytest.raises(ValueError, match="^Circular reference detected$"):
+            dumps(loop)
