@@ -9,7 +9,14 @@ routes to the same invariant disagree); 2 on malformed input, including
 expectations outside the report schema, or I/O failure.  ``verify`` takes
 the weak-Neron fallback route for fibers of no Kulikov type (Kummer), prints
 one stderr line per failed check, and under ``--all`` reports a malformed
-document on stderr, verifies the rest and then exits 2.
+document on stderr, verifies the rest and then exits 2; ``verify`` given
+both an input file and ``--all``, or ``--all`` naming a file, exits 2.
+
+``main(argv)`` may be called any number of times in one process: the calls
+share one argument parser, built at import, and each gets its own namespace.
+As a process (``python -m k3motive`` or the ``k3motive`` script, both
+``k3motive.__main__.run``), output to a closed pipe exits 2 without a
+traceback.
 """
 
 from __future__ import annotations
@@ -294,6 +301,11 @@ def _cmd_verify(args) -> int:
     if args.e < 1:  # verify_report.schema.json: e >= 1
         raise InputError("--e must be at least 1, got %d" % args.e)
     if args.all is not None:
+        if args.input is not None:
+            raise InputError("verify takes an input file or --all DIR, "
+                             "not both")
+        if Path(args.all).is_file():
+            raise InputError("--all %s is not a directory" % args.all)
         paths = sorted(str(p) for p in Path(args.all).glob("*.json"))
         if not paths:
             raise InputError("no .json files under %s" % args.all)
@@ -392,9 +404,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except InvalidFiberError as exc:

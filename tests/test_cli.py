@@ -77,6 +77,80 @@ def test_cli_raises_no_warning(tmp_path):
         assert (out.returncode, out.stderr) == (0, ""), argv
 
 
+@pytest.mark.parametrize("entry", [
+    ["-m", "k3motive"],
+    ["-c", "from k3motive.__main__ import run; run()"],
+], ids=["module", "console-script"])
+def test_closed_stdout_exits2_without_traceback(tmp_path, entry):
+    # the process entry points writing to a pipe nobody reads: an I/O
+    # failure (exit 2), not a mismatch (exit 1), and no traceback on stderr
+    src = str(Path(__import__("k3motive").__file__).parents[1])
+    for name in ("tetrahedron", "octahedron", "icosahedron"):
+        assert run(["build", "type3", "--triangulation", name,
+                    "-o", str(tmp_path / (name + ".json"))]) == 0
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, *entry, "verify", "--all", str(tmp_path)],
+            stdout=write_end, stderr=subprocess.PIPE,
+            text=True, env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (2, "")
+
+
+class TestRepeatedMain:
+    """``main`` called many times in one process: each call is independent
+    of the calls before it."""
+
+    def test_default_e_after_explicit_e(self, tmp_path):
+        doc, r3, r1 = (tmp_path / n for n in ("f.json", "r3.json", "r1.json"))
+        assert run(["build", "type3", "--triangulation", "octahedron",
+                    "-o", str(doc)]) == 0
+        assert run(["verify", "--e", "3", str(doc), "--report",
+                    str(r3)]) == 0
+        assert run(["verify", str(doc), "--report", str(r1)]) == 0
+        assert json.loads(r3.read_text())["e"] == 3
+        report = json.loads(r1.read_text())
+        assert report["e"] == 1 and "closed_form_at_e" not in report
+
+    def test_in_process_builds_match_a_subprocess(self, tmp_path):
+        src = str(Path(__import__("k3motive").__file__).parents[1])
+        a, b, c = (tmp_path / n for n in ("a.json", "b.json", "c.json"))
+        argv = ["build", "type3", "--triangulation", "icosahedron", "-o"]
+        assert run(argv + [str(a)]) == 0
+        assert run(argv + [str(b)]) == 0
+        subprocess.run([sys.executable, "-m", "k3motive", *argv, str(c)],
+                       check=True, capture_output=True,
+                       env={**os.environ, "PYTHONPATH": src})
+        assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+
+    def test_valid_call_after_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--e", "x"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(
+            "error: argument --e: invalid int value: 'x'\n"), err
+        doc = tmp_path / "f.json"
+        assert run(["build", "type3", "--triangulation", "tetrahedron",
+                    "-o", str(doc)]) == 0
+        assert run(["verify", str(doc)]) == 0
+
+    def test_help_twice(self, capsys):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr())
+        assert texts[0] == texts[1]
+        assert texts[0].out.startswith("usage: k3motive ") and \
+            texts[0].err == ""
+
+
 class TestBuildVerifyRoundtrip:
     def test_type3_octahedron(self, tmp_path, capsys):
         out = tmp_path / "f.json"
@@ -691,6 +765,39 @@ class TestVerifyAll:
         docs = json.loads(report.read_text())
         assert [d_["fiber_label"] for d_ in docs] == \
             ["type2_m2", "type3_f8"]
+
+
+    @pytest.fixture
+    def built(self, tmp_path):
+        d = tmp_path / "fibers"
+        d.mkdir()
+        doc = d / "tetra.json"
+        assert run(["build", "type3", "--triangulation", "tetrahedron",
+                    "-o", str(doc)]) == 0
+        return d, doc
+
+    @pytest.mark.parametrize("order", ["file-first", "all-first"])
+    def test_input_file_and_all_exit2(self, tmp_path, capsys, built, order):
+        d, doc = built
+        argv = [str(doc), "--all", str(d)]
+        if order == "all-first":
+            argv = argv[1:] + argv[:1]
+        report = tmp_path / "r.json"
+        capsys.readouterr()
+        assert run(["verify", *argv, "--report", str(report)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: verify takes an input file or --all DIR, not both\n")
+        assert not report.exists()
+
+    def test_all_naming_a_file_exit2(self, tmp_path, capsys, built):
+        _, doc = built
+        report = tmp_path / "r.json"
+        capsys.readouterr()
+        assert run(["verify", "--all", str(doc), "--report",
+                    str(report)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: --all %s is not a directory\n" % doc)
+        assert not report.exists()
 
 
 class TestCrossCheckFailures:
