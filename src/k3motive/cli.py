@@ -423,6 +423,3 @@ def main(argv=None) -> int:
               % (type(exc).__name__, exc), file=sys.stderr)
         return 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

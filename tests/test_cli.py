@@ -85,19 +85,23 @@ def test_closed_stdout_exits2_without_traceback(tmp_path, entry):
     # the process entry points writing to a pipe nobody reads: an I/O
     # failure (exit 2), not a mismatch (exit 1), and no traceback on stderr
     src = str(Path(__import__("k3motive").__file__).parents[1])
+    # stdout buffered, as by default: the write fails only at the flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     for name in ("tetrahedron", "octahedron", "icosahedron"):
         assert run(["build", "type3", "--triangulation", name,
                     "-o", str(tmp_path / (name + ".json"))]) == 0
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        out = subprocess.run(
-            [sys.executable, *entry, "verify", "--all", str(tmp_path)],
-            stdout=write_end, stderr=subprocess.PIPE,
-            text=True, env={**os.environ, "PYTHONPATH": src})
-    finally:
-        os.close(write_end)
-    assert (out.returncode, out.stderr) == (2, "")
+    # --help leaves main through argparse's SystemExit, not a return
+    for argv in (["verify", "--all", str(tmp_path)], ["--help"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            out = subprocess.run(
+                [sys.executable, *entry, *argv],
+                stdout=write_end, stderr=subprocess.PIPE,
+                text=True, env={**env, "PYTHONPATH": src})
+        finally:
+            os.close(write_end)
+        assert (out.returncode, out.stderr) == (2, ""), argv
 
 
 class TestRepeatedMain:
