@@ -1,14 +1,16 @@
 """Constructors for the example families: chains, sphere fibers, Kummer.
 
-``build_type2_chain`` and ``build_type3`` produce honest Kulikov fibers.
-``build_kummer`` models the torus-quotient degeneration of a Kummer surface:
-the nerve is the quotient of an m1 x m2 grid torus by simultaneous negation,
-the component census comes from the vertex orbits, and the integral is the
-sum of the census classes.  The discriminant r2 is always computed from the
-rank-one lattice pairing with value 1/(2 m1 m2), never from the grid-quotient
-Gram pairing: the artificial triangulation is not the dual complex of a
-semi-stable model, and its fiber is deliberately typed so that the Kulikov
-evaluators reject it.
+``build_type2_chain``, ``build_type3`` and ``build_kummer`` produce Kulikov
+fibers.  ``build_kummer`` models the torus-quotient degeneration of a Kummer
+surface: the nerve is the quotient of an m1 x m2 grid torus by simultaneous
+negation, and it is the dual complex of a type-III model whose components
+are rational surfaces, one per vertex orbit.  A generic component is the
+toric surface of the hexagonal fan (a = 4, open part (L-1)^2); a component
+over one of the four fixed vertices is that surface modulo -1 with its four
+A1 points resolved (a = 7, open part 1 + 4L + L^2).  The integral is the sum
+of the census classes; r2(A) comes from the rank-one lattice pairing with
+value 1/(2 m1 m2), and r2 of the Kummer surface is the nerve's triangle
+count, which the Gram determinant of the model confirms.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .fibers import (
     DegenerationFiber,
     DoubleCurve,
     K3Smooth,
-    Other,
     Rational,
     RuledElliptic,
     TriplePoint,
@@ -49,10 +50,6 @@ _L = MotiveClass.lefschetz
 # u^2 v^2 + 4uv + 1
 KUMMER_GENERIC_CLASS = MotiveClass.one() + _L(1, -2) + _L(2)
 KUMMER_SPECIAL_CLASS = MotiveClass.one() + _L(1, 4) + _L(2)
-
-# classes of the complete components (closures in the model)
-KUMMER_GENERIC_COMPLETE = MotiveClass.one() + _L(1, 2) + _L(2)
-KUMMER_SPECIAL_COMPLETE = MotiveClass.one() + _L(1, 6) + _L(2)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +307,8 @@ def build_kummer(p: KummerParams) -> KummerReport:
     The negation action is free on positive-dimensional grid simplices
     (2i = -1 has no solution modulo an even number), so the quotient nerve
     exists; it must pass 2-sphere recognition.  The integral is the sum of
-    the census classes; the fiber records the complete component classes
-    and is intentionally not a Kulikov fiber.
+    the census classes, and the fiber is the type-III fiber on the nerve
+    with a = 4 on the generic components and a = 7 on the four fixed ones.
     """
     ds, sigma = torus_negation(p.m1, p.m2)
     if not sigma.is_free_on_positive():
@@ -333,13 +330,14 @@ def build_kummer(p: KummerParams) -> KummerReport:
     # orbit ids follow the representatives in ascending order; the census
     # shares one kind object per class
     reps = [v for v, img in enumerate(sigma.maps[0]) if img >= v]
-    kinds = [Other(KUMMER_GENERIC_COMPLETE, betti=(1, 0, 2))] * nerve.n(0)
-    special = Other(KUMMER_SPECIAL_COMPLETE, betti=(1, 0, 6))
+    kinds = [Rational(4)] * nerve.n(0)
+    special = Rational(7)
     for v in fixed:
         kinds[bisect_left(reps, v)] = special
     comps = [Component(o, kind) for o, kind in enumerate(kinds)]
     fiber = _nerve_fiber("kummer_%dx%d" % (p.m1, p.m2), comps, nerve)
 
-    r2_a, r2_x = kummer_r2_abelian(p)
+    r2_a, _ = kummer_r2_abelian(p)
     return KummerReport(fiber=fiber, nerve=nerve, component_census=census,
-                        r2_abelian=r2_a, r2_kummer=r2_x, integral=integral)
+                        r2_abelian=r2_a, r2_kummer=nerve.n(2),
+                        integral=integral)

@@ -6,11 +6,11 @@ integral against the closed form) and ``snf`` (Smith normal form of a
 matrix).  Exit codes: 0 on success and, for verify, a full match; 1 on
 validation violations, a mismatch or a failed internal cross-check (two
 routes to the same invariant disagree); 2 on malformed input, including
-expectations outside the report schema, or I/O failure.  ``verify`` takes
-the weak-Neron fallback route for fibers of no Kulikov type (Kummer), prints
-one stderr line per failed check, and under ``--all`` reports a malformed
-document on stderr, verifies the rest and then exits 2; ``verify`` given
-both an input file and ``--all``, or ``--all`` naming a file, exits 2.
+expectations outside the report schema and a fiber of no Kulikov type, or
+I/O failure.  ``verify`` prints one stderr line per failed check, and under
+``--all`` reports a malformed document on stderr, verifies the rest and
+then exits 2; ``verify`` given both an input file and ``--all``, or
+``--all`` naming a file or a path that does not exist, exits 2.
 
 ``main(argv)`` may be called any number of times in one process: the calls
 share one argument parser, built at import, and each gets its own namespace.
@@ -237,42 +237,27 @@ def _verify_one(path: str, e: int):
     if expectations is not None and not isinstance(expectations, dict):
         raise InputError("bad expectations block: expected a JSON object")
     expected = None
-    if "closed_form" in (expectations or {}):
-        expected = _decode("expectations block", motive_from_json,
-                           expectations["closed_form"])
-    violations = validate(fiber)
-    if violations:
-        return ({"fiber_label": fiber.label, "violations": violations,
-                 "match": False}, 1)
-
-    neron_integral = None if neron is None else integral_from_neron(neron)
-    try:
-        rep = verify_fiber(fiber)
-        s, r, integral, closed = rep.type_s, rep.r, rep.integral, \
-            rep.closed_form
-        match, chi, serre_ok = rep.match, rep.chi, rep.serre_ok
-    except NonKulikovError as exc:
-        # weak-Neron fallback: the defining sum vs. the expected closed form
-        if neron_integral is None or expectations is None:
-            raise InputError(
-                "fiber matches no Kulikov type and the document lacks the "
-                "weak Neron data and expectations needed for the fallback "
-                "route: %s" % exc) from exc
-        if expected is None:
-            raise InputError("expectations block carries no closed form")
+    if expectations is not None:
+        if "closed_form" in expectations:
+            expected = _decode("expectations block", motive_from_json,
+                               expectations["closed_form"])
         s, r = expectations.get("s"), expectations.get("r")
         # the verify-report schema's ranges; type() also rules out booleans
         if type(s) is not int or s not in (1, 2, 3) or r is not None and (
                 type(r) is not int or r < 1):
             raise InputError("bad expectations block: s = %r, r = %r (need s "
                              "in 1..3, r >= 1 or null)" % (s, r))
-        integral, closed = neron_integral, expected
-        match = integral == closed
-        chi = integral.euler_characteristic()
-        serre_ok = integral.serre_reduce() == closed.serre_reduce()
+    violations = validate(fiber)
+    if violations:
+        return ({"fiber_label": fiber.label, "violations": violations,
+                 "match": False}, 1)
 
-    # on the fallback route match implies serre_ok, so serre_ok decides
-    # the exit code only on the Kulikov route
+    try:
+        rep = verify_fiber(fiber)
+    except NonKulikovError as exc:
+        raise InputError("fiber matches no Kulikov type: %s" % exc) from exc
+    s, r, integral, closed = rep.type_s, rep.r, rep.integral, rep.closed_form
+    match, chi, serre_ok = rep.match, rep.chi, rep.serre_ok
     ok = match and serre_ok and chi == 24
     if expected is not None and closed is not None and expected != closed:
         match = ok = False
@@ -281,16 +266,14 @@ def _verify_one(path: str, e: int):
               "closed_form": None if closed is None
               else motive_to_json(closed),
               "match": match, "chi": chi, "serre_ok": serre_ok}
-    if neron_integral is not None:
-        report["neron_match"] = neron_integral == integral
+    if neron is not None:
+        report["neron_match"] = integral_from_neron(neron) == integral
         ok = ok and report["neron_match"]
 
-    if e != 1 and s in (2, 3) and r:
-        curve = fiber.double_curves[0].curve if fiber.double_curves else None
-        if s == 2 and curve is None:
-            raise InputError("type 2 closed form at e = %d: the first double "
-                             "curve names no elliptic curve" % e)
-        atom = EllipticCurveAtom(curve) if s == 2 else None
+    if e != 1 and s in (2, 3):
+        # a type-2 fiber's double curves are genus 1, each naming its curve
+        atom = EllipticCurveAtom(fiber.double_curves[0].curve) \
+            if s == 2 else None
         report["closed_form_at_e"] = motive_to_json(closed_form_integral(
             RamifiedParams(e=e, s=s, r=r, elliptic_atom=atom)))
 
@@ -304,6 +287,8 @@ def _cmd_verify(args) -> int:
         if args.input is not None:
             raise InputError("verify takes an input file or --all DIR, "
                              "not both")
+        if not Path(args.all).exists():
+            raise InputError("--all %s does not exist" % args.all)
         if Path(args.all).is_file():
             raise InputError("--all %s is not a directory" % args.all)
         paths = sorted(str(p) for p in Path(args.all).glob("*.json"))

@@ -12,6 +12,9 @@ homology is one orientation pass on a closed, connected, oriented
 2-pseudomanifold and the top-degree kernel of that elimination elsewhere.
 Nothing in the library calls ``boundary_matrix``, the one dense build: it is
 the dense oracle of the tests.
+An ``Involution`` is checked level by level in up to three passes: one
+slot permutation shared by every simplex, the symmetric functions of the
+face images, and a per-simplex scan that names the first failure.
 ``quotient_by_involution`` builds the orbit Delta-set of an involution that
 is free on positive-dimensional simplices (fixed simplices are allowed when
 they are fixed together with all of their faces); the orbit cells inherit
@@ -493,10 +496,12 @@ class Involution:
     ``maps[q][s]`` is the image of the s-th q-simplex.  The map may reorder
     the faces of a simplex it moves (geometrically: reverse orientations);
     a simplex mapped to itself must be fixed together with all its faces.
-    Each level is checked in flat passes: the map composed with itself, and
-    the symmetric functions of the images of the faces of each simplex
-    against those of the faces of its image; only a failed pass scans
-    simplex by simplex, to name the first failure.
+    Each level is checked in up to three passes, each only when the one
+    before fails: the map in range and its own inverse, else its sorted
+    images; the slot columns of the faces' images equal to those of the
+    image's faces under one slot permutation shared by every simplex, else
+    their elementary symmetric functions; last, a scan simplex by simplex
+    that names the first failure.
     """
 
     def __init__(self, ds: DeltaSet, maps: Sequence[Sequence[int]]):
@@ -505,10 +510,12 @@ class Involution:
         self.ds = ds
         self.maps = _int_rows(maps, "simplex image")
         for q, level in enumerate(self.maps):
-            if sorted(level) != list(range(ds.n(q))):
-                raise ValueError("map in dimension %d is not a bijection" % q)
-            if _take(level, level) == tuple(range(ds.n(q))):
+            n = ds.n(q)
+            if (not level or min(level) >= 0 and max(level) < n) \
+                    and _take(level, level) == tuple(range(n)):
                 continue
+            if sorted(level) != list(range(n)):
+                raise ValueError("map in dimension %d is not a bijection" % q)
             for s, img in enumerate(level):
                 if level[img] != s:
                     raise ValueError("map is not an involution at (%d, %d)"
@@ -517,8 +524,12 @@ class Involution:
             below, here = self.maps[q - 1], self.maps[q]
             slots = tuple(zip(*level))
             fixed = compress(count(), map(eq, here, count()))
-            if _symmetric([_take(below, x) for x in slots]) \
-                    == _symmetric([_take(x, here) for x in slots]) \
+            images = [_take(below, x) for x in slots]
+            targets = [_take(x, here) for x in slots]
+            # equal columns are interchangeable, so a shared slot
+            # permutation exists exactly when the sorted columns agree
+            if (sorted(images) == sorted(targets)
+                    or _symmetric(images) == _symmetric(targets)) \
                     and all(below[f] == f for s in fixed for f in level[s]):
                 continue
             target = [sorted(fs) for fs in level]

@@ -1,4 +1,5 @@
 import hashlib
+import random
 import warnings
 
 import pytest
@@ -31,9 +32,8 @@ from k3motive.deltaset import (
     recognize,
     top_cycle_generator,
 )
-from k3motive.fibers import (DegenerationFiber, DoubleCurve,
-                             NonKulikovError, TriplePoint,
-                             degeneration_type, validate)
+from k3motive.fibers import (DegenerationFiber, DoubleCurve, Rational,
+                             TriplePoint, degeneration_type, validate)
 from k3motive.integrals import (
     RamifiedParams,
     acampo_chi,
@@ -449,11 +449,20 @@ class TestKummer:
         rep = build_kummer(KummerParams(2, 4))
         assert integral_from_neron(rep.neron_data()) == rep.integral
 
-    def test_fiber_is_honest_but_not_kulikov(self):
-        rep = build_kummer(KummerParams(2, 4))
-        assert validate(rep.fiber) == []
-        with pytest.raises(NonKulikovError):
-            degeneration_type(rep.fiber)
+    def test_fiber_is_type3_kulikov(self):
+        for m1, m2 in ((2, 2), (2, 4), (4, 6), (6, 4), (8, 8)):
+            rep = build_kummer(KummerParams(m1, m2))
+            f = rep.fiber
+            assert validate(f) == []
+            assert degeneration_type(f) == 3
+            kinds = [c.kind for c in f.components]
+            assert kinds.count(Rational(7)) == 4
+            assert kinds.count(Rational(4)) == len(kinds) - 4 \
+                == m1 * m2 // 2 - 2
+            assert rep.r2_kummer == len(f.triple_points) == m1 * m2
+            rep_v = verify_fiber(f)
+            assert rep_v.match and rep_v.chi == 24 and rep_v.r == m1 * m2
+            assert rep_v.integral == rep.integral
 
     def test_odd_params_rejected(self):
         with pytest.raises(ValueError):
@@ -482,3 +491,56 @@ class TestAllBuildersInvariants:
         for f in fibers:
             assert acampo_chi(f) == 24
             assert serre_hodge_check(f) is True
+
+
+# Euler characteristics by kind, from the Betti numbers: a rational surface
+# with b2 = a, an elliptic ruled surface with b1 = b3 = 2 and b2 = a + 2, a
+# K3 surface, and a rational or elliptic double curve
+CHI_OF_KIND = {"Rational": lambda k: 2 + k.a, "RuledElliptic": lambda k: k.a,
+               "K3Smooth": lambda k: 24}
+CHI_OF_GENUS = {0: 2, 1: 0}
+
+
+def oracle_chi(f):
+    """The Euler characteristic of a semistable degeneration's general
+    fiber, sum chi(V) - 2 sum chi(C) + 3 T, from the table above alone."""
+    return (sum(CHI_OF_KIND[type(c.kind).__name__](c.kind)
+                for c in f.components)
+            - 2 * sum(CHI_OF_GENUS[d.genus] for d in f.double_curves)
+            + 3 * len(f.triple_points))
+
+
+def seeded_profile(rng, parts, total):
+    cuts = sorted(rng.randint(0, total) for _ in range(parts - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+class TestEulerOracle:
+    """Every builder's output gives chi = 24 by the table, and the library's
+    chi agrees."""
+
+    def fibers(self):
+        rng = random.Random(1724)
+        yield build_type1_smooth()
+        for m in range(1, 7):
+            yield build_type2_chain(m)
+            for _ in range(3):
+                yield build_type2_chain(m, seeded_profile(rng, m + 1, 20))
+        for base in (tetrahedron, octahedron, icosahedron):
+            for steps, style in ((0, "barycentric"), (1, "barycentric"),
+                                 (2, "edge_split")):
+                tri = refine_sphere(base(), steps, style)
+                yield build_type3(tri)
+                yield build_type3(tri, seeded_profile(
+                    rng, tri.n(0), 20 + 2 * tri.n(2)))
+        for m1 in (2, 4, 6, 8):
+            for m2 in (2, 4, 6, 8):
+                yield build_kummer(KummerParams(m1, m2)).fiber
+
+    def test_chi_is_24(self):
+        seen = 0
+        for f in self.fibers():
+            assert oracle_chi(f) == 24, f.label
+            assert acampo_chi(f) == 24, f.label
+            seen += 1
+        assert seen == 1 + 6 * 4 + 3 * 3 * 2 + 16

@@ -752,7 +752,7 @@ class TestVerifyAll:
         kummer = d / "b_kummer.json"
         run(["build", "kummer", "--m1", "4", "--m2", "6", "-o", str(kummer)])
         doc = json.loads(kummer.read_text())
-        del doc["expectations"]["closed_form"]
+        doc["expectations"]["s"] = 4
         write(kummer, doc)
         run(["build", "type3", "--triangulation", "octahedron",
              "-o", str(d / "c_octa.json")])
@@ -803,6 +803,15 @@ class TestVerifyAll:
             "", "error: --all %s is not a directory\n" % doc)
         assert not report.exists()
 
+    def test_all_naming_no_path_exit2(self, tmp_path, capsys):
+        missing = tmp_path / "nowhere"
+        report = tmp_path / "r.json"
+        assert run(["verify", "--all", str(missing), "--report",
+                    str(report)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: --all %s does not exist\n" % missing)
+        assert not report.exists()
+
 
 class TestCrossCheckFailures:
     @pytest.mark.parametrize("exc", [
@@ -828,8 +837,8 @@ class TestCrossCheckFailures:
 
 @pytest.fixture
 def kummer_doc(tmp_path):
-    """A built Kummer 4x6 document, which verify evaluates by the
-    weak-Neron fallback route."""
+    """A built Kummer 4x6 document, a type-III Kulikov fiber with a weak
+    Neron block and expectations."""
     path = tmp_path / "kummer.json"
     assert run(["build", "kummer", "--m1", "4", "--m2", "6",
                 "-o", str(path)]) == 0
@@ -837,6 +846,9 @@ def kummer_doc(tmp_path):
 
 
 class TestNeronFallback:
+    """The Kummer document's Neron and expectations blocks: a Kulikov fiber
+    now, so verify checks the Neron sum against the model's integral."""
+
     def test_wrong_closed_form_exit1(self, tmp_path, kummer_doc):
         doc = json.loads(kummer_doc.read_text())
         doc["expectations"]["closed_form"] = motive_to_json(
@@ -860,10 +872,9 @@ class TestNeronFallback:
                     str(report)]) == 1
         out = json.loads(report.read_text())
         schema_validator("verify_report.schema.json").validate(out)
-        assert out["match"] is False
-        # chi, serre_ok and neron_match hold: only the match line prints
-        assert capsys.readouterr().err == \
-            "  mismatch: integral differs from the closed form\n"
+        assert out["match"] is True and out["neron_match"] is False
+        # match, chi and serre_ok hold: only the neron_match line prints
+        assert capsys.readouterr().err == "  failed check: neron_match\n"
 
     @pytest.mark.parametrize("update", [
         {"r": "x"}, {"r": 0}, {"r": True}, {"s": True}, {"s": 4},
@@ -881,24 +892,3 @@ class TestNeronFallback:
         assert err.startswith("error: bad expectations block: s = ")
         assert err.count("\n") == 1
 
-    def test_null_r_skips_closed_form_at_e(self, tmp_path, kummer_doc):
-        doc = json.loads(kummer_doc.read_text())
-        doc["expectations"]["r"] = None
-        write(kummer_doc, doc)
-        report = tmp_path / "r.json"
-        assert run(["verify", str(kummer_doc), "--e", "2", "--report",
-                    str(report)]) == 0
-        out = json.loads(report.read_text())
-        schema_validator("verify_report.schema.json").validate(out)
-        assert out["r"] is None and "closed_form_at_e" not in out
-
-    def test_type2_at_e_without_elliptic_curve_exit2(self, capsys,
-                                                     kummer_doc):
-        doc = json.loads(kummer_doc.read_text())
-        doc["expectations"].update(s=2, r=16)
-        write(kummer_doc, doc)
-        capsys.readouterr()
-        assert run(["verify", str(kummer_doc), "--e", "2"]) == 2
-        err = capsys.readouterr().err
-        assert err == ("error: type 2 closed form at e = 2: the first double "
-                       "curve names no elliptic curve\n")

@@ -1191,10 +1191,21 @@ def solid_tetra():
     return DeltaSet(4, [base._faces[0], base._faces[1], [(3, 2, 1, 0)]])
 
 
+def swapped_triangles():
+    """Two disjoint triangles, the second stored with its first two
+    vertices exchanged, and the vertex map 0 <-> 3, 1 <-> 4, 2 <-> 5.  The
+    induced map carries the triangles' face slots by (1, 0, 2), the same
+    permutation on both; on the edges it keeps the slots of two edges and
+    exchanges those of the third."""
+    ds = DeltaSet(6, [[(1, 0), (2, 0), (2, 1), (3, 4), (5, 4), (5, 3)],
+                      [(2, 1, 0), (5, 4, 3)]])
+    return ds, induced_maps(ds, [3, 4, 5, 0, 1, 2])
+
+
 FLAT_BASES = ("torus 2x2", "torus 4x6", "torus 6x4", "kummer 2x4",
               "kummer 4x4", "octahedron antipodal", "icosahedron",
               "rp2", "solid tetrahedron", "square reflection",
-              "2-gon rotation")
+              "2-gon rotation", "swapped triangles")
 
 
 @functools.cache
@@ -1219,6 +1230,8 @@ def flat_base(name):
         return solid_tetra(), identity_maps(solid_tetra())
     if kind == "square":
         return circle(4), [[0, 3, 2, 1], [3, 2, 1, 0]]
+    if kind == "swapped":
+        return relabelled(*swapped_triangles(), 14)
     return circle(2), [[1, 0], [1, 0]]
 
 
@@ -1249,6 +1262,33 @@ class TestFlatChecks:
         with pytest.raises(ValueError) as exc:
             Involution(circle(4), maps)
         assert str(exc.value) == text
+
+    def test_negative_image_is_no_bijection(self):
+        # -1 indexes the last simplex and -9 indexes nothing: both are
+        # refused as out of range, never read as an index
+        for image in (-1, -9):
+            with pytest.raises(ValueError) as exc:
+                Involution(circle(4), [[0, 3, 2, image], [3, 2, 1, 0]])
+            assert str(exc.value) == "map in dimension 0 is not a bijection"
+
+    def test_shared_slot_permutations(self, monkeypatch):
+        # the torus negation reverses the slots on both levels, and the
+        # swapped triangles' level 2 permutes them by (1, 0, 2): neither
+        # computes symmetric functions there
+        from k3motive import deltaset
+        ds, maps = swapped_triangles()
+        images = [[maps[1][f] for f in fs] for fs in ds._faces[1]]
+        assert images == [[ds._faces[1][t][i] for i in (1, 0, 2)]
+                          for t in maps[2]]
+        widths = []
+        symmetric = deltaset._symmetric
+        monkeypatch.setattr(deltaset, "_symmetric", lambda slots: widths.append(
+            len(slots)) or symmetric(slots))
+        for m1, m2 in ((2, 2), (2, 32), (4, 6), (30, 30)):
+            torus_negation(m1, m2)
+        assert widths == []
+        Involution(ds, maps)
+        assert widths == [2, 2]  # the edges only
 
     @SETTINGS
     @given(data=st.data())

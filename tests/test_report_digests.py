@@ -30,15 +30,17 @@ DIGESTS = {
         (0, "d327e6b04270e5e4ec3677e92da87de52facc80e0e6defc4fdda915696515689"),
         (0, "598bf5673f6c55d5caeb681f169507e21573d19979ee58b85d913b6c658c8d26"),
     ),
+    # rational components, a = 4 and 7: the analyze reports read type 3
+    # and chi 24
     "kummer-2x2": (
-        (0, "dec53fb9d10007c55d1354584ab6d32f5022fa85fb6361fb90de5bff9df9b443"),
+        (0, "ccb1b1a2fa929c3252f86add4a4f94d66679c12c3f1806a7a6d40624a7ac4f1c"),
         (0, "726b67f57e935200b02c46ba6a6201b8d6fd4847e82689c8f23d6624420d73fb"),
-        (0, "f63999edde27c75f0b5cc43cd4b4c1d37d5a4fb9a1049492c977c515873ddd5f"),
+        (0, "1577ebf9055d30e274f5cffd159d227380710625d381d90998e5559544e4710c"),
     ),
     "kummer-4x6": (
-        (0, "2003abb4466d9e2421fe64cba8b2dd45ee15cac9b84095f22a279fac05c1126c"),
+        (0, "98ab91983474459afb6baabd366250298afc7433b50e48e00a892966a6061b1c"),
         (0, "692a13e66e6d496d08dd7d8cf76037f4228332659205b4aaf9024c55fedf48a5"),
-        (0, "0384a4139fdc163859f97b171174df21669b6a744f944136937b846622e80138"),
+        (0, "fd85e71eceebe9033f535784a46c29f78db4860c69189435aa1bb84bb3f5e8b0"),
     ),
     "octahedron": (
         (0, "bbf69fcee4be3bc0d48de1dfa9a30cfd380b1da94792e3a774a1b735e2a05faf"),

@@ -221,7 +221,7 @@ class TestDumps:
                      "-o", str(out)]) == 0
         text = out.read_text()
         assert hashlib.sha256(text.encode()).hexdigest() == \
-            "472e426dfd989c8552dc4f069cca65e1c81ec802dda5fd46e22ae9304e57fedf"
+            "38a858633c95d9a2e618740023ad6b09b17ee40d06af9c4584fcaf7fba882583"
         doc = json.loads(text)
         assert dumps(doc) == json_dumps(doc) == text
 

@@ -74,15 +74,16 @@ class TestE1Page:
             assert e1_page(f).total_alternating_rank() == 24
 
     def test_kummer_page_from_other_betti_data(self):
-        # every Kummer component is an ``Other`` kind with Betti data
+        # every Kummer component is rational, with b2 = a: 4 on the 10
+        # generic components and 7 on the 4 fixed ones
         from k3motive.builders import KummerParams, build_kummer
         f = build_kummer(KummerParams(4, 6)).fiber
-        b0, b1, b2 = (sum(c.kind.betti[k] for c in f.components)
-                      for k in range(3))
+        b0, b1, b2 = len(f.components), 0, sum(c.kind.a for c in f.components)
         curves, points = len(f.double_curves), len(f.triple_points)
         page = e1_page(f)
-        assert (b0, b1, b2, curves, points) == (14, 0, 44, 36, 24)
-        assert page.rank(0, 2) == b2 + points == 68
+        assert (b0, b1, b2, curves, points) == (14, 0, 68, 36, 24)
+        assert page.rank(0, 2) == b2 + points == 92
+        assert page.total_alternating_rank() == 24
         assert page.rank(0, 0) == page.rank(0, 4) == b0
         assert page.rank(0, 1) == page.rank(0, 3) == b1
         assert page.rank(1, 0) == page.rank(-1, 4) == curves
