@@ -4,8 +4,10 @@ Subcommands: ``build`` (emit an example fiber plus its expectations),
 ``analyze`` (validate and summarize a fiber), ``verify`` (compare the
 integral against the closed form) and ``snf`` (Smith normal form of a
 matrix).  Exit codes: 0 on success and, for verify, a full match; 1 on
-validation violations, a mismatch or a failed internal cross-check (two
-routes to the same invariant disagree); 2 on malformed input, including
+validation violations, a mismatch (the integral against the expected closed
+form, or the expected s and r against the model's) or a failed internal
+cross-check (two routes to the same invariant disagree); 2 on malformed
+input, including
 expectations outside the report schema and a fiber of no Kulikov type, or
 I/O failure.  ``verify`` prints one stderr line per failed check, and under
 ``--all`` reports a malformed document on stderr, verifies the rest and
@@ -236,12 +238,12 @@ def _verify_one(path: str, e: int):
     expectations = doc.get("expectations")
     if expectations is not None and not isinstance(expectations, dict):
         raise InputError("bad expectations block: expected a JSON object")
-    expected = None
+    expected = expected_sr = None
     if expectations is not None:
         if "closed_form" in expectations:
             expected = _decode("expectations block", motive_from_json,
                                expectations["closed_form"])
-        s, r = expectations.get("s"), expectations.get("r")
+        expected_sr = s, r = expectations.get("s"), expectations.get("r")
         # the verify-report schema's ranges; type() also rules out booleans
         if type(s) is not int or s not in (1, 2, 3) or r is not None and (
                 type(r) is not int or r < 1):
@@ -250,7 +252,7 @@ def _verify_one(path: str, e: int):
     violations = validate(fiber)
     if violations:
         return ({"fiber_label": fiber.label, "violations": violations,
-                 "match": False}, 1)
+                 "match": False}, 1, None)
 
     try:
         rep = verify_fiber(fiber)
@@ -258,7 +260,7 @@ def _verify_one(path: str, e: int):
         raise InputError("fiber matches no Kulikov type: %s" % exc) from exc
     s, r, integral, closed = rep.type_s, rep.r, rep.integral, rep.closed_form
     match, chi, serre_ok = rep.match, rep.chi, rep.serre_ok
-    ok = match and serre_ok and chi == 24
+    ok = match and serre_ok and chi == 24 and expected_sr in (None, (s, r))
     if expected is not None and closed is not None and expected != closed:
         match = ok = False
     report = {"fiber_label": fiber.label, "e": e, "s": s, "r": r,
@@ -277,7 +279,7 @@ def _verify_one(path: str, e: int):
         report["closed_form_at_e"] = motive_to_json(closed_form_integral(
             RamifiedParams(e=e, s=s, r=r, elliptic_atom=atom)))
 
-    return (report, 0 if ok else 1)
+    return (report, 0 if ok else 1, expected_sr)
 
 
 def _cmd_verify(args) -> int:
@@ -301,7 +303,7 @@ def _cmd_verify(args) -> int:
     reports, worst = [], 0
     for path in paths:
         try:
-            report, code = _verify_one(path, args.e)
+            report, code, expected_sr = _verify_one(path, args.e)
         except InputError as exc:
             if args.all is None:
                 raise
@@ -322,6 +324,9 @@ def _cmd_verify(args) -> int:
             if not report["match"]:
                 print("  mismatch: integral differs from the closed form",
                       file=sys.stderr)
+            if expected_sr not in (None, (report["s"], report["r"])):
+                print("  mismatch: expectations give s = %s, r = %s"
+                      % expected_sr, file=sys.stderr)
             for check, ok in (("neron_match", report.get("neron_match", True)),
                               ("chi = %s, not 24" % report["chi"],
                                report["chi"] == 24),

@@ -12,9 +12,9 @@ homology is one orientation pass on a closed, connected, oriented
 2-pseudomanifold and the top-degree kernel of that elimination elsewhere.
 Nothing in the library calls ``boundary_matrix``, the one dense build: it is
 the dense oracle of the tests.
-An ``Involution`` is checked level by level in up to three passes: one
-slot permutation shared by every simplex, the symmetric functions of the
-face images, and a per-simplex scan that names the first failure.
+An ``Involution`` is checked level by level in up to two passes: one
+slot permutation shared by every simplex, and a per-simplex scan that names
+the first failure.
 ``quotient_by_involution`` builds the orbit Delta-set of an involution that
 is free on positive-dimensional simplices (fixed simplices are allowed when
 they are fixed together with all of their faces); the orbit cells inherit
@@ -47,19 +47,6 @@ def _take(seq, ids) -> tuple:
     """``seq[i]`` for each i in ``ids``, in one C-level pass."""
     return itemgetter(*ids)(seq) if len(ids) > 1 \
         else tuple(seq[i] for i in ids)
-
-
-def _symmetric(slots) -> list:
-    """The elementary symmetric functions e_1, ..., e_k of the k entries of
-    each row, from the rows' k slot columns: they agree on two rows exactly
-    when the rows hold the same multiset."""
-    e = [slots[0]]
-    for x in slots[1:]:
-        e = ([list(map(add, e[0], x))]
-             + [list(map(add, hi, map(mul, x, lo)))
-                for lo, hi in zip(e, e[1:])]
-             + [list(map(mul, x, e[-1]))])
-    return e
 
 
 class DeltaSet:
@@ -496,12 +483,11 @@ class Involution:
     ``maps[q][s]`` is the image of the s-th q-simplex.  The map may reorder
     the faces of a simplex it moves (geometrically: reverse orientations);
     a simplex mapped to itself must be fixed together with all its faces.
-    Each level is checked in up to three passes, each only when the one
-    before fails: the map in range and its own inverse, else its sorted
-    images; the slot columns of the faces' images equal to those of the
-    image's faces under one slot permutation shared by every simplex, else
-    their elementary symmetric functions; last, a scan simplex by simplex
-    that names the first failure.
+    Each level is checked in two passes, the second only when the first
+    fails.  First, the map is in range and its own inverse, and the slot
+    columns of the faces' images equal those of the image's faces under one
+    slot permutation shared by every simplex; second, a scan simplex by
+    simplex names the first failure.
     """
 
     def __init__(self, ds: DeltaSet, maps: Sequence[Sequence[int]]):
@@ -511,7 +497,8 @@ class Involution:
         self.maps = _int_rows(maps, "simplex image")
         for q, level in enumerate(self.maps):
             n = ds.n(q)
-            if (not level or min(level) >= 0 and max(level) < n) \
+            if len(level) == n \
+                    and (not n or min(level) >= 0 and max(level) < n) \
                     and _take(level, level) == tuple(range(n)):
                 continue
             if sorted(level) != list(range(n)):
@@ -528,8 +515,7 @@ class Involution:
             targets = [_take(x, here) for x in slots]
             # equal columns are interchangeable, so a shared slot
             # permutation exists exactly when the sorted columns agree
-            if (sorted(images) == sorted(targets)
-                    or _symmetric(images) == _symmetric(targets)) \
+            if sorted(images) == sorted(targets) \
                     and all(below[f] == f for s in fixed for f in level[s]):
                 continue
             target = [sorted(fs) for fs in level]

@@ -892,3 +892,24 @@ class TestNeronFallback:
         assert err.startswith("error: bad expectations block: s = ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("update", [{"s": 2}, {"r": 5}, {"r": None}],
+                             ids=["s-2", "r-5", "r-null"])
+    def test_expectations_other_than_the_model_exit1(self, tmp_path, capsys,
+                                                     kummer_doc, update):
+        # within the schema, but not the model's s = 3, r = 24: the report
+        # still holds the model's values, and stderr names the expectations
+        doc = json.loads(kummer_doc.read_text())
+        doc["expectations"].update(update)
+        write(kummer_doc, doc)
+        report = tmp_path / "r.json"
+        capsys.readouterr()
+        assert run(["verify", str(kummer_doc), "--report",
+                    str(report)]) == 1
+        out = json.loads(report.read_text())
+        schema_validator("verify_report.schema.json").validate(out)
+        assert (out["s"], out["r"], out["match"]) == (3, 24, True)
+        expected = dict({"s": 3, "r": 24}, **update)
+        assert capsys.readouterr().err == (
+            "  mismatch: expectations give s = %s, r = %s\n"
+            % (expected["s"], expected["r"]))
+

@@ -1271,24 +1271,23 @@ class TestFlatChecks:
                 Involution(circle(4), [[0, 3, 2, image], [3, 2, 1, 0]])
             assert str(exc.value) == "map in dimension 0 is not a bijection"
 
-    def test_shared_slot_permutations(self, monkeypatch):
-        # the torus negation reverses the slots on both levels, and the
-        # swapped triangles' level 2 permutes them by (1, 0, 2): neither
-        # computes symmetric functions there
-        from k3motive import deltaset
+    def test_level_of_wrong_length_is_no_bijection(self):
+        # a short level whose images stay below its length, or reach past
+        # its end, and a long one: each is refused before any image is read
+        # as an index
+        for level in ([1, 0, 2], [1, 0, 3], [1, 0, 3, 2, 4]):
+            with pytest.raises(ValueError) as exc:
+                Involution(circle(4), [level, [3, 2, 1, 0]])
+            assert str(exc.value) == "map in dimension 0 is not a bijection"
+
+    def test_shared_slot_permutations(self):
+        # the swapped triangles' level 2 permutes the face slots by
+        # (1, 0, 2) on both triangles, neither the identity nor the reversal
         ds, maps = swapped_triangles()
         images = [[maps[1][f] for f in fs] for fs in ds._faces[1]]
         assert images == [[ds._faces[1][t][i] for i in (1, 0, 2)]
                           for t in maps[2]]
-        widths = []
-        symmetric = deltaset._symmetric
-        monkeypatch.setattr(deltaset, "_symmetric", lambda slots: widths.append(
-            len(slots)) or symmetric(slots))
-        for m1, m2 in ((2, 2), (2, 32), (4, 6), (30, 30)):
-            torus_negation(m1, m2)
-        assert widths == []
-        Involution(ds, maps)
-        assert widths == [2, 2]  # the edges only
+        assert Involution(ds, maps).maps == tuple(map(tuple, maps))
 
     @SETTINGS
     @given(data=st.data())
