@@ -15,7 +15,6 @@ count, which the Gram determinant of the model confirms.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import count, repeat
 from operator import itemgetter
 
@@ -327,13 +326,11 @@ def build_kummer(p: KummerParams) -> KummerReport:
     integral = (census.special * KUMMER_SPECIAL_CLASS
                 + census.generic * KUMMER_GENERIC_CLASS)
 
-    # orbit ids follow the representatives in ascending order; the census
-    # shares one kind object per class
-    reps = [v for v, img in enumerate(sigma.maps[0]) if img >= v]
+    # the census shares one kind object per class
     kinds = [Rational(4)] * nerve.n(0)
     special = Rational(7)
     for v in fixed:
-        kinds[bisect_left(reps, v)] = special
+        kinds[sigma.orbit_of[0][v]] = special
     comps = [Component(o, kind) for o, kind in enumerate(kinds)]
     fiber = _nerve_fiber("kummer_%dx%d" % (p.m1, p.m2), comps, nerve)
 

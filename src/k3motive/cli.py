@@ -7,12 +7,12 @@ matrix).  Exit codes: 0 on success and, for verify, a full match; 1 on
 validation violations, a mismatch (the integral against the expected closed
 form, or the expected s and r against the model's) or a failed internal
 cross-check (two routes to the same invariant disagree); 2 on malformed
-input, including
-expectations outside the report schema and a fiber of no Kulikov type, or
-I/O failure.  ``verify`` prints one stderr line per failed check, and under
-``--all`` reports a malformed document on stderr, verifies the rest and
-then exits 2; ``verify`` given both an input file and ``--all``, or
-``--all`` naming a file or a path that does not exist, exits 2.
+input, including expectations outside the report schema and a fiber of no
+Kulikov type, or I/O failure.  ``verify`` decides each document from one
+list of failed checks: exit 1 when it is not empty, and one stderr line per
+entry.  Under ``--all`` it reports a malformed document on stderr, verifies
+the rest and then exits 2; ``verify`` given both an input file and
+``--all``, or ``--all`` naming a file or a missing path, exits 2.
 
 ``main(argv)`` may be called any number of times in one process: the calls
 share one argument parser, built at import, and each gets its own namespace.
@@ -29,7 +29,6 @@ import sys
 from pathlib import Path
 
 from .builders import (
-    BUILTIN_SPHERES,
     KummerParams,
     build_kummer,
     build_type2_chain,
@@ -138,14 +137,10 @@ def _cmd_build(args) -> int:
     elif args.family == "type3":
         if args.triangulation is None:
             raise InputError("build type3 requires --triangulation")
-        name = args.triangulation
-        if name.startswith("file:"):
+        tri = args.triangulation  # a built-in name, or file:PATH
+        if tri.startswith("file:"):
             tri = _decode("triangulation", delta_from_json,
-                          _load_json(name[len("file:"):]))
-        elif name in BUILTIN_SPHERES:
-            tri = BUILTIN_SPHERES[name]()
-        else:
-            raise InputError("unknown triangulation %r" % (name,))
+                          _load_json(tri[len("file:"):]))
         fiber = build_type3(tri, profile)
         params = RamifiedParams(e=1, s=3, r=len(fiber.triple_points))
     else:  # kummer
@@ -231,6 +226,9 @@ def _cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _verify_one(path: str, e: int):
+    """The report on one document and its failed-check lines, in order: the
+    violations of an invalid fiber, or else each mismatch and failed check;
+    the document verifies when there are none."""
     doc, fiber = _load_fiber(path)
     neron_doc = doc.get("neron")
     neron = None if neron_doc is None else \
@@ -252,25 +250,22 @@ def _verify_one(path: str, e: int):
     violations = validate(fiber)
     if violations:
         return ({"fiber_label": fiber.label, "violations": violations,
-                 "match": False}, 1, None)
+                 "match": False}, ["violation: %s" % v for v in violations])
 
     try:
         rep = verify_fiber(fiber)
     except NonKulikovError as exc:
         raise InputError("fiber matches no Kulikov type: %s" % exc) from exc
     s, r, integral, closed = rep.type_s, rep.r, rep.integral, rep.closed_form
-    match, chi, serre_ok = rep.match, rep.chi, rep.serre_ok
-    ok = match and serre_ok and chi == 24 and expected_sr in (None, (s, r))
-    if expected is not None and closed is not None and expected != closed:
-        match = ok = False
+    match = rep.match and (expected is None or closed is None
+                           or expected == closed)
     report = {"fiber_label": fiber.label, "e": e, "s": s, "r": r,
               "integral": motive_to_json(integral),
               "closed_form": None if closed is None
               else motive_to_json(closed),
-              "match": match, "chi": chi, "serre_ok": serre_ok}
+              "match": match, "chi": rep.chi, "serre_ok": rep.serre_ok}
     if neron is not None:
         report["neron_match"] = integral_from_neron(neron) == integral
-        ok = ok and report["neron_match"]
 
     if e != 1 and s in (2, 3):
         # a type-2 fiber's double curves are genus 1, each naming its curve
@@ -279,7 +274,14 @@ def _verify_one(path: str, e: int):
         report["closed_form_at_e"] = motive_to_json(closed_form_integral(
             RamifiedParams(e=e, s=s, r=r, elliptic_atom=atom)))
 
-    return (report, 0 if ok else 1, expected_sr)
+    checks = (
+        ("mismatch: integral differs from the closed form", match),
+        ("mismatch: expectations give s = %s, r = %s"
+         % (expected_sr or (s, r)), expected_sr in (None, (s, r))),
+        ("failed check: neron_match", report.get("neron_match", True)),
+        ("failed check: chi = %s, not 24" % rep.chi, rep.chi == 24),
+        ("failed check: serre_ok", rep.serre_ok))
+    return report, [line for line, ok in checks if not ok]
 
 
 def _cmd_verify(args) -> int:
@@ -303,7 +305,7 @@ def _cmd_verify(args) -> int:
     reports, worst = [], 0
     for path in paths:
         try:
-            report, code, expected_sr = _verify_one(path, args.e)
+            report, failed = _verify_one(path, args.e)
         except InputError as exc:
             if args.all is None:
                 raise
@@ -311,28 +313,16 @@ def _cmd_verify(args) -> int:
             print("error: %s: %s" % (path, exc), file=sys.stderr)
             worst = 2
             continue
-        worst = max(worst, code)
         reports.append(report)
         if "violations" in report:
             print("%s: INVALID (%d violations)"
                   % (path, len(report["violations"])))
-            for v in report["violations"]:
-                print("  violation: %s" % v, file=sys.stderr)
         else:
             print("%s: s=%s r=%s match=%s chi=%s serre_ok=%s" % (path, *(
                 report[k] for k in ("s", "r", "match", "chi", "serre_ok"))))
-            if not report["match"]:
-                print("  mismatch: integral differs from the closed form",
-                      file=sys.stderr)
-            if expected_sr not in (None, (report["s"], report["r"])):
-                print("  mismatch: expectations give s = %s, r = %s"
-                      % expected_sr, file=sys.stderr)
-            for check, ok in (("neron_match", report.get("neron_match", True)),
-                              ("chi = %s, not 24" % report["chi"],
-                               report["chi"] == 24),
-                              ("serre_ok", report["serre_ok"])):
-                if not ok:
-                    print("  failed check: %s" % check, file=sys.stderr)
+        for line in failed:
+            print("  " + line, file=sys.stderr)
+        worst = max(worst, 1 if failed else 0)
     _write_json(args.report, reports[0] if args.all is None else reports)
     return worst
 

@@ -488,6 +488,10 @@ class Involution:
     columns of the faces' images equal those of the image's faces under one
     slot permutation shared by every simplex; second, a scan simplex by
     simplex names the first failure.
+
+    Orbits are numbered by their smaller member: ``reps[q]`` lists those
+    members in ascending order, and ``orbit_of[q][s]`` is the number of the
+    orbit of the s-th q-simplex.
     """
 
     def __init__(self, ds: DeltaSet, maps: Sequence[Sequence[int]]):
@@ -530,6 +534,12 @@ class Involution:
                             raise ValueError(
                                 "%d-simplex %d is stabilized but not fixed "
                                 "pointwise; refine first" % (q, s))
+        self.reps = [list(compress(count(), map(ge, level, count())))
+                     for level in self.maps]
+        self.orbit_of = [[0] * len(level) for level in self.maps]
+        for level, reps, orbit in zip(self.maps, self.reps, self.orbit_of):
+            for i, r in enumerate(reps):
+                orbit[r] = orbit[level[r]] = i
 
     def is_free_on_positive(self) -> bool:
         return all(map(ne, chain.from_iterable(self.maps[1:]),
@@ -546,17 +556,7 @@ def quotient_by_involution(ds: DeltaSet, sigma: Involution) -> DeltaSet:
     if ds.dim > 2:
         raise QuotientError("quotients are supported up to dimension 2")
 
-    # orbits, indexed by their smaller representative in ascending order
-    reps: list[list[int]] = []
-    orbit_of: list[list[int]] = []
-    for level in sigma.maps:
-        rep_ids = list(compress(count(), map(ge, level, count())))
-        orbit = [0] * len(level)
-        for i, r in enumerate(rep_ids):
-            orbit[r] = orbit[level[r]] = i
-        reps.append(rep_ids)
-        orbit_of.append(orbit)
-
+    reps, orbit_of = sigma.reps, sigma.orbit_of
     if ds.dim == 0:
         return DeltaSet(len(reps[0]))
 

@@ -306,15 +306,15 @@ def _ints(doc, what: str) -> tuple[int, ...] | None:
     return tuple(_int(x, what + " entry") for x in _array(doc, what))
 
 
-def _keys(doc, keys: tuple[str, ...], exact: bool = True) -> None:
-    """Refuse a document that is no object or lacks one of ``keys`` and,
-    if ``exact``, one with any other key."""
+def _keys(doc, keys: tuple[str, ...], optional=()) -> None:
+    """Refuse a document that is no object, lacks one of ``keys`` or has
+    a key in neither ``keys`` nor ``optional`` (None: any key may appear)."""
     if not isinstance(doc, dict):
         raise ValueError("document %r is not an object" % (doc,))
     missing = [k for k in keys if k not in doc]
     if missing:
         raise ValueError("missing required keys: %s" % ", ".join(missing))
-    extra = sorted(set(doc) - set(keys)) if exact else ()
+    extra = () if optional is None else sorted(set(doc) - {*keys, *optional})
     if extra:
         raise ValueError("unexpected keys: %s" % ", ".join(extra))
 
@@ -324,50 +324,52 @@ def _on(entry) -> tuple:
     return tuple(map(_id, _array(entry["on"], "on")))
 
 
-def _curve(name) -> str:
-    """The elliptic-curve name of a component or double curve: a string."""
-    if not isinstance(name, str):
-        raise ValueError("curve name %r is not a string" % (name,))
-    return name
+def _string(x, what: str) -> str:
+    """A string field of a fiber document: the label, a curve name."""
+    if not isinstance(x, str):
+        raise ValueError("%s %r is not a string" % (what, x))
+    return x
 
 
 def fiber_from_json(doc: dict) -> DegenerationFiber:
-    """Decode a fiber document.  Its four keys are required; other keys (a
-    bare document may carry ``neron`` and ``expectations``) are ignored."""
+    """A fiber document as ``docs/schemas/fiber.schema.json`` has it: a
+    string label, three arrays, entries with only the schema's keys; other
+    top-level keys (``neron``, ``expectations``) are ignored."""
     _keys(doc, ("label", "components", "double_curves", "triple_points"),
-          exact=False)
+          None)
     comps = []
-    for entry in doc["components"]:
-        _keys(entry, ("id", "kind"), exact=False)
+    for entry in _array(doc["components"], "components"):
+        _keys(entry, ("id", "kind"), ("a", "curve", "class", "betti"))
         kind_tag = entry["kind"]
         if kind_tag == "rational":
-            _keys(entry, ("a",), exact=False)
+            _keys(entry, ("a",), None)
             kind = Rational(_int(entry["a"], "a"))
         elif kind_tag == "ruled_elliptic":
-            _keys(entry, ("curve",), exact=False)
-            kind = RuledElliptic(_curve(entry["curve"]),
+            _keys(entry, ("curve",), None)
+            kind = RuledElliptic(_string(entry["curve"], "curve name"),
                                  _int(entry.get("a", 0), "a"))
         elif kind_tag == "k3":
             kind = K3Smooth()
         elif kind_tag == "other":
-            _keys(entry, ("class",), exact=False)
+            _keys(entry, ("class",), None)
             kind = Other(motive_from_json(entry["class"]),
                          betti=_ints(entry.get("betti"), "betti"))
         else:
             raise ValueError("unknown component kind %r" % (kind_tag,))
         comps.append(Component(_id(entry["id"]), kind))
     curves = []
-    for e in doc["double_curves"]:
-        _keys(e, ("id", "on", "genus"), exact=False)
+    for e in _array(doc["double_curves"], "double_curves"):
+        _keys(e, ("id", "on", "genus"), ("curve", "self_intersections"))
         curves.append(DoubleCurve(
             _id(e["id"]), _on(e), _int(e["genus"], "genus"),
-            _curve(e["curve"]) if "curve" in e else None,
+            _string(e["curve"], "curve name") if "curve" in e else None,
             _ints(e.get("self_intersections"), "self_intersections")))
     triples = []
-    for e in doc["triple_points"]:
-        _keys(e, ("id", "on"), exact=False)
+    for e in _array(doc["triple_points"], "triple_points"):
+        _keys(e, ("id", "on"))
         triples.append(TriplePoint(_id(e["id"]), _on(e)))
-    return DegenerationFiber.of(doc["label"], comps, curves, triples)
+    return DegenerationFiber.of(_string(doc["label"], "label"), comps,
+                                curves, triples)
 
 
 def neron_to_json(data: WeakNeronData) -> list:
@@ -377,8 +379,8 @@ def neron_to_json(data: WeakNeronData) -> list:
 
 def neron_from_json(doc) -> WeakNeronData:
     items = []
-    for e in doc:
-        _keys(e, ("class", "multiplicity"), exact=False)
+    for e in _array(doc, "neron"):
+        _keys(e, ("class", "multiplicity"), None)
         items.append((motive_from_json(e["class"]),
                       _int(e["multiplicity"], "multiplicity")))
     return WeakNeronData.of(items)

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -463,6 +464,18 @@ class TestKummer:
             rep_v = verify_fiber(f)
             assert rep_v.match and rep_v.chi == 24 and rep_v.r == m1 * m2
             assert rep_v.integral == rep.integral
+
+    def test_profile_from_the_anticanonical_cycle(self):
+        # each component carries its double curves as an anticanonical
+        # cycle of (-1, -1) curves, so a = 10 - (number of double curves
+        # on it): read off the fiber's incidences, with no orbit numbering
+        for m1 in range(2, 31, 2):
+            for m2 in range(2, 31, 2):
+                f = build_kummer(KummerParams(m1, m2)).fiber
+                assert all(len(set(d.on)) == 2 for d in f.double_curves)
+                valence = Counter(c for d in f.double_curves for c in d.on)
+                assert [c.kind.a for c in f.components] == \
+                    [10 - valence[c.id] for c in f.components], (m1, m2)
 
     def test_odd_params_rejected(self):
         with pytest.raises(ValueError):

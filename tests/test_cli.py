@@ -24,6 +24,11 @@ from test_serialize import schema_validator
 
 MISSING = object()  # a key to delete from a document
 
+# decoder refusals of fiber documents that fiber.schema.json accepts
+SCHEMA_LAXER = {"missing required keys: a", "missing required keys: curve",
+                "missing required keys: class",
+                "betti entry 2.0 is not an integer"}
+
 
 def run(args):
     return main(args)
@@ -497,14 +502,19 @@ class TestVerifyFailures:
         assert capsys.readouterr().err == (
             "error: bad matrix document: missing required keys: %s\n" % key)
 
-    @pytest.mark.parametrize("corrupt, block", [
-        (lambda doc: doc.update(neron=5), "neron"),
-        (lambda doc: doc.update(expectations=5), "expectations"),
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda doc: doc.update(neron=5),
+         "neron block: neron 5 is not an array"),
+        (lambda doc: doc.update(expectations=5), "expectations block"),
         (lambda doc: doc["expectations"]["closed_form"][0].pop(
-            "lefschetz_power"), "expectations"),
+            "lefschetz_power"), "expectations block"),
+        (lambda doc: doc.update(neron="ab"),
+         "neron block: neron 'ab' is not an array"),
+        (lambda doc: doc.update(neron={"class": []}),
+         "neron block: neron {'class': []} is not an array"),
     ], ids=["neron-not-a-list", "expectations-not-an-object",
-            "closed-form-without-power"])
-    def test_malformed_block_exit2(self, tmp_path, capsys, corrupt, block):
+            "closed-form-without-power", "neron-string", "neron-object"])
+    def test_malformed_block_exit2(self, tmp_path, capsys, corrupt, message):
         path = tmp_path / "f.json"
         run(["build", "type3", "--triangulation", "tetrahedron",
              "-o", str(path)])
@@ -514,7 +524,7 @@ class TestVerifyFailures:
         capsys.readouterr()
         assert run(["verify", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: bad %s block" % block)
+        assert err.startswith("error: bad %s" % message)
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["verify", "analyze"])
@@ -555,19 +565,43 @@ class TestVerifyFailures:
          "missing required keys: on"),
         (lambda doc: doc["components"].__setitem__(0, 5),
          "document 5 is not an object"),
+        (lambda doc: doc.update(label=5), "label 5 is not a string"),
+        (lambda doc: doc.update(label=None), "label None is not a string"),
+        (lambda doc: doc.update(components=5), "components 5 is not an array"),
+        (lambda doc: doc.update(components="ab"),
+         "components 'ab' is not an array"),
+        (lambda doc: doc.update(double_curves={}),
+         "double_curves {} is not an array"),
+        (lambda doc: doc.update(triple_points=5),
+         "triple_points 5 is not an array"),
+        (lambda doc: doc["components"][0].update(colour="red"),
+         "unexpected keys: colour"),
+        (lambda doc: doc["double_curves"][0].update(colour="red"),
+         "unexpected keys: colour"),
+        (lambda doc: doc["triple_points"].append(
+            {"id": "t0", "on": [0, 1, 2], "genus": 0}),
+         "unexpected keys: genus"),
     ], ids=["double-curve-name", "component-curve-name", "on-string",
             "a-float", "a-string", "genus-bool", "betti-float",
             "self-intersections-nested", "component-without-kind",
             "rational-without-a", "ruled-without-curve",
             "other-without-class", "double-curve-without-genus",
             "double-curve-without-on", "triple-point-without-on",
-            "component-not-an-object"])
+            "component-not-an-object", "label-int", "label-null",
+            "components-int", "components-string", "double-curves-object",
+            "triple-points-int", "component-extra-key",
+            "double-curve-extra-key", "triple-point-extra-key"])
     def test_fiber_field_types_exit2(self, tmp_path, capsys, command,
                                      corrupt, message):
         path = tmp_path / "f.json"
         run(["build", "type2", "--m", "3", "-o", str(path)])
         doc = json.loads(path.read_text())
         corrupt(doc["fiber"])
+        # the schema refuses the fiber too, but where it is laxer than the
+        # decoder: it lists one set of component keys for every kind, and
+        # draft 7 counts 2.0 as an integer
+        assert schema_validator("fiber.schema.json").is_valid(
+            doc["fiber"]) is (message in SCHEMA_LAXER)
         write(path, doc)
         capsys.readouterr()
         assert run([command, str(path), "--report",
@@ -770,6 +804,97 @@ class TestVerifyAll:
         assert [d_["fiber_label"] for d_ in docs] == \
             ["type2_m2", "type3_f8"]
 
+    def test_failed_checks_in_order(self, tmp_path, capsys):
+        # tetrahedron documents that each fail several checks: every failed
+        # check gets its own stderr line, in a fixed order, under the
+        # document's summary line
+        d = tmp_path / "fibers"
+        d.mkdir()
+        tetra, chain = tmp_path / "t.json", tmp_path / "c.json"
+        run(["build", "type3", "--triangulation", "tetrahedron",
+             "-o", str(tetra)])
+        run(["build", "type2", "--m", "3", "-o", str(chain)])
+        foreign = json.loads(chain.read_text())["expectations"]
+
+        def neron_and_r(doc):
+            doc["neron"][0]["multiplicity"] = 1
+            doc["expectations"]["r"] = 5
+
+        def profile_plus_one(doc):
+            doc["fiber"]["components"][0]["a"] += 1
+
+        for name, corrupt in (
+                ("a_neron_r", neron_and_r),
+                ("b_foreign", lambda doc: doc.update(expectations=foreign)),
+                ("c_self_intersecting",
+                 lambda doc: doc["fiber"]["double_curves"][0].update(
+                     on=[0, 0])),
+                ("d_profile", profile_plus_one)):
+            doc = json.loads(tetra.read_text())
+            corrupt(doc)
+            write(d / (name + ".json"), doc)
+        path = {p.stem: str(p) for p in d.iterdir()}
+        out_lines = [
+            "%s: s=3 r=4 match=True chi=24 serre_ok=True" % path["a_neron_r"],
+            "%s: s=3 r=4 match=False chi=24 serre_ok=True" % path["b_foreign"],
+            "%s: INVALID (3 violations)" % path["c_self_intersecting"],
+            "%s: s=3 r=4 match=False chi=25 serre_ok=False"
+            % path["d_profile"]]
+        err_lines = [
+            "  mismatch: expectations give s = 3, r = 5",
+            "  failed check: neron_match",
+            "  mismatch: integral differs from the closed form",
+            "  mismatch: expectations give s = 2, r = 9",
+            "  violation: self-intersecting double curve 0",
+            "  violation: triple point 0 curves are not pairwise adjacent "
+            "along three components",
+            "  violation: triple point 1 curves are not pairwise adjacent "
+            "along three components",
+            "  mismatch: integral differs from the closed form",
+            "  failed check: neron_match",
+            "  failed check: chi = 25, not 24",
+            "  failed check: serre_ok"]
+
+        def cls(*coeffs):
+            return [{"atom": "point", "coeff": str(c), "lefschetz_power": p}
+                    for p, c in enumerate(coeffs)]
+
+        def checked(match, chi, serre_ok, neron_match, integral):
+            return {"fiber_label": "type3_f4", "e": 1, "s": 3, "r": 4,
+                    "integral": integral, "closed_form": cls(4, 16, 4),
+                    "match": match, "chi": chi, "serre_ok": serre_ok,
+                    "neron_match": neron_match}
+
+        reports = [
+            checked(True, 24, True, False, cls(4, 16, 4)),
+            checked(False, 24, True, True, cls(4, 16, 4)),
+            {"fiber_label": "type3_f4", "match": False,
+             "violations": [line[len("  violation: "):]
+                            for line in err_lines[4:7]]},
+            checked(False, 25, False, False, cls(4, 17, 4))]
+        report = tmp_path / "all.json"
+        capsys.readouterr()
+        assert run(["verify", "--all", str(d), "--report",
+                    str(report)]) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines() == out_lines
+        assert err.splitlines() == err_lines
+        assert json.loads(report.read_text()) == reports
+
+        # a malformed document is named on stderr, in its place in the
+        # batch, and makes the exit code 2
+        doc = json.loads(tetra.read_text())
+        doc["neron"] = 5
+        write(d / "b_neron_5.json", doc)
+        assert run(["verify", "--all", str(d), "--report",
+                    str(report)]) == 2
+        out, err = capsys.readouterr()
+        assert out.splitlines() == out_lines
+        err = err.splitlines()
+        assert err[:4] + err[5:] == err_lines
+        assert err[4].startswith("error: %s: bad neron block: "
+                                 % (d / "b_neron_5.json"))
+        assert json.loads(report.read_text()) == reports
 
     @pytest.fixture
     def built(self, tmp_path):
