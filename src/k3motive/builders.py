@@ -16,13 +16,13 @@ count, which the Gram determinant of the model confirms.
 from __future__ import annotations
 
 from itertools import count, repeat
-from operator import itemgetter
 
 from ._record import Record
 from .deltaset import (
     DeltaSet,
     Involution,
     Shape,
+    _take,
     quotient_by_involution,
     recognize,
     refine_barycentric,
@@ -60,10 +60,10 @@ def _from_facets(num_vertices: int, facets) -> DeltaSet:
     edges = sorted({(f[i], f[j]) for f in facets
                     for i in range(3) for j in range(i + 1, 3)})
     eid = {e: i for i, e in enumerate(edges)}
-    edge_faces = [(b, a) for a, b in edges]
-    tri_faces = [(eid[(b, c)], eid[(a, c)], eid[(a, b)])
-                 for a, b, c in facets]
-    return DeltaSet(num_vertices, [edge_faces, tri_faces])
+    edge_faces = [v for a, b in edges for v in (b, a)]
+    tri_faces = [eid[e] for a, b, c in facets
+                 for e in ((b, c), (a, c), (a, b))]
+    return DeltaSet._flat(num_vertices, [edge_faces, tri_faces])
 
 
 def tetrahedron() -> DeltaSet:
@@ -123,10 +123,12 @@ def _nerve_fiber(label: str, comps, nerve: DeltaSet) -> DegenerationFiber:
     """The fiber on these components, one per vertex of the 2-dimensional
     nerve, with a rational double curve per edge and a triple point per
     triangle."""
-    edges, tris = nerve._faces
-    curves = map(DoubleCurve, count(), map(itemgetter(1, 0), edges), repeat(0))
-    return DegenerationFiber.of(label, comps, curves,
-                                map(TriplePoint, count(), tris))
+    edges, tris = nerve._levels
+    curves = map(DoubleCurve, count(), zip(edges[1::2], edges[0::2]),
+                 repeat(0))
+    return DegenerationFiber.of(
+        label, comps, curves,
+        map(TriplePoint, count(), zip(tris[0::3], tris[1::3], tris[2::3])))
 
 
 def build_type1_smooth() -> DegenerationFiber:
@@ -255,16 +257,20 @@ def torus_grid(m1: int, m2: int) -> DeltaSet:
     """
     if m1 < 1 or m2 < 1:
         raise ValueError("grid sides must be positive")
-    edges = []
-    tris = []
-    for i in range(m1):
-        row, down = i * m2, (i + 1) % m1 * m2
-        for j in range(m2):
-            v, right = row + j, (j + 1) % m2
-            edges += ((down + j, v), (row + right, v), (down + right, v))
-            tris += ((3 * (down + j) + 1, 3 * v + 2, 3 * v),
-                     (3 * (row + right), 3 * v + 2, 3 * v + 1))
-    return DeltaSet(m1 * m2, [edges, tris])
+    n = m1 * m2
+    # the neighbours (i+1, j), (i, j+1) and (i+1, j+1) of each vertex
+    down = [*range(m2, n), *range(m2)]
+    rotated = [*range(1, m2), 0]
+    right = [row + j for row in range(0, n, m2) for j in rotated]
+    edges, tris = [0] * (6 * n), [0] * (6 * n)
+    edges[0::6], edges[2::6], edges[4::6] = down, right, _take(right, down)
+    edges[1::6] = edges[3::6] = edges[5::6] = range(n)
+    tris[0::6] = [3 * w + 1 for w in down]
+    tris[1::6] = tris[4::6] = range(2, 3 * n, 3)
+    tris[2::6] = range(0, 3 * n, 3)
+    tris[3::6] = [3 * w for w in right]
+    tris[5::6] = range(1, 3 * n, 3)
+    return DeltaSet._flat(n, [edges, tris])
 
 
 def torus_negation(m1: int, m2: int) -> tuple[DeltaSet, Involution]:

@@ -1,10 +1,13 @@
 """Abstract triangulated sets and their integral (co)homology.
 
-A ``DeltaSet`` stores, per dimension, a list of simplices and for each
-q-simplex its ordered faces d_0, ..., d_q.  The simplicial identities
-d_i d_j = d_{j-1} d_i (i < j) are checked at construction.  Unlike a
-simplicial complex, several simplices may sit on the same vertex set --
-the 2-gon circle and the torus-quotient nerves need exactly that.
+A ``DeltaSet`` stores, per dimension q >= 1, one flat tuple of face ids:
+the ordered faces d_0, ..., d_q of each q-simplex in turn, so that slot
+column j is a slice.  The library's builders hand such levels straight to
+the checks; the nested constructor flattens its argument first.  The
+simplicial identities d_i d_j = d_{j-1} d_i (i < j) are checked at
+construction.  Unlike a simplicial complex, several simplices may sit on
+the same vertex set -- the 2-gon circle and the torus-quotient nerves need
+exactly that.
 
 Homology comes from one memoized sparse elimination per Delta-set and degree,
 fed straight from the face lists.  Recognition eliminates nothing; the top
@@ -49,63 +52,101 @@ def _take(seq, ids) -> tuple:
         else tuple(seq[i] for i in ids)
 
 
+def _chunks(level, k: int):
+    """The consecutive k-tuples of a flat level: its simplices' faces."""
+    return zip(*[iter(level)] * k)
+
+
 class DeltaSet:
     """Abstract triangulated set; logically immutable after construction:
     the ``_memo`` dict only keeps the shape, the orientation and the
-    boundary reductions."""
+    boundary reductions.
 
-    __slots__ = ("_counts", "_faces", "_memo")
+    Each level q >= 1 is one flat tuple of face ids: the q-simplex s holds
+    ``level[s*(q+1):(s+1)*(q+1)]``, and slot column j (face d_j of every
+    q-simplex) is ``level[j::q+1]``."""
+
+    __slots__ = ("_counts", "_levels", "_memo")
 
     def __init__(self, num_vertices: int,
                  faces: Sequence[Sequence[Sequence[int]]] = ()):
         """``faces[q-1][s]`` lists the q+1 faces of the s-th q-simplex.
 
         Trailing empty dimensions are dropped; a float or boolean is refused.
-        The face counts, the face ranges and the simplicial identities are
-        checked in flat passes over the face ids taken slot by slot; only a
-        failed pass scans simplex by simplex, to name the first failure.
+        The levels are flattened and checked by ``_check``, as the library's
+        own flat levels are, which also checks each simplex's face count.
         """
+        rows = [tuple(map(tuple, level)) for level in faces]
+        self._check(num_vertices,
+                    [tuple(chain.from_iterable(level)) for level in rows],
+                    rows)
+
+    @classmethod
+    def _flat(cls, num_vertices: int, levels) -> "DeltaSet":
+        """The Delta-set of these flat levels, as the library's builders
+        make them, under the constructor's checks."""
+        ds = cls.__new__(cls)
+        ds._check(num_vertices, list(map(tuple, levels)), None)
+        return ds
+
+    def _check(self, num_vertices: int, levels: list, rows) -> None:
+        """Check and store flat ``levels``; ``rows`` holds the nested
+        levels they came from, or None for flat input.
+
+        The face types, the face counts, the face ranges and the simplicial
+        identities are checked in flat passes over the levels and their slot
+        columns; only a failed pass scans simplex by simplex, to name the
+        first failure."""
         counts = [num_vertices]
         _int_rows([counts], "vertex count")
         if num_vertices < 0:
             raise ValueError("vertex count %d is negative" % num_vertices)
-        stored = [_int_rows(level, "face id") for level in faces]
-        while stored and not stored[-1]:
-            stored.pop()
-        slots = []  # slots[q-1][j]: face j of each q-simplex
-        for q, level in enumerate(stored, start=1):
-            counts.append(len(level))
-            slots.append(tuple(zip(*level)))
-            if set(map(len, level)) == {q + 1} \
-                    and min(map(min, slots[-1])) >= 0 \
-                    and max(map(max, slots[-1])) < counts[q - 1]:
+        levels = list(_int_rows(levels, "face id"))
+        if rows is not None:
+            sizes = list(map(len, rows))
+        else:  # flat input must hold whole simplices
+            sizes = [len(level) // q for q, level in enumerate(levels, start=2)]
+            for q, level in enumerate(levels, start=1):
+                if len(level) % (q + 1):
+                    raise ValueError("flat level of dimension %d holds %d "
+                                     "face ids" % (q, len(level)))
+        while sizes and not sizes[-1]:
+            sizes.pop()
+            levels.pop()
+        for q, level in enumerate(levels, start=1):
+            below = counts[-1]
+            counts.append(sizes[q - 1])
+            if rows is not None and set(map(len, rows[q - 1])) - {q + 1}:
+                level = ()  # some simplex has the wrong face count
+            if level and min(level) >= 0 and max(level) < below:
                 continue
             # an empty level, or some simplex is bad: report the first
-            for s, fs in enumerate(level):
+            simplices = _chunks(level, q + 1) if rows is None else rows[q - 1]
+            for s, fs in enumerate(simplices):
                 if len(fs) != q + 1:
                     raise ValueError(
                         "simplex %d of dimension %d has %d faces, expected %d"
                         % (s, q, len(fs), q + 1))
-                below = counts[q - 1]
                 for f in fs:
                     if not 0 <= f < below:
                         raise ValueError(
                             "face id %d out of range in dimension %d" % (f, q))
         self._counts = tuple(counts)
-        self._faces = tuple(stored)
+        self._levels = tuple(levels)
         self._memo = {}
         for q in range(2, self.dim + 1):
             pairs = [(i, j) for j in range(q + 1) for i in range(j)]
-            # d_i d_j = d_{j-1} d_i, slot by slot: lower[fs[j]][i] is
-            # slot i of the face in slot j
-            up, down = slots[q - 1], slots[q - 2]
+            # d_i d_j = d_{j-1} d_i, slot by slot: the face in slot j of a
+            # q-simplex has its slot i at lower[q * up[j] + i]
+            lower, upper = levels[q - 2], levels[q - 1]
+            up = [upper[j::q + 1] for j in range(q + 1)]
+            down = [lower[i::q] for i in range(q)]
             if all(_take(down[i], up[j]) == _take(down[j - 1], up[i])
                    for i, j in pairs):
                 continue
-            lower = self._faces[q - 2]
-            for s, fs in enumerate(self._faces[q - 1]):
+            for s, fs in enumerate(_chunks(upper, q + 1)):
                 for i, j in pairs:
-                    if lower[fs[j]][i] != lower[fs[i]][j - 1]:
+                    if lower[q * fs[j] + i] != lower[q * fs[i] + j - 1]:
                         raise ValueError(
                             "simplicial identity fails at %d-simplex %d "
                             "(i=%d, j=%d)" % (q, s, i, j))
@@ -126,10 +167,13 @@ class DeltaSet:
         return 0
 
     def face(self, q: int, s: int, j: int) -> int:
-        return self._faces[q - 1][s][j]
+        return self.faces(q, s)[j]
 
     def faces(self, q: int, s: int) -> tuple[int, ...]:
-        return self._faces[q - 1][s]
+        if not 0 < q <= self.dim:
+            raise IndexError("no %d-simplices with faces" % q)
+        s = range(self._counts[q])[s]  # an IndexError as from a sequence
+        return self._levels[q - 1][(q + 1) * s:(q + 1) * (s + 1)]
 
     def simplices(self, q: int) -> range:
         return range(self.n(q))
@@ -155,10 +199,10 @@ class DeltaSet:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, DeltaSet) and self._counts == other._counts \
-            and self._faces == other._faces
+            and self._levels == other._levels
 
     def __hash__(self) -> int:
-        return hash((self._counts, self._faces))
+        return hash((self._counts, self._levels))
 
     def __repr__(self) -> str:
         return "DeltaSet(counts=%r)" % (self._counts,)
@@ -187,7 +231,8 @@ def _boundary_rows(ds: DeltaSet, q: int) -> dict[int, dict[int, int]]:
     {face: {simplex: sign}}; entries accumulate, so repeated faces cancel
     (a loop edge has zero boundary)."""
     rows: dict[int, dict[int, int]] = {}
-    for s, fs in enumerate(ds._faces[q - 1] if 0 < q <= ds.dim else ()):
+    for s, fs in enumerate(_chunks(ds._levels[q - 1], q + 1)
+                           if 0 < q <= ds.dim else ()):
         column: dict[int, int] = {}
         for j, f in enumerate(fs):
             column[f] = column.get(f, 0) + (-1) ** j
@@ -211,7 +256,7 @@ def _coboundary_rows(ds: DeltaSet, q: int) -> dict[int, dict[int, int]]:
 def _is_cycle(ds: DeltaSet, q: int, coeffs: Sequence[int]) -> bool:
     """Is this q-chain a cycle?  Face j adds (-1)^j c to the boundary."""
     boundary = [0] * ds.n(q - 1)
-    for c, fs in zip(coeffs, ds._faces[q - 1] if q else ()):
+    for c, fs in zip(coeffs, _chunks(ds._levels[q - 1], q + 1) if q else ()):
         for f in fs:
             boundary[f] += c
             c = -c
@@ -317,7 +362,7 @@ def recognize(ds: DeltaSet) -> Shape:
         shape = Shape.POINT
     elif ds.dim == 1:
         adjacent: list[list[int]] = [[] for _ in ds.simplices(0)]
-        for b, a in ds._faces[0]:
+        for b, a in _chunks(ds._levels[0], 2):
             adjacent[a].append(b)
             adjacent[b].append(a)
         valence = [len(near) for near in adjacent]
@@ -332,7 +377,7 @@ def recognize(ds: DeltaSet) -> Shape:
             if len(queue) == ds.n(0):
                 shape = Shape.INTERVAL
     elif ds.dim == 2:
-        used = set(chain.from_iterable(ds._faces[0]))
+        used = set(ds._levels[0])
         if len(used) == ds.n(0) and _oriented(ds) is not None \
                 and euler_characteristic(ds) == 2:
             shape = Shape.SPHERE2
@@ -358,8 +403,8 @@ def _orientation(ds: DeltaSet) -> tuple[int, ...] | None:
     the first side that reaches it, and one flat pass then checks every
     edge.  Signs of a connected complex, where they exist, are fixed by
     sign[0] = 1, so setting them before checking changes no answer."""
-    tris = ds._faces[1]
-    flat = list(chain.from_iterable(tris))
+    flat = ds._levels[1]
+    n = ds.n(2)
     edges = tuple(ds.simplices(1))
     order = sorted(range(len(flat)), key=flat.__getitem__)
     first, second = order[0::2], order[1::2]
@@ -370,17 +415,18 @@ def _orientation(ds: DeltaSet) -> tuple[int, ...] | None:
     a = list(map(floordiv, first, repeat(3)))
     b = list(map(floordiv, second, repeat(3)))
     both = list(map(add, a, b))
-    across = list(map(mul, _take((-1, 1, -1) * len(tris), first),
-                      _take((1, -1, 1) * len(tris), second)))
-    sign = [1] + [0] * (len(tris) - 1)
+    across = list(map(mul, _take((-1, 1, -1) * n, first),
+                      _take((1, -1, 1) * n, second)))
+    side0, side1, side2 = flat[0::3], flat[1::3], flat[2::3]
+    sign = [1] + [0] * (n - 1)
     queue = [0]  # grows while it is read: breadth-first order
     for t in queue:
-        for e in tris[t]:
+        for e in (side0[t], side1[t], side2[t]):
             o = both[e] - t
             if not sign[o]:
                 sign[o] = sign[t] * across[e]
                 queue.append(o)
-    if len(queue) != len(tris) \
+    if len(queue) != n \
             or tuple(map(mul, _take(sign, a), across)) != _take(sign, b):
         return None
     return tuple(sign)
@@ -398,12 +444,14 @@ def relabel(ds: DeltaSet, perms: Sequence[Sequence[int]]) -> DeltaSet:
         if sorted(p) != list(range(ds.n(q))):
             raise ValueError("invalid permutation in dimension %d" % q)
     levels = []
-    for q, level in enumerate(ds._faces, start=1):
-        # new face ids slot by slot, in the old order; then the new order
-        rows = zip(*(_take(perms[q - 1], col) for col in zip(*level)))
-        levels.append(_take(list(rows), sorted(ds.simplices(q),
-                                               key=perms[q].__getitem__)))
-    return DeltaSet(ds.n(0), levels)
+    for q, level in enumerate(ds._levels, start=1):
+        # new face ids slot by slot, taken in the new order of the simplices
+        order = sorted(ds.simplices(q), key=perms[q].__getitem__)
+        out = [0] * len(level)
+        for j in range(q + 1):
+            out[j::q + 1] = _take(_take(perms[q - 1], level[j::q + 1]), order)
+        levels.append(out)
+    return DeltaSet._flat(ds.n(0), levels)
 
 
 # ---------------------------------------------------------------------------
@@ -425,20 +473,32 @@ def refine_barycentric(ds: DeltaSet) -> DeltaSet:
     if ds.dim > 2:
         raise ValueError("barycentric refinement is limited to dimension <= 2")
     n0, n1 = ds.n(0), ds.n(1)
-    edges = [(n0 + e, v) for e in ds.simplices(1)
-             for v in reversed(ds.faces(1, e))]  # d1 = slot 0, d0 = slot 1
+    edges, v = _halves(ds), ds._levels[0] if ds.dim else ()
 
-    triangles: list[tuple[int, int, int]] = []
-    for t, (e0, e1, e2) in enumerate(ds._faces[1] if ds.dim == 2 else ()):
-        c = len(edges)
-        pairs = (((0, 1), e2), ((0, 2), e1), ((1, 2), e0))  # d_k drops slot k
-        edges += [(n0 + n1 + t, v) for v in ds.vertex_tuple(2, t)]
-        edges += [(n0 + n1 + t, n0 + e) for _, e in pairs]
-        triangles += [(c + 3 + p, c + a, 2 * e + i)
-                      for p, (pair, e) in enumerate(pairs)
-                      for i, a in enumerate(pair)]
+    triangles: list[int] = []
+    for t, (e0, e1, e2) in enumerate(_chunks(ds._levels[1], 3)
+                                     if ds.dim == 2 else ()):
+        c, b = len(edges) // 2, n0 + n1 + t
+        # the slot vertices (vertex_tuple) and the slot pairs (0, 1),
+        # (0, 2), (1, 2), on the input edges d_2, d_1, d_0
+        edges += (b, v[2 * e2 + 1], b, v[2 * e2], b, v[2 * e0],
+                  b, n0 + e2, b, n0 + e1, b, n0 + e0)
+        triangles += (c + 3, c, 2 * e2, c + 3, c + 1, 2 * e2 + 1,
+                      c + 4, c, 2 * e1, c + 4, c + 2, 2 * e1 + 1,
+                      c + 5, c + 1, 2 * e0, c + 5, c + 2, 2 * e0 + 1)
 
-    return DeltaSet(n0 + n1 + ds.n(2), [edges, triangles])
+    return DeltaSet._flat(n0 + n1 + ds.n(2), [edges, triangles])
+
+
+def _halves(ds: DeltaSet) -> list[int]:
+    """The flat level of the edge halves 2e + a, from the new vertex n0 + e
+    to the slot-a vertex of edge e (its face d_{1-a})."""
+    n0, n1 = ds.n(0), ds.n(1)
+    ends = ds._levels[0] if ds.dim else ()
+    edges = [0] * (4 * n1)
+    edges[0::4] = edges[2::4] = range(n0, n0 + n1)
+    edges[1::4], edges[3::4] = ends[1::2], ends[0::2]
+    return edges
 
 
 def refine_edge_split(ds: DeltaSet) -> DeltaSet:
@@ -450,27 +510,25 @@ def refine_edge_split(ds: DeltaSet) -> DeltaSet:
     if ds.dim > 2:
         raise ValueError("edge-split refinement is limited to dimension <= 2")
     n0, n1 = ds.n(0), ds.n(1)
-    mid = lambda e: n0 + e
 
     # halves: edge e = (tail a, head b) -> 2e = (a, mid), 2e + 1 = (b, mid)
-    edges = [(mid(e), v) for e in ds.simplices(1)
-             for v in reversed(ds.faces(1, e))]  # d0 = head, d1 = tail
+    edges = _halves(ds)
 
-    triangles: list[tuple[int, int, int]] = []
+    triangles: list[int] = []
     if ds.dim == 2:
         # center edges 2 n1 + 3t + (0, 1, 2) join the midpoints of slots
         # (0, 1), (0, 2), (1, 2) of triangle t: keyed by triangle and slot
         # pair, never by edge ids, so repeated faces and loop edges stay
         # unambiguous
-        for t, (e0, e1, e2) in enumerate(ds._faces[1]):
-            c = len(edges)
-            edges += ((mid(e1), mid(e0)), (mid(e2), mid(e0)),
-                      (mid(e2), mid(e1)))
+        for t, (e0, e1, e2) in enumerate(_chunks(ds._levels[1], 3)):
+            c = len(edges) // 2
+            m0, m1, m2 = n0 + e0, n0 + e1, n0 + e2
+            edges += (m1, m0, m2, m0, m2, m1)
             # the corners at slots 0, 1, 2, then the center triangle
-            triangles += ((c + 2, 2 * e2, 2 * e1), (c + 1, 2 * e2 + 1, 2 * e0),
-                          (c, 2 * e1 + 1, 2 * e0 + 1), (c + 2, c + 1, c))
+            triangles += (c + 2, 2 * e2, 2 * e1, c + 1, 2 * e2 + 1, 2 * e0,
+                          c, 2 * e1 + 1, 2 * e0 + 1, c + 2, c + 1, c)
 
-    return DeltaSet(n0 + n1, [edges, triangles])
+    return DeltaSet._flat(n0 + n1, [edges, triangles])
 
 
 # ---------------------------------------------------------------------------
@@ -511,19 +569,20 @@ class Involution:
                 if level[img] != s:
                     raise ValueError("map is not an involution at (%d, %d)"
                                      % (q, s))
-        for q, level in enumerate(self.ds._faces, start=1):
+        for q, level in enumerate(self.ds._levels, start=1):
             below, here = self.maps[q - 1], self.maps[q]
-            slots = tuple(zip(*level))
+            slots = [level[j::q + 1] for j in range(q + 1)]
             fixed = compress(count(), map(eq, here, count()))
             images = [_take(below, x) for x in slots]
             targets = [_take(x, here) for x in slots]
             # equal columns are interchangeable, so a shared slot
             # permutation exists exactly when the sorted columns agree
             if sorted(images) == sorted(targets) \
-                    and all(below[f] == f for s in fixed for f in level[s]):
+                    and all(below[x[s]] == x[s] for s in fixed for x in slots):
                 continue
-            target = [sorted(fs) for fs in level]
-            for s, (img, fs) in enumerate(zip(here, level)):
+            rows = list(_chunks(level, q + 1))
+            target = [sorted(fs) for fs in rows]
+            for s, (img, fs) in enumerate(zip(here, rows)):
                 if sorted(map(below.__getitem__, fs)) != target[img]:
                     raise ValueError(
                         "not an automorphism: faces of %d-simplex %d do not "
@@ -563,7 +622,7 @@ def quotient_by_involution(ds: DeltaSet, sigma: Involution) -> DeltaSet:
     # quotient (tail, head) of each edge orbit, in the representative's
     # order, and its flip: None while free, False for a fixed edge
     vorb = orbit_of[0]
-    heads, tails = (_take(vorb, x) for x in zip(*ds._faces[0]))
+    heads, tails = (_take(vorb, ds._levels[0][j::2]) for j in (0, 1))
     e_ends = list(zip(_take(tails, reps[1]), _take(heads, reps[1])))
     flips: list[bool | None] = [
         False if img == e else None
@@ -572,7 +631,7 @@ def quotient_by_involution(ds: DeltaSet, sigma: Involution) -> DeltaSet:
     new_tris = []
     if ds.dim == 2:
         all_orders = list(permutations(range(3)))
-        slots = tuple(zip(*_take(ds._faces[1], reps[2])))
+        slots = [_take(ds._levels[1][j::3], reps[2]) for j in (0, 1, 2)]
         # per orbit triangle: its index, the edge orbits of its faces, the
         # vertex orbits of its slots (as in vertex_tuple) and its orderings
         tris = list(zip(
@@ -650,12 +709,12 @@ def quotient_by_involution(ds: DeltaSet, sigma: Involution) -> DeltaSet:
                 for eo in assigned:
                     flips[eo] = None
                 k += 1
-        new_tris = [None] * len(tris)
+        new_tris = [0] * (3 * len(tris))
         for (i, e_orbs, _, taus), (k, _) in zip(tris, placed):
             a, b, c = taus[k]
-            new_tris[i] = (e_orbs[a], e_orbs[b], e_orbs[c])
+            new_tris[3 * i:3 * i + 3] = e_orbs[a], e_orbs[b], e_orbs[c]
 
     # (head, tail) of each edge orbit: the representative's, or flipped
-    new_edges = [ends if flip else ends[::-1]
-                 for ends, flip in zip(e_ends, flips)]
-    return DeltaSet(len(reps[0]), [new_edges, new_tris])
+    new_edges = list(chain.from_iterable(
+        ends if flip else ends[::-1] for ends, flip in zip(e_ends, flips)))
+    return DeltaSet._flat(len(reps[0]), [new_edges, new_tris])

@@ -179,7 +179,6 @@ def curve_class(curve: DoubleCurve) -> MotiveClass:
 _ID, _ON, _KIND = attrgetter("id"), attrgetter("on"), attrgetter("kind")
 _A, _GENUS, _NAME = attrgetter("a"), attrgetter("genus"), attrgetter("curve")
 _FIRST, _SECOND, _THIRD = itemgetter(0), itemgetter(1), itemgetter(2)
-_HIGH_LOW = itemgetter(1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +350,12 @@ def clemens_polytope(f: DegenerationFiber) -> DeltaSet:
     if "polytope" in f._memo:
         return f._memo["polytope"]
     _require_valid(f)
+    ends = list(chain.from_iterable(f._memo["ends"].values()))
     sides = f._memo["sides"]
-    polytope = DeltaSet(len(f.components), [
-        list(map(_HIGH_LOW, f._memo["ends"].values())),
-        list(zip(sides[2::3], sides[1::3], sides[0::3]))])
+    edges, tris = [0] * (2 * len(ends) // 3), [0] * len(sides)
+    edges[0::2], edges[1::2] = ends[1::3], ends[0::3]
+    tris[0::3], tris[1::3], tris[2::3] = sides[2::3], sides[1::3], sides[0::3]
+    polytope = DeltaSet._flat(len(f.components), [edges, tris])
     f._memo["polytope"] = polytope
     return polytope
 

@@ -17,7 +17,7 @@ import json
 import re
 from json.encoder import encode_basestring_ascii as _str
 
-from .deltaset import DeltaSet
+from .deltaset import DeltaSet, _chunks
 from .fibers import (
     Component,
     DegenerationFiber,
@@ -223,8 +223,8 @@ def motive_from_json(doc) -> MotiveClass:
 
 def delta_to_json(ds: DeltaSet) -> dict:
     return {"dims": list(ds.counts),
-            "boundary": [[list(ds.faces(q, s)) for s in ds.simplices(q)]
-                         for q in range(1, ds.dim + 1)]}
+            "boundary": [list(map(list, _chunks(level, q + 1)))
+                         for q, level in enumerate(ds._levels, start=1)]}
 
 
 def delta_from_json(doc: dict) -> DeltaSet:
@@ -380,7 +380,7 @@ def neron_to_json(data: WeakNeronData) -> list:
 def neron_from_json(doc) -> WeakNeronData:
     items = []
     for e in _array(doc, "neron"):
-        _keys(e, ("class", "multiplicity"), None)
+        _keys(e, ("class", "multiplicity"))
         items.append((motive_from_json(e["class"]),
                       _int(e["multiplicity"], "multiplicity")))
     return WeakNeronData.of(items)

@@ -46,6 +46,7 @@ from k3motive.integrals import (
 )
 from k3motive.motives import EllipticCurveAtom, MotiveClass
 from k3motive.weightss import monodromy_gram, type2_h1_row
+from test_deltaset import nested_faces
 
 L = MotiveClass.lefschetz
 
@@ -289,7 +290,7 @@ ODD_SIDE_EDGE = {
     (8, 3): 4, (8, 5): 7, (8, 7): 10,
 }
 
-# sha256 of repr(nerve._faces): 4 x 6, 18 x 18 and 30 x 30 from the
+# sha256 of repr(nested_faces(nerve)): 4 x 6, 18 x 18 and 30 x 30 from the
 # dict-keyed builder, the rest (every shape the kummer-nerve benchmark draws
 # at areas 64 to 256) from the per-simplex construction checks
 NERVE_DIGESTS = {
@@ -363,7 +364,8 @@ class TestGridReference:
     def test_nerve_digests(self):
         for (m1, m2), digest in NERVE_DIGESTS.items():
             nerve = build_kummer(KummerParams(m1, m2)).nerve
-            got = hashlib.sha256(repr(nerve._faces).encode()).hexdigest()
+            got = hashlib.sha256(
+                repr(nested_faces(nerve)).encode()).hexdigest()
             assert got == digest
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from k3motive.builders import (
     KummerParams,
+    _nerve_fiber,
     build_kummer,
     icosahedron,
     octahedron,
@@ -33,10 +34,17 @@ from k3motive.deltaset import (
 )
 from k3motive import intlinalg
 from k3motive.intlinalg import IntMatrix
-from k3motive.serialize import delta_to_json, dumps
+from k3motive.fibers import Component, Rational, clemens_polytope, validate
+from k3motive.serialize import delta_from_json, delta_to_json, dumps
 
 
 # -- fixture complexes -------------------------------------------------------
+
+def nested_faces(ds):
+    """Every level as a tuple of face tuples, read through ``faces``."""
+    return tuple(tuple(ds.faces(q, s) for s in ds.simplices(q))
+                 for q in range(1, ds.dim + 1))
+
 
 def complex_from_facets(num_vertices, facets):
     """Delta-set of a 2-dimensional simplicial complex given by its facets
@@ -780,8 +788,9 @@ class TestTopCyclesOracle:
 def orientation_reference(ds):
     """``_orientation`` with a list of (triangle, slot) sides per edge and
     the sign check inside the breadth-first pass, kept verbatim."""
+    tris = nested_faces(ds)[1]
     sides = [[] for _ in ds.simplices(1)]
-    for t, fs in enumerate(ds._faces[1]):
+    for t, fs in enumerate(tris):
         for j, e in enumerate(fs):
             sides[e].append((t, j))
     if any(len(two) != 2 for two in sides):
@@ -789,7 +798,7 @@ def orientation_reference(ds):
     sign = [1] + [0] * (ds.n(2) - 1)
     queue = [0]
     for t in queue:
-        for j, e in enumerate(ds._faces[1][t]):
+        for j, e in enumerate(tris[t]):
             (o, k), other = sides[e]
             if (o, k) == (t, j):
                 o, k = other
@@ -1188,7 +1197,7 @@ def identity_maps(ds):
 
 def solid_tetra():
     base = tetra()
-    return DeltaSet(4, [base._faces[0], base._faces[1], [(3, 2, 1, 0)]])
+    return DeltaSet(4, [*nested_faces(base), [(3, 2, 1, 0)]])
 
 
 def swapped_triangles():
@@ -1245,10 +1254,11 @@ class TestFlatChecks:
     def test_valid_inputs_are_kept(self):
         for name in FLAT_BASES:
             ds, maps = flat_base(name)
-            assert scan_delta_error(ds.n(0), ds._faces) is None, name
+            faces = nested_faces(ds)
+            assert scan_delta_error(ds.n(0), faces) is None, name
             assert scan_involution_error(ds, maps) is None, name
-            copy = DeltaSet(ds.n(0), [list(level) for level in ds._faces])
-            assert copy._counts == ds._counts and copy._faces == ds._faces
+            copy = DeltaSet(ds.n(0), [list(level) for level in faces])
+            assert copy._counts == ds._counts and nested_faces(copy) == faces
             assert Involution(copy, maps).maps == tuple(map(tuple, maps))
 
     def test_equal_face_sums_are_not_enough(self):
@@ -1284,8 +1294,9 @@ class TestFlatChecks:
         # the swapped triangles' level 2 permutes the face slots by
         # (1, 0, 2) on both triangles, neither the identity nor the reversal
         ds, maps = swapped_triangles()
-        images = [[maps[1][f] for f in fs] for fs in ds._faces[1]]
-        assert images == [[ds._faces[1][t][i] for i in (1, 0, 2)]
+        tris = nested_faces(ds)[1]
+        images = [[maps[1][f] for f in fs] for fs in tris]
+        assert images == [[tris[t][i] for i in (1, 0, 2)]
                           for t in maps[2]]
         assert Involution(ds, maps).maps == tuple(map(tuple, maps))
 
@@ -1293,7 +1304,7 @@ class TestFlatChecks:
     @given(data=st.data())
     def test_delta_set(self, data):
         ds, _ = flat_base(data.draw(st.sampled_from(FLAT_BASES)))
-        faces = [list(level) for level in ds._faces]
+        faces = [list(level) for level in nested_faces(ds)]
         q = data.draw(st.integers(1, ds.dim))
         s = data.draw(st.integers(0, ds.n(q) - 1))
         fs = list(faces[q - 1][s])
@@ -1307,7 +1318,7 @@ class TestFlatChecks:
         if expected is None:
             got = DeltaSet(ds.n(0), faces)
             assert got._counts == ds._counts
-            assert got._faces == tuple(map(tuple, faces))
+            assert nested_faces(got) == tuple(map(tuple, faces))
         else:
             with pytest.raises(ValueError) as exc:
                 DeltaSet(ds.n(0), faces)
@@ -1340,3 +1351,102 @@ class TestFlatChecks:
             with pytest.raises(ValueError) as exc:
                 Involution(ds, maps)
             assert str(exc.value) == expected
+
+
+def library_delta_sets():
+    """Delta-sets built by every library route that stores flat levels, by
+    name: grids, both refinements, relabellings, quotients, polytopes of
+    nerve fibers and decoded documents."""
+    rng = random.Random(33)
+    out = {"grid %dx%d" % (a, b): torus_grid(a, b)
+           for a, b in ((1, 1), (1, 4), (3, 2), (5, 7), (18, 50))}
+    bases = dict(small_complexes(), **one_complexes())
+    bases.update(tetrahedron=tetra(), octahedron=octahedron(),
+                 icosahedron=icosahedron(), point=DeltaSet(1),
+                 points=DeltaSet(3), empty=DeltaSet(0))
+    for name, ds in bases.items():
+        out[name] = ds
+        for refine in (refine_barycentric, refine_edge_split):
+            out["%s %s" % (refine.__name__, name)] = refine(ds)
+        out["relabelled " + name] = shuffled(ds, rng)
+    out["edge split^3 octahedron"] = refine_edge_split(
+        refine_edge_split(refine_edge_split(octahedron())))
+    for m1, m2 in ((2, 2), (4, 6), (6, 4), (2, 8), (10, 10), (18, 50)):
+        out["quotient %dx%d" % (m1, m2)] = \
+            quotient_by_involution(*torus_negation(m1, m2))
+    ds = octahedron()  # 0, 1, 2 opposite 5, 3, 4
+    sigma = Involution(ds, induced_maps(ds, [5, 3, 4, 1, 2, 0]))
+    out["quotient antipodal"] = quotient_by_involution(ds, sigma)
+    for i, ds in enumerate(recognition_corpus()):
+        if ds.dim == 2:
+            comps = [Component(v, Rational(0)) for v in ds.simplices(0)]
+            fiber = _nerve_fiber("corpus %d" % i, comps, ds)
+            if not validate(fiber):
+                out["polytope %d" % i] = clemens_polytope(fiber)
+    for name in list(out):
+        out["decoded " + name] = delta_from_json(delta_to_json(out[name]))
+    return out
+
+
+class TestFlatLevels:
+    """Every flat-built Delta-set equals its rebuild through the nested
+    constructor, face for face."""
+
+    def test_nested_rebuild_is_equal(self):
+        corpus = library_delta_sets()
+        assert sum(name.startswith("polytope") for name in corpus) == 50
+        for name, ds in corpus.items():
+            faces = nested_faces(ds)
+            rebuilt = DeltaSet(ds.n(0), faces)
+            assert rebuilt == ds and hash(rebuilt) == hash(ds), name
+            assert rebuilt.counts == ds.counts, name
+            assert nested_faces(rebuilt) == faces, name
+            for q, level in enumerate(faces, start=1):
+                assert all(len(fs) == q + 1 for fs in level), name
+                assert [tuple(ds.face(q, s, j) for j in range(q + 1))
+                        for s in ds.simplices(q)] == list(level), name
+
+    def test_faces_index_like_a_sequence(self):
+        ds = torus_grid(2, 3)
+        assert ds.faces(2, -1) == ds.faces(2, ds.n(2) - 1)
+        assert ds.face(1, -2, 1) == ds.faces(1, ds.n(1) - 2)[1]
+        for q, s in ((1, ds.n(1)), (2, ds.n(2)), (2, -ds.n(2) - 1), (0, 0),
+                     (3, 0), (-1, 0)):
+            with pytest.raises(IndexError):
+                ds.faces(q, s)
+        with pytest.raises(IndexError):
+            ds.face(2, 0, 3)
+
+    def test_hash_ignores_the_input_container(self):
+        # lists, tuples and generators of faces give one Delta-set
+        edges = [(1, 0), (2, 1), (2, 0)]
+        forms = [DeltaSet(3, [edges]), DeltaSet(3, (tuple(edges),)),
+                 DeltaSet(3, [[list(e) for e in edges]]),
+                 DeltaSet(3, [(iter(e) for e in edges)])]
+        assert len(set(forms)) == 1 and all(ds == forms[0] for ds in forms)
+
+    @pytest.mark.parametrize("levels, text", [
+        ([[1, 0, 0, -2, 2, 1]], "face id -2 out of range in dimension 1"),
+        ([[], [0, 0, 0]], "face id 0 out of range in dimension 2"),
+        ([[1, 0, 2, 1, 2, 0], [0, 2, 1, 0, 3, 1]],
+         "face id 3 out of range in dimension 2"),
+        ([[1, 0, 2, 1, 2, 0], [1, 2, 0, 0, 0, 0]],
+         "simplicial identity fails at 2-simplex 1 (i=0, j=2)"),
+        ([[1, 0, 2, 1, 2, 0], [1, 2, 0, 1, 1, 0]],
+         "simplicial identity fails at 2-simplex 1 (i=1, j=2)"),
+        ([[1, 0, 2, 1.5]], "face id 1.5 is not an integer"),
+        ([[1, 0, 2, 1], [0, 1, True]], "face id True is not an integer"),
+        ([[1, 0, 2]], "flat level of dimension 1 holds 3 face ids"),
+    ])
+    def test_flat_input_is_checked_alike(self, levels, text):
+        # the nested form of each case gets the same message, where it has
+        # one; the flat form's length check has no nested counterpart
+        with pytest.raises(ValueError) as exc:
+            DeltaSet._flat(3, levels)
+        assert str(exc.value) == text
+        if "flat level" not in text:
+            nested = [list(zip(*[iter(level)] * q))
+                      for q, level in enumerate(levels, start=2)]
+            with pytest.raises(ValueError) as exc:
+                DeltaSet(3, nested)
+            assert str(exc.value) == text

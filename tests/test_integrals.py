@@ -346,12 +346,18 @@ def route_counts(monkeypatch):
         lambda f: object.__setattr__(f, "_memo", CountingMemo(counts)))
     build = fibers.DeltaSet
 
-    def counted_polytope(*args):
-        ds = build(*args)
-        ds._memo = CountingMemo(counts)
-        return ds
+    class CountedPolytope(build):
+        """``fibers.DeltaSet`` whose flat builds get a counting memo."""
 
-    monkeypatch.setattr(fibers, "DeltaSet", counted_polytope)
+        __slots__ = ()
+
+        @classmethod
+        def _flat(cls, *args):
+            ds = build._flat(*args)
+            ds._memo = CountingMemo(counts)
+            return ds
+
+    monkeypatch.setattr(fibers, "DeltaSet", CountedPolytope)
     for name, fn in (("_sparse_reduce", intlinalg._sparse_reduce),
                      ("degeneration_type", fibers.degeneration_type),
                      ("monodromy_gram", weightss.monodromy_gram),
