@@ -7,9 +7,15 @@ generates for those fields, compiled once per class.  A record equals only a
 record of its own class with equal fields, hashes as the tuple of its fields
 and refuses attribute assignment and deletion.  A class that defines
 ``__post_init__`` has it looked up and run after each construction.
+
+``cls._rows(rows)`` builds many records of a class at once, without a
+Python call per record: each row must hold every field, defaults
+included, in field order, and the class must not define
+``__post_init__``, which that route would skip; such a class is refused.
 """
 
 from collections import namedtuple
+from itertools import repeat
 
 
 def _run_post_init(self, *args, **kwargs):
@@ -34,6 +40,15 @@ class Record(tuple):
             setattr(cls, name, vars(proto)[name])
         if hasattr(cls, "__post_init__"):
             cls.__init__ = _run_post_init
+
+    @classmethod
+    def _rows(cls, rows) -> tuple:
+        """A record per row, each row holding every field in order; no
+        field is checked or defaulted."""
+        if hasattr(cls, "__post_init__"):
+            raise TypeError("%s runs __post_init__; build it field by field"
+                            % cls.__name__)
+        return tuple(map(tuple.__new__, repeat(cls), rows))
 
     # False, not NotImplemented, for another type: a plain tuple would then
     # try its own == and find (4,) equal to Rational(4)

@@ -124,11 +124,13 @@ def _nerve_fiber(label: str, comps, nerve: DeltaSet) -> DegenerationFiber:
     nerve, with a rational double curve per edge and a triple point per
     triangle."""
     edges, tris = nerve._levels
-    curves = map(DoubleCurve, count(), zip(edges[1::2], edges[0::2]),
-                 repeat(0))
+    # rows of every field: id, on, genus, curve, self_intersections
+    curves = DoubleCurve._rows(zip(
+        count(), zip(edges[1::2], edges[0::2]), repeat(0), repeat(None),
+        repeat(None)))
     return DegenerationFiber.of(
-        label, comps, curves,
-        map(TriplePoint, count(), zip(tris[0::3], tris[1::3], tris[2::3])))
+        label, comps, curves, TriplePoint._rows(
+            zip(count(), zip(tris[0::3], tris[1::3], tris[2::3]))))
 
 
 def build_type1_smooth() -> DegenerationFiber:
@@ -176,7 +178,7 @@ def build_type3(tri, a_profile=None) -> DegenerationFiber:
         raise ValueError("triangulation is not a 2-sphere")
     nv, nf = tri.n(0), tri.n(2)
     a_profile = _checked_profile(a_profile, nv, 20 + 2 * nf)
-    comps = [Component(v, Rational(a_profile[v])) for v in range(nv)]
+    comps = Component._rows(enumerate(Rational._rows(zip(a_profile))))
     return _nerve_fiber("type3_f%d" % nf, comps, tri)
 
 
@@ -279,20 +281,22 @@ def torus_negation(m1: int, m2: int) -> tuple[DeltaSet, Involution]:
     On the ids of ``torus_grid``: h(i, j) goes to h(-i-1, -j), v(i, j) to
     v(-i, -j-1), d(i, j) to d(-i-1, -j-1), and L(i, j) and U(i, j) to U and
     L of (-i-1, -j-1).  The involution is only free on positive simplices
-    for even sides.
+    for even sides.  So each map is the vertex negation taken at the head of
+    the grid's h, v and d edges: (i+1, j), (i, j+1) and (i+1, j+1).
     """
     ds = torus_grid(m1, m2)
-    vmap, emap, tmap = [], [], []
-    for i in range(m1):
-        neg, neg1 = (-i) % m1 * m2, (-i - 1) % m1 * m2
-        for j in range(m2):
-            nj, nj1 = (-j) % m2, (-j - 1) % m2
-            vmap.append(neg + nj)
-            emap += (3 * (neg1 + nj), 3 * (neg + nj1) + 1,
-                     3 * (neg1 + nj1) + 2)
-            w = 2 * (neg1 + nj1)
-            tmap += (w + 1, w)
-    return ds, Involution(ds, [vmap, emap, tmap])
+    edges = ds._levels[0]
+    # row offsets 0, (m1-1) m2, ..., m2 and columns 0, m2-1, ..., 1
+    cols = [0, *range(m2 - 1, 0, -1)]
+    neg = [r + c for r in (0, *range((m1 - 1) * m2, 0, -m2)) for c in cols]
+    diag = _take(neg, edges[4::6])
+    emap, tmap = [0] * (3 * len(neg)), [0] * (2 * len(neg))
+    emap[0::3] = [3 * w for w in _take(neg, edges[0::6])]
+    emap[1::3] = [3 * w + 1 for w in _take(neg, edges[2::6])]
+    emap[2::3] = [3 * w + 2 for w in diag]
+    tmap[0::2] = [2 * w + 1 for w in diag]
+    tmap[1::2] = [2 * w for w in diag]
+    return ds, Involution(ds, [neg, emap, tmap])
 
 
 def kummer_r2_abelian(p: KummerParams) -> tuple[int, int]:
@@ -337,8 +341,8 @@ def build_kummer(p: KummerParams) -> KummerReport:
     special = Rational(7)
     for v in fixed:
         kinds[sigma.orbit_of[0][v]] = special
-    comps = [Component(o, kind) for o, kind in enumerate(kinds)]
-    fiber = _nerve_fiber("kummer_%dx%d" % (p.m1, p.m2), comps, nerve)
+    fiber = _nerve_fiber("kummer_%dx%d" % (p.m1, p.m2),
+                         Component._rows(enumerate(kinds)), nerve)
 
     r2_a, _ = kummer_r2_abelian(p)
     return KummerReport(fiber=fiber, nerve=nerve, component_census=census,

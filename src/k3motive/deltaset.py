@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import enum
 from itertools import chain, compress, count, permutations, repeat
-from operator import add, eq, floordiv, ge, itemgetter, mul, ne
+from operator import (add, eq, floordiv, ge, getitem, itemgetter, mul,
+                      ne, not_)
 from typing import Sequence
 
 from ._record import Record
@@ -632,10 +633,11 @@ def quotient_by_involution(ds: DeltaSet, sigma: Involution) -> DeltaSet:
     if ds.dim == 2:
         all_orders = list(permutations(range(3)))
         slots = [_take(ds._levels[1][j::3], reps[2]) for j in (0, 1, 2)]
+        e_cols = [_take(orbit_of[1], x) for x in slots]
         # per orbit triangle: its index, the edge orbits of its faces, the
         # vertex orbits of its slots (as in vertex_tuple) and its orderings
         tris = list(zip(
-            count(), zip(*(_take(orbit_of[1], x) for x in slots)),
+            count(), zip(*e_cols),
             zip(_take(tails, slots[2]), _take(heads, slots[2]),
                 _take(heads, slots[0])),
             [[(0, 1, 2)] if img == t else all_orders
@@ -709,12 +711,18 @@ def quotient_by_involution(ds: DeltaSet, sigma: Involution) -> DeltaSet:
                 for eo in assigned:
                     flips[eo] = None
                 k += 1
+        # the faces' edge orbits in slot order, rewritten only where the
+        # placed ordering is not the identity, index 0 of both order lists
         new_tris = [0] * (3 * len(tris))
-        for (i, e_orbs, _, taus), (k, _) in zip(tris, placed):
+        new_tris[0::3], new_tris[1::3], new_tris[2::3] = e_cols
+        for (i, e_orbs, _, taus), (k, _) in compress(
+                zip(tris, placed), map(itemgetter(0), placed)):
             a, b, c = taus[k]
             new_tris[3 * i:3 * i + 3] = e_orbs[a], e_orbs[b], e_orbs[c]
 
-    # (head, tail) of each edge orbit: the representative's, or flipped
-    new_edges = list(chain.from_iterable(
-        ends if flip else ends[::-1] for ends, flip in zip(e_ends, flips)))
+    # (head, tail) of each edge orbit: the representative's, or flipped;
+    # e_ends holds (tail, head), and None reads as no flip
+    new_edges = [0] * (2 * len(e_ends))
+    new_edges[0::2] = map(getitem, e_ends, map(not_, flips))
+    new_edges[1::2] = map(getitem, e_ends, map(bool, flips))
     return DeltaSet._flat(len(reps[0]), [new_edges, new_tris])

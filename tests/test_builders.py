@@ -33,8 +33,9 @@ from k3motive.deltaset import (
     recognize,
     top_cycle_generator,
 )
-from k3motive.fibers import (DegenerationFiber, DoubleCurve, Rational,
-                             TriplePoint, degeneration_type, validate)
+from k3motive.fibers import (Component, DegenerationFiber, DoubleCurve,
+                             Rational, TriplePoint, degeneration_type,
+                             validate)
 from k3motive.integrals import (
     RamifiedParams,
     acampo_chi,
@@ -207,16 +208,29 @@ def nerve_fiber_reference(label, comps, nerve):
     return DegenerationFiber.of(label, comps, curves, triples)
 
 
+def constructed_components(fiber):
+    """The fiber's rational components, each record built by its
+    constructor."""
+    return [Component(c.id, Rational(c.kind.a)) for c in fiber.components]
+
+
 class TestNerveFiber:
     def test_matches_per_simplex_reference(self):
-        for tri in (tetrahedron(), icosahedron(),
-                    refine_sphere(octahedron(), 2, "edge_split")):
+        # the library builds these records from rows; record equality
+        # checks the class, so each must match a constructor-built one
+        ladder = [tetrahedron(), icosahedron(),
+                  refine_sphere(icosahedron(), 1, "barycentric")]
+        ladder += [refine_sphere(octahedron(), k, "edge_split")
+                   for k in range(4)]
+        for tri in ladder:
             f = build_type3(tri)
-            assert f == nerve_fiber_reference(f.label, f.components, tri)
-        for m1, m2 in ((2, 2), (4, 6), (30, 30)):
+            assert f == nerve_fiber_reference(
+                f.label, constructed_components(f), tri)
+        for m1, m2 in ((2, 2), (4, 6), (8, 18), (30, 30)):
             rep = build_kummer(KummerParams(m1, m2))
             assert rep.fiber == nerve_fiber_reference(
-                rep.fiber.label, rep.fiber.components, rep.nerve)
+                rep.fiber.label, constructed_components(rep.fiber),
+                rep.nerve)
 
 
 class TestTorusGrid:
@@ -367,6 +381,42 @@ class TestGridReference:
             got = hashlib.sha256(
                 repr(nested_faces(nerve)).encode()).hexdigest()
             assert got == digest
+
+
+def negation_loop_reference(m1, m2):
+    """``torus_negation`` as it was before its maps were written by
+    formula: one pass over the vertices, verbatim but for its name."""
+    ds = torus_grid(m1, m2)
+    vmap, emap, tmap = [], [], []
+    for i in range(m1):
+        neg, neg1 = (-i) % m1 * m2, (-i - 1) % m1 * m2
+        for j in range(m2):
+            nj, nj1 = (-j) % m2, (-j - 1) % m2
+            vmap.append(neg + nj)
+            emap += (3 * (neg1 + nj), 3 * (neg + nj1) + 1,
+                     3 * (neg1 + nj1) + 2)
+            w = 2 * (neg1 + nj1)
+            tmap += (w + 1, w)
+    return ds, Involution(ds, [vmap, emap, tmap])
+
+
+class TestNegationLoopReference:
+    @staticmethod
+    def _outcome(build, m1, m2):
+        try:
+            ds, sigma = build(m1, m2)
+        except ValueError as exc:
+            return type(exc), str(exc)
+        return ds, sigma.maps
+
+    def test_every_small_grid_and_two_large_ones(self):
+        grids = [(m1, m2) for m1 in range(1, 13) for m2 in range(1, 13)]
+        for m1, m2 in grids + [(30, 30), (18, 50)]:
+            assert self._outcome(torus_negation, m1, m2) == \
+                self._outcome(negation_loop_reference, m1, m2), (m1, m2)
+        assert self._outcome(torus_negation, 3, 5) == (
+            ValueError, "1-simplex 7 is stabilized but not fixed pointwise; "
+            "refine first")
 
 
 class TestKummer:

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import random
 import sys
+from itertools import count, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ from k3motive.deltaset import (
     Involution,
     QuotientError,
     Shape,
+    _take,
     cohomology,
     cycle_pairing,
     euler_characteristic,
@@ -1116,6 +1118,159 @@ class TestQuotient:
                                    for q in range(solid.dim + 1)])
         with pytest.raises(QuotientError):
             quotient_by_involution(solid, ident)
+
+
+# -- the quotient against its per-triangle output --------------------------
+
+def quotient_reference(ds, sigma, backs):
+    """``quotient_by_involution`` as it was before its output levels were
+    written by slices, verbatim but for its name, this import (the module's
+    own ``chain`` is a fixture) and ``backs``, which gets the number of
+    placed triangles at each step back of the search."""
+    from itertools import chain
+    if sigma.ds is not ds and sigma.ds != ds:
+        raise ValueError("involution was built for a different Delta-set")
+    if ds.dim > 2:
+        raise QuotientError("quotients are supported up to dimension 2")
+
+    reps, orbit_of = sigma.reps, sigma.orbit_of
+    if ds.dim == 0:
+        return DeltaSet(len(reps[0]))
+
+    # quotient (tail, head) of each edge orbit, in the representative's
+    # order, and its flip: None while free, False for a fixed edge
+    vorb = orbit_of[0]
+    heads, tails = (_take(vorb, ds._levels[0][j::2]) for j in (0, 1))
+    e_ends = list(zip(_take(tails, reps[1]), _take(heads, reps[1])))
+    flips: list[bool | None] = [
+        False if img == e else None
+        for e, img in zip(reps[1], _take(sigma.maps[1], reps[1]))]
+
+    new_tris = []
+    if ds.dim == 2:
+        all_orders = list(permutations(range(3)))
+        slots = [_take(ds._levels[1][j::3], reps[2]) for j in (0, 1, 2)]
+        # per orbit triangle: its index, the edge orbits of its faces, the
+        # vertex orbits of its slots (as in vertex_tuple) and its orderings
+        tris = list(zip(
+            count(), zip(*(_take(orbit_of[1], x) for x in slots)),
+            zip(_take(tails, slots[2]), _take(heads, slots[2]),
+                _take(heads, slots[0])),
+            [[(0, 1, 2)] if img == t else all_orders
+             for t, img in zip(reps[2], _take(sigma.maps[2], reps[2]))]))
+
+        # process triangles in breadth-first order over shared edge orbits,
+        # so each one usually meets an already-oriented edge and the
+        # backtracking stays local
+        by_edge: list[list[int]] = [[] for _ in reps[1]]
+        for idx, (_, e_orbs, _, _) in enumerate(tris):
+            for eo in e_orbs:
+                by_edge[eo].append(idx)
+        order = []  # doubles as the queue; order[head:] is still to visit
+        seen = [False] * len(tris)
+        head = 0
+        for start in range(len(tris)):
+            if not seen[start]:
+                seen[start] = True
+                order.append(start)
+            while head < len(order):
+                for eo in tris[order[head]][1]:
+                    for nb in by_edge[eo]:
+                        if not seen[nb]:
+                            seen[nb] = True
+                            order.append(nb)
+                head += 1
+        tris = _take(tris, order)
+
+        def orient(tri, tau) -> list[int] | None:
+            # fix the edge flips ordering tau needs and return the edge
+            # orbits newly fixed, or fix nothing and return None on a clash
+            _, e_orbs, w, _ = tri
+            assigned = []
+            for i, a, b in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+                eo = e_orbs[tau[i]]
+                u, v = e_ends[eo]
+                if u == v:
+                    continue  # loop edge: orientation-free
+                x, y = w[tau[a]], w[tau[b]]
+                if (x != u or y != v) and (x != v or y != u):
+                    raise AssertionError("edge orbit endpoints disagree")
+                need = x != u
+                if flips[eo] == need:
+                    continue
+                if flips[eo] is not None:
+                    for done in assigned:
+                        flips[done] = None
+                    return None
+                flips[eo] = need
+                assigned.append(eo)
+            return assigned
+
+        # depth-first search; the stack holds (ordering index, edge orbits
+        # newly fixed) per placed triangle, orderings go in permutation order
+        placed: list[tuple[int, list[int]]] = []
+        k = 0
+        while len(placed) < len(tris):
+            tri = tris[len(placed)]
+            for k in range(k, len(tri[3])):
+                assigned = orient(tri, tri[3][k])
+                if assigned is not None:
+                    placed.append((k, assigned))
+                    k = 0
+                    break
+            else:  # no ordering fits: step back to the previous triangle
+                if not placed:
+                    raise QuotientError(
+                        "orbit cells admit no consistent ordering; apply a "
+                        "barycentric refinement before taking the quotient")
+                backs.append(len(placed))
+                k, assigned = placed.pop()
+                for eo in assigned:
+                    flips[eo] = None
+                k += 1
+        new_tris = [0] * (3 * len(tris))
+        for (i, e_orbs, _, taus), (k, _) in zip(tris, placed):
+            a, b, c = taus[k]
+            new_tris[3 * i:3 * i + 3] = e_orbs[a], e_orbs[b], e_orbs[c]
+
+    # (head, tail) of each edge orbit: the representative's, or flipped
+    new_edges = list(chain.from_iterable(
+        ends if flip else ends[::-1] for ends, flip in zip(e_ends, flips)))
+    return DeltaSet._flat(len(reps[0]), [new_edges, new_tris])
+
+
+def step_back_corpus():
+    """Named (Delta-set, involution maps) pairs: seeded relabellings of the
+    antipodal octahedron, about a third of which make the search step back,
+    the two circle(4) involutions and the identity on the tetrahedron."""
+    octa_ds = octahedron()  # 0, 1, 2 opposite 5, 3, 4
+    antipodal = induced_maps(octa_ds, [5, 3, 4, 1, 2, 0])
+    cases = {"octahedron %d" % seed: relabelled(octa_ds, antipodal, seed)
+             for seed in range(200)}
+    cases["circle(4) rotation"] = circle(4), [[2, 3, 0, 1], [2, 3, 0, 1]]
+    cases["circle(4) reflection"] = circle(4), [[0, 3, 2, 1], [3, 2, 1, 0]]
+    cases["tetrahedron identity"] = tetra(), identity_maps(tetra())
+    return cases
+
+
+class TestQuotientReference:
+    def test_step_backs_give_the_reference_nerve(self):
+        stepped = []
+        for name, (ds, maps) in step_back_corpus().items():
+            sigma = Involution(ds, maps)
+            backs = []
+            assert quotient_by_involution(ds, sigma) == \
+                quotient_reference(ds, sigma, backs), name
+            if backs:
+                stepped.append(name)
+        assert len(stepped) >= 20, stepped
+
+    def test_kummer_grids_give_the_reference_nerve(self):
+        from test_builders import NERVE_DIGESTS
+        for m1, m2 in NERVE_DIGESTS:
+            ds, sigma = torus_negation(m1, m2)
+            assert quotient_by_involution(ds, sigma) == \
+                quotient_reference(ds, sigma, []), (m1, m2)
 
 
 # -- flat construction checks against a per-simplex scan --------------------

@@ -195,3 +195,40 @@ def test_fiber_memo_is_fresh_or_copied():
     assert deep._memo.keys() == fiber._memo.keys()
     verify_fiber(deep)
     assert pickle.loads(pickle.dumps(fiber)) == fiber
+
+
+# rows holding every field, defaults included, and the same values built
+# by the constructor
+ROWS = {
+    Component: ([(0, Rational(1)), ("b", K3Smooth())],
+                [Component(0, Rational(1)), Component("b", K3Smooth())]),
+    Rational: ([(3,), (-1,)], [Rational(3), Rational(-1)]),
+    DoubleCurve: ([("c", ("a", "b"), 1, "E", (0, 0)), (4, (2, 1), 0, None,
+                                                        None)],
+                  [DoubleCurve("c", ("a", "b"), 1, "E", (0, 0)),
+                   DoubleCurve(4, (2, 1), 0)]),
+    TriplePoint: ([(7, (1, 2, 3))], [TriplePoint(7, (1, 2, 3))]),
+}
+
+
+class TestRecordRows:
+    @pytest.mark.parametrize("cls", sorted(ROWS, key=lambda c: c.__name__),
+                             ids=lambda cls: cls.__name__)
+    def test_rows_give_constructed_records(self, cls):
+        rows, built = ROWS[cls]
+        got = cls._rows(rows)
+        assert type(got) is tuple and len(got) == len(built)
+        for rec, ref in zip(got, built):
+            assert type(rec) is cls and rec == ref and not rec != ref
+            assert hash(rec) == hash(ref) and repr(rec) == repr(ref)
+            for name in cls._fields:
+                assert getattr(rec, name) == getattr(ref, name)
+            for twin in (copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+                assert type(twin) is cls and twin == ref
+                assert repr(twin) == repr(ref)
+
+    def test_post_init_class_refused(self):
+        fiber = build_type3("tetrahedron")
+        with pytest.raises(TypeError, match="__post_init__"):
+            DegenerationFiber._rows([tuple(fiber)])
+
