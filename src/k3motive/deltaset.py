@@ -441,6 +441,7 @@ def relabel(ds: DeltaSet, perms: Sequence[Sequence[int]]) -> DeltaSet:
     """
     if len(perms) != ds.dim + 1:
         raise ValueError("need one permutation per dimension")
+    perms = _int_rows(perms, "permutation entry")
     for q, p in enumerate(perms):
         if sorted(p) != list(range(ds.n(q))):
             raise ValueError("invalid permutation in dimension %d" % q)

@@ -9,11 +9,10 @@ three Kulikov shapes.
 
 Each fact is computed once per fiber and kept on it: ``validate`` stores the
 violations and, for a fiber whose curves and triple points pass, the
-integer incidence it checked them on (the two component indices of each
-double curve, and the curves of each triple point in face order), which
-``clemens_polytope`` reads to store the polytope (whose shape its own memo
-keeps); ``strata_classes`` stores the strata.  So the public functions are
-the only route and calling them again costs a lookup.
+incidence it checked them on as the Clemens polytope's two flat levels, from
+which ``clemens_polytope`` builds and stores the polytope (whose shape its
+own memo keeps); ``strata_classes`` stores the strata.  So the public
+functions are the only route and calling them again costs a lookup.
 
 Multiplicities are kept out of the fiber: Kulikov fibers are reduced, and
 the multiplicities that the general weak Neron evaluation needs live in
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, compress, count, repeat
-from operator import attrgetter, eq, getitem, gt, itemgetter
+from operator import attrgetter, eq, itemgetter
 from typing import Iterable
 
 from ._record import Record
@@ -172,13 +171,13 @@ def component_betti(kind: ComponentKind) -> tuple[int, int, int, int, int]:
 
 def curve_class(curve: DoubleCurve) -> MotiveClass:
     if curve.genus == 0:
-        return MotiveClass({(POINT, 0): 1, (POINT, 1): 1})
+        return _RATIONAL_CURVE
     return MotiveClass.of_atom(EllipticCurveAtom(curve.curve))
 
 
 _ID, _ON, _KIND = attrgetter("id"), attrgetter("on"), attrgetter("kind")
 _A, _GENUS, _NAME = attrgetter("a"), attrgetter("genus"), attrgetter("curve")
-_FIRST, _SECOND, _THIRD = itemgetter(0), itemgetter(1), itemgetter(2)
+_FIRST, _SECOND = itemgetter(0), itemgetter(1)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +188,7 @@ def validate(f: DegenerationFiber) -> list[str]:
     """All invariant violations, as human-readable strings; [] means valid.
 
     The double curves and triple points are checked in the flat passes of
-    ``_incidence``, whose ``ends`` and ``sides`` the memo keeps for
+    ``_incidence``, whose polytope levels the memo keeps as ``levels`` for
     ``clemens_polytope``; only when a pass fails does ``_scan_curves`` walk
     them one by one, to name every violation in its words and order."""
     if "violations" in f._memo:
@@ -230,20 +229,21 @@ def validate(f: DegenerationFiber) -> list[str]:
     if incidence is None:
         out += _scan_curves(f, index)
     else:
-        f._memo["ends"], f._memo["sides"] = incidence
+        f._memo["levels"] = incidence
     f._memo["violations"] = out
     return list(out)
 
 
-def _incidence(f: DegenerationFiber, index: dict) -> tuple | None:
-    """``ends`` and ``_sides`` if every double curve and triple point passes
-    the checks of ``_scan_curves``, else None.
+def _incidence(f: DegenerationFiber, index: dict) -> list | None:
+    """The Clemens polytope's flat levels [edges, triangles], numbered by
+    stored position, if every double curve and triple point passes the
+    checks of ``_scan_curves``, else None.
 
-    ``ends`` maps each double-curve id (of two curves with one id, the
-    later) to (low, high, i): the indices in ``index`` (component id to
-    stored position) of its two components, ascending, and its own stored
-    position.  The curves of a triple point on components a < b < c have
-    the ends ab, ac, bc, so ``_sides`` needs one sort per triple point."""
+    An edge's faces are its high and its low end, the positions in
+    ``index`` (component id to stored position) of its two components.  The
+    curves of a triple point on components a < b < c have the ends ab, ac,
+    bc, so one sort per triple point finds them; a triangle's faces, where
+    face j misses the j-th least vertex, are bc, ac, ab."""
     curves, points = f.double_curves, f.triple_points
     ons, genus = list(map(_ON, curves)), list(map(_GENUS, curves))
     if set(map(len, ons)) - {2} or set(map(type, genus)) - {int} \
@@ -254,30 +254,24 @@ def _incidence(f: DegenerationFiber, index: dict) -> tuple | None:
     v = list(map(index.get, map(_SECOND, ons)))
     if None in u or None in v or any(map(eq, u, v)):
         return None
-    # (u, v, i), or (v, u, i) where u > v
+    edges = [0] * (2 * len(u))
+    edges[0::2], edges[1::2] = map(max, u, v), map(min, u, v)
+    # each curve id (of two curves with one id, the later) to (low, high, i)
     ends = dict(zip(map(_ID, curves),
-                    map(getitem, zip(zip(u, v, count()), zip(v, u, count())),
-                        map(gt, u, v))))
+                    zip(edges[1::2], edges[0::2], count())))
     if len(ends) != len(curves) \
             or len(set(map(_ID, points))) != len(points):
         return None
+    tris = []
     try:
-        sides = _sides(points, ends)
+        for (a, b, ab), (a2, c, ac), (b2, c2, bc) in map(
+                sorted, map(map, repeat(ends.__getitem__), map(_ON, points))):
+            if a != a2 or b != b2 or c != c2:
+                return None
+            tris += bc, ac, ab
     except (KeyError, ValueError):  # an unknown curve, or not three
         return None
-    return None if sides is None else (ends, sides)
-
-
-def _sides(points, ends: dict) -> list[int] | None:
-    """The stored positions of the curves ab, ac, bc of each triple point,
-    three per point in stored order, or None if the sorted ``ends`` of some
-    triple point's curves do not read ab, ac, bc for any a < b < c."""
-    sides = list(map(sorted, map(map, repeat(ends.__getitem__),
-                                 map(_ON, points))))
-    for (a, b, _), (a2, c, _), (b2, c2, _) in sides:
-        if a != a2 or b != b2 or c != c2:
-            return None
-    return list(map(_THIRD, chain.from_iterable(sides)))
+    return [edges, tris]
 
 
 def _scan_curves(f: DegenerationFiber, index: dict) -> list[str]:
@@ -343,19 +337,12 @@ def clemens_polytope(f: DegenerationFiber) -> DeltaSet:
     """Dual Delta-set: vertices are components, edges double curves,
     triangles triple points, each numbered by its stored position.
 
-    It is read off the memo's ``ends`` and ``sides``: an edge's faces are
-    its high and its low end, and the faces of a triangle on vertices
-    a < b < c, where face j misses the j-th least vertex, are its curves
-    bc, ac, ab."""
+    It is built on first use from the levels that ``validate`` left in the
+    memo (see ``_incidence``)."""
     if "polytope" in f._memo:
         return f._memo["polytope"]
     _require_valid(f)
-    ends = list(chain.from_iterable(f._memo["ends"].values()))
-    sides = f._memo["sides"]
-    edges, tris = [0] * (2 * len(ends) // 3), [0] * len(sides)
-    edges[0::2], edges[1::2] = ends[1::3], ends[0::3]
-    tris[0::3], tris[1::3], tris[2::3] = sides[2::3], sides[1::3], sides[0::3]
-    polytope = DeltaSet._flat(len(f.components), [edges, tris])
+    polytope = DeltaSet._flat(len(f.components), f._memo["levels"])
     f._memo["polytope"] = polytope
     return polytope
 
@@ -419,18 +406,19 @@ def open_component_classes(f: DegenerationFiber) -> list[MotiveClass]:
 
 def degeneration_type(f: DegenerationFiber) -> int:
     """Kulikov type: 1 (smooth), 2 (chain), 3 (sphere); raises otherwise."""
-    shape = recognize(clemens_polytope(f))
+    polytope = clemens_polytope(f)
+    shape = recognize(polytope)
     if shape == Shape.POINT:
         return 1
     if shape == Shape.INTERVAL:
         if any(d.genus != 1 for d in f.double_curves):
             raise NonKulikovError("interval fiber with a genus-0 double curve")
-        valence = Counter(cid for d in f.double_curves for cid in d.on)
+        valence = Counter(polytope._levels[0])
         atoms = {d.curve for d in f.double_curves}
-        for c in f.components:
-            if valence[c.id] == 1 and not isinstance(c.kind, Rational):
+        for i, c in enumerate(f.components):
+            if valence[i] == 1 and not isinstance(c.kind, Rational):
                 raise NonKulikovError("chain end %r is not rational" % (c.id,))
-            if valence[c.id] == 2:
+            if valence[i] == 2:
                 if not isinstance(c.kind, RuledElliptic):
                     raise NonKulikovError(
                         "interior chain component %r is not elliptic-ruled"

@@ -13,6 +13,7 @@ from k3motive.builders import (
     build_kummer,
     icosahedron,
     octahedron,
+    tetrahedron,
     torus_grid,
     torus_negation,
 )
@@ -555,6 +556,16 @@ class TestRelabel:
             relabel(octa(), [[0]])
         with pytest.raises(ValueError, match="dimension 1"):
             relabel(chain(2), [[0, 1, 2], [0, 0]])
+        # a float or a boolean entry is refused as a permutation entry,
+        # not read as the integer it equals
+        edges = list(range(6))
+        for perms, bad in (
+                ([[0, 1, 2, 3], edges, [0.0, 1.0, 2.0, 3.0]], "0.0"),
+                ([[0, 1, 2, 3], edges, [True, False, 2, 3]], "True"),
+                ([[0, 1, 2, 3], [0, 1.0, 2, 3, 4, 5], [0, 1, 2, 3]], "1.0")):
+            with pytest.raises(ValueError, match=r"^permutation entry %s is "
+                               r"not an integer$" % bad):
+                relabel(tetrahedron(), perms)
 
 
 def closed(ds):

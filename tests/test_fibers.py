@@ -1,5 +1,6 @@
 import functools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -717,6 +718,94 @@ class TestDegenerationType:
             degeneration_type(g)
 
 
+def chain_verdict_reference(f):
+    """The type-II verdict of an interval fiber whose curves have genus 1,
+    with valence counted per component id: 2, or the message of the first
+    component in stored order that fails."""
+    valence = Counter(cid for d in f.double_curves for cid in d.on)
+    atoms = {d.curve for d in f.double_curves}
+    for c in f.components:
+        if valence[c.id] == 1 and not isinstance(c.kind, Rational):
+            return "chain end %r is not rational" % (c.id,)
+        if valence[c.id] == 2:
+            if not isinstance(c.kind, RuledElliptic):
+                return ("interior chain component %r is not elliptic-ruled"
+                        % (c.id,))
+            atoms.add(c.kind.curve)
+    if len(atoms) != 1:
+        return "type II chain must be ruled by a single elliptic curve"
+    return 2
+
+
+def chain_verdict(f):
+    try:
+        return degeneration_type(f)
+    except NonKulikovError as e:
+        return str(e)
+
+
+class TestChainValence:
+    """The chain check counts valence by stored position, whatever the
+    component ids and their order; a per-id count gives the same verdict."""
+
+    STYLES = {"int": lambda x: x, "string": lambda x: "v%d" % x,
+              "mixed": lambda x: "v%d" % x if x % 2 else x}
+
+    def shuffled_chains(self):
+        """Seeded shuffles of the components of the chains m = 1..6 under
+        each id style; every other one deals the kinds out again, and of
+        the rest every other one rules one interior component over a
+        second curve F."""
+        from k3motive.builders import build_type2_chain
+
+        rng = random.Random(3517)
+        for m in range(1, 7):
+            base = build_type2_chain(m)
+            for style, name in self.STYLES.items():
+                for k in range(12):
+                    comps = list(base.components)
+                    rng.shuffle(comps)
+                    kinds = [c.kind for c in comps]
+                    if k % 2:
+                        rng.shuffle(kinds)
+                    elif k % 4 == 2 and m > 1:
+                        kinds[rng.choice([i for i, kind in enumerate(kinds)
+                                          if isinstance(kind, RuledElliptic)]
+                                         )] = RuledElliptic("F")
+                    yield ("chain %d %s %d" % (m, style, k),
+                           DegenerationFiber.of(
+                               base.label,
+                               [Component(name(c.id), kind)
+                                for c, kind in zip(comps, kinds)],
+                               [DoubleCurve(d.id, tuple(map(name, d.on)),
+                                            d.genus, d.curve)
+                                for d in base.double_curves]))
+
+    def stored_order_chains(self):
+        """The three fibers of
+        ``test_chain_components_checked_in_stored_order``."""
+        curves = [DoubleCurve("c0", (0, "m"), 1, curve="E"),
+                  DoubleCurve("c1", ("m", 2), 1, curve="E")]
+        comps = [Component("m", Rational(0)), Component(2, Rational(10)),
+                 Component(0, RuledElliptic("E", 10))]
+        yield "stored order", DegenerationFiber.of("bad", comps, curves)
+        yield "reversed order", DegenerationFiber.of("bad", comps[::-1],
+                                                     curves)
+        comps[2] = Component(0, Rational(10))
+        yield "rational end", DegenerationFiber.of("bad", comps, curves)
+
+    def test_verdicts_equal_per_id_reference(self):
+        seen = Counter()
+        for name, f in [*self.shuffled_chains(), *self.stored_order_chains()]:
+            assert validate(f) == [], name
+            ref = chain_verdict_reference(f)
+            assert chain_verdict(f) == ref, name
+            seen[ref if ref == 2 else ref.split(" ")[0]] += 1
+        # type 2 and each of the three messages are reached
+        assert set(seen) == {2, "chain", "interior", "type"}, seen
+        assert min(seen.values()) >= 10, seen
+
+
 class TestEulerCount:
     def test_v_equals_f_half_plus_2(self):
         f = tetra_fiber()
@@ -1101,7 +1190,7 @@ class TestFlatValidation:
             g = fresh(f)
             assert scan_validate(g) == [], name
             assert counted_validate(g) == ([], 0), name
-            assert "ends" in g._memo and "sides" in g._memo, name
+            assert "levels" in g._memo, name
 
     @SETTINGS
     @given(data=st.data())
@@ -1115,7 +1204,7 @@ class TestFlatValidation:
         got, scans = counted_validate(f)
         assert got == expected, (base, kind)
         assert bool(scans) == bool(expected), (base, kind)
-        assert ("ends" in f._memo) == (not expected), (base, kind)
+        assert ("levels" in f._memo) == (not expected), (base, kind)
 
     def test_every_corruption_is_caught_somewhere(self):
         seen = set()
