@@ -15,7 +15,7 @@ count, which the Gram determinant of the model confirms.
 
 from __future__ import annotations
 
-from itertools import count, repeat
+from collections import Counter
 
 from ._record import Record
 from .deltaset import (
@@ -35,7 +35,6 @@ from .fibers import (
     K3Smooth,
     Rational,
     RuledElliptic,
-    TriplePoint,
     WeakNeronData,
 )
 from .intlinalg import _int_rows
@@ -119,18 +118,19 @@ def _checked_profile(a_profile, count: int, total: int) -> list[int]:
     return a_profile
 
 
-def _nerve_fiber(label: str, comps, nerve: DeltaSet) -> DegenerationFiber:
-    """The fiber on these components, one per vertex of the 2-dimensional
-    nerve, with a rational double curve per edge and a triple point per
-    triangle."""
+def _nerve_fiber(label: str, kinds: tuple, nerve: DeltaSet
+                 ) -> DegenerationFiber:
+    """The fiber with a component of each kind, one per vertex of the
+    2-dimensional nerve, a rational double curve per edge on its (low, high)
+    ends and a triple point per triangle on its faces, each numbered by
+    position."""
     edges, tris = nerve._levels
-    # rows of every field: id, on, genus, curve, self_intersections
-    curves = DoubleCurve._rows(zip(
-        count(), zip(edges[1::2], edges[0::2]), repeat(0), repeat(None),
-        repeat(None)))
-    return DegenerationFiber.of(
-        label, comps, curves, TriplePoint._rows(
-            zip(count(), zip(tris[0::3], tris[1::3], tris[2::3]))))
+    on = [0] * len(edges)
+    on[0::2], on[1::2] = edges[1::2], edges[0::2]
+    m = len(on) // 2
+    return DegenerationFiber._of_columns(
+        label, range(len(kinds)), kinds, range(m), tuple(on), (0,) * m,
+        (None,) * m, (None,) * m, range(len(tris) // 3), tris)
 
 
 def build_type1_smooth() -> DegenerationFiber:
@@ -167,7 +167,9 @@ def build_type3(tri, a_profile=None) -> DegenerationFiber:
 
     ``tri`` is a Delta-set or a built-in name.  The profile must sum to
     20 + 2 * (number of faces); the default spreads it as evenly as
-    integers allow.
+    integers allow.  The default gives the vertex v the surface invariant
+    a_v = deg(v) - 2 + q_v, so that its charge 2 + a_v - deg(v) is q_v,
+    with the 24 spread over the q_v as evenly as integers allow.
     """
     if isinstance(tri, str):
         try:
@@ -177,9 +179,13 @@ def build_type3(tri, a_profile=None) -> DegenerationFiber:
     if recognize(tri) != Shape.SPHERE2:
         raise ValueError("triangulation is not a 2-sphere")
     nv, nf = tri.n(0), tri.n(2)
+    if a_profile is None:
+        deg = Counter(tri._levels[0])
+        a_profile = [deg[v] - 2 + q for v, q in
+                     enumerate(_checked_profile(None, nv, 24))]
     a_profile = _checked_profile(a_profile, nv, 20 + 2 * nf)
-    comps = Component._rows(enumerate(Rational._rows(zip(a_profile))))
-    return _nerve_fiber("type3_f%d" % nf, comps, tri)
+    return _nerve_fiber("type3_f%d" % nf, tuple(map(Rational, a_profile)),
+                        tri)
 
 
 def refine_sphere(tri: DeltaSet, steps: int, style: str = "barycentric"
@@ -341,8 +347,7 @@ def build_kummer(p: KummerParams) -> KummerReport:
     special = Rational(7)
     for v in fixed:
         kinds[sigma.orbit_of[0][v]] = special
-    fiber = _nerve_fiber("kummer_%dx%d" % (p.m1, p.m2),
-                         Component._rows(enumerate(kinds)), nerve)
+    fiber = _nerve_fiber("kummer_%dx%d" % (p.m1, p.m2), tuple(kinds), nerve)
 
     r2_a, _ = kummer_r2_abelian(p)
     return KummerReport(fiber=fiber, nerve=nerve, component_census=census,

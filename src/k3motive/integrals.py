@@ -137,11 +137,12 @@ def fiber_params(f: DegenerationFiber) -> RamifiedParams | None:
     s = degeneration_type(f)
     if s == 1:
         return None
+    cols = f._cols
     if s == 2:
-        r1 = _monodromy_composition(len(f.double_curves))[1]
-        atom = EllipticCurveAtom(f.double_curves[0].curve)
+        r1 = _monodromy_composition(len(cols.curve_ids))[1]
+        atom = EllipticCurveAtom(cols.names[0])
         return RamifiedParams(e=1, s=2, r=r1, elliptic_atom=atom)
-    r2 = len(f.triple_points)
+    r2 = len(cols.point_ids)
     mg = monodromy_gram(f)
     if mg.r_d != r2:
         raise ArithmeticError(

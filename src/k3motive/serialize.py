@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _str
 
 from .deltaset import DeltaSet, _chunks
@@ -233,14 +234,25 @@ def delta_from_json(doc: dict) -> DeltaSet:
     count followed by the length of each boundary level."""
     _keys(doc, ("dims", "boundary"))
     dims = _ints(_array(doc["dims"], "dims"), "dims")
-    levels = [[_ints(_array(fs, "face list"), "face list")
-               for fs in _array(level, "boundary level")]
-              for level in _array(doc["boundary"], "boundary")]
+    levels = _array(doc["boundary"], "boundary")
+    # each level in one flat pass; where one fails, face list by face list,
+    # which names the first failure
+    flat = [list(chain.from_iterable(level)) if isinstance(level, list)
+            and all(map(isinstance, level, repeat(list))) else None
+            for level in levels]
+    if None in flat or set(map(type, chain.from_iterable(flat))) - {int}:
+        flat = None
+        levels = [[_ints(_array(fs, "face list"), "face list")
+                   for fs in _array(level, "boundary level")]
+                  for level in levels]
     if not dims or any(x < 0 for x in dims) \
             or list(dims[1:]) != [len(level) for level in levels]:
         raise ValueError("dims %r disagree with the boundary levels, of "
                          "lengths %r" % (list(dims), list(map(len, levels))))
-    return DeltaSet(dims[0], levels)
+    if flat is not None and all(set(map(len, level)) <= {q + 1} for q, level
+                                in enumerate(levels, start=1)):
+        return DeltaSet._flat(dims[0], flat)
+    return DeltaSet(dims[0], levels)  # its scan names a bad face count
 
 
 # ---------------------------------------------------------------------------
@@ -248,32 +260,43 @@ def delta_from_json(doc: dict) -> DeltaSet:
 # ---------------------------------------------------------------------------
 
 def fiber_to_json(f: DegenerationFiber) -> dict:
+    """The fiber's document, written from its columns; an ``on`` is read
+    off the records only where some record's does not hold two (three)
+    ids."""
+    cols = f._cols
     comps = []
-    for c in f.components:
-        if isinstance(c.kind, Rational):
-            comps.append({"id": c.id, "kind": "rational", "a": c.kind.a})
-        elif isinstance(c.kind, RuledElliptic):
-            comps.append({"id": c.id, "kind": "ruled_elliptic",
-                          "curve": c.kind.curve, "a": c.kind.a})
-        elif isinstance(c.kind, K3Smooth):
-            comps.append({"id": c.id, "kind": "k3"})
-        elif isinstance(c.kind, Other):
-            entry = {"id": c.id, "kind": "other",
-                     "class": motive_to_json(c.kind.klass)}
-            if c.kind.betti is not None:
-                entry["betti"] = list(c.kind.betti)
+    for cid, kind in zip(cols.component_ids, cols.kinds):
+        if isinstance(kind, Rational):
+            comps.append({"id": cid, "kind": "rational", "a": kind.a})
+        elif isinstance(kind, RuledElliptic):
+            comps.append({"id": cid, "kind": "ruled_elliptic",
+                          "curve": kind.curve, "a": kind.a})
+        elif isinstance(kind, K3Smooth):
+            comps.append({"id": cid, "kind": "k3"})
+        elif isinstance(kind, Other):
+            entry = {"id": cid, "kind": "other",
+                     "class": motive_to_json(kind.klass)}
+            if kind.betti is not None:
+                entry["betti"] = list(kind.betti)
             comps.append(entry)
         else:
-            raise TypeError("unknown component kind %r" % (c.kind,))
+            raise TypeError("unknown component kind %r" % (kind,))
+    on = cols.curve_on
     curves = []
-    for d in f.double_curves:
-        entry = {"id": d.id, "on": list(d.on), "genus": d.genus}
-        if d.curve is not None:
-            entry["curve"] = d.curve
-        if d.self_intersections is not None:
-            entry["self_intersections"] = list(d.self_intersections)
+    for cid, ends, genus, name, si in zip(
+            cols.curve_ids, (d.on for d in f.double_curves) if on is None
+            else zip(on[0::2], on[1::2]), cols.genus, cols.names,
+            cols.self_intersections):
+        entry = {"id": cid, "on": list(ends), "genus": genus}
+        if name is not None:
+            entry["curve"] = name
+        if si is not None:
+            entry["self_intersections"] = list(si)
         curves.append(entry)
-    triples = [{"id": t.id, "on": list(t.on)} for t in f.triple_points]
+    on = cols.point_on
+    triples = [{"id": pid, "on": list(sides)} for pid, sides in zip(
+        cols.point_ids, (t.on for t in f.triple_points) if on is None
+        else zip(on[0::3], on[1::3], on[2::3]))]
     return {"label": f.label, "components": comps, "double_curves": curves,
             "triple_points": triples}
 
@@ -334,10 +357,12 @@ def _string(x, what: str) -> str:
 def fiber_from_json(doc: dict) -> DegenerationFiber:
     """A fiber document as ``docs/schemas/fiber.schema.json`` has it: a
     string label, three arrays, entries with only the schema's keys; other
-    top-level keys (``neron``, ``expectations``) are ignored."""
+    top-level keys (``neron``, ``expectations``) are ignored.  The entries
+    are decoded into columns, which make the fiber unless some ``on`` holds
+    other than two (three) ids; that fiber is made of records."""
     _keys(doc, ("label", "components", "double_curves", "triple_points"),
           None)
-    comps = []
+    ids, kinds = [], []
     for entry in _array(doc["components"], "components"):
         _keys(entry, ("id", "kind"), ("a", "curve", "class", "betti"))
         kind_tag = entry["kind"]
@@ -356,20 +381,30 @@ def fiber_from_json(doc: dict) -> DegenerationFiber:
                          betti=_ints(entry.get("betti"), "betti"))
         else:
             raise ValueError("unknown component kind %r" % (kind_tag,))
-        comps.append(Component(_id(entry["id"]), kind))
-    curves = []
+        kinds.append(kind)
+        ids.append(_id(entry["id"]))
+    curves = []  # (id, on, genus, curve, self_intersections) per entry
     for e in _array(doc["double_curves"], "double_curves"):
         _keys(e, ("id", "on", "genus"), ("curve", "self_intersections"))
-        curves.append(DoubleCurve(
+        curves.append((
             _id(e["id"]), _on(e), _int(e["genus"], "genus"),
             _string(e["curve"], "curve name") if "curve" in e else None,
             _ints(e.get("self_intersections"), "self_intersections")))
-    triples = []
+    points = []
     for e in _array(doc["triple_points"], "triple_points"):
         _keys(e, ("id", "on"))
-        triples.append(TriplePoint(_id(e["id"]), _on(e)))
-    return DegenerationFiber.of(_string(doc["label"], "label"), comps,
-                                curves, triples)
+        points.append((_id(e["id"]), _on(e)))
+    label = _string(doc["label"], "label")
+    curves, points = list(zip(*curves)) or [()] * 5, \
+        list(zip(*points)) or [()] * 2
+    if set(map(len, curves[1])) - {2} or set(map(len, points[1])) - {3}:
+        return DegenerationFiber.of(label, map(Component, ids, kinds),
+                                    map(DoubleCurve, *curves),
+                                    map(TriplePoint, *points))
+    return DegenerationFiber._of_columns(
+        label, tuple(ids), tuple(kinds), curves[0],
+        tuple(chain.from_iterable(curves[1])), *curves[2:], points[0],
+        tuple(chain.from_iterable(points[1])))
 
 
 def neron_to_json(data: WeakNeronData) -> list:

@@ -165,6 +165,49 @@ class TestType3Builder:
             build(profile)
 
 
+def default_charges(tri):
+    """The charge Q_v = 2 + a_v - deg(v) of each component of the default
+    sphere fiber, counted off its records: deg(v) is the number of curve
+    ends on v."""
+    f = build_type3(tri)
+    deg = Counter(cid for d in f.double_curves for cid in d.on)
+    return [2 + c.kind.a - deg[c.id] for c in f.components]
+
+
+class TestDefaultCharges:
+    """The default profile puts the 24 units of charge on the vertices as
+    evenly as integers allow, in vertex order; none is negative."""
+
+    @pytest.mark.parametrize("base, style", [
+        (octahedron, "edge_split"), (icosahedron, "barycentric"),
+        (tetrahedron, "barycentric")], ids=["octahedron", "icosahedron",
+                                            "tetrahedron"])
+    def test_ladder_to_four_steps(self, base, style):
+        tri = base()
+        for k in range(5):
+            q = default_charges(tri)
+            assert sum(q) == 24 and min(q) >= 0, k
+            # non-increasing and within one of each other: the even spread
+            assert q == sorted(q, reverse=True) and q[0] - q[-1] <= 1, k
+            tri = refine_sphere(tri, 1, style)
+
+    def test_relabelled_sphere(self):
+        from test_deltaset import shuffled
+
+        tri = shuffled(refine_sphere(icosahedron(), 2), random.Random(61))
+        q = default_charges(tri)
+        assert q == [1] * 24 + [0] * (tri.n(0) - 24)
+
+    def test_pinned_refinement_profile(self):
+        f = build_type3(refine_sphere(icosahedron(), 1))
+        assert [c.kind.a for c in f.components] == \
+            [9] * 12 + [3] * 12 + [2] * 18 + [4] * 20
+        # regular spheres keep the even spread of 20 + 2F
+        for name, a in (("tetrahedron", 7), ("octahedron", 6),
+                        ("icosahedron", 5)):
+            assert {c.kind.a for c in build_type3(name).components} == {a}
+
+
 class TestRefineSphere:
     def test_barycentric_counts(self):
         assert refine_sphere(tetrahedron(), 1).n(2) == 24
@@ -216,7 +259,7 @@ def constructed_components(fiber):
 
 class TestNerveFiber:
     def test_matches_per_simplex_reference(self):
-        # the library builds these records from rows; record equality
+        # the library builds these records from columns; record equality
         # checks the class, so each must match a constructor-built one
         ladder = [tetrahedron(), icosahedron(),
                   refine_sphere(icosahedron(), 1, "barycentric")]

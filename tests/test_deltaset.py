@@ -37,7 +37,7 @@ from k3motive.deltaset import (
 )
 from k3motive import intlinalg
 from k3motive.intlinalg import IntMatrix
-from k3motive.fibers import Component, Rational, clemens_polytope, validate
+from k3motive.fibers import Rational, clemens_polytope, validate
 from k3motive.serialize import delta_from_json, delta_to_json, dumps
 
 
@@ -1545,8 +1545,8 @@ def library_delta_sets():
     out["quotient antipodal"] = quotient_by_involution(ds, sigma)
     for i, ds in enumerate(recognition_corpus()):
         if ds.dim == 2:
-            comps = [Component(v, Rational(0)) for v in ds.simplices(0)]
-            fiber = _nerve_fiber("corpus %d" % i, comps, ds)
+            fiber = _nerve_fiber("corpus %d" % i, (Rational(0),) * ds.n(0),
+                                 ds)
             if not validate(fiber):
                 out["polytope %d" % i] = clemens_polytope(fiber)
     for name in list(out):

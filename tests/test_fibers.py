@@ -329,6 +329,45 @@ class TestValidationMessages:
             assert err.value.violations == PINNED_VIOLATIONS[name], name
 
 
+class TestMalformedOn:
+    """An ``on`` holding an unhashable id, or no ids at all, is listed as a
+    violation in the scan's words, never raised."""
+
+    @staticmethod
+    def fiber(curves=(), points=()):
+        comps = [Component(0, Rational(0)), Component(1, Rational(0))]
+        return DegenerationFiber.of("x", comps, curves, points)
+
+    def test_unhashable_component_id(self):
+        f = self.fiber([DoubleCurve(0, ([0], 1), 1, "E")])
+        assert validate(f) == [
+            "double curve 0 references unknown component [0]"]
+
+    def test_on_is_no_sequence(self):
+        f = self.fiber([DoubleCurve(0, 5, 1, "E")])
+        assert validate(f) == [
+            "double curve 0 is not on exactly two components"]
+
+    def test_triple_points(self):
+        ok = DoubleCurve("a", (0, 1), 0)
+        cases = [
+            (TriplePoint("t", 5), "triple point 't' is not on three distinct "
+                                  "curves"),
+            (TriplePoint("t", ([0], "a", "b")), "triple point 't' references "
+                                                "an unknown double curve"),
+            (TriplePoint("t", ("a", "b", "c")), "triple point 't' curves are "
+             "not pairwise adjacent along three components")]
+        for point, message in cases:
+            f = self.fiber([ok, DoubleCurve("b", 7, 0),
+                            DoubleCurve("c", ([1], 0), 0)], [point])
+            assert validate(f) == [
+                "double curve 'b' is not on exactly two components",
+                "double curve 'c' references unknown component [1]",
+                message]
+            with pytest.raises(InvalidFiberError):
+                clemens_polytope(f)
+
+
 class TestComponentClasses:
     def test_rational(self):
         assert component_class(Rational(7)) == \

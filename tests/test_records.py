@@ -1,5 +1,8 @@
 import copy
+import functools
+import json
 import pickle
+import random
 
 import pytest
 
@@ -28,11 +31,18 @@ from k3motive import (
     SpectralRow,
     TriplePoint,
     WeakNeronData,
+    build_kummer,
+    build_type2_chain,
     build_type3,
+    octahedron,
+    refine_sphere,
     smith_normal_form,
+    validate,
     verify_fiber,
 )
 from k3motive._record import Record
+from k3motive.builders import _nerve_fiber
+from k3motive.serialize import dumps, fiber_from_json, fiber_to_json
 
 L = MotiveClass.lefschetz()
 E = EllipticCurveAtom("E")
@@ -197,38 +207,173 @@ def test_fiber_memo_is_fresh_or_copied():
     assert pickle.loads(pickle.dumps(fiber)) == fiber
 
 
-# rows holding every field, defaults included, and the same values built
-# by the constructor
-ROWS = {
-    Component: ([(0, Rational(1)), ("b", K3Smooth())],
-                [Component(0, Rational(1)), Component("b", K3Smooth())]),
-    Rational: ([(3,), (-1,)], [Rational(3), Rational(-1)]),
-    DoubleCurve: ([("c", ("a", "b"), 1, "E", (0, 0)), (4, (2, 1), 0, None,
-                                                        None)],
-                  [DoubleCurve("c", ("a", "b"), 1, "E", (0, 0)),
-                   DoubleCurve(4, (2, 1), 0)]),
-    TriplePoint: ([(7, (1, 2, 3))], [TriplePoint(7, (1, 2, 3))]),
-}
+# -- fibers held as columns --------------------------------------------------
+
+RECORD_FIELDS = ("components", "double_curves", "triple_points")
 
 
-class TestRecordRows:
-    @pytest.mark.parametrize("cls", sorted(ROWS, key=lambda c: c.__name__),
-                             ids=lambda cls: cls.__name__)
-    def test_rows_give_constructed_records(self, cls):
-        rows, built = ROWS[cls]
-        got = cls._rows(rows)
-        assert type(got) is tuple and len(got) == len(built)
-        for rec, ref in zip(got, built):
-            assert type(rec) is cls and rec == ref and not rec != ref
-            assert hash(rec) == hash(ref) and repr(rec) == repr(ref)
-            for name in cls._fields:
-                assert getattr(rec, name) == getattr(ref, name)
-            for twin in (copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
-                assert type(twin) is cls and twin == ref
-                assert repr(twin) == repr(ref)
+def unbuilt(fiber):
+    """Has none of the fiber's record tuples been built?"""
+    return not set(RECORD_FIELDS) & vars(fiber).keys()
 
-    def test_post_init_class_refused(self):
-        fiber = build_type3("tetrahedron")
-        with pytest.raises(TypeError, match="__post_init__"):
-            DegenerationFiber._rows([tuple(fiber)])
 
+@functools.lru_cache(maxsize=None)
+def column_corpus():
+    """(fiber, reference) pairs by name: the nerve fiber of every
+    2-dimensional complex of the recognition corpus, Kummer grids and
+    relabelled spheres, each with the same fiber built record by record by
+    the constructors from the nerve; chains, with the chain itself."""
+    from test_deltaset import recognition_corpus, shuffled
+
+    out = {}
+    for i, ds in enumerate(recognition_corpus()):
+        if ds.dim == 2:
+            kinds = tuple(Rational(v % 3) for v in ds.simplices(0))
+            out["corpus %d" % i] = (
+                _nerve_fiber("corpus %d" % i, kinds, ds),
+                nerve_reference("corpus %d" % i, kinds, ds))
+    for m1, m2 in ((2, 2), (4, 6), (8, 18)):
+        rep = build_kummer(KummerParams(m1, m2))
+        out["kummer %dx%d" % (m1, m2)] = (rep.fiber, nerve_reference(
+            rep.fiber.label, [Rational(c.kind.a) for c in rep.fiber.components],
+            rep.nerve))
+    rng = random.Random(4411)
+    for k in range(3):
+        tri = shuffled(refine_sphere(octahedron(), k, "edge_split"), rng)
+        profile = [rng.randint(0, 3) for _ in tri.simplices(0)]
+        profile[0] += 20 + 2 * tri.n(2) - sum(profile)
+        out["sphere %d" % k] = (build_type3(tri, profile), nerve_reference(
+            "type3_f%d" % tri.n(2), [Rational(a) for a in profile], tri))
+    for m in range(1, 6):
+        out["chain %d" % m] = (build_type2_chain(m),) * 2
+    return out
+
+
+def nerve_reference(label, kinds, nerve):
+    """The nerve fiber built record by record: a component per vertex, a
+    double curve per edge on its (low, high) ends, a triple point per
+    triangle on its faces."""
+    return DegenerationFiber.of(
+        label, [Component(v, kind) for v, kind in enumerate(kinds)],
+        [DoubleCurve(e, nerve.faces(1, e)[::-1], 0)
+         for e in nerve.simplices(1)],
+        [TriplePoint(t, nerve.faces(2, t)) for t in nerve.simplices(2)])
+
+
+def three_builds(fiber):
+    """The fiber built from its columns, from constructor-built records and
+    by decoding its document."""
+    columns = DegenerationFiber._of_columns(fiber.label, *fiber._cols)
+    records = DegenerationFiber.of(
+        fiber.label, [Component(*c) for c in fiber.components],
+        [DoubleCurve(*d) for d in fiber.double_curves],
+        [TriplePoint(*t) for t in fiber.triple_points])
+    return columns, records, fiber_from_json(fiber_to_json(fiber))
+
+
+class TestColumnFibers:
+    def test_builds_agree(self):
+        assert len(column_corpus()) == 78
+        for name, (fiber, reference) in column_corpus().items():
+            builds = (fiber, reference) + three_builds(fiber)
+            assert all(unbuilt(f) for f in builds[2::2]), name
+            first = builds[0]
+            for f in builds:
+                assert type(f) is DegenerationFiber, name
+                assert f == first and first == f and not f != first, name
+                assert hash(f) == hash(first) == hash(tuple(first)), name
+                assert repr(f) == repr(first), name
+                assert tuple(f) == tuple(first) and len(f) == 4, name
+                assert f[1:] == first[1:] and f[-1] == first.triple_points
+                assert None not in f and first.components in f
+                assert f.index(first.double_curves) == 2, name
+                assert f.count(first.label) == 1 and f + () == tuple(first)
+                assert 2 * f == f + tuple(f) == tuple(first) * 2, name
+                assert () + f == f + () and f <= first and not f < first
+                assert dumps(fiber_to_json(f)) == dumps(fiber_to_json(first))
+
+    def test_copies_and_fields(self):
+        valid = 0
+        for name, (fiber, _) in column_corpus().items():
+            f = DegenerationFiber._of_columns(fiber.label, *fiber._cols)
+            assert f._fields == ("label",) + RECORD_FIELDS
+            # only the scan of an invalid fiber builds its records
+            valid += not validate(f)
+            was = unbuilt(f)
+            assert was == (not f._memo["violations"]), name
+            twins = (copy.copy(f), copy.deepcopy(f),
+                     pickle.loads(pickle.dumps(f)))
+            # copies keep the columns; equality builds the records
+            assert [unbuilt(t) for t in twins + (f,)] == [was] * 4, name
+            for twin in twins:
+                assert type(twin) is DegenerationFiber, name
+                assert twin._memo.keys() == f._memo.keys(), name
+                assert twin == f and repr(twin) == repr(f), name
+            assert copy.deepcopy(f)._memo is not f._memo
+            rebuilt = DegenerationFiber(*f)
+            assert rebuilt == f and rebuilt._memo == {}, name
+            assert tuple.__getitem__(rebuilt, 1) is f.components, name
+            assert DegenerationFiber(**dict(zip(f._fields, f))) == f, name
+        assert valid == 61
+
+    def test_a_changed_column_is_another_fiber(self):
+        fiber = build_type3("octahedron")
+        cols = fiber._cols
+        for i, column in enumerate(cols):
+            changed = list(cols)
+            changed[i] = tuple(column[::-1]) if len(set(column)) > 1 \
+                else (Rational(9),) * len(column)
+            other = DegenerationFiber._of_columns(fiber.label, *changed)
+            assert other != fiber and not other == fiber, cols._fields[i]
+        assert DegenerationFiber._of_columns("x", *cols) != fiber
+
+    def test_verify_leaves_records_unbuilt(self):
+        from k3motive.serialize import dumps as encode
+
+        fibers = [build_type3(refine_sphere(octahedron(), 2, "edge_split")),
+                  build_kummer(KummerParams(4, 6)).fiber]
+        fibers += [fiber_from_json(json.loads(encode(fiber_to_json(f))))
+                   for f in fibers + [build_type2_chain(3)]]
+        for f in fibers:
+            assert unbuilt(f) and f._memo == {}
+            rep = verify_fiber(f)
+            assert rep.match and rep.chi == 24 and unbuilt(f), f.label
+            fiber_to_json(f)
+            assert unbuilt(f), f.label
+        assert [verify_fiber(f).type_s for f in fibers] == [3, 3, 3, 3, 2]
+
+    def test_builders_and_decoder_leave_the_memo_empty(self):
+        built = [build_type3("icosahedron"),
+                 build_type3(refine_sphere(octahedron(), 1, "edge_split")),
+                 build_kummer(KummerParams(6, 6)).fiber]
+        for f in built + [fiber_from_json(fiber_to_json(f)) for f in built]:
+            assert f._memo == {} and unbuilt(f), f.label
+
+
+@pytest.mark.parametrize("cls", [Component, DoubleCurve, Rational,
+                                 TriplePoint], ids=lambda cls: cls.__name__)
+def test_column_records_match_constructed(cls):
+    """The records a column-built fiber builds on first access (and the
+    builders' kinds) equal constructor-built ones in every respect."""
+    pairs = []
+    for fiber, ref in column_corpus().values():
+        if fiber is not ref:  # nerve-built
+            got = DegenerationFiber._of_columns(fiber.label, *fiber._cols)
+            assert unbuilt(got)
+            if cls is Rational:
+                pairs += zip([c.kind for c in got.components],
+                             [c.kind for c in ref.components])
+            else:
+                field = {Component: "components", DoubleCurve: "double_curves",
+                         TriplePoint: "triple_points"}[cls]
+                pairs += zip(getattr(got, field), getattr(ref, field))
+    assert len(pairs) > 1000
+    for rec, ref in pairs:
+        assert type(rec) is cls and rec == ref and not rec != ref
+        assert hash(rec) == hash(ref) and repr(rec) == repr(ref)
+        for name in cls._fields:
+            assert getattr(rec, name) == getattr(ref, name)
+    for rec, ref in pairs[:50]:
+        for twin in (copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+            assert type(twin) is cls and twin == ref
+            assert repr(twin) == repr(ref)

@@ -1,6 +1,9 @@
+import copy
 import enum
 import hashlib
 import json
+import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -115,6 +118,107 @@ class TestDeltaJson:
         assert delta_from_json(delta_to_json(ds)) == ds
 
 
+def delta_from_json_nested(doc):
+    """The Delta-set decoder before its flat route, kept verbatim: a tuple
+    per face list, then the nested constructor."""
+    from k3motive.deltaset import DeltaSet
+    from k3motive.serialize import _array, _ints, _keys
+
+    _keys(doc, ("dims", "boundary"))
+    dims = _ints(_array(doc["dims"], "dims"), "dims")
+    levels = [[_ints(_array(fs, "face list"), "face list")
+               for fs in _array(level, "boundary level")]
+              for level in _array(doc["boundary"], "boundary")]
+    if not dims or any(x < 0 for x in dims) \
+            or list(dims[1:]) != [len(level) for level in levels]:
+        raise ValueError("dims %r disagree with the boundary levels, of "
+                         "lengths %r" % (list(dims), list(map(len, levels))))
+    return DeltaSet(dims[0], levels)
+
+
+def malformed_delta_docs():
+    """Seeded documents of valid Delta-sets with one to three entries
+    broken: face ids, face lists, levels, the boundary and the dims."""
+    from k3motive.builders import icosahedron, tetrahedron, torus_grid
+    from k3motive.deltaset import DeltaSet
+    from test_deltaset import small_complexes
+
+    rng = random.Random(5150)
+    bases = [tetrahedron(), octahedron(), icosahedron(), torus_grid(2, 3),
+             DeltaSet(3), DeltaSet(0)] + list(small_complexes().values())
+    bases = [json.loads(json.dumps(delta_to_json(ds))) for ds in bases]
+    junk = [1.0, True, False, "1", None, -1, 10 ** 30, {}, 3, "ab", (0, 1)]
+    docs = list(bases)
+    for _ in range(900):
+        doc = copy.deepcopy(rng.choice(bases))
+        for _ in range(rng.randint(1, 3)):
+            levels = doc["boundary"]
+            if not isinstance(levels, list) \
+                    or not isinstance(doc["dims"], list):
+                break
+            where = rng.random()
+            if where < 0.08:
+                doc["dims"] = rng.choice(
+                    [doc["dims"][:-1], doc["dims"] + [0], [-1] + doc["dims"],
+                     [2.0] + doc["dims"][1:], "dims", []])
+            elif where < 0.12 or not levels:
+                doc["boundary"] = rng.choice([levels + [[]], levels[:-1],
+                                              {}, 7, [7] + levels])
+            elif where < 0.2:
+                levels[rng.randrange(len(levels))] = rng.choice(junk)
+            else:
+                level = rng.choice(levels)
+                if not isinstance(level, list) or not level:
+                    continue
+                i = rng.randrange(len(level))
+                fs = level[i]
+                if where < 0.35 or not isinstance(fs, list) or not fs:
+                    level[i] = rng.choice(
+                        [rng.choice(junk), fs[:-1] if isinstance(fs, list)
+                         else [], (fs if isinstance(fs, list) else []) + [0],
+                         list(reversed(fs)) if isinstance(fs, list) else fs])
+                else:
+                    fs[rng.randrange(len(fs))] = rng.choice(
+                        junk + [0, 1, 2, 5, 40])
+        docs.append(doc)
+    return docs
+
+
+def decoded(decode, doc):
+    """The counts and levels, or the type and message of what decoding
+    raised."""
+    try:
+        ds = decode(doc)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return ds.counts, ds._levels
+
+
+class TestDeltaJsonRoutes:
+    def test_flat_route_matches_the_nested_one(self):
+        docs = malformed_delta_docs()
+        outcomes = [decoded(delta_from_json, copy.deepcopy(d)) for d in docs]
+        assert outcomes == [decoded(delta_from_json_nested, d) for d in docs]
+        # the corpus reaches every kind of message, and valid documents
+        messages = Counter(o[1].split(" ")[0] if o[0] is ValueError
+                           else "ok" for o in outcomes)
+        assert min(messages.values()) >= 10, messages
+        assert set(messages) == {
+            "ok", "dims", "face", "simplex", "simplicial", "boundary"}, messages
+
+    def test_flat_route_builds_no_tuple_per_simplex(self, monkeypatch):
+        from k3motive import serialize
+        from k3motive.builders import torus_grid
+
+        doc = json.loads(json.dumps(delta_to_json(torus_grid(8, 8))))
+        calls = []
+        ints = serialize._ints
+        monkeypatch.setattr(serialize, "_ints",
+                            lambda *a: calls.append(a) or ints(*a))
+        assert delta_from_json(doc) == torus_grid(8, 8)
+        assert len(calls) == 1  # the dims alone
+
+
 class TestFiberJson:
     def test_roundtrips(self):
         fibers = [build_type2_chain(3), build_type3("tetrahedron"),
@@ -157,6 +261,22 @@ class TestFiberJson:
         schema_validator("fiber.schema.json").validate(doc)
         assert doc["double_curves"][0]["self_intersections"] == [2, -2]
         assert fiber_from_json(doc) == f
+
+    def test_on_of_another_length_round_trips(self):
+        # such a fiber is decoded into records, as its ``on`` has no flat
+        # column, and written back off them
+        from k3motive.fibers import validate
+        base = fiber_to_json(build_type3("octahedron"))
+        for kind, on in (("double_curves", [0, 1, 2]), ("double_curves", [0]),
+                         ("triple_points", [0, 1]),
+                         ("triple_points", [0, 1, 2, 3])):
+            doc = copy.deepcopy(base)
+            doc[kind][5]["on"] = on
+            f = fiber_from_json(doc)
+            assert dumps(fiber_to_json(f)) == dumps(doc)
+            words = "exactly two components" if kind == "double_curves" \
+                else "three distinct curves"
+            assert validate(f)[0].endswith(words), (kind, on)
 
 
 class TestNeronJson:
