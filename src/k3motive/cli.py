@@ -142,7 +142,7 @@ def _cmd_build(args) -> int:
             tri = _decode("triangulation", delta_from_json,
                           _load_json(tri[len("file:"):]))
         fiber = build_type3(tri, profile)
-        params = RamifiedParams(e=1, s=3, r=len(fiber.triple_points))
+        params = RamifiedParams(e=1, s=3, r=len(fiber._cols.point_ids))
     else:  # kummer
         if args.m1 is None or args.m2 is None:
             raise InputError("build kummer requires --m1 and --m2")
@@ -170,7 +170,7 @@ def _cmd_build(args) -> int:
     })
     _write_json(args.out, doc)
     print("wrote %s (%s, %d components)" %
-          (args.out, args.family, len(fiber.components)))
+          (args.out, args.family, len(fiber._cols.kinds)))
     return 0
 
 
@@ -199,9 +199,9 @@ def _cmd_analyze(args) -> int:
     except NonKulikovError as exc:
         type_error = str(exc)
     report.update({
-        "counts": {"components": len(fiber.components),
-                   "double_curves": len(fiber.double_curves),
-                   "triple_points": len(fiber.triple_points)},
+        # the polytope's counts, padded: a Delta-set drops empty top levels
+        "counts": dict(zip(("components", "double_curves", "triple_points"),
+                           (*cl.counts, 0, 0))),
         "polytope": {"shape": shape.value, "counts": list(cl.counts),
                      "euler": euler},
         "type_s": type_s,

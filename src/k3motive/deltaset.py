@@ -31,9 +31,8 @@ stop at dimension 2, the largest a Clemens polytope has.
 from __future__ import annotations
 
 import enum
-from itertools import chain, compress, count, permutations, repeat
-from operator import (add, eq, floordiv, ge, getitem, itemgetter, mul,
-                      ne, not_)
+from itertools import chain, compress, count, permutations
+from operator import eq, ge, getitem, itemgetter, mul, ne, not_
 from typing import Sequence
 
 from ._record import Record
@@ -339,7 +338,7 @@ def cycle_pairing(x: CycleVector, y: CycleVector) -> int:
         raise ValueError("cycle dimensions differ")
     if len(x.coefficients) != len(y.coefficients):
         raise ValueError("cycle lengths differ")
-    return sum(a * b for a, b in zip(x.coefficients, y.coefficients))
+    return sum(map(mul, x.coefficients, y.coefficients))
 
 
 # ---------------------------------------------------------------------------
@@ -399,38 +398,37 @@ def _orientation(ds: DeltaSet) -> tuple[int, ...] | None:
     edge, sign[t] (-1)^j + sign[o] (-1)^k = 0; None if there are none or
     triangle 0 does not reach every triangle.
 
-    The sides, one flat list sorted by edge, pair off as ``first`` and
-    ``second``.  A breadth-first pass from triangle 0 sets each sign from
-    the first side that reaches it, and one flat pass then checks every
-    edge.  Signs of a connected complex, where they exist, are fixed by
-    sign[0] = 1, so setting them before checking changes no answer."""
-    flat = ds._levels[1]
-    n = ds.n(2)
-    edges = tuple(ds.simplices(1))
-    order = sorted(range(len(flat)), key=flat.__getitem__)
-    first, second = order[0::2], order[1::2]
-    if _take(flat, first) != edges or _take(flat, second) != edges:
+    One pass over the side list pairs each edge's two sides, with a marker
+    per edge (unseen, one side seen, paired); a third side ends it.  A
+    breadth-first pass from triangle 0 sets each sign from the first side
+    reaching it and checks it on every other side, loop sides included:
+    sign[0] = 1 fixes the signs of a connected complex where they exist."""
+    flat, n = ds._levels[1], ds.n(2)
+    seen = [-1] * ds.n(1)  # per edge: -1 unseen, its first side, -2 paired
+    other = [0] * len(flat)  # per side: the other side of its edge
+    for p, e in enumerate(flat):
+        q = seen[e]
+        if q == -2:
+            return None  # a third side
+        if q == -1:
+            seen[e] = p
+        else:
+            other[p], other[q], seen[e] = q, p, -2
+    if seen.count(-2) != len(seen):
         return None
-    # per edge: the triangles of its two sides, their sum, and the factor
-    # -(-1)^(j + k) that carries a sign from one side to the other
-    a = list(map(floordiv, first, repeat(3)))
-    b = list(map(floordiv, second, repeat(3)))
-    both = list(map(add, a, b))
-    across = list(map(mul, _take((-1, 1, -1) * n, first),
-                      _take((1, -1, 1) * n, second)))
-    side0, side1, side2 = flat[0::3], flat[1::3], flat[2::3]
+    parity = (1, -1, 1) * n  # (-1)^j on side 3t + j
     sign = [1] + [0] * (n - 1)
     queue = [0]  # grows while it is read: breadth-first order
     for t in queue:
-        for e in (side0[t], side1[t], side2[t]):
-            o = both[e] - t
+        for p in (3 * t, 3 * t + 1, 3 * t + 2):
+            q = other[p]
+            o, need = q // 3, -sign[t] * parity[p] * parity[q]
             if not sign[o]:
-                sign[o] = sign[t] * across[e]
+                sign[o] = need
                 queue.append(o)
-    if len(queue) != n \
-            or tuple(map(mul, _take(sign, a), across)) != _take(sign, b):
-        return None
-    return tuple(sign)
+            elif sign[o] != need:
+                return None
+    return tuple(sign) if len(queue) == n else None
 
 
 def relabel(ds: DeltaSet, perms: Sequence[Sequence[int]]) -> DeltaSet:

@@ -317,6 +317,49 @@ class TestAnalyze:
         assert doc["type_s"] == 2
         assert doc["chi"] == 24
 
+    def test_counts_build_no_records(self, tmp_path, monkeypatch, capsys):
+        # analyze reads the counts off the polytope, padded where a chain or
+        # a lone component drops its empty levels, and build kummer counts
+        # its components off the columns: neither builds a record tuple
+        from k3motive import cli
+        from k3motive.builders import build_type1_smooth
+
+        fibers = []  # the built Kummer fiber, then each analyzed fiber
+
+        def load(path, _load=cli._load_fiber):
+            doc, fiber = _load(path)
+            fibers.append(fiber)
+            return doc, fiber
+
+        def kummer(p, _build=cli.build_kummer):
+            report = _build(p)
+            fibers.append(report.fiber)
+            return report
+
+        monkeypatch.setattr(cli, "_load_fiber", load)
+        monkeypatch.setattr(cli, "build_kummer", kummer)
+        write(tmp_path / "type1.json", fiber_to_json(build_type1_smooth()))
+        builds = {"type2": ["type2", "--m", "3"],
+                  "type3": ["type3", "--triangulation", "icosahedron"],
+                  "kummer": ["kummer", "--m1", "4", "--m2", "6"]}
+        for name, args in builds.items():
+            assert run(["build", *args, "-o",
+                        str(tmp_path / (name + ".json"))]) == 0
+        assert "(kummer, 14 components)" in capsys.readouterr().out
+        counts = {}
+        for name in ("type1", *builds):
+            report = tmp_path / (name + ".report.json")
+            assert run(["analyze", str(tmp_path / (name + ".json")),
+                        "--report", str(report)]) == 0
+            counts[name] = json.loads(report.read_text())["counts"]
+        assert not any(vars(f).keys() & {"components", "double_curves",
+                                         "triple_points"} for f in fibers)
+        assert counts == {
+            name: {field: len(getattr(f, field)) for field in
+                   ("components", "double_curves", "triple_points")}
+            for name, f in zip(("type1", *builds), fibers[1:])}
+        assert [c["triple_points"] for c in counts.values()] == [0, 0, 20, 24]
+
     def test_broken_fiber_exit1(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
         write(bad, {"label": "broken",

@@ -883,6 +883,45 @@ class TestOrientationReference:
                          for name, ds in side_count_cases().items()}
         assert [name for name, sign in signs.items() if sign] == ["cones"]
 
+    def test_relabelled_signs_equal_reference(self):
+        # three seeded relabellings of every 2-complex above and of the
+        # 30 x 30 nerve; whether signs exist does not depend on the labels
+        from k3motive.deltaset import _orientation
+
+        gon_edges = nested_faces(small_complexes()["two_gon"])[0]
+        crowded = [  # some edge on more than two sides
+            # edge 0 on four sides and edge 1 on none: twice the edge count
+            # in all, as on a closed 2-pseudomanifold
+            DeltaSet(4, [gon_edges, [(3, 2, 0), (3, 2, 0), (5, 4, 0),
+                                     (5, 4, 0)]]),
+            # two tetrahedra on one edge: every other edge on two sides
+            complex_from_facets(6, [(0, 1, 2), (0, 1, 3), (0, 2, 3),
+                                    (1, 2, 3), (0, 1, 4), (0, 1, 5),
+                                    (0, 4, 5), (1, 4, 5)]),
+            # loops 0 and 2 on three sides, with signs that cancel on the
+            # first two sides of each edge: only the third side refuses
+            DeltaSet(1, [[(0, 0)] * 5, [(0, 1, 1), (4, 2, 3), (0, 3, 2),
+                                        (2, 4, 0)]]),
+        ]
+        for ds in crowded:
+            assert _orientation(ds) is orientation_reference(ds) is None
+        complexes = recognition_corpus() + list(side_count_cases().values())
+        for m1, m2 in ((2, 2), (4, 6), (30, 30)):
+            complexes.append(build_kummer(KummerParams(m1, m2)).nerve)
+        rng = random.Random(3737)
+        found = {"signs": 0, "none": 0}
+        for ds in complexes + crowded:
+            if ds.dim != 2:
+                continue
+            oriented = _orientation(ds) is not None
+            for _ in range(3):
+                other = shuffled(ds, rng)
+                expected = orientation_reference(other)
+                assert _orientation(other) == expected, other
+                assert (expected is not None) == oriented, other
+                found["none" if expected is None else "signs"] += 1
+        assert found == {"signs": 3 * 63, "none": 3 * 19}
+
 
 class TestCycleCheck:
     def test_one_pass_boundary_matches_dense(self):
