@@ -7,12 +7,13 @@ matrix).  Exit codes: 0 on success and, for verify, a full match; 1 on
 validation violations, a mismatch (the integral against the expected closed
 form, or the expected s and r against the model's) or a failed internal
 cross-check (two routes to the same invariant disagree); 2 on malformed
-input, including expectations outside the report schema and a fiber of no
-Kulikov type, or I/O failure.  ``verify`` decides each document from one
-list of failed checks: exit 1 when it is not empty, and one stderr line per
-entry.  Under ``--all`` it reports a malformed document on stderr, verifies
-the rest and then exits 2; ``verify`` given both an input file and
-``--all``, or ``--all`` naming a file or a missing path, exits 2.
+input, including expectations outside the report schema, a fiber of no
+Kulikov type and a class whose opaque atom declares no E-polynomial that is
+needed, or I/O failure.  ``verify`` decides each document from one list of
+failed checks: exit 1 when it is not empty, and one stderr line per entry.
+Under ``--all`` it reports a malformed document on stderr, verifies the rest
+and then exits 2; ``verify`` given both an input file and ``--all``, or
+``--all`` naming a file or a missing path, exits 2.
 
 ``main(argv)`` may be called any number of times in one process: the calls
 share one argument parser, built at import, and each gets its own namespace.
@@ -53,7 +54,7 @@ from .integrals import (
 )
 from .intlinalg import smith_normal_form
 from .deltaset import euler_characteristic, recognize
-from .motives import EllipticCurveAtom
+from .motives import EllipticCurveAtom, MissingRealizationError
 from .serialize import (
     delta_from_json,
     delta_to_json,
@@ -256,6 +257,8 @@ def _verify_one(path: str, e: int):
         rep = verify_fiber(fiber)
     except NonKulikovError as exc:
         raise InputError("fiber matches no Kulikov type: %s" % exc) from exc
+    except MissingRealizationError as exc:  # a batch goes on past it
+        raise InputError(exc.args[0]) from exc
     s, r, integral, closed = rep.type_s, rep.r, rep.integral, rep.closed_form
     match = rep.match and (expected is None or closed is None
                            or expected == closed)
@@ -269,8 +272,7 @@ def _verify_one(path: str, e: int):
 
     if e != 1 and s in (2, 3):
         # a type-2 fiber's double curves are genus 1, each naming its curve
-        atom = EllipticCurveAtom(fiber.double_curves[0].curve) \
-            if s == 2 else None
+        atom = EllipticCurveAtom(fiber._cols.names[0]) if s == 2 else None
         report["closed_form_at_e"] = motive_to_json(closed_form_integral(
             RamifiedParams(e=e, s=s, r=r, elliptic_atom=atom)))
 
@@ -396,6 +398,9 @@ def main(argv=None) -> int:
         return 1
     except (InputError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except MissingRealizationError as exc:  # a KeyError: its repr quotes
+        print("error: %s" % exc.args[0], file=sys.stderr)
         return 2
     except (ArithmeticError, AssertionError) as exc:
         # two routes disagree: a mismatch, not malformed input

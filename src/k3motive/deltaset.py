@@ -10,9 +10,9 @@ the same vertex set -- the 2-gon circle and the torus-quotient nerves need
 exactly that.
 
 Homology comes from one memoized sparse elimination per Delta-set and degree,
-fed straight from the face lists.  Recognition eliminates nothing; the top
-homology is one orientation pass on a closed, connected, oriented
-2-pseudomanifold and the top-degree kernel of that elimination elsewhere.
+fed straight from the face lists, with no kernel kept.  Recognition eliminates
+nothing; the top homology is one orientation pass on a closed, connected,
+oriented 2-pseudomanifold and one kernel-tracking elimination elsewhere.
 Nothing in the library calls ``boundary_matrix``, the one dense build: it is
 the dense oracle of the tests.
 An ``Involution`` is checked level by level in up to two passes: one
@@ -31,7 +31,7 @@ stop at dimension 2, the largest a Clemens polytope has.
 from __future__ import annotations
 
 import enum
-from itertools import chain, compress, count, permutations
+from itertools import chain, compress, count, permutations, repeat
 from operator import eq, ge, getitem, itemgetter, mul, ne, not_
 from typing import Sequence
 
@@ -263,22 +263,12 @@ def _is_cycle(ds: DeltaSet, q: int, coeffs: Sequence[int]) -> bool:
     return not any(boundary)
 
 
-def _boundary_reduction(ds: DeltaSet, q: int):
-    """Rank, invariant factors and, at the top degree only (else None), a
-    kernel basis as coefficient tuples, of the boundary map C_q -> C_{q-1},
-    kept in the memo; ``_top_cycles`` reads the kernel only where no
-    orientation exists."""
-    if q in ds._memo:
-        return ds._memo[q]
-    top = q == ds.dim
-    if 0 < q <= ds.dim:
-        pivots, kernel = _sparse_reduce(_boundary_rows(ds, q), ds.n(q),
-                                        want_kernel=top)
-    else:  # a zero map: at the top degree its kernel is all of C_q
-        pivots, kernel = [], [{s: 1} for s in ds.simplices(q) if top]
-    cycles = tuple(tuple(col.get(s, 0) for s in ds.simplices(q))
-                   for col in kernel) if top else None
-    ds._memo[q] = len(pivots), _chain_normalize(pivots), cycles
+def _boundary_reduction(ds: DeltaSet, q: int) -> tuple[int, tuple[int, ...]]:
+    """Rank and invariant factors of the boundary map C_q -> C_{q-1}, kept
+    in the memo; out of 1..dim the map is zero and has neither."""
+    if q not in ds._memo:
+        pivots = _sparse_reduce(_boundary_rows(ds, q), ds.n(q), False)[0]
+        ds._memo[q] = len(pivots), _chain_normalize(pivots)
     return ds._memo[q]
 
 
@@ -287,7 +277,7 @@ def homology(ds: DeltaSet, q: int) -> tuple[int, tuple[int, ...]]:
     if q < 0 or q > ds.dim:
         return (0, ())
     rank_down = _boundary_reduction(ds, q)[0]
-    rank_up, factors, _ = _boundary_reduction(ds, q + 1)
+    rank_up, factors = _boundary_reduction(ds, q + 1)
     betti = ds.n(q) - rank_down - rank_up
     torsion = tuple(d for d in factors if d > 1)
     return (betti, torsion)
@@ -310,10 +300,12 @@ def _top_cycles(ds: DeltaSet) -> list[CycleVector]:
     single generator has its first nonzero coefficient positive.  Across
     each edge of a closed 2-pseudomanifold a cycle's coefficient on one
     side fixes the other's, so ker d2 = Z sign for the ``_oriented`` signs,
-    shared with ``recognize``; elsewhere the basis is the memo's kernel."""
+    shared with ``recognize``; elsewhere one elimination tracks the kernel."""
     d = ds.dim
     sign = _oriented(ds) if d == 2 else None
-    columns = [sign] if sign else list(_boundary_reduction(ds, d)[2])
+    columns = [sign] if sign else [
+        tuple(map(col.get, ds.simplices(d), repeat(0)))
+        for col in _sparse_reduce(_boundary_rows(ds, d), ds.n(d), True)[1]]
     if len(columns) == 1 and next(c for c in columns[0] if c) < 0:
         columns = [tuple(-c for c in columns[0])]
     assert all(_is_cycle(ds, d, c) for c in columns)

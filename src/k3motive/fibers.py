@@ -15,15 +15,17 @@ their columns to ``DegenerationFiber._of_columns``, and the records of
 ``components``, ``double_curves`` and ``triple_points`` are built on first
 access.  A fiber built from records keeps them and reads its columns off
 them once; a flat ``on`` is then None if some record's ``on`` does not hold
-exactly two (three) ids.  ``validate``, the polytope, the strata and the
-Kulikov type read the columns alone.
+exactly two (three) ids.  ``validate``, the polytope, the strata, the open
+component classes and the Kulikov type read the columns; the records are
+read only by ``_scan_curves``, which names violations, and by
+``fiber_to_json`` where a flat ``on`` is None.
 
 Each fact is computed once per fiber and kept on it: ``validate`` stores the
-violations and, for a fiber whose curves and triple points pass, the
-incidence it checked them on as the Clemens polytope's two flat levels, from
-which ``clemens_polytope`` builds and stores the polytope (whose shape its
-own memo keeps); ``strata_classes`` stores the strata.  So the public
-functions are the only route and calling them again costs a lookup.
+violations and, for a fiber whose curves and triple points pass, the Clemens
+polytope it checked them on (whose shape its own memo keeps), which
+``clemens_polytope`` and ``open_component_classes`` read; ``strata_classes``
+stores the strata.  So the public functions are the only route and calling
+them again costs a lookup.
 
 Multiplicities are kept out of the fiber: Kulikov fibers are reduced, and
 the multiplicities that the general weak Neron evaluation needs live in
@@ -261,12 +263,6 @@ def component_betti(kind: ComponentKind) -> tuple[int, int, int, int, int]:
     raise TypeError("unknown component kind %r" % (kind,))
 
 
-def curve_class(curve: DoubleCurve) -> MotiveClass:
-    if curve.genus == 0:
-        return _RATIONAL_CURVE
-    return MotiveClass.of_atom(EllipticCurveAtom(curve.curve))
-
-
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -274,10 +270,10 @@ def curve_class(curve: DoubleCurve) -> MotiveClass:
 def validate(f: DegenerationFiber) -> list[str]:
     """All invariant violations, as human-readable strings; [] means valid.
 
-    The double curves and triple points are checked in the flat passes of
-    ``_incidence``, whose polytope levels the memo keeps as ``levels`` for
-    ``clemens_polytope``; only when a pass fails does ``_scan_curves`` walk
-    them one by one, to name every violation in its words and order."""
+    The double curves and triple points are checked by building the
+    Clemens polytope in ``_incidence``, which the memo keeps as
+    ``polytope``; only when that fails does ``_scan_curves`` walk them one
+    by one, to name every violation in its words and order."""
     if "violations" in f._memo:
         return list(f._memo["violations"])
     out: list[str] = []
@@ -317,26 +313,28 @@ def validate(f: DegenerationFiber) -> list[str]:
                 out.append("component %r Betti data disagrees with its "
                            "class" % (cid,))
 
-    levels = _incidence(cols, index)
-    if levels is None:
+    polytope = _incidence(cols, index)
+    if polytope is None:
         out += _scan_curves(f, index)
     else:
-        f._memo["levels"] = levels
+        f._memo["polytope"] = polytope
     f._memo["violations"] = out
     return list(out)
 
 
-def _incidence(cols: _Columns, index: dict) -> list | None:
-    """The Clemens polytope's flat levels [edges, triangles], numbered by
-    stored position, if every double curve and triple point passes the
-    checks of ``_scan_curves``, else None.
+def _incidence(cols: _Columns, index: dict) -> DeltaSet | None:
+    """The Clemens polytope, each simplex numbered by its stored position,
+    if every double curve and triple point passes the checks of
+    ``_scan_curves``, else None.
 
     Each flat ``on`` resolves to positions in one pass: component ids
     through ``index`` (id to stored position), curve ids through their own.
     An edge's faces are its high and its low end.  The curves of a triple
     point on components a < b < c have the ends ab, ac, bc, so one sort per
     triple point finds them; a triangle's faces, where face j misses the
-    j-th least vertex, are bc, ac, ab."""
+    j-th least vertex, are bc, ac, ab.  That its three curves meet pairwise
+    along three components is then the polytope's simplicial identities:
+    high(ac) = high(bc), high(ab) = low(bc) and low(ab) = low(ac)."""
     genus = cols.genus
     if cols.curve_on is None or cols.point_on is None \
             or set(map(type, genus)) - {int} or set(genus) - {0, 1} \
@@ -358,12 +356,12 @@ def _incidence(cols: _Columns, index: dict) -> list | None:
     edges[1::2] = [b if a > b else a for a, b in zip(u, v)]
     keys = list(zip(edges[1::2], edges[0::2], count()))  # (low, high, i)
     tris = []
-    for (a, b, ab), (a2, c, ac), (b2, c2, bc) in map(
-            sorted, _chunks(_take(keys, sides), 3)):
-        if a != a2 or b != b2 or c != c2:
-            return None
-        tris += bc, ac, ab
-    return [edges, tris]
+    for ab, ac, bc in map(sorted, _chunks(_take(keys, sides), 3)):
+        tris += bc[2], ac[2], ab[2]
+    try:
+        return DeltaSet._flat(len(cols.kinds), [edges, tris])
+    except ValueError:  # a simplicial identity fails
+        return None
 
 
 def _id_set(on) -> frozenset | None:
@@ -441,14 +439,9 @@ def clemens_polytope(f: DegenerationFiber) -> DeltaSet:
     """Dual Delta-set: vertices are components, edges double curves,
     triangles triple points, each numbered by its stored position.
 
-    It is built on first use from the levels that ``validate`` left in the
-    memo (see ``_incidence``)."""
-    if "polytope" in f._memo:
-        return f._memo["polytope"]
+    ``validate`` builds it (see ``_incidence``) and the memo keeps it."""
     _require_valid(f)
-    polytope = DeltaSet._flat(len(f._cols.kinds), f._memo["levels"])
-    f._memo["polytope"] = polytope
-    return polytope
+    return f._memo["polytope"]
 
 
 def strata_classes(f: DegenerationFiber
@@ -486,27 +479,30 @@ def smooth_locus_class(f: DegenerationFiber) -> MotiveClass:
 
 def open_component_classes(f: DegenerationFiber) -> list[MotiveClass]:
     """Open stratum of each component, summed in one pass from its whole
-    class, its count of triple points and its count of curve sides per
-    (genus, curve name); one whole class per distinct kind.
+    class, its count of triple points (a triangle's vertices are both ends
+    of its face 2 and the high end of its face 0) and its count of curve
+    sides (an edge's two ends) per (genus, curve name); one whole class per
+    distinct kind.
 
     Summing these is an independent route to ``smooth_locus_class`` (each
     double curve lies on two components, each triple point on three).
     """
-    _require_valid(f)
-    on = {d.id: d.on for d in f.double_curves}
-    rep = {(d.genus, d.curve): d for d in f.double_curves}
-    cut = {key: curve_class(d) for key, d in rep.items()}
-    whole = {k: component_class(k) for k in {c.kind for c in f.components}}
-    sides = Counter((cid, d.genus, d.curve)
-                    for d in f.double_curves for cid in d.on)
-    points = Counter(cid for t in f.triple_points
-                     for cid in set().union(*(on[i] for i in t.on)))
+    cols = f._cols
+    # padded: a Delta-set drops its empty top levels
+    edges, tris = (*clemens_polytope(f)._levels, (), ())[:2]
+    high, low = edges[0::2], edges[1::2]
+    points = Counter(chain(_take(high, tris[2::3]), _take(low, tris[2::3]),
+                           _take(high, tris[0::3])))
+    sides = Counter(zip(high, cols.genus, cols.names))
+    sides.update(zip(low, cols.genus, cols.names))
+    whole = {k: component_class(k) for k in set(cols.kinds)}
     one = _L(0)
-    pairs = {c.id: [(1, whole[c.kind]), (points[c.id], one)]
-             for c in f.components}
-    for (cid, genus, curve), n in sides.items():
-        pairs[cid].append((-n, cut[genus, curve]))
-    return [MotiveClass._combine(pairs[c.id]) for c in f.components]
+    pairs = [[(1, whole[k]), (points[v], one)]
+             for v, k in enumerate(cols.kinds)]
+    for (v, genus, name), n in sides.items():
+        pairs[v].append((-n, _RATIONAL_CURVE if genus == 0 else
+                         MotiveClass.of_atom(EllipticCurveAtom(name))))
+    return list(map(MotiveClass._combine, pairs))
 
 
 def degeneration_type(f: DegenerationFiber) -> int:

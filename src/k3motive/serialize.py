@@ -156,9 +156,13 @@ def _epoly_to_json(e: EPolynomial) -> list:
 
 
 def _epoly_from_json(doc) -> EPolynomial:
-    return EPolynomial({(_int(pu, "u power"), _int(pv, "v power")):
-                        _decimal(c, "e_polynomial coeff")
-                        for pu, pv, c in _array(doc, "e_polynomial")})
+    """Entries [u power, v power, coeff]; a repeated monomial is summed."""
+    terms: dict = {}
+    for entry in _array(doc, "e_polynomial"):
+        pu, pv, c = _array(entry, "e_polynomial entry", 3)
+        key = (_int(pu, "u power"), _int(pv, "v power"))
+        terms[key] = terms.get(key, 0) + _decimal(c, "e_polynomial coeff")
+    return EPolynomial(terms)
 
 
 def motive_to_json(cls: MotiveClass) -> list:
@@ -315,18 +319,20 @@ def _int(x, what: str) -> int:
     return x
 
 
-def _array(doc, what: str) -> list:
-    """A required JSON array."""
+def _array(doc, what: str, n: int | None = None) -> list:
+    """A required JSON array, of exactly n entries where n is given."""
     if not isinstance(doc, list):
         raise ValueError("%s %r is not an array" % (what, doc))
+    if n is not None and len(doc) != n:
+        raise ValueError("%s %r does not have %d entries" % (what, doc, n))
     return doc
 
 
-def _ints(doc, what: str) -> tuple[int, ...] | None:
+def _ints(doc, what: str, n: int | None = None) -> tuple[int, ...] | None:
     """An optional array of integers (``betti``, ``self_intersections``)."""
     if doc is None:
         return None
-    return tuple(_int(x, what + " entry") for x in _array(doc, what))
+    return tuple(_int(x, what + " entry") for x in _array(doc, what, n))
 
 
 def _keys(doc, keys: tuple[str, ...], optional=()) -> None:
@@ -378,7 +384,7 @@ def fiber_from_json(doc: dict) -> DegenerationFiber:
         elif kind_tag == "other":
             _keys(entry, ("class",), None)
             kind = Other(motive_from_json(entry["class"]),
-                         betti=_ints(entry.get("betti"), "betti"))
+                         betti=_ints(entry.get("betti"), "betti", 3))
         else:
             raise ValueError("unknown component kind %r" % (kind_tag,))
         kinds.append(kind)
@@ -389,7 +395,7 @@ def fiber_from_json(doc: dict) -> DegenerationFiber:
         curves.append((
             _id(e["id"]), _on(e), _int(e["genus"], "genus"),
             _string(e["curve"], "curve name") if "curve" in e else None,
-            _ints(e.get("self_intersections"), "self_intersections")))
+            _ints(e.get("self_intersections"), "self_intersections", 2)))
     points = []
     for e in _array(doc["triple_points"], "triple_points"):
         _keys(e, ("id", "on"))

@@ -91,18 +91,13 @@ class E1Page:
 
 
 def _strata_betti(f: DegenerationFiber) -> list[list[int]]:
-    """Betti numbers of Y^(0), Y^(1), Y^(2) (lists padded to length 5)."""
-    b0 = [0, 0, 0, 0, 0]
-    for c in f.components:
-        for k, b in enumerate(component_betti(c.kind)):
-            b0[k] += b
-    b1 = [0, 0, 0, 0, 0]
-    for d in f.double_curves:
-        b1[0] += 1
-        b1[1] += 2 if d.genus == 1 else 0
-        b1[2] += 1
-    b2 = [len(f.triple_points), 0, 0, 0, 0]
-    return [b0, b1, b2]
+    """Betti numbers of Y^(0), Y^(1), Y^(2) (lists padded to length 5),
+    read off the columns: the kinds, the genera and the point count."""
+    cols = f._cols
+    n = len(cols.genus)
+    return [[sum(b) for b in zip([0] * 5, *map(component_betti, cols.kinds))],
+            [n, 2 * cols.genus.count(1), n, 0, 0],
+            [len(cols.point_ids), 0, 0, 0, 0]]
 
 
 def e1_page(f: DegenerationFiber) -> E1Page:

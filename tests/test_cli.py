@@ -27,6 +27,9 @@ MISSING = object()  # a key to delete from a document
 # decoder refusals of fiber documents that fiber.schema.json accepts
 SCHEMA_LAXER = {"betti entry 2.0 is not an integer"}
 
+# a class term whose opaque atom declares no E-polynomial
+OPAQUE = {"atom": "opaque:X", "lefschetz_power": 0, "coeff": "1"}
+
 
 def run(args):
     return main(args)
@@ -622,6 +625,18 @@ class TestVerifyFailures:
         (lambda doc: doc["triple_points"].append(
             {"id": "t0", "on": [0, 1, 2], "genus": 0}),
          "unexpected keys: genus"),
+        (lambda doc: doc["double_curves"][0].update(
+            self_intersections=[1, 2, 3]),
+         "self_intersections [1, 2, 3] does not have 2 entries"),
+        (lambda doc: doc["components"][0].update(
+            {"kind": "other", "class": [], "betti": [1, 0]}),
+         "betti [1, 0] does not have 3 entries"),
+        (lambda doc: doc["components"][0].update(
+            {"kind": "other", "class": [dict(OPAQUE, e_polynomial=[[0, 0]])]}),
+         "e_polynomial entry [0, 0] does not have 3 entries"),
+        (lambda doc: doc["components"][0].update(
+            {"kind": "other", "class": [dict(OPAQUE, e_polynomial=["001"])]}),
+         "e_polynomial entry '001' is not an array"),
     ], ids=["double-curve-name", "component-curve-name", "on-string",
             "a-float", "a-string", "genus-bool", "betti-float",
             "self-intersections-nested", "component-without-kind",
@@ -631,7 +646,9 @@ class TestVerifyFailures:
             "component-not-an-object", "label-int", "label-null",
             "components-int", "components-string", "double-curves-object",
             "triple-points-int", "component-extra-key",
-            "double-curve-extra-key", "triple-point-extra-key"])
+            "double-curve-extra-key", "triple-point-extra-key",
+            "self-intersections-three", "betti-two", "epoly-entry-two",
+            "epoly-entry-string"])
     def test_fiber_field_types_exit2(self, tmp_path, capsys, command,
                                      corrupt, message):
         path = tmp_path / "f.json"
@@ -665,6 +682,46 @@ class TestVerifyFailures:
         capsys.readouterr()
         assert run(["verify", str(path)]) == 1
         assert violation in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, fiber", [
+        ("verify", "single"), ("analyze", "single"), ("analyze", "chain-end"),
+    ])
+    def test_opaque_atom_without_e_polynomial_exit2(self, tmp_path, capsys,
+                                                     command, fiber):
+        # a schema-valid class whose E-polynomial is asked for: one line,
+        # no traceback and no report
+        path, report = tmp_path / "f.json", tmp_path / "r.json"
+        other = {"kind": "other", "class": [OPAQUE]}
+        if fiber == "single":
+            doc = {"label": "x", "components": [dict(other, id=0)],
+                   "double_curves": [], "triple_points": []}
+        else:  # a type II chain whose first end is the opaque component
+            run(["build", "type2", "--m", "3", "-o", str(path)])
+            doc = json.loads(path.read_text())["fiber"]
+            comp = doc["components"][0]
+            comp.pop("a")
+            comp.update(other)
+        assert schema_validator("fiber.schema.json").is_valid(doc)
+        write(path, doc)
+        capsys.readouterr()
+        assert run([command, str(path), "--report", str(report)]) == 2
+        assert capsys.readouterr().err == \
+            "error: opaque atom 'X' has no declared E-polynomial\n"
+        assert not report.exists()
+
+    def test_opaque_atom_does_not_stop_the_batch(self, tmp_path, capsys):
+        write(tmp_path / "a.json", {
+            "label": "x", "components": [{"id": 0, "kind": "other",
+                                          "class": [OPAQUE]}],
+            "double_curves": [], "triple_points": []})
+        run(["build", "type3", "--triangulation", "tetrahedron",
+             "-o", str(tmp_path / "b.json")])
+        capsys.readouterr()
+        assert run(["verify", "--all", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert err == "error: %s: opaque atom 'X' has no declared " \
+            "E-polynomial\n" % (tmp_path / "a.json")
+        assert out.startswith("%s: s=3 r=4 match=True" % (tmp_path / "b.json"))
 
     def test_non_kulikov_without_neron_exit2(self, tmp_path):
         path = tmp_path / "pair.json"

@@ -162,6 +162,17 @@ def torus_grid_with_negation(m1, m2):
     return ds, Involution(ds, [vmap, emap, tmap])
 
 
+def top_kernel(ds):
+    """A kernel basis of the top boundary map as coefficient tuples, from
+    the elimination engine with its kernel tracked."""
+    from k3motive.deltaset import _boundary_rows
+
+    kernel = intlinalg._sparse_reduce(_boundary_rows(ds, ds.dim),
+                                      ds.n(ds.dim), True)[1]
+    return tuple(tuple(col.get(s, 0) for s in ds.simplices(ds.dim))
+                 for col in kernel)
+
+
 def shuffled(ds, rng):
     """ds under a seeded permutation of the simplex ids in each dimension."""
     perms = []
@@ -397,13 +408,13 @@ class TestSparseBoundaries:
             for q in range(1, ds.dim + 1):
                 dense = self.dense_from_faces(ds, q)
                 assert ds.boundary_matrix(q) == dense, (ds, q)
-                assert _boundary_reduction(ds, q)[:2] == \
+                assert _boundary_reduction(ds, q) == \
                     rank_and_invariants(dense), (ds, q)
             for q in (0, ds.dim + 1):
-                assert _boundary_reduction(ds, q)[:2] == (0, ())
+                assert _boundary_reduction(ds, q) == (0, ())
             top = ds.boundary_matrix(ds.dim)
             kernel = kernel_basis(top)
-            assert _boundary_reduction(ds, ds.dim)[2] == \
+            assert top_kernel(ds) == \
                 tuple(tuple(r[k] for r in kernel.iter_rows())
                       for k in range(kernel.cols)), ds
 
@@ -769,13 +780,24 @@ class TestMemo:
         assert hashlib.sha256(repr(facts).encode()).hexdigest() == \
             self.DIGEST
 
+    def test_reductions_keep_no_kernel(self):
+        # each degree's entry is (rank, invariant factors), top degree too
+        for ds in recognition_corpus():
+            for q in range(ds.dim + 2):
+                homology(ds, q)
+            degrees = [k for k in ds._memo if type(k) is int]
+            assert sorted(degrees) == list(range(ds.dim + 2)), ds
+            for q in degrees:
+                rank, factors = ds._memo[q]
+                assert type(rank) is int and type(factors) is tuple, (ds, q)
+
 
 class TestTopCyclesOracle:
     """The orientation route to the top cycles against the elimination."""
 
     def test_orientation_matches_elimination(self, monkeypatch):
         from k3motive import deltaset
-        from k3motive.deltaset import _boundary_reduction, _top_cycles
+        from k3motive.deltaset import _top_cycles
 
         calls = []
         monkeypatch.setattr(deltaset, "_sparse_reduce",
@@ -786,7 +808,7 @@ class TestTopCyclesOracle:
             del calls[:]
             got = [c.coefficients for c in _top_cycles(ds)]
             took_orientation = not calls
-            kernel = list(_boundary_reduction(ds, ds.dim)[2])
+            kernel = list(top_kernel(ds))
             if len(kernel) == 1 and next(c for c in kernel[0] if c) < 0:
                 kernel = [tuple(-c for c in kernel[0])]
             assert got == kernel, ds

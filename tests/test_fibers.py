@@ -1229,7 +1229,7 @@ class TestFlatValidation:
             g = fresh(f)
             assert scan_validate(g) == [], name
             assert counted_validate(g) == ([], 0), name
-            assert "levels" in g._memo, name
+            assert "polytope" in g._memo, name
 
     @SETTINGS
     @given(data=st.data())
@@ -1243,7 +1243,7 @@ class TestFlatValidation:
         got, scans = counted_validate(f)
         assert got == expected, (base, kind)
         assert bool(scans) == bool(expected), (base, kind)
-        assert ("levels" in f._memo) == (not expected), (base, kind)
+        assert ("polytope" in f._memo) == (not expected), (base, kind)
 
     def test_every_corruption_is_caught_somewhere(self):
         seen = set()

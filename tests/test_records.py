@@ -3,6 +3,7 @@ import functools
 import json
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
@@ -42,6 +43,10 @@ from k3motive import (
 )
 from k3motive._record import Record
 from k3motive.builders import _nerve_fiber
+from k3motive.fibers import (InvalidFiberError, _L, _RATIONAL_CURVE,
+                             _require_valid, clemens_polytope,
+                             component_betti, component_class,
+                             open_component_classes)
 from k3motive.serialize import dumps, fiber_from_json, fiber_to_json
 
 L = MotiveClass.lefschetz()
@@ -377,3 +382,149 @@ def test_column_records_match_constructed(cls):
         for twin in (copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
             assert type(twin) is cls and twin == ref
             assert repr(twin) == repr(ref)
+
+
+# -- the incidence readers against the record-reading route ------------------
+
+def record_curve_class(curve):
+    if curve.genus == 0:
+        return _RATIONAL_CURVE
+    return MotiveClass.of_atom(EllipticCurveAtom(curve.curve))
+
+
+def record_open_component_classes(f):
+    """``open_component_classes`` as it read the records by id, kept
+    verbatim as the oracle of the one that reads the polytope's levels."""
+    _require_valid(f)
+    on = {d.id: d.on for d in f.double_curves}
+    rep = {(d.genus, d.curve): d for d in f.double_curves}
+    cut = {key: record_curve_class(d) for key, d in rep.items()}
+    whole = {k: component_class(k) for k in {c.kind for c in f.components}}
+    sides = Counter((cid, d.genus, d.curve)
+                    for d in f.double_curves for cid in d.on)
+    points = Counter(cid for t in f.triple_points
+                     for cid in set().union(*(on[i] for i in t.on)))
+    one = _L(0)
+    pairs = {c.id: [(1, whole[c.kind]), (points[c.id], one)]
+             for c in f.components}
+    for (cid, genus, curve), n in sides.items():
+        pairs[cid].append((-n, cut[genus, curve]))
+    return [MotiveClass._combine(pairs[c.id]) for c in f.components]
+
+
+def record_strata_betti(f):
+    """``_strata_betti`` as it read the records, kept verbatim as the
+    oracle of the one that reads the columns."""
+    b0 = [0, 0, 0, 0, 0]
+    for c in f.components:
+        for k, b in enumerate(component_betti(c.kind)):
+            b0[k] += b
+    b1 = [0, 0, 0, 0, 0]
+    for d in f.double_curves:
+        b1[0] += 1
+        b1[1] += 2 if d.genus == 1 else 0
+        b1[2] += 1
+    b2 = [len(f.triple_points), 0, 0, 0, 0]
+    return [b0, b1, b2]
+
+
+@functools.lru_cache(maxsize=None)
+def incidence_corpus():
+    """Fibers by name: the column corpus (recognition-corpus nerves, Kummer
+    grids up to 8 x 18, relabelled spheres, chains); chains m = 1..6 with
+    seeded profiles; the strata corpus of ``test_fibers`` (every kind, and
+    genus-1 curves over two names); Kummer 30 x 30; and a JSON-decoded
+    copy of each, whose equal kinds are distinct objects."""
+    from test_fibers import strata_corpus
+
+    out = {name: f for name, (f, _) in column_corpus().items()}
+    rng = random.Random(3807)
+    for m in range(1, 7):
+        cuts = sorted(rng.randint(0, 20) for _ in range(m))
+        out["chain %d profiled" % m] = build_type2_chain(
+            m, [b - a for a, b in zip([0] + cuts, cuts + [20])])
+    out.update(("strata %d" % i, f) for i, f in enumerate(strata_corpus()))
+    out["kummer 30x30"] = build_kummer(KummerParams(30, 30)).fiber
+    for name, f in list(out.items()):
+        doc = json.loads(dumps(fiber_to_json(f)))
+        try:
+            out[name + " decoded"] = fiber_from_json(doc)
+        except ValueError:  # a tuple id has no JSON form
+            assert name.startswith("strata"), name
+    return out
+
+
+def fresh_columns(f):
+    """A copy of the fiber on its columns (each ``on`` of the corpus is
+    flat), with an empty memo and no record built."""
+    g = DegenerationFiber._of_columns(f.label, *f._cols)
+    assert unbuilt(g)
+    return g
+
+
+class TestIncidenceReaders:
+    """``open_component_classes`` and ``_strata_betti`` read the polytope
+    and the columns, and agree with the record-reading route."""
+
+    def test_open_classes_match_the_record_route(self):
+        kinds, names, valid = set(), set(), 0
+        for name, f in incidence_corpus().items():
+            g = fresh_columns(f)
+            try:
+                want = record_open_component_classes(f)
+            except InvalidFiberError as exc:
+                with pytest.raises(InvalidFiberError) as caught:
+                    open_component_classes(g)
+                assert caught.value.violations == exc.violations, name
+                continue
+            got = open_component_classes(g)
+            assert len(got) == len(want) == len(f.components), name
+            for c, x, y in zip(f.components, got, want):
+                assert x == y and x.terms() == y.terms(), (name, c)
+            assert unbuilt(g), name
+            valid += 1
+            kinds |= {type(c.kind) for c in f.components}
+            names |= {d.curve for d in f.double_curves if d.genus == 1}
+        assert valid == 312, valid
+        assert kinds == {Rational, RuledElliptic, K3Smooth, Other}
+        assert names == {"E", "F"}
+
+    def test_strata_betti_match_the_record_route(self):
+        from k3motive.motives import MissingRealizationError
+        from k3motive.weightss import _strata_betti
+
+        missing = 0
+        for name, f in incidence_corpus().items():
+            g = fresh_columns(f)
+            try:
+                want = record_strata_betti(f)
+            except MissingRealizationError:
+                with pytest.raises(MissingRealizationError):
+                    _strata_betti(g)
+                missing += 1
+                continue
+            assert _strata_betti(g) == want, name
+            assert unbuilt(g), name
+        assert missing == 62, missing
+
+    def test_e1_page_leaves_records_unbuilt(self):
+        from k3motive.weightss import e1_page
+
+        for name in ("kummer 4x6", "kummer 30x30 decoded", "sphere 2",
+                     "chain 3 profiled decoded"):
+            g = fresh_columns(incidence_corpus()[name])
+            assert e1_page(g).total_alternating_rank() == 24, name
+            assert unbuilt(g), name
+
+    def test_validate_keeps_violations_and_polytope(self):
+        valid = 0
+        for name, f in incidence_corpus().items():
+            g = fresh_columns(f)
+            if validate(g):
+                assert g._memo.keys() == {"violations"}, name
+                continue
+            valid += 1
+            assert g._memo.keys() == {"violations", "polytope"}, name
+            assert clemens_polytope(g) is g._memo["polytope"], name
+            assert g._memo.keys() == {"violations", "polytope"}, name
+        assert valid == 312, valid

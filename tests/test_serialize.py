@@ -104,6 +104,19 @@ class TestMotiveJson:
         assert back == cls
         assert back.euler_characteristic() == 24
 
+    def test_repeated_monomials_are_summed(self):
+        # as repeated class terms are: [[0,0,"1"],[0,0,"2"]] is 3, not 2
+        term = {"atom": "opaque:X", "lefschetz_power": 0, "coeff": "1"}
+        for e_poly, e in (([[0, 0, "1"], [0, 0, "2"]], {(0, 0): 3}),
+                          ([[1, 1, "2"], [0, 0, "1"], [1, 1, "-2"]],
+                           {(0, 0): 1})):
+            doc = [dict(term, e_polynomial=e_poly)]
+            schema_validator("motive_class.schema.json").validate(doc)
+            (atom, _, _), = motive_from_json(doc).terms()
+            assert dict(atom.e_poly.items()) == e, e_poly
+        doc = [term, dict(term, coeff="2")]  # one atom, one power
+        assert motive_from_json(doc) == 3 * motive_from_json(doc[:1])
+
 
 class TestDeltaJson:
     def test_roundtrip(self):
