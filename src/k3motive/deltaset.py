@@ -134,7 +134,7 @@ class DeltaSet:
         self._counts = tuple(counts)
         self._levels = tuple(levels)
         self._memo = {}
-        for q in range(2, self.dim + 1):
+        for q in range(2, len(counts)):
             pairs = [(i, j) for j in range(q + 1) for i in range(j)]
             # d_i d_j = d_{j-1} d_i, slot by slot: the face in slot j of a
             # q-simplex has its slot i at lower[q * up[j] + i]
@@ -255,7 +255,7 @@ def _coboundary_rows(ds: DeltaSet, q: int) -> dict[int, dict[int, int]]:
 
 def _is_cycle(ds: DeltaSet, q: int, coeffs: Sequence[int]) -> bool:
     """Is this q-chain a cycle?  Face j adds (-1)^j c to the boundary."""
-    boundary = [0] * ds.n(q - 1)
+    boundary = [0] * (ds._counts[q - 1] if q else 0)
     for c, fs in zip(coeffs, _chunks(ds._levels[q - 1], q + 1) if q else ()):
         for f in fs:
             boundary[f] += c
@@ -292,7 +292,7 @@ def cohomology(ds: DeltaSet, q: int) -> tuple[int, tuple[int, ...]]:
 
 
 def euler_characteristic(ds: DeltaSet) -> int:
-    return sum((-1) ** q * n for q, n in enumerate(ds.counts))
+    return sum(ds._counts[0::2]) - sum(ds._counts[1::2])
 
 
 def _top_cycles(ds: DeltaSet) -> list[CycleVector]:
@@ -301,7 +301,7 @@ def _top_cycles(ds: DeltaSet) -> list[CycleVector]:
     each edge of a closed 2-pseudomanifold a cycle's coefficient on one
     side fixes the other's, so ker d2 = Z sign for the ``_oriented`` signs,
     shared with ``recognize``; elsewhere one elimination tracks the kernel."""
-    d = ds.dim
+    d = len(ds._counts) - 1
     sign = _oriented(ds) if d == 2 else None
     columns = [sign] if sign else [
         tuple(map(col.get, ds.simplices(d), repeat(0)))
@@ -349,28 +349,28 @@ def recognize(ds: DeltaSet) -> Shape:
     is kept in the memo."""
     if "shape" in ds._memo:
         return ds._memo["shape"]
-    shape = Shape.OTHER
-    if ds.counts == (1,):
+    shape, counts = Shape.OTHER, ds._counts
+    if counts == (1,):
         shape = Shape.POINT
-    elif ds.dim == 1:
-        adjacent: list[list[int]] = [[] for _ in ds.simplices(0)]
+    elif len(counts) == 2:
+        adjacent: list[list[int]] = [[] for _ in range(counts[0])]
         for b, a in _chunks(ds._levels[0], 2):
             adjacent[a].append(b)
             adjacent[b].append(a)
         valence = [len(near) for near in adjacent]
         if max(valence) <= 2 and valence.count(1) == 2:
-            seen = [True] + [False] * (ds.n(0) - 1)
+            seen = [True] + [False] * (counts[0] - 1)
             queue = [0]  # grows while it is read
             for v in queue:
                 for w in adjacent[v]:
                     if not seen[w]:
                         seen[w] = True
                         queue.append(w)
-            if len(queue) == ds.n(0):
+            if len(queue) == counts[0]:
                 shape = Shape.INTERVAL
-    elif ds.dim == 2:
+    elif len(counts) == 3:
         used = set(ds._levels[0])
-        if len(used) == ds.n(0) and _oriented(ds) is not None \
+        if len(used) == counts[0] and _oriented(ds) is not None \
                 and euler_characteristic(ds) == 2:
             shape = Shape.SPHERE2
     ds._memo["shape"] = shape
@@ -395,8 +395,8 @@ def _orientation(ds: DeltaSet) -> tuple[int, ...] | None:
     breadth-first pass from triangle 0 sets each sign from the first side
     reaching it and checks it on every other side, loop sides included:
     sign[0] = 1 fixes the signs of a connected complex where they exist."""
-    flat, n = ds._levels[1], ds.n(2)
-    seen = [-1] * ds.n(1)  # per edge: -1 unseen, its first side, -2 paired
+    flat, n = ds._levels[1], ds._counts[2]
+    seen = [-1] * ds._counts[1]  # per edge: -1 unseen, first side, -2 paired
     other = [0] * len(flat)  # per side: the other side of its edge
     for p, e in enumerate(flat):
         q = seen[e]

@@ -464,11 +464,13 @@ def strata_classes(f: DegenerationFiber
                                   for k, n in Counter(kinds).items())
     # each genus is 0 or 1, so the genus-1 names are those under a true genus
     names = list(compress(cols.names, genus))
-    y1 = MotiveClass._combine(chain(
-        [(len(genus) - len(names), _RATIONAL_CURVE)],
-        ((n, MotiveClass.of_atom(EllipticCurveAtom(name)))
-         for name, n in Counter(names).items())))
-    f._memo["strata"] = (y0, y1, _L(0, len(cols.point_ids)))
+    n0 = len(genus) - len(names)
+    y1 = {(POINT, 0): n0, (POINT, 1): n0}  # n0 (1 + L)
+    if names:
+        for name, n in Counter(names).items():
+            y1[EllipticCurveAtom(name), 0] = n
+    f._memo["strata"] = (y0, MotiveClass._pruned(y1), MotiveClass._pruned(
+        {(POINT, 0): len(cols.point_ids)}))
     return f._memo["strata"]
 
 

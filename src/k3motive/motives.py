@@ -16,20 +16,22 @@ and point counting as a polynomial in q with its residue at q = 1.
 
 ``EPolynomial``, ``UnivariateLaurent`` and ``MotiveClass`` share one sparse
 term base, ``_Terms``: a pruned {key: coefficient} dict with equality and an
-order-free hash.  One primitive, ``_combine``, sums n * x over (int n, value
-x) pairs in one dict and prunes zeros once; sum, difference, negation and
-integer multiples are its special cases.  A subclass gives the product of
-two keys (exponents add in the Laurent polynomials; in a class the Lefschetz
-powers add and a point atom takes on the other factor's atom) and the powers
-in its keys.  Coefficients and powers are ``int``s, refused otherwise with
-ValueError; arithmetic with another type returns NotImplemented (``*`` also
-takes an ``int``), so Python raises TypeError.  Values of two different
-types never compare equal.
+order-free hash, computed once per value.  One primitive, ``_combine``, sums
+n * x over (int n, value x) pairs in one dict and prunes zeros once; sum,
+difference, negation and integer multiples are its special cases.  A
+subclass gives the product of two keys (exponents add in the Laurent
+polynomials; in a class the Lefschetz powers add and a point atom takes on
+the other factor's atom) and the powers in its keys.  Coefficients and
+powers are ``int``s, refused otherwise with ValueError; arithmetic with
+another type returns NotImplemented (``*`` also takes an ``int``), so Python
+raises TypeError.  Values of two different types never compare equal.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain
+from operator import itemgetter
 from typing import Mapping
 
 from ._record import Record
@@ -53,19 +55,25 @@ class _Terms:
     {key: coefficient} dict; a subclass says how keys multiply and which
     parts of a key are powers."""
 
-    __slots__ = ("_terms",)
+    # ``_hash`` is None until the first ``hash``; no copy or pickle keeps it
+    __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping | None = None):
         terms = terms or {}
         _int_rows((terms.values(), self._powers(terms)),
                   "coefficient or power")
-        self._terms = {k: c for k, c in terms.items() if c}
+        self._terms = dict(terms) if all(terms.values()) \
+            else {k: c for k, c in terms.items() if c}
+        self._hash = None
 
     @classmethod
     def _pruned(cls, out: dict):
-        """A value from a dict of integer coefficients, without the check."""
+        """A value from a new dict of integer coefficients, without the
+        check; the value keeps ``out`` itself when it holds no zero."""
         new = object.__new__(cls)
-        new._terms = {k: c for k, c in out.items() if c}
+        new._terms = out if all(out.values()) \
+            else {k: c for k, c in out.items() if c}
+        new._hash = None
         return new
 
     @classmethod
@@ -111,7 +119,18 @@ class _Terms:
         return type(other) is type(self) and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(frozenset(self._terms.items()))
+        return h
+
+    # a copy or a pickle carries the terms alone: ``str`` hashes are salted
+    # per process, so a hash kept from another process would be wrong
+    def __getstate__(self):
+        return self._terms
+
+    def __setstate__(self, terms):
+        self._terms, self._hash = terms, None
 
 
 class _Laurent(_Terms):
@@ -214,6 +233,7 @@ class _PointAtom:
     __slots__ = ()
     kind_rank = 0
     name = ""
+    tie = ()
 
     def __reduce__(self) -> str:
         return "POINT"
@@ -236,6 +256,7 @@ class EllipticCurveAtom(Record):
 
     name: str
     kind_rank = 1
+    tie = ()  # equal names make equal atoms
 
     def e_polynomial(self) -> EPolynomial:
         return _E_CURVE
@@ -254,6 +275,14 @@ class OpaqueAtom(Record):
     e_poly: EPolynomial | None = None
     count_symbol: str | None = None
     kind_rank = 2
+
+    @property
+    def tie(self) -> tuple:
+        """Orders distinct atoms of one name: by the sorted E-polynomial
+        items, then the count symbol, each absent one first."""
+        e, sym = self.e_poly, self.count_symbol
+        return (e is not None, e.items() if e is not None else [],
+                sym is not None, sym or "")
 
     def e_polynomial(self) -> EPolynomial:
         if self.e_poly is None:
@@ -327,7 +356,7 @@ class MotiveClass(_Terms):
 
     # -- ring structure -----------------------------------------------
 
-    _powers = staticmethod(lambda keys: (p for _, p in keys))
+    _powers = staticmethod(partial(map, itemgetter(1)))
 
     @staticmethod
     def _add_exponents(a, b):
@@ -358,17 +387,22 @@ class MotiveClass(_Terms):
     def terms(self) -> list[tuple[Atom, int, int]]:
         """Canonically ordered (atom, power, coeff) triples.
 
-        Order: atom kind, then atom name, then power ascending -- the same
-        order the JSON serialization uses, so it is byte-stable.
+        Order: atom kind, then atom name, then power ascending, then (for
+        distinct opaque atoms of one name) the atom's realizations -- the
+        same order the JSON serialization uses, so it is byte-stable.
         """
         return sorted(((a, p, c) for (a, p), c in self._terms.items()),
-                      key=lambda t: (t[0].kind_rank, t[0].name, t[1]))
+                      key=lambda t: (t[0].kind_rank, t[0].name, t[1],
+                                     t[0].tie))
 
     # -- realizations -------------------------------------------------
 
     def e_polynomial(self) -> EPolynomial:
         out: dict = {}
         for (a, p), c in self._terms.items():
+            if a is POINT:  # L^p realizes to (uv)^p
+                out[p, p] = out.get((p, p), 0) + c
+                continue
             for (u, v), d in a.e_polynomial()._terms.items():
                 out[u + p, v + p] = out.get((u + p, v + p), 0) + c * d
         return EPolynomial._pruned(out)

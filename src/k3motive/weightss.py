@@ -222,7 +222,7 @@ def monodromy_gram(f: DegenerationFiber) -> MonodromyGram:
     generator has its first nonzero coefficient positive.
     """
     cl = clemens_polytope(f)
-    vectors = _top_cycles(cl) if cl.dim == _DIM else []
+    vectors = _top_cycles(cl) if len(cl._counts) == _DIM + 1 else []
     if not vectors:
         raise ValueError("top homology has rank 0: fiber is not maximally "
                          "degenerate")

@@ -569,22 +569,27 @@ class TestClassSums:
 
 
 class TestRealizationCounts:
-    def test_verify_fiber_realizes_three_classes(self, monkeypatch):
-        from k3motive.builders import (build_type3, octahedron,
-                                       refine_sphere)
+    def test_verify_fiber_realizes_two_classes(self, monkeypatch):
+        from k3motive.builders import (KummerParams, build_kummer,
+                                       build_type2_chain, build_type3,
+                                       octahedron, refine_sphere)
 
-        fiber = build_type3(refine_sphere(octahedron(), 2, "edge_split"))
         calls = []
         e_polynomial = MotiveClass.e_polynomial
         monkeypatch.setattr(MotiveClass, "e_polynomial",
                             lambda self: calls.append(self)
                             or e_polynomial(self))
-        report = verify_fiber(fiber)
-        assert report.match and report.serre_ok and report.chi == 24
-        # the integral, the limit class and the closed form, once each
-        assert len(calls) == 3
-        assert calls[0] == report.integral
-        assert report.closed_form in calls
+        for fiber in (build_type3(refine_sphere(octahedron(), 2,
+                                                "edge_split")),
+                      build_type2_chain(4),
+                      build_kummer(KummerParams(4, 6)).fiber):
+            calls.clear()
+            report = verify_fiber(fiber)
+            assert report.match and report.serre_ok and report.chi == 24
+            # the integral and the limit class, once each; the closed form
+            # equals the integral, so its realization is the integral's
+            assert calls == [report.integral, lim_class(fiber)]
+            assert report.closed_form == report.integral
 
     def test_acampo_chi_realizes_two_classes(self, monkeypatch):
         from k3motive.builders import build_type3

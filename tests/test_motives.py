@@ -418,6 +418,83 @@ class TestExactValues:
         assert MotiveClass.one().twist(-1) == L(1)
 
 
+class TestHashOnce:
+    """A class hashes its terms once; copies and pickles carry the terms
+    alone, since ``str`` hashes are salted per process."""
+
+    K3 = OpaqueAtom("K3", e_poly=EPolynomial.monomial(2, 2))
+
+    def classes(self):
+        from k3motive.fibers import Other
+        cls = MotiveClass.one() + E_class(1, -2) \
+            + MotiveClass.of_atom(self.K3, -1)
+        return [cls, MotiveClass.zero(), Other(cls), Other(cls, (1, 0, 1)),
+                POINT, cls.e_polynomial(), cls.serre_reduce()]
+
+    def test_copies_and_pickles_keep_equality_and_hash(self):
+        import copy
+        import pickle
+
+        for x in self.classes():
+            for hashed_first in (False, True):
+                if hashed_first:
+                    hash(x)
+                for dup in (copy.copy(x), copy.deepcopy(x),
+                            pickle.loads(pickle.dumps(x))):
+                    assert dup == x and x == dup and hash(dup) == hash(x)
+
+    def test_hash_is_computed_once(self):
+        class Terms(dict):
+            """Counts the reads of its items."""
+            reads = 0
+
+            def items(self):
+                Terms.reads += 1
+                return super().items()
+
+        cls = self.classes()[0]
+        first = hash(cls)
+        dup = MotiveClass._pruned({})
+        dup._terms = Terms(cls._terms)
+        assert all(hash(dup) == first for _ in range(5))
+        assert Terms.reads == 1
+
+    def test_a_pickle_from_another_hash_seed(self, tmp_path):
+        import os
+        import pickle
+        import subprocess
+        import sys
+
+        # a process with another string-hash seed hashes the class, then
+        # pickles it; here it must hash as a class built here does
+        code = (
+            "import pickle, sys\n"
+            "from k3motive.motives import EllipticCurveAtom, MotiveClass\n"
+            "cls = MotiveClass.of_atom(EllipticCurveAtom('E'), 1, -2)\n"
+            "hash(cls)\n"
+            "sys.stdout.buffer.write(pickle.dumps(cls))\n")
+        env = dict(os.environ, PYTHONHASHSEED="1")
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        data = subprocess.run([sys.executable, "-c", code], env=env,
+                              check=True, capture_output=True).stdout
+        theirs, ours = pickle.loads(data), E_class(1, -2)
+        assert theirs == ours and hash(theirs) == hash(ours)
+        assert len({theirs, ours}) == 1
+
+    def test_equal_decoded_classes_are_one_counter_key(self):
+        from collections import Counter
+        from k3motive.fibers import Other
+        from k3motive.serialize import motive_from_json, motive_to_json
+
+        doc = motive_to_json(self.classes()[0])
+        a, b = motive_from_json(doc), motive_from_json(doc)
+        assert a is not b and a == b
+        assert Counter([a, b]) == Counter({a: 2})
+        assert Counter([Other(a), Other(b)]) == Counter({Other(a): 2})
+
+
 class TestPointSingleton:
     def test_copies_and_pickles_are_point_itself(self):
         import copy

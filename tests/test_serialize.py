@@ -16,7 +16,8 @@ from k3motive.builders import build_kummer, build_type2_chain, build_type3, \
     KummerParams, octahedron
 from k3motive.fibers import component_class, K3Smooth, open_component_classes
 from k3motive.intlinalg import IntMatrix, smith_normal_form
-from k3motive.motives import EllipticCurveAtom, MotiveClass
+from k3motive.motives import (EPolynomial, EllipticCurveAtom, MotiveClass,
+                              OpaqueAtom)
 from k3motive.serialize import (
     delta_from_json,
     delta_to_json,
@@ -96,6 +97,24 @@ class TestMotiveJson:
         one_way = 2 * MotiveClass.one() + e - e + MotiveClass.lefschetz(1)
         other_way = MotiveClass.lefschetz(1) + MotiveClass.one() * 2
         assert dumps(motive_to_json(one_way)) == dumps(motive_to_json(other_way))
+
+    def test_opaque_atoms_of_one_name_are_byte_stable(self):
+        # distinct atoms that tie on (kind, name, power) are ordered by
+        # their realizations, so both insertion orders give the same bytes
+        a = OpaqueAtom("X", e_poly=EPolynomial.one())
+        b = OpaqueAtom("X", e_poly=EPolynomial.monomial(1, 1))
+        c = OpaqueAtom("X", e_poly=EPolynomial.one(), count_symbol="x")
+        d = OpaqueAtom("X")
+        keys = [(a, 0), (b, 0), (c, 0), (d, 0), (b, 1), (a, -1)]
+        forward = MotiveClass(dict(zip(keys, range(1, 7))))
+        backward = MotiveClass(dict(reversed(list(zip(keys, range(1, 7))))))
+        assert forward == backward and hash(forward) == hash(backward)
+        text = dumps(motive_to_json(forward))
+        assert dumps(motive_to_json(backward)) == text
+        assert [(t[0], t[1]) for t in forward.terms()] == [
+            (a, -1), (d, 0), (a, 0), (c, 0), (b, 0), (b, 1)]
+        back = motive_from_json(json.loads(text))
+        assert back == forward and dumps(motive_to_json(back)) == text
 
     def test_opaque_roundtrip(self):
         cls = component_class(K3Smooth())
